@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,7 +31,9 @@ from .fidelity import SweepGrid, displaced_click_fidelity, displaced_povm, fidel
 from .fock import ScsMeasurementSpec, TruncationDim, displacement_defect
 from .povm import DetectorModel, random_povm_pair
 from .serialize import (
+    atomic_write_text,
     format_float,
+    optimize_payload,
     read_click_table,
     write_click_table,
     write_reconstruction_csv,
@@ -49,8 +50,6 @@ from .tomography import (
     scs_basis_project,
     tomography_pipeline,
 )
-
-THREADS_ENV = "CATPROJ_THREADS"
 
 # every key a config file may contain, with the accepted value shape
 _SCHEMA: dict[str, type | tuple] = {
@@ -74,7 +73,6 @@ _SCHEMA: dict[str, type | tuple] = {
     "quantize": bool,
     "clicks": str,
     "error_bars_sigma": (int, float),
-    "threads": int,
     "out": str,
 }
 
@@ -190,7 +188,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         cfg.update(validate_config(loaded))
-    for key in ("seed", "nmax", "threads", "out"):
+    for key in ("seed", "nmax", "out"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -207,13 +205,6 @@ def _detector(cfg: dict) -> DetectorModel:
 
 def _dim(cfg: dict) -> TruncationDim:
     return TruncationDim(int(cfg.get("nmax", 20)))
-
-
-def _threads(cfg: dict) -> int | None:
-    if "threads" in cfg:
-        return int(cfg["threads"])
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else None
 
 
 def _out_path(cfg: dict) -> Path:
@@ -260,7 +251,7 @@ def _meta(cfg: dict) -> dict:
 def _hashable(cfg: dict) -> dict:
     """The config as hashed into outputs: computation inputs only, not
     routing details, so re-running to a different path stays byte-identical."""
-    return {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def cmd_fidelity_sweep(cfg: dict) -> int:
@@ -274,7 +265,7 @@ def cmd_fidelity_sweep(cfg: dict) -> int:
         out = _out_path(cfg)
     with _stage("sweep"):
         errors: list = []
-        reports = sweep(grid, detector, _dim(cfg), threads=_threads(cfg), errors=errors)
+        reports = sweep(grid, detector, _dim(cfg), errors=errors)
         if errors:
             raise RuntimeError(f"{len(errors)} grid points failed; first: {errors[0][2]}")
     with _stage("write"):
@@ -290,7 +281,7 @@ def cmd_optimize(cfg: dict) -> int:
     with _stage("optimize"):
         grid = SweepGrid((spec.c0**2,), (spec.alpha**2,), (spec.phi,))
         report = sweep(grid, detector, _dim(cfg))[0]
-    payload = {
+    values = {
         "alpha": spec.alpha,
         "c0sq": spec.c0**2,
         "phi": spec.phi,
@@ -302,11 +293,10 @@ def cmd_optimize(cfg: dict) -> int:
         "x_th_opt": report.x_th_opt,
         "lo_phase_opt": report.lo_phase_opt,
     }
-    payload = {k: float(format_float(v)) if isinstance(v, float) else v for k, v in payload.items()}
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(optimize_payload(values, _hashable(cfg)), sort_keys=True, indent=2)
     if "out" in cfg:
         with _stage("write"):
-            Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
+            atomic_write_text(cfg["out"], text + "\n")
     else:
         print(text)
     return 0
@@ -482,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--nmax", type=int, help="Fock-space cutoff (overrides config)")
-        p.add_argument("--threads", type=int, help=f"worker threads (or ${THREADS_ENV})")
     return parser
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,8 @@ from .fock import (
 from .povm import (
     IDEAL_DETECTOR,
     DetectorModel,
-    HomodyneSpec,
     PovmPair,
     dp_povm,
-    homodyne_povm,
     onoff_povm,
     quadrature_interval_operator,
 )
@@ -56,6 +53,10 @@ THRESHOLD_STEP = 0.1
 REFINE_TOL = 1e-8
 
 REPORT_CONSISTENCY_TOL = 1e-10
+
+#: complex elements per (rows, phases, N) grid temporary: about 0.5 MB, so a
+#: grid's memory stays flat however large the cutoff
+_GRID_BLOCK_ELEMENTS = 2**15
 
 
 def fidelity(pair: PovmPair, spec: ScsMeasurementSpec) -> float:
@@ -86,27 +87,31 @@ def displaced_povm(spec: ScsMeasurementSpec, beta: complex, detector: DetectorMo
     return onoff_povm(beta, detector, dim)
 
 
-def _phase_grid_values(
-    t0: np.ndarray,
-    t1: np.ndarray,
-    dmat: np.ndarray,
-    phases: np.ndarray,
-    detector: DetectorModel,
-) -> np.ndarray:
-    """Fidelity at displacements ``r * exp(i*phases)`` sharing one radial matrix.
+def _by_blocks(score, rows: np.ndarray, row_elements: int) -> np.ndarray:
+    """``score`` applied to consecutive blocks of ``rows``, results stacked;
+    a block holds about ``_GRID_BLOCK_ELEMENTS / row_elements`` rows."""
+    size = max(1, _GRID_BLOCK_ELEMENTS // row_elements)
+    return np.concatenate([score(rows[i : i + size]) for i in range(0, rows.size, size)])
 
-    ``dmat`` must be the displacement matrix at the (real, non-negative)
-    radial amplitude, already rescaled by the interference visibility for a
-    click detector.  Rotating the displacement phase only multiplies matrix
-    elements by ``exp(i*theta*(m-n))``, so every phase on the ring reuses it.
+
+def _click_values(t0, t1, radii, phases, detector: DetectorModel, dim) -> np.ndarray:
+    """Fidelity at every displacement ``radii[r] * exp(i*phases[p])`` as an
+    ``(R, P)`` array; ``radii`` may be complex.
+
+    The matrices of all radii come from one batched build, rescaled by the
+    interference visibility for a click detector.  Rotating the phase only
+    multiplies matrix elements by ``exp(i*theta*(m-n))``, so every phase on
+    a ring reuses the ring's matrix.
     """
-    m = np.arange(dmat.shape[0])
+    scale = 1.0 if detector.is_ideal else detector.visibility
+    dmats = _displacement_matrix(scale * np.atleast_1d(radii), dim)
+    m = np.arange(dim.size)
     ramp = np.exp(1j * np.outer(phases, m))
-    r0 = np.abs((ramp * t0.conj()) @ dmat) ** 2
-    r1 = np.abs((ramp * t1.conj()) @ dmat) ** 2
+    r0 = np.abs((ramp * t0.conj()) @ dmats) ** 2
+    r1 = np.abs((ramp * t1.conj()) @ dmats) ** 2
     if detector.is_ideal:
         keep = r0 >= r1
-        return 0.5 * ((r0 * keep).sum(axis=1) + 1.0 - (r1 * keep).sum(axis=1))
+        return 0.5 * ((r0 * keep).sum(axis=-1) + 1.0 - (r1 * keep).sum(axis=-1))
     weights = (1.0 - detector.eta) ** m
     return 0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights))
 
@@ -120,11 +125,7 @@ def displaced_click_fidelity(
     """Fidelity of the displaced counting measurement at a fixed ``beta``."""
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
-    scale = 1.0 if detector.is_ideal else detector.visibility
-    dmat = _displacement_matrix(scale * complex(beta), dim)
-    return float(
-        _phase_grid_values(t0.amps, t1.amps, dmat, np.zeros(1), detector)[0]
-    )
+    return float(_click_values(t0.amps, t1.amps, complex(beta), 0.0, detector, dim)[0, 0])
 
 
 def optimize_displacement(
@@ -138,34 +139,31 @@ def optimize_displacement(
     amplitude the truncation supports, phase step ``PHASE_STEP``) is followed
     by Nelder-Mead refinement in the (Re, Im) plane; amplitudes outside the
     supported disc are rejected by a penalty, and the refined point is only
-    accepted when it actually improves on the grid.  Fully deterministic.
+    accepted when it actually improves on the grid.  Fully deterministic:
+    grid ties go to the first maximum in radius-major order.
     """
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
     a0, a1 = t0.amps, t1.amps
     r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(dim, AMPLITUDE_STEP))
-    scale = 1.0 if detector.is_ideal else detector.visibility
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP
 
-    best_f = -np.inf
-    best_beta = 0.0 + 0.0j
-    for r in radii:
-        dmat = _displacement_matrix(scale * r, dim)
-        vals = _phase_grid_values(a0, a1, dmat, phases, detector)
-        k = int(np.argmax(vals))
-        if vals[k] > best_f:
-            best_f = float(vals[k])
-            best_beta = complex(r * math.cos(phases[k]), r * math.sin(phases[k]))
+    vals = _by_blocks(
+        lambda rs: _click_values(a0, a1, rs, phases, detector, dim), radii, phases.size * dim.size
+    )
+    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_f = float(vals[i, k])
+    r = float(radii[i])
+    best_beta = complex(r * math.cos(phases[k]), r * math.sin(phases[k]))
 
     def negated(xy: np.ndarray) -> float:
         b = complex(xy[0], xy[1])
         excess = abs(b) - r_max
         if excess > 0.0:
             return 1.0 + excess
-        dmat = _displacement_matrix(scale * b, dim)
-        return -float(_phase_grid_values(a0, a1, dmat, np.zeros(1), detector)[0])
+        return -float(_click_values(a0, a1, b, 0.0, detector, dim)[0, 0])
 
     res = minimize(
         negated,
@@ -180,6 +178,19 @@ def optimize_displacement(
     return best_beta, best_f
 
 
+def _homodyne_values(t0, t1, thresholds, lo_phases, dim) -> np.ndarray:
+    """Fidelity of thresholded homodyne readout at every (threshold, phase)
+    pair, as a ``(T, P)`` array; all threshold operators come from one
+    closed-form evaluation."""
+    intervals = quadrature_interval_operator(np.atleast_1d(thresholds), np.inf, dim)
+    ramp = np.exp(-1j * np.outer(lo_phases, np.arange(dim.size)))
+    w0 = ramp * t0
+    w1 = ramp * t1
+    v0 = np.sum((w0.conj() @ intervals) * w0, axis=-1).real
+    v1 = np.sum((w1.conj() @ intervals) * w1, axis=-1).real
+    return 0.5 * (v0 + 1.0 - v1)
+
+
 def homodyne_fidelity(
     spec: ScsMeasurementSpec,
     x_th: float,
@@ -189,41 +200,29 @@ def homodyne_fidelity(
     """Fidelity of thresholded homodyne readout at fixed threshold and phase."""
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
-    interval = quadrature_interval_operator(x_th, np.inf, dim)
-    n = np.arange(dim.size)
-    w0 = t0.amps * np.exp(-1j * lo_phase * n)
-    w1 = t1.amps * np.exp(-1j * lo_phase * n)
-    v0 = (w0.conj() @ interval @ w0).real
-    v1 = (w1.conj() @ interval @ w1).real
-    return float(0.5 * (v0 + 1.0 - v1))
+    return float(_homodyne_values(t0.amps, t1.amps, x_th, lo_phase, dim)[0, 0])
 
 
 def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, float]:
     """Maximize the homodyne fidelity over threshold and local-oscillator phase.
 
     Grid over ``x_th`` in ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times
-    sixty phases in [0, pi), then clamped Nelder-Mead refinement.  Returns
+    sixty phases in [0, pi), then clamped Nelder-Mead refinement.  Grid ties
+    go to the first maximum in threshold-major order.  Returns
     ``(x_th_opt, lo_phase_opt, f)``.
     """
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
-    n = np.arange(dim.size)
+    a0, a1 = t0.amps, t1.amps
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     thetas = np.arange(60) * (math.pi / 60.0)
-    ramp = np.exp(-1j * np.outer(thetas, n))
-    w0 = ramp * t0.amps
-    w1 = ramp * t1.amps
 
-    best = (-np.inf, 0.0, 0.0)
-    for x in xs:
-        interval = quadrature_interval_operator(x, np.inf, dim)
-        v0 = np.einsum("ti,ij,tj->t", w0.conj(), interval, w0).real
-        v1 = np.einsum("ti,ij,tj->t", w1.conj(), interval, w1).real
-        vals = 0.5 * (v0 + 1.0 - v1)
-        k = int(np.argmax(vals))
-        if vals[k] > best[0]:
-            best = (float(vals[k]), float(x), float(thetas[k]))
+    vals = _by_blocks(
+        lambda block: _homodyne_values(a0, a1, block, thetas, dim), xs, thetas.size * dim.size
+    )
+    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
 
     theta_cap = math.pi * (1.0 - 1e-12)
 
@@ -235,7 +234,7 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
 
     def negated(p: np.ndarray) -> float:
         x, th = clamp(p)
-        return -homodyne_fidelity(spec, x, th, dim)
+        return -float(_homodyne_values(a0, a1, x, th, dim)[0, 0])
 
     res = minimize(
         negated,
@@ -358,39 +357,23 @@ def sweep(
     grid: SweepGrid,
     detector: DetectorModel = IDEAL_DETECTOR,
     dim=20,
-    threads: int | None = None,
     errors: list | None = None,
 ) -> list[FidelityReport]:
     """One optimized FidelityReport per grid point, in grid order.
 
-    Points are independent pure functions of their inputs and may run on a
-    thread pool.  A failing point does not abort the sweep: its exception is
-    appended to ``errors`` (when given) as ``(index, point, exception)`` and
-    reported as a warning, and the point is dropped from the output.
+    A failing point does not abort the sweep: its exception is appended to
+    ``errors`` (when given) as ``(index, point, exception)`` and reported
+    as a warning, and the point is dropped from the output.
     """
     dim = as_dim(dim)
-    points = list(grid.points())
-
-    def run(point):
-        try:
-            return _sweep_point(point, detector, dim)
-        except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
-            return exc
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, points))
-    else:
-        outcomes = [run(p) for p in points]
-
     reports = []
-    for idx, out in enumerate(outcomes):
-        if isinstance(out, Exception):
+    for idx, point in enumerate(grid.points()):
+        try:
+            reports.append(_sweep_point(point, detector, dim))
+        except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
             if errors is not None:
-                errors.append((idx, points[idx], out))
-            warnings.warn(f"sweep point {idx} {points[idx]} failed: {out}", stacklevel=2)
-        else:
-            reports.append(out)
+                errors.append((idx, point, exc))
+            warnings.warn(f"sweep point {idx} {point} failed: {exc}", stacklevel=2)
     return reports
 
 

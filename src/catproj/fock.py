@@ -3,7 +3,7 @@
 Everything in this package lives in the span of |0>..|n_max>.  States are
 dense complex amplitude vectors, operators are dense complex matrices.
 Values are immutable after construction (arrays are marked read-only), so
-they can be shared freely between threads.
+they can be shared freely.
 
 Conventions fixed here and used everywhere else:
 
@@ -294,42 +294,52 @@ def scs_projectors(spec: ScsMeasurementSpec, dim) -> tuple[StateVector, StateVec
     return StateVector(dim, pi0), StateVector(dim, pi1)
 
 
-def _displacement_matrix(beta: complex, dim: TruncationDim) -> np.ndarray:
-    """<m|D(beta)|n> from the closed-form associated-Laguerre expression.
+def _displacement_matrix(beta, dim: TruncationDim) -> np.ndarray:
+    """<m|D(beta)|n> from the closed-form associated-Laguerre expression
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
 
     For m >= n:  <m|D|n> = sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)
-    and <n|m> entries follow from D(-beta)^T symmetry.  The Laguerre values
-    are generated with the stable three-term recurrence along each diagonal.
+    and <n|m> entries follow from D(-beta)^T symmetry.  ``beta`` may be a
+    scalar or an array of amplitudes; the result has shape
+    ``np.shape(beta) + (N, N)``.  One stable three-term recurrence in n
+    generates the Laguerre values of every amplitude and every diagonal.
     """
+    beta = np.asarray(beta, dtype=complex)
     N = dim.size
-    if beta == 0:
-        return np.eye(N, dtype=complex)
-    x = abs(beta) ** 2
+    b = beta.reshape(-1, 1)
+    x = np.abs(b) ** 2
+    d = np.arange(N)
+    # lag[:, k, d] = L_k^{(d)}(x)
+    lag = np.empty((b.shape[0], N, N))
+    lag[:, 0] = 1.0
+    if N > 1:
+        lag[:, 1] = 1.0 + d - x
+    for k in range(2, N):
+        lag[:, k] = ((2 * k - 1 + d - x) * lag[:, k - 1] - (k - 1 + d) * lag[:, k - 2]) / k
+    m, n = np.tril_indices(N)
     lf = _logfact(dim.n_max)
-    D = np.zeros((N, N), dtype=complex)
-    for d in range(N):
-        nn = np.arange(N - d)
-        lk = [1.0]
-        if N - d > 1:
-            lk.append(1.0 + d - x)
-            for k in range(2, N - d):
-                lk.append(((2 * k - 1 + d - x) * lk[k - 1] - (k - 1 + d) * lk[k - 2]) / k)
-        lag = np.array(lk)
-        m = nn + d
-        base = np.exp(0.5 * (lf[nn] - lf[m]) - 0.5 * x)
-        D[m, nn] = base * beta**d * lag
-        if d > 0:
-            D[nn, m] = base * (-np.conj(beta)) ** d * lag
-    return D
+    base = np.exp(0.5 * (lf[n] - lf[m]) - 0.5 * x)
+    lag = lag[:, n, m - n]
+    D = np.zeros((b.shape[0], N, N), dtype=complex)
+    D[:, m, n] = base * b ** (m - n) * lag
+    up = m > n
+    D[:, n[up], m[up]] = (base * (-np.conj(b)) ** (m - n) * lag)[:, up]
+    return D.reshape(beta.shape + (N, N))
+
+
+def _unitarity_defect(D: np.ndarray, n_max: int) -> np.ndarray:
+    """Max |D^dag D - I| on the upper-left (n_max//2)^2 block of each
+    matrix in a stack."""
+    k = max(1, n_max // 2)
+    cols = D[..., :k]
+    block = cols.conj().swapaxes(-1, -2) @ cols - np.eye(k)
+    return np.max(np.abs(block), axis=(-2, -1))
 
 
 def displacement_defect(beta: complex, dim) -> float:
     """Max |D^dag D - I| on the upper-left (n_max//2)^2 block."""
     dim = as_dim(dim)
-    D = _displacement_matrix(beta, dim)
-    k = max(1, dim.n_max // 2)
-    block = (D.conj().T @ D)[:k, :k] - np.eye(k)
-    return float(np.max(np.abs(block)))
+    return float(_unitarity_defect(_displacement_matrix(beta, dim), dim.n_max))
 
 
 def displacement_operator(beta: complex, dim) -> FockOperator:
@@ -341,29 +351,24 @@ def displacement_operator(beta: complex, dim) -> FockOperator:
     """
     dim = as_dim(dim)
     D = _displacement_matrix(beta, dim)
-    if beta != 0:
-        k = max(1, dim.n_max // 2)
-        defect = float(np.max(np.abs((D.conj().T @ D)[:k, :k] - np.eye(k))))
-        if defect > DISPLACEMENT_GUARD_TOL:
-            raise CutoffTooSmallError(
-                f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
-                f"{k}x{k} guard block at n_max={dim.n_max} "
-                f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
-            )
+    defect = float(_unitarity_defect(D, dim.n_max))
+    if defect > DISPLACEMENT_GUARD_TOL:
+        raise CutoffTooSmallError(
+            f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
+            f"(n_max//2)^2 guard block at n_max={dim.n_max} "
+            f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
+        )
     return FockOperator(dim, D)
 
 
 @lru_cache(maxsize=None)
 def _max_guarded_amplitude_cached(n_max: int, step: float) -> float:
-    dim = TruncationDim(n_max)
-    r = 0.0
-    k = 1
-    while k * step <= 2.5 + 1e-12:
-        if displacement_defect(k * step, dim) > DISPLACEMENT_GUARD_TOL:
-            break
-        r = k * step
-        k += 1
-    return r
+    ks = np.arange(1, int(2.5 / step) + 2)
+    radii = ks[ks * step <= 2.5 + 1e-12] * step
+    defects = _unitarity_defect(_displacement_matrix(radii, TruncationDim(n_max)), n_max)
+    failed = np.flatnonzero(defects > DISPLACEMENT_GUARD_TOL)
+    passing = failed[0] if failed.size else radii.size
+    return float(radii[passing - 1]) if passing else 0.0
 
 
 def max_guarded_amplitude(dim, step: float = 0.02) -> float:

@@ -8,7 +8,8 @@ truncated Fock basis:
 * displaced on/off detection with efficiency / dark-count / visibility
   imperfections folded in;
 * photon-number parity (the undisplaced limit of the above);
-* binary homodyne (quadrature above/below a threshold).
+* binary homodyne (quadrature above/below a threshold), whose element is
+  evaluated in closed form from Hermite functions at the threshold.
 
 Plus the pure-loss channel acting on POVM elements (adjoint/Heisenberg
 picture) and its inverse with a physicality repair.
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import roots_legendre
+from scipy.special import erfc
 
 from .fock import (
     FockOperator,
@@ -30,7 +30,6 @@ from .fock import (
     TruncationDim,
     as_dim,
     displacement_operator,
-    identity_operator,
     scs_projectors,
     _logfact,
 )
@@ -228,41 +227,32 @@ def hermite_functions(x, n_max: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order: int):
-    xg, wg = roots_legendre(order)
-    xg.setflags(write=False)
-    wg.setflags(write=False)
-    return xg, wg
-
-
-def _gl_panels(lo: float, hi: float, order: int = 32, max_panel: float = 1.0):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi] with panels no
-    wider than max_panel.  At order 32 the per-panel error for these
-    Gaussian-type integrands is far below 1e-12."""
-    npan = max(1, int(np.ceil((hi - lo) / max_panel)))
-    edges = np.linspace(lo, hi, npan + 1)
-    xg, wg = _gl_rule(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
-    wts = half[:, None] * wg[None, :]
-    return nodes.ravel(), wts.ravel()
-
-
-def quadrature_interval_operator(x_lo: float, x_hi: float, dim) -> np.ndarray:
+def quadrature_interval_operator(x_lo, x_hi, dim) -> np.ndarray:
     """Matrix of integrals E_mn = int_{x_lo}^{x_hi} psi_m psi_n dx in the
-    unrotated quadrature basis, with the integration window clipped to
-    [-W, W], beyond which every psi_m psi_n is below 1e-14."""
+    unrotated quadrature basis, in closed form for every window at once.
+
+    Each end contributes int_x^inf psi_m psi_n.  With q_n = sqrt(2n)
+    psi_{n-1} = psi_n' + x psi_n, the Wronskian psi_m q_n - psi_n q_m has
+    derivative 2(m - n) psi_m psi_n, which gives every entry off the
+    diagonal; on it, int_x^inf psi_0^2 = erfc(x)/2 and each step in n adds
+    psi_n q_n / (2n).  The ends are clipped to [-W, W], beyond which every
+    psi_m psi_n is below 1e-14.  ``x_lo`` and ``x_hi`` may be arrays; the
+    result has shape ``np.broadcast(x_lo, x_hi).shape + (N, N)``.
+    """
     dim = as_dim(dim)
     W = math.sqrt(2.0 * dim.n_max + 1.0) + 8.0
-    lo, hi = max(x_lo, -W), min(x_hi, W)
-    if lo >= hi:
-        return np.zeros((dim.size, dim.size))
-    xs, ws = _gl_panels(lo, hi)
-    psi = hermite_functions(xs, dim.n_max)
-    E = (psi * ws) @ psi.T
-    return 0.5 * (E + E.T)
+    lo, hi = np.broadcast_arrays(np.clip(x_lo, -W, W), np.clip(x_hi, -W, W))
+    x = np.stack([lo, hi]).astype(float).ravel()
+    psi = hermite_functions(x, dim.n_max).T
+    n = np.arange(dim.size)
+    q = np.zeros_like(psi)
+    q[:, 1:] = np.sqrt(2.0 * n[1:]) * psi[:, :-1]
+    gap = 2.0 * (n[:, None] - n[None, :])
+    np.fill_diagonal(gap, 1.0)
+    tails = (psi[:, None, :] * q[:, :, None] - psi[:, :, None] * q[:, None, :]) / gap
+    tails[:, n, n] = 0.5 * erfc(x)[:, None] + np.cumsum(psi * q / np.maximum(2 * n, 1), axis=1)
+    tails = tails.reshape((2,) + lo.shape + (dim.size, dim.size))
+    return np.where((lo < hi)[..., None, None], tails[0] - tails[1], 0.0)
 
 
 def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:

@@ -28,6 +28,7 @@ CLICK_SCHEMA = "catproj/clicks"
 SWEEP_SCHEMA = "catproj/sweep"
 RECONSTRUCTION_SCHEMA = "catproj/reconstruction"
 TOMOGRAPHY_SCHEMA = "catproj/tomography"
+OPTIMIZE_SCHEMA = "catproj/optimize"
 
 _CLICK_COLUMNS = ("probe_label", "re_amp", "im_amp", "outcome0_count", "outcome1_count", "shots")
 _SWEEP_COLUMNS = (
@@ -258,6 +259,15 @@ def tomography_payload(
         "error_bars": {k: list(v) for k, v in bars.items()} if bars is not None else None,
     }
     return _rounded(payload)
+
+
+def optimize_payload(values: dict, config: dict) -> dict:
+    """JSON-ready dictionary for a single-point optimizer report."""
+    return {
+        "schema": f"{OPTIMIZE_SCHEMA} {SCHEMA_MAJOR}.{SCHEMA_MINOR}",
+        "config_sha256": config_digest(config),
+        **{k: float(format_float(v)) for k, v in values.items()},
+    }
 
 
 def write_tomography_json(path, run: TomographyRun, config: dict, seed: int, bars: dict | None = None) -> None:

@@ -54,6 +54,8 @@ class ProbeSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        if not all(math.isfinite(v) for v in (self.alpha, *self.gammas)):
+            raise ValueError("probe amplitudes must be finite")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if len(self.gammas) < 1:
@@ -99,6 +101,9 @@ class ClickTable:
         n = len(self.probe_amplitudes)
         if not (self.counts0.shape == self.counts1.shape == self.shots.shape == (n,)):
             raise ValueError("counts0, counts1 and shots must be 1-D with one row per probe")
+        finite = np.isfinite([self.counts0, self.counts1, self.shots]).all()
+        if not (finite and np.isfinite(self.probe_amplitudes).all()):
+            raise ValueError("counts, shots and probe amplitudes must be finite")
         if np.any(self.counts0 < 0) or np.any(self.counts1 < 0):
             raise ValueError("counts must be non-negative")
         if np.any(self.shots <= 0):
@@ -391,6 +396,11 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     ``MLE_STOP_TOL``.  The normalization keeps completeness exact at every
     step.  Whenever the full step would lower the log-likelihood the update
     is damped, so the likelihood is non-decreasing on every accepted step.
+
+    Rounding near a rank-deficient optimum can leave pi0 a hair outside
+    [0, 1]: its spectrum is then clipped and pi1 = I - pi0, and the lowest
+    pre-repair eigenvalue of the pair goes into ``diagnostics``.  An
+    excursion beyond ``COMPLETENESS_TOL_2D`` raises ArithmeticError.
     """
     rho = np.asarray(probe_states, dtype=complex)
     freq = np.asarray(frequencies, dtype=float)
@@ -463,16 +473,25 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
             f"residual entry change {delta:g}",
             stacklevel=2,
         )
-    return ScsPovm(
-        elements[0],
-        elements[1],
-        diagnostics={
-            "iterations": iterations,
-            "converged": converged,
-            "final_delta": float(delta),
-            "log_likelihood": likelihood,
-        },
-    )
+    diagnostics = {
+        "iterations": iterations,
+        "converged": converged,
+        "final_delta": float(delta),
+        "log_likelihood": likelihood,
+    }
+    pi0, pi1 = elements
+    w, U = np.linalg.eigh(pi0)
+    low = float(min(w[0], 1.0 - w[-1]))
+    if low < 0.0:
+        if -low > COMPLETENESS_TOL_2D:
+            raise ArithmeticError(
+                f"reconstructed pi0 has eigenvalues {w[0]:g}, {w[-1]:g}, "
+                f"outside [0, 1] by more than {COMPLETENESS_TOL_2D:g}"
+            )
+        pi0 = (U * np.clip(w, 0.0, 1.0)) @ U.conj().T
+        pi1 = np.eye(2) - pi0
+        diagnostics["pre_repair_min_eigenvalue"] = low
+    return ScsPovm(pi0, pi1, diagnostics=diagnostics)
 
 
 def scs_basis_project(op: FockOperator, alpha: float, dim) -> np.ndarray:

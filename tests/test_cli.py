@@ -7,7 +7,7 @@ from catproj.cli import PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
-from catproj.serialize import read_click_table
+from catproj.serialize import config_digest, read_click_table
 
 SIM_CONFIG = {
     "alpha": 0.499,
@@ -41,7 +41,6 @@ class FakeArgs:
         self.config = kw.get("config")
         self.seed = kw.get("seed")
         self.nmax = kw.get("nmax")
-        self.threads = kw.get("threads")
         self.out = kw.get("out")
 
 
@@ -97,15 +96,26 @@ def test_fidelity_sweep_empty_grid_leaves_no_file(tmp_path, capsys):
 
 
 def test_optimize_prints_report(tmp_path, capsys):
-    path = write_config(tmp_path, {"alpha": 0.5, "c0sq": 0.75, "phi": 0.0, "nmax": 14})
+    cfg = {"alpha": 0.5, "c0sq": 0.75, "phi": 0.0, "nmax": 14}
+    path = write_config(tmp_path, cfg)
     assert main(["optimize", "--config", path]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    payload = json.loads(text)
     beta, f = optimize_displacement(
         ScsMeasurementSpec.from_c0sq(0.5, 0.75, 0.0), IDEAL_DETECTOR, TruncationDim(14)
     )
     assert payload["f_dp"] == pytest.approx(f, abs=1e-9)
     assert payload["beta_opt_re"] == pytest.approx(beta.real, abs=1e-6)
     assert payload["f_pn"] == 0.75
+    assert payload["schema"] == "catproj/optimize 1.0"
+    assert payload["config_sha256"] == config_digest(cfg)
+
+    # --out writes the same report, and the digest ignores the output path
+    out = tmp_path / "report.json"
+    assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 def test_simulate_deterministic_and_readable(tmp_path):
@@ -144,16 +154,22 @@ def test_tomography_ingest_corrupted_table(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SIM_CONFIG)
     clicks = tmp_path / "clicks.csv"
     assert main(["simulate", "--config", cfg_path, "--out", str(clicks)]) == 0
+    capsys.readouterr()
     text = clicks.read_text().splitlines()
-    cells = text[-1].split(",")
-    cells[3] = "999999"
-    (tmp_path / "bad.csv").write_text("\n".join(text[:-1] + [",".join(cells)]) + "\n")
+    # a NaN count passes every comparison, so it needs its own check
+    for cell, reason in (("999999", "sum"), ("nan", "finite")):
+        cells = text[-1].split(",")
+        cells[3] = cell
+        (tmp_path / "bad.csv").write_text("\n".join(text[:-1] + [",".join(cells)]) + "\n")
 
-    bad_cfg = write_config(tmp_path, {**SIM_CONFIG, "clicks": str(tmp_path / "bad.csv")}, "bad.json")
-    assert main(["tomography", "--config", bad_cfg, "--out", str(tmp_path / "x.json")]) == 1
-    record = last_error(capsys)
-    assert record["stage"] == "ingest"
-    assert "sum" in record["message"]
+        bad_cfg = write_config(tmp_path, {**SIM_CONFIG, "clicks": str(tmp_path / "bad.csv")}, "bad.json")
+        assert main(["tomography", "--config", bad_cfg, "--out", str(tmp_path / "x.json")]) == 1
+        records = capsys.readouterr().err.strip().splitlines()
+        assert len(records) == 1
+        record = json.loads(records[0])
+        assert record["stage"] == "ingest"
+        assert reason in record["message"]
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_tomography_sweep_mode(tmp_path):
@@ -204,19 +220,9 @@ def test_unknown_preset_and_key(tmp_path, capsys):
     path = write_config(tmp_path, {"mystery": 2})
     assert main(["optimize", "--config", path]) == 1
     assert "unknown config key" in last_error(capsys)["message"]
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = {
-        "c0sq_values": [0.5, 0.75, 1.0],
-        "alpha_sq_values": [0.25],
-        "phi_values": [0.0],
-        "nmax": 12,
-    }
-    path = write_config(tmp_path, cfg)
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert main(["fidelity-sweep", "--config", path, "--out", str(serial)]) == 0
-    monkeypatch.setenv("CATPROJ_THREADS", "2")
-    assert main(["fidelity-sweep", "--config", path, "--out", str(threaded)]) == 0
-    strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert strip(serial) == strip(threaded)
+    # the sweep is serial; a thread count is no longer a setting
+    path = write_config(tmp_path, {"threads": 2}, "threads.json")
+    assert main(["fidelity-sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    record = last_error(capsys)
+    assert record["stage"] == "config"
+    assert "unknown config key 'threads'" in record["message"]

@@ -16,7 +16,7 @@ from catproj.fidelity import (
     quantize_to_schedule,
     sweep,
 )
-from catproj.fock import ScsMeasurementSpec, TruncationDim
+from catproj.fock import ScsMeasurementSpec, TruncationDim, _displacement_matrix
 from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm, parity_povm
 
 DIM = TruncationDim(20)
@@ -191,18 +191,22 @@ def test_sweep_grid_validation():
         SweepGrid((0.5,), (0.0,), (0.0,))  # alpha^2 must be positive
 
 
-def test_sweep_serial_matches_threaded():
+def test_sweep_batched_matches_per_amplitude():
+    # the polar grid scores every radius from one (R, N, N) stack; each
+    # slice must equal the matrix built for that amplitude alone
+    betas = np.concatenate([np.arange(0.0, 1.02 + 1e-12, 0.02), [0.3 + 0.4j, -0.7j]])
+    stack = _displacement_matrix(betas, DIM)
+    assert stack.shape == (betas.size, 21, 21)
+    for b, D in zip(betas, stack):
+        assert np.max(np.abs(D - _displacement_matrix(complex(b), DIM))) <= 1e-14
+
     grid = SweepGrid((0.5, 0.8), (0.25,), (0.0, math.pi / 2))
-    serial = sweep(grid, IDEAL_DETECTOR, DIM)
-    threaded = sweep(grid, IDEAL_DETECTOR, DIM, threads=4)
-    assert len(serial) == len(threaded) == len(grid) == 4
-    for a, b in zip(serial, threaded):
-        assert a.beta_opt == b.beta_opt
-        assert a.f_dp == b.f_dp and a.f_hd == b.f_hd and a.f_pn == b.f_pn
+    reports = sweep(grid, IDEAL_DETECTOR, DIM)
+    assert len(reports) == len(grid) == 4
     # grid-index ordering: first axis is the weight
-    assert serial[0].spec.c0sq == pytest.approx(0.5)
-    assert serial[-1].spec.c0sq == pytest.approx(0.8)
-    assert serial[0].spec.phi == 0.0 and serial[1].spec.phi == pytest.approx(math.pi / 2)
+    assert reports[0].spec.c0sq == pytest.approx(0.5)
+    assert reports[-1].spec.c0sq == pytest.approx(0.8)
+    assert reports[0].spec.phi == 0.0 and reports[1].spec.phi == pytest.approx(math.pi / 2)
 
 
 def test_sweep_aggregates_point_failures():

@@ -140,17 +140,19 @@ def test_homodyne_frozen_entries():
 
 def test_homodyne_against_adaptive_quadrature():
     # independent route: adaptive quadrature of the same integrand
-    E = quadrature_interval_operator(0.45, np.inf, TruncationDim(12))
     rng = np.random.default_rng(7)
-    for _ in range(6):
-        m, n = rng.integers(0, 13, size=2)
-        ref, err = quad(
-            lambda x: hermite_functions(x, 12)[m, 0] * hermite_functions(x, 12)[n, 0],
-            0.45,
-            np.inf,
-            limit=200,
-        )
-        assert abs(E[m, n] - ref) < 1e-10, (m, n)
+    for n_max in (12, 24):
+        for x_th in (-3.0, 0.45, 4.0):
+            E = quadrature_interval_operator(x_th, np.inf, TruncationDim(n_max))
+            for _ in range(6):
+                m, n = rng.integers(0, n_max + 1, size=2)
+                ref, err = quad(
+                    lambda x: hermite_functions(x, n_max)[m, 0] * hermite_functions(x, n_max)[n, 0],
+                    x_th,
+                    np.inf,
+                    limit=200,
+                )
+                assert abs(E[m, n] - ref) < 1e-10, (n_max, x_th, m, n)
 
 
 def test_homodyne_reflection_identity():

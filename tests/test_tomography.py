@@ -99,6 +99,9 @@ def test_probe_set_validation():
         ProbeSet(0.5, (0.2, -0.3))
     with pytest.raises(ValueError):
         ProbeSet(0.5, (0.2, 0.2))
+    for alpha, gammas in ((math.inf, (0.2,)), (math.nan, (0.2,)), (0.5, (0.2, math.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeSet(alpha, gammas)
 
 
 def test_click_table_validation():
@@ -110,6 +113,14 @@ def test_click_table_validation():
         ClickTable(amps, [-1.0, 4.0], [11.0, 6.0], [10.0, 10.0])  # negative
     with pytest.raises(ValueError):
         ClickTable(amps, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])  # zero shots
+    # a NaN passes every comparison, so each field is checked for finiteness
+    for bad in (
+        (amps, [math.nan, 4.0], [7.0, 6.0], [10.0, 10.0]),
+        (amps, [3.0, 4.0], [7.0, 6.0], [10.0, math.inf]),
+        ((0.5, complex(math.nan, 0.0)), [3.0, 4.0], [7.0, 6.0], [10.0, 10.0]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ClickTable(*bad)
 
     table = ClickTable.from_rates(amps, [0.25, 0.5], 200)
     r0, r1 = table.rates()
@@ -279,6 +290,7 @@ def test_mle_forward_model_oracle():
         freq = np.stack([p, 1.0 - p], axis=1)
         got = mle_reconstruct(rho, freq)
         assert got.diagnostics["converged"]
+        assert "pre_repair_min_eigenvalue" not in got.diagnostics  # interior: no repair
         assert np.max(np.abs(got.pi0 - a0)) < 1e-6
         assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-6
 
@@ -301,6 +313,31 @@ def test_mle_near_degenerate_optimum_warns_but_is_accurate():
         got = mle_reconstruct(rho, np.stack([p, 1.0 - p], axis=1))
     assert not got.diagnostics["converged"]
     assert np.max(np.abs(got.pi0 - a0)) < 1e-6
+
+
+def test_mle_repairs_rounding_excursion_of_the_spectrum():
+    # the compensated re-read of fig4 at c0^2 = 0.8, quantize off, seed 11:
+    # the iteration converges to a rank-deficient pi1 whose smallest
+    # eigenvalue lands at -1.2e-7, below the ScsPovm floor
+    aa, ab, bb = 0.8547753316089116, 0.3523272116680554, 0.1452246683910883
+    rho = np.array(
+        [
+            [[aa, ab], [ab, bb]],
+            [[aa, -ab], [-ab, bb]],
+            [[0.8547753316089115, 0.35232721166805536j],
+             [-0.35232721166805536j, 0.14522466839108827]],
+            [[1.0, 0.0], [0.0, 0.0]],
+        ],
+        dtype=complex,
+    )
+    q = np.array([0.99995, 0.499605, 0.7520178344361541, 0.8522405012209271])
+    got = mle_reconstruct(rho, np.stack([q, 1.0 - q], axis=1))
+    assert got.diagnostics["converged"]
+    assert -1e-6 < got.diagnostics["pre_repair_min_eigenvalue"] < -1e-7
+    for el in (got.pi0, got.pi1):
+        w = np.linalg.eigvalsh(el)
+        assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+    assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-15
 
 
 def test_mle_maximum_entropy_fixed_point():
