@@ -160,6 +160,13 @@ def _stage(name: str):
         raise StageError(name, err) from err
 
 
+def _finite_number(value) -> bool:
+    """An int, or a finite float; JSON true/false are ints to Python and do not count."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -167,10 +174,12 @@ def validate_config(cfg: dict) -> dict:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         want = _SCHEMA[key]
-        if isinstance(value, bool) and want is not bool:
+        if isinstance(value, bool) and want is not bool or not isinstance(value, want):
             raise ConfigError(f"config key {key!r} has the wrong type")
-        if not isinstance(value, want):
-            raise ConfigError(f"config key {key!r} has the wrong type")
+        if want in (str, bool):
+            continue
+        if not all(map(_finite_number, value if want is list else [value])):
+            raise ConfigError(f"config key {key!r} must hold finite numbers only")
     return cfg
 
 
@@ -366,6 +375,7 @@ def _tomography_sweep(cfg: dict) -> int:
         c0sq_values = list(cfg.get("c0sq_values", ()))
         if not c0sq_values:
             raise ConfigError("c0sq_values must not be empty")
+        campaign.point_seeds(len(c0sq_values))
     points = []
     with _stage("reconstruct"):
         for phi in phis:

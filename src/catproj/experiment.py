@@ -11,20 +11,13 @@ over a grid of target superpositions, with and without loss compensation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fidelity import displaced_povm, fidelity, optimize_displacement, quantize_to_schedule
-from .fock import (
-    ScsMeasurementSpec,
-    TruncationDim,
-    as_dim,
-    coherent_state,
-    displacement_operator,
-    expect,
-)
-from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, apply_loss, dp_partition
+from .fock import ScsMeasurementSpec, TruncationDim, as_dim, coherent_state, expect
+from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _displaced_counting
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
 
 DEFAULT_SHOTS = 200_000
@@ -56,6 +49,16 @@ class Campaign:
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < _SEED_LIMIT:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
 
+    def point_seeds(self, count: int) -> range:
+        """Seeds ``rng_seed + i`` of a ``count``-point sweep, checked up front
+        so a sweep never runs out of 64-bit seeds partway through."""
+        if self.rng_seed + count > _SEED_LIMIT:
+            raise ValueError(
+                f"a {count}-point sweep from rng_seed {self.rng_seed} needs seeds "
+                "beyond the 64-bit range"
+            )
+        return range(self.rng_seed, self.rng_seed + count)
+
 
 def expected_rates(truth: PovmPair, probes: ProbeSet, dim) -> np.ndarray:
     """Exact outcome-0 probability for every probe state, in probe order."""
@@ -70,16 +73,17 @@ def expected_rates(truth: PovmPair, probes: ProbeSet, dim) -> np.ndarray:
 def simulate_counts(truth: PovmPair, campaign: Campaign) -> ClickTable:
     """Draw a seeded binomial click table from a truth POVM.
 
-    Each probe gets its own counter-based generator keyed by
-    ``(rng_seed, probe_index)``, so tables are bit-for-bit reproducible and
-    probes can be generated in any order or in parallel.
+    Each probe gets its own counter-based generator keyed by the unsigned
+    64-bit pair ``(rng_seed, probe_index)``, so tables are bit-for-bit
+    reproducible and probes can be generated in any order or in parallel.
     """
     rates = expected_rates(truth, campaign.probes, truth.dim)
     counts0 = np.empty(rates.size)
     for i, rate in enumerate(rates):
         if not -RATE_TOL <= rate <= 1.0 + RATE_TOL:
             raise ValueError(f"probe {i} has outcome probability {rate!r} outside [0, 1]")
-        rng = np.random.Generator(np.random.Philox(key=[campaign.rng_seed, i]))
+        key = np.array([campaign.rng_seed, i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         counts0[i] = rng.binomial(campaign.shots_per_probe, min(max(rate, 0.0), 1.0))
     shots = np.full(rates.size, float(campaign.shots_per_probe))
     return ClickTable(campaign.probes.amplitudes(), counts0, shots - counts0, shots)
@@ -99,19 +103,13 @@ def apparatus_povm(
     """Model of the lab measurement: lossy displaced click detection.
 
     The ideal partition projector at ``shift`` is degraded by the detection
-    efficiency, re-displaced (the loss acts between the displacement and the
-    counter), and scaled by the no-dark-count probability:
+    efficiency (the loss acts between the displacement and the counter, and
+    maps the diagonal projector to a diagonal one) and scaled by the
+    no-dark-count probability:
 
         P0 = (1 - nu) * D(shift) L_eta[ P_omega0 ] D(shift)^dag
     """
-    dim = as_dim(dim)
-    mask = dp_partition(spec, shift, dim)
-    proj = np.diag(mask.astype(complex))
-    ideal = PovmPair.checked(dim, proj, np.eye(dim.size) - proj, "displaced-pnrd")
-    lossy = apply_loss(ideal, detector.eta)
-    dmat = displacement_operator(shift, dim).entries
-    pi0 = (1.0 - detector.nu) * (dmat @ lossy.pi0.entries @ dmat.conj().T)
-    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0, "displaced-onoff")
+    return _displaced_counting(shift, dim, "displaced-onoff", spec, detector.eta, detector.nu)
 
 
 def default_displacement_schedule(
@@ -164,27 +162,22 @@ def reconstruction_sweep(
     physical amplitudes; ``f_compensated`` re-reads the same clicks with
     amplitudes scaled by sqrt(eta), which undoes the loss channel exactly
     for coherent inputs.  ``f_ideal`` is the lossless click fidelity at the
-    same (quantized) displacement.  Point ``i`` uses seed ``rng_seed + i``.
+    same (quantized) displacement.  Point ``i`` uses seed ``rng_seed + i``;
+    seeds past 2^64 - 1 are rejected before any point is computed.
     """
     dim = as_dim(dim)
     alpha = campaign.probes.alpha
     root_eta = math.sqrt(campaign.detector.eta)
     menu = [abs(b) for b in campaign.displacement_schedule]
+    seeds = campaign.point_seeds(len(c0sq_values))
     out: list[ReconstructionPoint] = []
-    for i, c0sq in enumerate(c0sq_values):
+    for seed, c0sq in zip(seeds, c0sq_values):
         spec = ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi)
         beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, dim)
         if quantize:
             beta = quantize_to_schedule(beta, menu)
         truth = apparatus_povm(spec, beta, campaign.detector, dim)
-        point = Campaign(
-            probes=campaign.probes,
-            shots_per_probe=campaign.shots_per_probe,
-            detector=campaign.detector,
-            displacement_schedule=campaign.displacement_schedule,
-            rng_seed=campaign.rng_seed + i,
-        )
-        clicks = simulate_counts(truth, point)
+        clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
 
         raw = tomography_pipeline(clicks, campaign.probes, dim)
         comp_probes = ProbeSet(root_eta * alpha, tuple(root_eta * g for g in campaign.probes.gammas))

@@ -35,6 +35,7 @@ from .povm import (
     IDEAL_DETECTOR,
     DetectorModel,
     PovmPair,
+    _outcome_weights,
     dp_povm,
     onoff_povm,
     quadrature_interval_operator,
@@ -112,7 +113,7 @@ def _click_values(t0, t1, radii, phases, detector: DetectorModel, dim) -> np.nda
     if detector.is_ideal:
         keep = r0 >= r1
         return 0.5 * ((r0 * keep).sum(axis=-1) + 1.0 - (r1 * keep).sum(axis=-1))
-    weights = (1.0 - detector.eta) ** m
+    weights = _outcome_weights(m == 0, detector.eta)
     return 0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights))
 
 

@@ -11,6 +11,11 @@ truncated Fock basis:
 * binary homodyne (quadrature above/below a threshold), whose element is
   evaluated in closed form from Hermite functions at the threshold.
 
+Every displaced-counting element, ideal or lossy, partition or on/off,
+shares one weight formula: pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag,
+where m marks the photon numbers counted as outcome 0 and B_eta is the
+binomial loss map (``_displaced_counting``).
+
 Plus the pure-loss channel acting on POVM elements (adjoint/Heisenberg
 picture) and its inverse with a physicality repair.
 """
@@ -19,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import erfc
+from scipy.special import erfc, xlog1py, xlogy
 
 from .fock import (
     FockOperator,
@@ -157,30 +163,65 @@ class PovmPair:
         return pair
 
 
+def _partition(spec: ScsMeasurementSpec, D: np.ndarray, dim: TruncationDim) -> np.ndarray:
+    """Photon numbers n with |<pi0|D|n>|^2 >= |<pi1|D|n>|^2 (ties go to 0)."""
+    pi0, pi1 = scs_projectors(spec, dim)
+    return np.abs(pi0.amps.conj() @ D) ** 2 >= np.abs(pi1.amps.conj() @ D) ** 2
+
+
 def dp_partition(spec: ScsMeasurementSpec, beta: complex, dim) -> np.ndarray:
     """Boolean mask over photon numbers: True where the displaced number
     outcome favors the first target vector, i.e.
     |<pi0|D(beta)|n>|^2 >= |<pi1|D(beta)|n>|^2 (ties go to outcome 0)."""
     dim = as_dim(dim)
-    pi0, pi1 = scs_projectors(spec, dim)
+    return _partition(spec, displacement_operator(beta, dim).entries, dim)
+
+
+@lru_cache(maxsize=32)
+def _binomial_loss(eta: float, n_max: int) -> np.ndarray:
+    """B[n, j] = C(n, j) eta^j (1 - eta)^(n - j): the chance that j of n
+    photons reach the counter.  xlogy/xlog1py keep eta = 0 and 1 exact."""
+    lf = _logfact(n_max)
+    n, j = np.tril_indices(n_max + 1)
+    B = np.zeros((n_max + 1, n_max + 1))
+    B[n, j] = np.exp(lf[n] - lf[j] - lf[n - j] + xlogy(j, eta) + xlog1py(n - j, -eta))
+    B.setflags(write=False)
+    return B
+
+
+def _outcome_weights(keep: np.ndarray, eta: float) -> np.ndarray:
+    """w = B_eta m: the probability that n photons arriving at a counter of
+    efficiency eta give a photon number in the outcome-0 set ``keep``."""
+    return _binomial_loss(float(eta), keep.size - 1) @ keep
+
+
+def _displaced_counting(
+    beta: complex,
+    dim,
+    label: str,
+    spec: ScsMeasurementSpec | None = None,
+    eta: float = 1.0,
+    nu: float = 0.0,
+) -> PovmPair:
+    """Displace by beta, then count photons behind loss eta and dark counts nu:
+    pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag, pi1 = I - pi0.
+
+    m is the partition of ``spec``, read off the same D(beta), or the vacuum
+    alone (an on/off counter) when no spec is given.
+    """
+    dim = as_dim(dim)
     D = displacement_operator(beta, dim).entries
-    r0 = np.abs(pi0.amps.conj() @ D) ** 2
-    r1 = np.abs(pi1.amps.conj() @ D) ** 2
-    return r0 >= r1
+    keep = _partition(spec, D, dim) if spec is not None else np.arange(dim.size) == 0
+    pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
+    pi0 = 0.5 * (pi0 + pi0.conj().T)
+    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0, label)
 
 
 def dp_povm(spec: ScsMeasurementSpec, beta: complex, dim) -> PovmPair:
     """Displaced-photon-counting POVM: displace by beta, count photons,
     and assign each photon-number outcome to the target vector whose
     displaced overlap dominates."""
-    dim = as_dim(dim)
-    mask = dp_partition(spec, beta, dim)
-    D = displacement_operator(beta, dim).entries
-    V = D[:, mask]
-    pi0 = V @ V.conj().T
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
-    pi1 = np.eye(dim.size) - pi0
-    return PovmPair.checked(dim, pi0, pi1, "displaced-pnrd")
+    return _displaced_counting(beta, dim, "displaced-pnrd", spec)
 
 
 def parity_povm(dim) -> PovmPair:
@@ -200,13 +241,9 @@ def onoff_povm(beta: complex, model: DetectorModel, dim) -> PovmPair:
     pi1 the click element I - pi0.  With eta=1, nu=0, V=1 this is the
     ideal displaced vacuum projector.
     """
-    dim = as_dim(dim)
-    w = (1.0 - model.eta) ** np.arange(dim.size)
-    D = displacement_operator(model.visibility * beta, dim).entries
-    pi0 = (1.0 - model.nu) * ((D * w) @ D.conj().T)
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
-    pi1 = np.eye(dim.size) - pi0
-    return PovmPair.checked(dim, pi0, pi1, "displaced-onoff")
+    return _displaced_counting(
+        model.visibility * beta, dim, "displaced-onoff", eta=model.eta, nu=model.nu
+    )
 
 
 # ---------------------------------------------------------------------------

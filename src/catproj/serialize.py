@@ -252,7 +252,7 @@ def tomography_payload(
         "f_odd": run.f_odd,
         "f_even": run.f_even,
         "phi": [v.values for v in run.phi],
-        "psi": list(run.psi),
+        "psi": [v.values for v in run.psi],
         "expectations": dict(run.expectations),
         "povm": {"pi0": run.povm.pi0, "pi1": run.povm.pi1},
         "diagnostics": dict(run.povm.diagnostics or {}),

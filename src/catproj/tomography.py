@@ -6,10 +6,12 @@ imaginary-probe rows enter through two polynomial series in the probe
 amplitude: the odd coefficients (antisymmetric combination of the ``+-i``
 rates) recover the imaginary parts of the Fock off-diagonals, while the even
 coefficients (symmetric combination) recover the real parts needed to
-synthesize an even-cat probe.  Both series are solved as box-constrained
-least-squares problems whose bounds follow from the entry bound on POVM
-elements.  A fixed-point maximum-likelihood iteration then reconstructs the
-2x2 pair from four informationally complete probe states.
+synthesize an even-cat probe.  One routine per step serves both series,
+selected by ``parity``; each series is solved by bounded-variable least
+squares (BVLS, Stark & Parker, Comput. Stat. 10, 129 (1995)) inside the box
+that the entry bound on POVM elements puts on its coefficients.  A
+fixed-point maximum-likelihood iteration then reconstructs the 2x2 pair
+from four informationally complete probe states.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from .fock import (
     FockOperator,
@@ -30,8 +33,7 @@ from .fock import (
 
 COMPLETENESS_TOL_2D = 1e-6
 EIGENVALUE_FLOOR_2D = 1e-9
-SERIES_SOLVER_GRAD_TOL = 1e-12
-SERIES_SOLVER_MAX_ITER = 10**5
+_BVLS_MAX_ITER = 100
 MLE_STOP_TOL = 1e-9
 MLE_MAX_ITER = 10**5
 MLE_PROB_FLOOR = 1e-12
@@ -99,6 +101,8 @@ class ClickTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = len(self.probe_amplitudes)
+        if n == 0:
+            raise ValueError("click table is empty: it has no probe rows")
         if not (self.counts0.shape == self.counts1.shape == self.shots.shape == (n,)):
             raise ValueError("counts0, counts1 and shots must be 1-D with one row per probe")
         finite = np.isfinite([self.counts0, self.counts1, self.shots]).all()
@@ -142,27 +146,29 @@ class ClickTable:
         raise KeyError(f"no probe row at amplitude {amplitude!r}")
 
 
-def odd_series_bound(order: int) -> float:
-    """Box bound on the odd-series coefficient of the given (odd) order."""
-    if order < 1 or order % 2 == 0:
-        raise ValueError(f"order must be odd and >= 1, got {order}")
-    return float(sum(1.0 / math.sqrt(math.factorial(m) * math.factorial(order - m))
-                     for m in range(1, order + 1)))
+def _orders(count: int, parity: int) -> np.ndarray:
+    """Orders parity, parity + 2, ... of the first ``count`` series terms."""
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 (even series) or 1 (odd series), got {parity!r}")
+    return 2 * np.arange(count) + parity
 
 
-def even_series_bound(order: int) -> float:
-    """Box bound on the even-series coefficient of the given (even) order."""
-    if order < 0 or order % 2 == 1:
-        raise ValueError(f"order must be even and >= 0, got {order}")
+def series_bound(order: int) -> float:
+    """Box bound on the series coefficient of the given order: odd orders
+    belong to the odd series, even orders to the even one."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     return float(sum(1.0 / math.sqrt(math.factorial(m) * math.factorial(order - m))
-                     for m in range(0, order + 1)))
+                     for m in range(order % 2, order + 1)))
 
 
 @dataclass(frozen=True)
 class PhiVector:
-    """Odd-series coefficients [F_1, F_3, ..., F_{2K-1}] for one outcome."""
+    """Series coefficients of one outcome: [F_1, F_3, ..., F_{2K-1}] for the
+    odd series (``parity`` 1) or [F_0, F_2, ..., F_{2K-2}] for the even one."""
 
     values: np.ndarray
+    parity: int = 1
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -170,110 +176,56 @@ class PhiVector:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("expected a non-empty 1-D coefficient vector")
-        for k, v in enumerate(vals):
-            bound = odd_series_bound(2 * k + 1)
+        for order, v in zip(_orders(vals.size, self.parity), vals):
+            bound = series_bound(int(order))
             if abs(v) > bound + 1e-9:
                 raise ValueError(
-                    f"coefficient of order {2 * k + 1} is {v!r}, beyond its bound {bound!r}"
+                    f"coefficient of order {order} is {v!r}, beyond its bound {bound!r}"
                 )
 
     def __len__(self) -> int:
         return self.values.size
 
 
-def gamma_matrix(probes: ProbeSet) -> np.ndarray:
-    """K x K design matrix of the odd series: columns -g, g^3, -g^5, ..."""
+def gamma_matrix(probes: ProbeSet, parity: int = 1) -> np.ndarray:
+    """K x K design matrix of one series: columns -g, g^3, -g^5, ... for the
+    odd series, 1, g^2, g^4, ... for the even one."""
     g = np.asarray(probes.gammas)[:, None]
-    powers = 2 * np.arange(probes.k)[None, :] + 1
-    signs = (-1.0) ** (np.arange(probes.k)[None, :] + 1)
-    return signs * g**powers
+    signs = (-1.0) ** ((np.arange(probes.k)[None, :] + 1) * parity)
+    return signs * g ** _orders(probes.k, parity)[None, :]
 
 
-def even_gamma_matrix(probes: ProbeSet) -> np.ndarray:
-    """K x K design matrix of the even series: columns 1, g^2, g^4, ..."""
-    g = np.asarray(probes.gammas)[:, None]
-    powers = 2 * np.arange(probes.k)[None, :]
-    return g**powers
-
-
-def _box_least_squares(mat: np.ndarray, target: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """min ||mat @ x - target||_2 subject to |x_l| <= bounds_l.
-
-    Projected gradient with exact line search on the quadratic, started from
-    the clipped unconstrained least-squares solution; converged when the
-    projected gradient is below ``SERIES_SOLVER_GRAD_TOL`` in max-norm.
-    """
-    x0, *_ = np.linalg.lstsq(mat, target, rcond=None)
-    x = np.clip(x0, -bounds, bounds)
-    gram = mat.T @ mat
-    rhs = mat.T @ target
-    for _ in range(SERIES_SOLVER_MAX_ITER):
-        grad = gram @ x - rhs
-        # inward projection: freeze coordinates pinned at a bound whose
-        # gradient points outward
-        step = -grad
-        step[(x >= bounds) & (step > 0)] = 0.0
-        step[(x <= -bounds) & (step < 0)] = 0.0
-        if np.max(np.abs(step)) <= SERIES_SOLVER_GRAD_TOL:
-            return x
-        curvature = step @ (gram @ step)
-        if curvature <= 0.0:
-            return x
-        t = (step @ step) / curvature
-        x = np.clip(x + t * step, -bounds, bounds)
-    raise ConvergenceError(
-        f"box-constrained series solve did not reach {SERIES_SOLVER_GRAD_TOL:g} "
-        f"within {SERIES_SOLVER_MAX_ITER} iterations"
-    )
-
-
-def solve_phi(f: np.ndarray, probes: ProbeSet) -> PhiVector:
-    """Recover the odd-series coefficients from one outcome's f-statistic."""
+def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
+    """Recover one outcome's series coefficients from its statistic: the
+    least-squares fit inside the coefficient box, by BVLS, which is exact
+    after finitely many active-set steps."""
     f = np.asarray(f, dtype=float)
     if f.shape != (probes.k,):
         raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
-    bounds = np.array([odd_series_bound(2 * k + 1) for k in range(probes.k)])
-    return PhiVector(_box_least_squares(gamma_matrix(probes), f, bounds))
+    bounds = np.array([series_bound(int(o)) for o in _orders(probes.k, parity)])
+    mat = gamma_matrix(probes, parity)
+    res = lsq_linear(mat, f, bounds=(-bounds, bounds), method="bvls", max_iter=_BVLS_MAX_ITER)
+    if res.status == 0:
+        raise ConvergenceError(
+            f"box-constrained series solve did not finish within {_BVLS_MAX_ITER} iterations"
+        )
+    return PhiVector(res.x, parity)
 
 
-def solve_even_series(f: np.ndarray, probes: ProbeSet) -> np.ndarray:
-    """Recover the even-series coefficients from one outcome's statistic."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (probes.k,):
-        raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
-    bounds = np.array([even_series_bound(2 * k) for k in range(probes.k)])
-    return _box_least_squares(even_gamma_matrix(probes), f, bounds)
+def f_statistic(clicks: ClickTable, probes: ProbeSet, parity: int = 1) -> np.ndarray:
+    """Probe statistic of one series, shape (2, K): one row per outcome.
 
-
-def f_statistic(clicks: ClickTable, probes: ProbeSet) -> np.ndarray:
-    """Antisymmetric probe statistic, shape (2, K): one row per outcome.
-
-    f_k = (rate at +i*gamma_k - rate at -i*gamma_k) / (2 exp(-gamma_k^2)).
+    f_k = (rate at +i*gamma_k -+ rate at -i*gamma_k) / (2 exp(-gamma_k^2)),
+    the difference for the odd series and the sum for the even one.
     """
-    r0, r1 = clicks.rates()
+    _orders(probes.k, parity)  # rejects a parity other than 0 or 1
+    sign = -1.0 if parity else 1.0
+    rates = np.stack(clicks.rates())
     out = np.empty((2, probes.k))
     for k, g in enumerate(probes.gammas):
         ip = clicks.row_index(complex(0.0, g))
         im = clicks.row_index(complex(0.0, -g))
-        norm = 2.0 * math.exp(-g * g)
-        out[0, k] = (r0[ip] - r0[im]) / norm
-        out[1, k] = (r1[ip] - r1[im]) / norm
-    return out
-
-
-def f_statistic_even(clicks: ClickTable, probes: ProbeSet) -> np.ndarray:
-    """Symmetric probe statistic, shape (2, K): one row per outcome.
-
-    f_k = (rate at +i*gamma_k + rate at -i*gamma_k) / (2 exp(-gamma_k^2)).
-    """
-    r0, r1 = clicks.rates()
-    out = np.empty((2, probes.k))
-    for k, g in enumerate(probes.gammas):
-        ip = clicks.row_index(complex(0.0, g))
-        im = clicks.row_index(complex(0.0, -g))
-        norm = 2.0 * math.exp(-g * g)
-        out[0, k] = (r0[ip] + r0[im]) / norm
-        out[1, k] = (r1[ip] + r1[im]) / norm
+        out[:, k] = (rates[:, ip] + sign * rates[:, im]) / (2.0 * math.exp(-g * g))
     return out
 
 
@@ -292,6 +244,8 @@ def imaginary_probe_expectation(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if phi.parity != 1:
+        raise ValueError("the imaginary probe needs the odd series")
     q_plus, q_minus = real_probe_expectations
     powers = alpha ** (2 * np.arange(len(phi)) + 1)
     series = 2.0 * math.exp(-alpha * alpha) * float(powers @ phi.values)
@@ -300,7 +254,7 @@ def imaginary_probe_expectation(
 
 
 def even_cat_probe_expectation(
-    psi: np.ndarray,
+    psi: PhiVector,
     alpha: float,
     real_probe_expectations: tuple[float, float],
 ) -> tuple[float, float]:
@@ -313,8 +267,10 @@ def even_cat_probe_expectation(
 
     Returns ``(value, raw)`` with the clamped and pre-clamp assemblies.
     """
+    if psi.parity != 0:
+        raise ValueError("the even cat probe needs the even series")
     q_plus, q_minus = real_probe_expectations
-    psi = np.asarray(psi, dtype=float)
+    psi = psi.values
     signs = (-1.0) ** np.arange(psi.size)
     powers = alpha ** (2 * np.arange(psi.size))
     cross = math.exp(-alpha * alpha) * float((signs * powers) @ psi)
@@ -566,7 +522,7 @@ class TomographyRun:
     f_odd: np.ndarray
     f_even: np.ndarray
     phi: tuple[PhiVector, PhiVector]
-    psi: tuple[np.ndarray, np.ndarray]
+    psi: tuple[PhiVector, PhiVector]
     expectations: dict
     probe_matrices: np.ndarray
     frequencies: np.ndarray
@@ -589,10 +545,9 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
     q_plus = float(r0[clicks.row_index(complex(probes.alpha))])
     q_minus = float(r0[clicks.row_index(complex(-probes.alpha))])
 
-    f_odd = f_statistic(clicks, probes)
-    f_even = f_statistic_even(clicks, probes)
-    phi = (solve_phi(f_odd[0], probes), solve_phi(f_odd[1], probes))
-    psi = (solve_even_series(f_even[0], probes), solve_even_series(f_even[1], probes))
+    f_odd, f_even = f_statistic(clicks, probes, 1), f_statistic(clicks, probes, 0)
+    phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
+    psi = tuple(solve_phi(f, probes, 0) for f in f_even)
 
     im_plus, im_plus_raw = imaginary_probe_expectation(
         phi[0], probes.alpha, (q_plus, q_minus), sign=+1
@@ -683,20 +638,16 @@ __all__ = [
     "TomographyRun",
     "error_bars",
     "even_cat_probe_expectation",
-    "even_gamma_matrix",
-    "even_series_bound",
     "f_statistic",
-    "f_statistic_even",
     "gamma_matrix",
     "imaginary_probe_expectation",
     "measurement_fidelity",
     "mle_reconstruct",
-    "odd_series_bound",
     "povm_entry_bound_check",
     "povm_pair_fidelity",
     "probe_coefficients",
     "scs_basis_project",
-    "solve_even_series",
+    "series_bound",
     "solve_phi",
     "tomography_pipeline",
 ]

@@ -32,7 +32,7 @@ from catproj.tomography import (
     ProbeSet,
     ScsPovm,
     imaginary_probe_expectation,
-    odd_series_bound,
+    series_bound,
     povm_entry_bound_check,
     povm_pair_fidelity,
     scs_basis_project,
@@ -216,7 +216,7 @@ def test_random_povm_entries_and_series_stay_bounded():
             assert ok, "entry bound violated"
             top_entry = max(top_entry, top)
             for k, c in enumerate(odd_coefficients(el.entries, 8)):
-                worst_ratio = max(worst_ratio, abs(c) / odd_series_bound(2 * k + 1))
+                worst_ratio = max(worst_ratio, abs(c) / series_bound(2 * k + 1))
     ok = top_entry <= 1.0 + 1e-9 and worst_ratio <= 1.0
     check(10, "1000 random elements satisfy entry and series bounds", ok,
           f"max entry {top_entry:.6f}, max |Phi|/bound {worst_ratio:.4f}", t0)

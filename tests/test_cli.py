@@ -7,7 +7,8 @@ from catproj.cli import PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
-from catproj.serialize import config_digest, read_click_table
+from catproj.serialize import config_digest, read_click_table, write_click_table
+from catproj.tomography import ClickTable, ProbeSet
 
 SIM_CONFIG = {
     "alpha": 0.499,
@@ -60,6 +61,17 @@ def test_validate_config_rejects_unknown_and_mistyped():
         validate_config({"alpha": "big"})
     with pytest.raises(ValueError, match="wrong type"):
         validate_config({"shots": True})
+    # NaN and infinity parse from JSON; true and null hide in lists
+    for bad in (
+        {"c0sq_values": [math.nan]},
+        {"c0sq": math.nan},
+        {"alpha": math.inf},
+        {"c0sq_values": [0.5, True]},
+        {"c0sq_values": [0.6, None]},
+        {"gammas": [0.2, "0.3"]},
+    ):
+        with pytest.raises(ValueError, match="finite numbers"):
+            validate_config(bad)
     assert validate_config({"alpha": 1}) == {"alpha": 1}  # int where float is fine
 
 
@@ -156,11 +168,17 @@ def test_tomography_ingest_corrupted_table(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", str(clicks)]) == 0
     capsys.readouterr()
     text = clicks.read_text().splitlines()
+    corrupted = []
     # a NaN count passes every comparison, so it needs its own check
     for cell, reason in (("999999", "sum"), ("nan", "finite")):
         cells = text[-1].split(",")
         cells[3] = cell
-        (tmp_path / "bad.csv").write_text("\n".join(text[:-1] + [",".join(cells)]) + "\n")
+        corrupted.append((text[:-1] + [",".join(cells)], reason))
+    # the header and column row with no probe rows under them
+    header = sum(1 for line in text if line.startswith("#"))
+    corrupted.append((text[: header + 1], "empty"))
+    for lines, reason in corrupted:
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
 
         bad_cfg = write_config(tmp_path, {**SIM_CONFIG, "clicks": str(tmp_path / "bad.csv")}, "bad.json")
         assert main(["tomography", "--config", bad_cfg, "--out", str(tmp_path / "x.json")]) == 1
@@ -172,7 +190,21 @@ def test_tomography_ingest_corrupted_table(tmp_path, capsys):
         assert not (tmp_path / "x.json").exists()
 
 
-def test_tomography_sweep_mode(tmp_path):
+def test_tomography_series_solve_on_its_box_bounds(tmp_path, capsys):
+    # valid click rates whose odd series sits on its box bounds; the
+    # box-constrained solve used to spin through its iteration budget here
+    probes = ProbeSet(0.499, (0.16, 0.48, 0.56))
+    rates = [0.5, 0.5, 0.016, 0.638, 0.322, 0.228, 0.2, 0.472]
+    clicks = tmp_path / "clicks.csv"
+    write_click_table(clicks, ClickTable.from_rates(probes.amplitudes(), rates, 200_000), {}, 0)
+    path = write_config(tmp_path, {"gammas": list(probes.gammas), "clicks": str(clicks)})
+    out = tmp_path / "detector.json"
+    assert main(["tomography", "--preset", "fig3", "--config", path, "--out", str(out)]) == 0
+    phi = json.loads(out.read_text())["phi"][0]
+    assert phi[1] == pytest.approx(2 / math.sqrt(2) + 1 / math.sqrt(6), abs=1e-11)
+
+
+def test_tomography_sweep_mode(tmp_path, capsys):
     cfg = {
         **{k: v for k, v in SIM_CONFIG.items() if k not in ("c0sq", "phi", "drive_amplitude", "drive_phase")},
         "mode": "sweep",
@@ -190,6 +222,16 @@ def test_tomography_sweep_mode(tmp_path):
     for row in rows:
         for cell in row[4:]:
             assert 0.0 <= float(cell) <= 1.0
+
+    # point i is seeded with seed + i: a sweep that would run past the
+    # 64-bit seed range fails before any point is computed
+    capsys.readouterr()
+    late = tmp_path / "late.csv"
+    assert main(["tomography", "--config", path, "--seed", str(2**64 - 1), "--out", str(late)]) == 1
+    record = last_error(capsys)
+    assert record["stage"] == "config"
+    assert "64-bit" in record["message"]
+    assert not late.exists()
 
 
 def test_selftest_passes_and_reports(tmp_path, capsys):

@@ -63,6 +63,9 @@ def test_campaign_validation():
         Campaign(probes=PROBES, rng_seed=-1)
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, rng_seed=2**64)
+    assert Campaign(probes=PROBES, rng_seed=2**64 - 2).point_seeds(2) == range(2**64 - 2, 2**64)
+    with pytest.raises(ValueError, match="64-bit"):
+        Campaign(probes=PROBES, rng_seed=2**64 - 1).point_seeds(2)
 
 
 def test_expected_rates_closed_forms():
@@ -119,6 +122,13 @@ def test_simulate_counts_deterministic():
         half_identity_pair(), Campaign(probes=PROBES, rng_seed=43)
     )
     assert not np.array_equal(a.counts0, other.counts0)
+    # seeds at and above 2^63 key the stream as unsigned 64-bit integers,
+    # not as rounded floats, so neighbouring large seeds stay distinct
+    high = [
+        simulate_counts(half_identity_pair(), Campaign(probes=PROBES, rng_seed=seed)).counts0
+        for seed in (2**63, 2**63 + 1000)
+    ]
+    assert not np.array_equal(*high)
 
 
 def test_simulate_counts_rejects_invalid_truth():
@@ -157,6 +167,13 @@ def test_apparatus_povm_composition():
     pi0 = (1.0 - LAB_DETECTOR.nu) * (dmat @ lossy.pi0.entries @ dmat.conj().T)
     assert np.max(np.abs(got.pi0.entries - pi0)) < 1e-12
     assert got.label == "displaced-onoff"
+
+    # eta = 0 is a valid detector: every photon number collapses onto n = 0,
+    # so pi0 is (1 - nu) D D^dag when the vacuum belongs to outcome 0, else 0
+    blind = DetectorModel(eta=0.0, nu=LAB_DETECTOR.nu)
+    got = apparatus_povm(OPERATING_SPEC, shift, blind, DIM)
+    ref = (1.0 - blind.nu) * mask[0] * (dmat @ dmat.conj().T)
+    assert np.max(np.abs(got.pi0.entries - ref)) < 1e-12
 
 
 def test_apparatus_povm_ideal_limit():

@@ -110,6 +110,14 @@ def test_onoff_povm_examples():
     pair = onoff_povm(0.0, DetectorModel(nu=nu), DIM)
     assert expect(pair.pi0, number_state(0, DIM)).real == pytest.approx(1 - nu, abs=1e-15)
 
+    # a blind counter (eta = 0) weighs every photon number as no-click, so
+    # pi0 = (1 - nu) D D^dag, which is (1 - nu) I up to the truncation edge
+    beta = 0.37 - 0.2j
+    pair = onoff_povm(beta, DetectorModel(eta=0.0, nu=nu), DIM)
+    d = displacement_operator(beta, DIM).entries
+    assert np.max(np.abs(pair.pi0.entries - (1 - nu) * d @ d.conj().T)) < 1e-12
+    assert np.max(np.abs(pair.pi0.entries[:10, :10] - (1 - nu) * np.eye(10))) < 1e-6
+
     # ideal displaced on/off is the displaced vacuum projector
     beta = 0.37 - 0.2j
     pair = onoff_povm(beta, IDEAL_DETECTOR, DIM)

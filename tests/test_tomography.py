@@ -21,20 +21,16 @@ from catproj.tomography import (
     ScsPovm,
     error_bars,
     even_cat_probe_expectation,
-    even_gamma_matrix,
-    even_series_bound,
     f_statistic,
-    f_statistic_even,
     gamma_matrix,
     imaginary_probe_expectation,
     measurement_fidelity,
     mle_reconstruct,
-    odd_series_bound,
     povm_entry_bound_check,
     povm_pair_fidelity,
     probe_coefficients,
     scs_basis_project,
-    solve_even_series,
+    series_bound,
     solve_phi,
     tomography_pipeline,
 )
@@ -87,6 +83,20 @@ def true_odd_coefficients(entries: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def true_even_coefficients(entries: np.ndarray, count: int) -> np.ndarray:
+    """Even-series coefficients straight from the Fock matrix elements:
+    sum over m + n = 2l of (-1)^((n-m)/2) Re<m|P|n> / sqrt(m! n!)."""
+    out = np.zeros(count)
+    for l in range(count):
+        for m in range(2 * l + 1):
+            n = 2 * l - m
+            if max(m, n) < entries.shape[0]:
+                out[l] += (-1.0) ** ((n - m) // 2) * entries[m, n].real / math.sqrt(
+                    math.factorial(m) * math.factorial(n)
+                )
+    return out
+
+
 def test_probe_set_validation():
     ps = ProbeSet(0.499, (0.2, 0.3))
     assert ps.k == 2
@@ -129,6 +139,9 @@ def test_click_table_validation():
     with pytest.raises(KeyError):
         table.row_index(0.3j)
 
+    with pytest.raises(ValueError, match="empty"):
+        ClickTable((), [], [], [])
+
     doubled = table.scaled(2.0)
     assert np.array_equal(doubled.counts0, table.counts0 * 2)
     assert np.allclose(doubled.rates()[0], r0)
@@ -144,51 +157,74 @@ def test_gamma_matrix_examples():
         gs = tuple(np.sort(rng.uniform(0.05, 0.9, size=4)))
         assert abs(np.linalg.det(gamma_matrix(ProbeSet(0.5, gs)))) > 0
 
-    even = even_gamma_matrix(ProbeSet(0.5, (0.2, 0.3)))
+    even = gamma_matrix(ProbeSet(0.5, (0.2, 0.3)), parity=0)
     assert np.max(np.abs(even - [[1.0, 0.04], [1.0, 0.09]])) < 1e-15
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="parity"):
+            gamma_matrix(ProbeSet(0.5, (0.2,)), parity=bad)
 
 
 def test_series_bounds():
-    assert odd_series_bound(1) == pytest.approx(1.0, abs=1e-15)
-    assert odd_series_bound(3) == pytest.approx(2 / math.sqrt(2) + 1 / math.sqrt(6), abs=1e-15)
-    assert even_series_bound(0) == pytest.approx(1.0, abs=1e-15)
-    assert even_series_bound(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
-    for bad_odd, bad_even in ((2, 1), (0, -2)):
+    # odd orders bound the odd series, even orders the even one
+    assert series_bound(1) == pytest.approx(1.0, abs=1e-15)
+    assert series_bound(3) == pytest.approx(2 / math.sqrt(2) + 1 / math.sqrt(6), abs=1e-15)
+    assert series_bound(0) == pytest.approx(1.0, abs=1e-15)
+    assert series_bound(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
+    for bad in (-1, -2):
         with pytest.raises(ValueError):
-            odd_series_bound(bad_odd)
-        with pytest.raises(ValueError):
-            even_series_bound(bad_even)
+            series_bound(bad)
 
 
 def test_phi_vector_enforces_bounds():
-    PhiVector([0.9, -1.5])
-    with pytest.raises(ValueError):
-        PhiVector([1.1])
-    with pytest.raises(ValueError):
-        PhiVector([0.5, 2.0])
+    for parity, inside, beyond in ((1, [0.9, -1.5], [0.5, 2.0]), (0, [0.9, -2.4], [0.5, 2.5])):
+        assert PhiVector(inside, parity).parity == parity
+        with pytest.raises(ValueError):
+            PhiVector([1.1], parity)
+        with pytest.raises(ValueError):
+            PhiVector(beyond, parity)
+    with pytest.raises(ValueError, match="parity"):
+        PhiVector([0.5], 2)
+    # the true coefficients of physical elements pass the check in both series
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        pair = random_povm_pair(TruncationDim(5), rng)
+        for el in (pair.pi0, pair.pi1):
+            PhiVector(true_odd_coefficients(el.entries, 5), 1)
+            PhiVector(true_even_coefficients(el.entries, 5), 0)
 
 
 def test_solve_phi_roundtrip():
     probes = ProbeSet(0.499, (0.2, 0.3, 0.45))
-    assert np.max(np.abs(solve_phi(np.zeros(3), probes).values)) == 0.0
+    for parity in (1, 0):
+        mat = gamma_matrix(probes, parity)
+        bounds = np.array([series_bound(2 * k + parity) for k in range(3)])
+        zero = solve_phi(np.zeros(3), probes, parity)
+        assert zero.parity == parity and np.max(np.abs(zero.values)) == 0.0
 
-    bounds = np.array([odd_series_bound(2 * k + 1) for k in range(3)])
-    target = 0.3 * bounds * np.array([1.0, -1.0, 1.0])
-    f = gamma_matrix(probes) @ target
-    got = solve_phi(f, probes).values
-    assert np.max(np.abs(got - target)) < 1e-8
+        target = 0.3 * bounds * np.array([1.0, -1.0, 1.0])
+        got = solve_phi(mat @ target, probes, parity).values
+        assert np.max(np.abs(got - target)) < 1e-8
 
-    # a target demanding out-of-box coefficients still yields an in-box result
-    f_big = gamma_matrix(probes) @ (1.5 * bounds)
-    clipped = solve_phi(f_big, probes).values
-    assert np.all(np.abs(clipped) <= bounds + 1e-9)
+        # a target demanding out-of-box coefficients yields the in-box optimum:
+        # KKT holds, with a zero gradient on every coordinate off its bound and
+        # an outward-pointing one on every coordinate at its bound
+        for scale in (np.full(3, 1.5), np.array([1.2, 0.3, 0.1])):
+            f_big = mat @ (scale * bounds)
+            x = solve_phi(f_big, probes, parity).values
+            assert np.all(np.abs(x) <= bounds + 1e-9)
+            grad = mat.T @ (mat @ x - f_big)
+            free = np.abs(x) < bounds - 1e-12
+            assert np.max(np.abs(grad[free]), initial=0.0) <= 1e-10
+            assert np.all(grad[~free] * np.sign(x[~free]) <= 1e-10)
+        assert 0 < np.count_nonzero(free) < x.size  # the last target is a mixed case
 
 
 def test_solve_even_series_roundtrip():
     probes = ProbeSet(0.499, (0.2, 0.3))
     target = np.array([0.4, -0.9])
-    got = solve_even_series(even_gamma_matrix(probes) @ target, probes)
-    assert np.max(np.abs(got - target)) < 1e-8
+    got = solve_phi(gamma_matrix(probes, parity=0) @ target, probes, parity=0)
+    assert got.parity == 0
+    assert np.max(np.abs(got.values - target)) < 1e-8
 
 
 def test_f_statistic_symmetric_counts():
@@ -196,6 +232,9 @@ def test_f_statistic_symmetric_counts():
     clicks = ClickTable.from_rates(probes.amplitudes(), [0.3, 0.3, 0.41, 0.41], 100)
     f = f_statistic(clicks, probes)
     assert np.max(np.abs(f)) == 0.0
+    # the even statistic of the same rows is their sum over 2 exp(-gamma^2)
+    f = f_statistic(clicks, probes, parity=0)
+    assert np.max(np.abs(f - np.array([[0.41], [0.59]]) / math.exp(-0.04))) < 1e-15
 
     # an undisplaced on/off element is phase-insensitive: exact rates at
     # +-i*gamma coincide
@@ -209,7 +248,8 @@ def test_f_statistic_symmetric_counts():
 def test_f_statistic_matches_series_from_matrix_elements():
     pair = dp_povm(OPERATING_SPEC, 0.894j, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
-    f = f_statistic(exact_table(pair, probes), probes)
+    table = exact_table(pair, probes)
+    f = f_statistic(table, probes)
     coeffs = true_odd_coefficients(pair.pi0.entries, 11)
     for k, g in enumerate(probes.gammas):
         powers = g ** (2 * np.arange(11) + 1)
@@ -217,6 +257,11 @@ def test_f_statistic_matches_series_from_matrix_elements():
         assert abs(f[0, k] - float((signs * powers) @ coeffs)) < 1e-8
     # outcome-1 statistic is the exact negative (rates sum to one)
     assert np.max(np.abs(f[0] + f[1])) < 1e-12
+
+    f = f_statistic(table, probes, parity=0)
+    coeffs = true_even_coefficients(pair.pi0.entries, 12)
+    for k, g in enumerate(probes.gammas):
+        assert abs(f[0, k] - float(g ** (2 * np.arange(12)) @ coeffs)) < 1e-8
 
 
 def test_imaginary_probe_expectation_diagonal_case():
@@ -256,16 +301,20 @@ def test_imaginary_probe_expectation_clamps():
     assert val == 0.0
     with pytest.raises(ValueError):
         imaginary_probe_expectation(PhiVector([0.5]), 0.9, (0.5, 0.5), sign=2)
+    with pytest.raises(ValueError, match="odd series"):
+        imaginary_probe_expectation(PhiVector([0.5], parity=0), 0.9, (0.5, 0.5))
 
 
 def test_even_cat_probe_expectation_formula():
     # diagonal projector onto vacuum: rates and cross term are both known
     q = math.exp(-(ALPHA**2))
-    psi = np.array([1.0, 0.0])
+    psi = PhiVector([1.0, 0.0], parity=0)
     val, raw = even_cat_probe_expectation(psi, ALPHA, (q, q))
     nplus_sq = 2 * (1 + math.exp(-2 * ALPHA**2))
     assert raw == pytest.approx((2 * q + 2 * q) / nplus_sq, abs=1e-15)
     assert val == raw
+    with pytest.raises(ValueError, match="even series"):
+        even_cat_probe_expectation(PhiVector([1.0, 0.0]), ALPHA, (q, q))
 
 
 def test_probe_coefficients_are_normalized():
@@ -496,4 +545,4 @@ def test_odd_coefficients_of_random_povms_stay_in_box():
         for el in (pair.pi0, pair.pi1):
             coeffs = true_odd_coefficients(el.entries, 5)
             for k, c in enumerate(coeffs):
-                assert abs(c) <= odd_series_bound(2 * k + 1) + 1e-12
+                assert abs(c) <= series_bound(2 * k + 1) + 1e-12
