@@ -335,9 +335,11 @@ def cmd_tomography(cfg: dict) -> int:
         out = _out_path(cfg)
         probes = _probes(cfg)
         seed = int(cfg.get("seed", 0))
+    clicks_sha256 = None
     if "clicks" in cfg:
         with _stage("ingest"):
-            table, _ = read_click_table(cfg["clicks"])
+            table, clicks_meta = read_click_table(cfg["clicks"])
+            clicks_sha256 = clicks_meta["sha256"]
     else:
         with _stage("simulate"):
             truth, campaign = _truth_campaign(cfg, dim)
@@ -347,7 +349,7 @@ def cmd_tomography(cfg: dict) -> int:
         sigma = float(cfg.get("error_bars_sigma", 0.0))
         bars = error_bars(run, sigma) if sigma > 0.0 else None
     with _stage("write"):
-        write_tomography_json(out, run, _hashable(cfg), seed, bars)
+        write_tomography_json(out, run, _hashable(cfg), seed, bars, clicks_sha256)
     pi0 = run.povm.pi0
     print(
         f"reconstructed pi0 diag=({format_float(pi0[0, 0].real)}, "

@@ -149,9 +149,14 @@ def write_click_table(path, table: ClickTable, config: dict, seed: int, extra: d
 
 
 def read_click_table(path) -> tuple[ClickTable, dict]:
-    """Parse a click-table file back into a validated :class:`ClickTable`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Parse a click-table file back into a validated :class:`ClickTable`.
+
+    The metadata holds the header fields and ``sha256``, the digest of the
+    bytes that were parsed, which ties a result to its data file."""
+    data = Path(path).read_bytes()
+    lines = data.decode("utf-8").splitlines()
     meta, start = _parse_header(lines, CLICK_SCHEMA)
+    meta["sha256"] = hashlib.sha256(data).hexdigest()
     body = [line for line in lines[start:] if line.strip()]
     if not body or tuple(body[0].split(",")) != _CLICK_COLUMNS:
         raise ValueError("missing or unexpected click-table column row")
@@ -240,8 +245,10 @@ def tomography_payload(
     config: dict,
     seed: int,
     bars: dict | None = None,
+    clicks_sha256: str | None = None,
 ) -> dict:
-    """JSON-ready dictionary for a tomography result."""
+    """JSON-ready dictionary for a tomography result.  ``clicks_sha256``, the
+    digest of an ingested click file, is written when given."""
     payload = {
         "schema": f"{TOMOGRAPHY_SCHEMA} {SCHEMA_MAJOR}.{SCHEMA_MINOR}",
         "config_sha256": config_digest(config),
@@ -258,6 +265,8 @@ def tomography_payload(
         "diagnostics": dict(run.povm.diagnostics or {}),
         "error_bars": {k: list(v) for k, v in bars.items()} if bars is not None else None,
     }
+    if clicks_sha256 is not None:
+        payload["clicks_sha256"] = clicks_sha256
     return _rounded(payload)
 
 
@@ -270,8 +279,16 @@ def optimize_payload(values: dict, config: dict) -> dict:
     }
 
 
-def write_tomography_json(path, run: TomographyRun, config: dict, seed: int, bars: dict | None = None) -> None:
-    text = json.dumps(tomography_payload(run, config, seed, bars), sort_keys=True, indent=2)
+def write_tomography_json(
+    path,
+    run: TomographyRun,
+    config: dict,
+    seed: int,
+    bars: dict | None = None,
+    clicks_sha256: str | None = None,
+) -> None:
+    payload = tomography_payload(run, config, seed, bars, clicks_sha256)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     atomic_write_text(path, text + "\n")
 
 

@@ -7,11 +7,14 @@ amplitude: the odd coefficients (antisymmetric combination of the ``+-i``
 rates) recover the imaginary parts of the Fock off-diagonals, while the even
 coefficients (symmetric combination) recover the real parts needed to
 synthesize an even-cat probe.  One routine per step serves both series,
-selected by ``parity``; each series is solved by bounded-variable least
-squares (BVLS, Stark & Parker, Comput. Stat. 10, 129 (1995)) inside the box
-that the entry bound on POVM elements puts on its coefficients.  A
-fixed-point maximum-likelihood iteration then reconstructs the 2x2 pair
-from four informationally complete probe states.
+selected by ``parity``; each series is fitted inside the box that the entry
+bound on POVM elements puts on its coefficients, by an exact solve when the
+fit lies inside the box and by bounded-variable least squares (BVLS, Stark &
+Parker, Comput. Stat. 10, 129 (1995)) otherwise.  The 2x2 pair is then
+reconstructed from four informationally complete probe states, closed form
+first: the linear inversion of the four rates is the likelihood maximum
+whenever it is physical, and a fixed-point maximum-likelihood iteration runs
+only when the optimum lies on the boundary.
 """
 
 from __future__ import annotations
@@ -197,13 +200,23 @@ def gamma_matrix(probes: ProbeSet, parity: int = 1) -> np.ndarray:
 
 def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
     """Recover one outcome's series coefficients from its statistic: the
-    least-squares fit inside the coefficient box, by BVLS, which is exact
-    after finitely many active-set steps."""
+    least-squares fit inside the coefficient box.
+
+    The design matrix is square and, for distinct positive gammas,
+    nonsingular, so its exact solve is the zero-residual fit; inside the box
+    that is the answer.  Only a fit outside the box goes to BVLS, which is
+    exact after finitely many active-set steps."""
     f = np.asarray(f, dtype=float)
     if f.shape != (probes.k,):
         raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
     bounds = np.array([series_bound(int(o)) for o in _orders(probes.k, parity)])
     mat = gamma_matrix(probes, parity)
+    try:
+        exact = np.linalg.solve(mat, f)
+    except np.linalg.LinAlgError:
+        exact = None
+    if exact is not None and np.all(np.abs(exact) <= bounds):
+        return PhiVector(exact, parity)
     res = lsq_linear(mat, f, bounds=(-bounds, bounds), method="bvls", max_iter=_BVLS_MAX_ITER)
     if res.status == 0:
         raise ConvergenceError(
@@ -338,12 +351,44 @@ def _psd_inv(mat: np.ndarray) -> np.ndarray:
     return (vecs / evals) @ vecs.conj().T
 
 
+def _linear_inversion(rho: np.ndarray, freq: np.ndarray) -> np.ndarray | None:
+    """The pi0 whose pair (pi0, I - pi0) reproduces every frequency row, or
+    None when the probes do not fix one (a number of probes other than four,
+    or a singular design).
+
+    Tr(rho pi0) = a rho_00 + b rho_11 + 2 Re(c) Re(rho_10) - 2 Im(c) Im(rho_10)
+    for pi0 = [[a, c], [c*, b]], one real row per probe.
+    """
+    if rho.shape[0] != 4:
+        return None
+    design = np.stack(
+        [rho[:, 0, 0].real, rho[:, 1, 1].real, 2.0 * rho[:, 1, 0].real, -2.0 * rho[:, 1, 0].imag],
+        axis=1,
+    )
+    try:
+        a, b, re_c, im_c = np.linalg.solve(design, freq[:, 0] / freq.sum(axis=1))
+    except np.linalg.LinAlgError:
+        return None
+    c = complex(re_c, im_c)
+    return np.array([[a, c], [c.conjugate(), b]])
+
+
 def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
-    """Fixed-point maximum-likelihood reconstruction of a binary 2x2 POVM.
+    """Maximum-likelihood reconstruction of a binary 2x2 POVM.
 
     ``probe_states`` is an (n, 2, 2) stack of density matrices, and
     ``frequencies`` an (n, 2) row-stochastic matrix of observed outcome
-    rates.  Iterates
+    rates.
+
+    Closed form first: four probes fix the four real parameters of pi0, and
+    when the linear inversion of the frequencies has its spectrum in [0, 1]
+    the pair (pi0, I - pi0) reproduces every frequency, which by Gibbs'
+    inequality is the global likelihood maximum.  It is returned exactly,
+    with ``iterations`` 0 in ``diagnostics``.
+
+    Only an inversion outside [0, 1] (an optimum on the boundary) or a probe
+    set that does not fix pi0 runs the fixed point (Fiurasek, PRA 64, 024102
+    (2001)), which iterates
 
         p_ij = Tr(rho_i P_j),  R_j = sum_i (f_ij / p_ij) rho_i,
         L = (sum_j R_j P_j R_j)^(1/2),  P_j <- L^-1 R_j P_j R_j L^-1
@@ -351,7 +396,8 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     from P_j = I/2 until the largest entry change falls below
     ``MLE_STOP_TOL``.  The normalization keeps completeness exact at every
     step.  Whenever the full step would lower the log-likelihood the update
-    is damped, so the likelihood is non-decreasing on every accepted step.
+    is damped (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)), so
+    the likelihood is non-decreasing on every accepted step.
 
     Rounding near a rank-deficient optimum can leave pi0 a hair outside
     [0, 1]: its spectrum is then clipped and pi1 = I - pi0, and the lowest
@@ -364,6 +410,8 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
         raise ValueError("probe_states must be a stack of 2x2 density matrices")
     if freq.shape != (rho.shape[0], 2):
         raise ValueError("frequencies must be (n_probes, 2)")
+    if not (np.isfinite(freq).all() and np.isfinite(rho).all()):
+        raise ValueError("probe states and frequencies must be finite")
     if np.any(freq < -1e-12) or np.max(np.abs(freq.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("frequency rows must be non-negative and sum to 1")
     for i, r in enumerate(rho):
@@ -371,8 +419,6 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
             raise ValueError(f"probe {i} does not have unit trace")
         if np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() < -1e-9:
             raise ValueError(f"probe {i} is not positive semidefinite")
-
-    elements = [0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)]
 
     def probabilities():
         p = np.empty((rho.shape[0], 2))
@@ -383,6 +429,20 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     def log_likelihood(p: np.ndarray) -> float:
         return float(np.sum(freq * np.log(p)))
 
+    pi0 = _linear_inversion(rho, freq)
+    if pi0 is not None:
+        w = np.linalg.eigvalsh(pi0)
+        if w[0] >= 0.0 and w[-1] <= 1.0:
+            elements = [pi0, np.eye(2) - pi0]
+            diagnostics = {
+                "iterations": 0,
+                "converged": True,
+                "final_delta": 0.0,
+                "log_likelihood": log_likelihood(probabilities()),
+            }
+            return ScsPovm(*elements, diagnostics=diagnostics)
+
+    elements = [0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)]
     p = probabilities()
     likelihood = log_likelihood(p)
     eye = np.eye(2, dtype=complex)

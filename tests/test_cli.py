@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -160,6 +161,15 @@ def test_tomography_ingest_matches_simulation_path(tmp_path, capsys):
     b = json.loads(ingested.read_text())
     assert a["povm"] == b["povm"]
     assert a["expectations"] == b["expectations"]
+
+    # the config names the click file by path only; its bytes are hashed too
+    assert "clicks_sha256" not in a
+    assert b["clicks_sha256"] == hashlib.sha256(clicks.read_bytes()).hexdigest()
+    assert main(["simulate", "--config", cfg_path, "--seed", "4", "--out", str(clicks)]) == 0
+    assert main(["tomography", "--config", ingest_cfg, "--out", str(ingested)]) == 0
+    c = json.loads(ingested.read_text())
+    assert c["config_sha256"] == b["config_sha256"]
+    assert c["clicks_sha256"] == hashlib.sha256(clicks.read_bytes()).hexdigest() != b["clicks_sha256"]
 
 
 def test_tomography_ingest_corrupted_table(tmp_path, capsys):

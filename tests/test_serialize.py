@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -82,6 +83,7 @@ def test_click_table_roundtrip(tmp_path):
     write_click_table(path, table, CONFIG, seed=11, extra={"nmax": DIM.size - 1})
     loaded, meta = read_click_table(path)
     assert meta["config_sha256"] == config_digest(CONFIG)
+    assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert meta["seed"] == "11"
     assert meta["nmax"] == str(DIM.size - 1)
     assert loaded.probe_amplitudes == table.probe_amplitudes
@@ -178,6 +180,7 @@ def test_tomography_json_roundtrip(tmp_path):
     assert np.max(np.abs(got - run.povm.pi0)) < 1e-11  # printed at 12 digits
     assert set(payload["error_bars"]) == set(bars)
     assert payload["diagnostics"]["converged"] is True
+    assert "clicks_sha256" not in payload  # written only for ingested clicks
 
     # byte-identical re-write
     other = tmp_path / "tomo2.json"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from catproj import tomography
 from catproj.fock import (
     FockOperator,
     ScsMeasurementSpec,
@@ -15,6 +18,7 @@ from catproj.fock import (
 )
 from catproj.povm import PovmPair, apply_loss, dp_partition, dp_povm, parity_povm, random_povm_pair
 from catproj.tomography import (
+    MLE_PROB_FLOOR,
     ClickTable,
     PhiVector,
     ProbeSet,
@@ -95,6 +99,12 @@ def true_even_coefficients(entries: np.ndarray, count: int) -> np.ndarray:
                     math.factorial(m) * math.factorial(n)
                 )
     return out
+
+
+def probe_states(alpha: float) -> np.ndarray:
+    """The four reconstruction probes as density matrices in the cat basis."""
+    coeffs = probe_coefficients(alpha, DIM)
+    return np.einsum("ik,il->ikl", coeffs, coeffs.conj())
 
 
 def test_probe_set_validation():
@@ -326,31 +336,27 @@ def test_probe_coefficients_are_normalized():
 
 def test_mle_forward_model_oracle():
     rng = np.random.default_rng(17)
-    coeffs = probe_coefficients(ALPHA, DIM)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
+    rho = probe_states(ALPHA)
     for _ in range(5):
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u = np.linalg.qr(z)[0]
         vals = rng.uniform(0.05, 0.95, size=2)
-        while abs(vals[0] - vals[1]) < 0.15:  # degenerate optima converge slowly
-            vals = rng.uniform(0.05, 0.95, size=2)
         a0 = (u * vals) @ u.conj().T
         p = np.einsum("ikl,lk->i", rho, a0).real
         freq = np.stack([p, 1.0 - p], axis=1)
         got = mle_reconstruct(rho, freq)
-        assert got.diagnostics["converged"]
+        assert got.diagnostics["converged"] and got.diagnostics["iterations"] == 0
         assert "pre_repair_min_eigenvalue" not in got.diagnostics  # interior: no repair
-        assert np.max(np.abs(got.pi0 - a0)) < 1e-6
+        assert np.max(np.abs(got.pi0 - a0)) < 1e-12
         assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-6
 
 
-def test_mle_near_degenerate_optimum_warns_but_is_accurate():
+def test_mle_near_degenerate_optimum_is_exact():
     # an almost-proportional-to-identity element leaves a nearly flat
-    # likelihood direction; the entry-change stop rule then times out even
-    # though the estimate itself is long since settled
+    # likelihood direction, on which the fixed point's entry-change stop
+    # rule used to time out; the interior optimum is the linear inversion
     rng = np.random.default_rng(17)
-    coeffs = probe_coefficients(ALPHA, DIM)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
+    rho = probe_states(ALPHA)
     for _ in range(2):
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u = np.linalg.qr(z)[0]
@@ -358,16 +364,14 @@ def test_mle_near_degenerate_optimum_warns_but_is_accurate():
     assert abs(vals[0] - vals[1]) < 0.02
     a0 = (u * vals) @ u.conj().T
     p = np.einsum("ikl,lk->i", rho, a0).real
-    with pytest.warns(UserWarning, match="stopped"):
-        got = mle_reconstruct(rho, np.stack([p, 1.0 - p], axis=1))
-    assert not got.diagnostics["converged"]
-    assert np.max(np.abs(got.pi0 - a0)) < 1e-6
+    got = mle_reconstruct(rho, np.stack([p, 1.0 - p], axis=1))
+    assert got.diagnostics["converged"] and got.diagnostics["iterations"] == 0
+    assert np.max(np.abs(got.pi0 - a0)) < 1e-12
 
 
-def test_mle_repairs_rounding_excursion_of_the_spectrum():
-    # the compensated re-read of fig4 at c0^2 = 0.8, quantize off, seed 11:
-    # the iteration converges to a rank-deficient pi1 whose smallest
-    # eigenvalue lands at -1.2e-7, below the ScsPovm floor
+def boundary_input():
+    """The compensated re-read of fig4 at c0^2 = 0.8, quantize off, seed 11,
+    whose linear inversion lies outside [0, 1]: probe states, frequencies."""
     aa, ab, bb = 0.8547753316089116, 0.3523272116680554, 0.1452246683910883
     rho = np.array(
         [
@@ -380,8 +384,14 @@ def test_mle_repairs_rounding_excursion_of_the_spectrum():
         dtype=complex,
     )
     q = np.array([0.99995, 0.499605, 0.7520178344361541, 0.8522405012209271])
-    got = mle_reconstruct(rho, np.stack([q, 1.0 - q], axis=1))
-    assert got.diagnostics["converged"]
+    return rho, np.stack([q, 1.0 - q], axis=1)
+
+
+def test_mle_repairs_rounding_excursion_of_the_spectrum():
+    # the fixed point converges to a rank-deficient pi1 whose smallest
+    # eigenvalue lands at -1.2e-7, below the ScsPovm floor
+    got = mle_reconstruct(*boundary_input())
+    assert got.diagnostics["converged"] and got.diagnostics["iterations"] > 0
     assert -1e-6 < got.diagnostics["pre_repair_min_eigenvalue"] < -1e-7
     for el in (got.pi0, got.pi1):
         w = np.linalg.eigvalsh(el)
@@ -389,19 +399,75 @@ def test_mle_repairs_rounding_excursion_of_the_spectrum():
     assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-15
 
 
+def test_mle_fallback_warns_when_it_stops_on_its_budget(monkeypatch):
+    # the unpatched call on the same input converges and is repaired (above)
+    monkeypatch.setattr(tomography, "MLE_MAX_ITER", 20)
+    with pytest.warns(UserWarning, match="stopped"):
+        got = mle_reconstruct(*boundary_input())
+    assert isinstance(got, ScsPovm)
+    assert not got.diagnostics["converged"] and got.diagnostics["iterations"] == 20
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def log_likelihood(rho: np.ndarray, freq: np.ndarray, pi0: np.ndarray) -> float:
+    p0 = np.einsum("ikl,lk->i", rho, pi0).real
+    p = np.maximum(np.stack([p0, 1.0 - p0], axis=1), MLE_PROB_FLOOR)
+    return float(np.sum(freq * np.log(p)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    alpha=st.floats(0.2, 1.0),
+    spectrum=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    theta=st.floats(0.0, math.pi),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_mle_recovers_any_interior_element_in_closed_form(alpha, spectrum, theta, phase):
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+    a0 = (u * np.array(spectrum)) @ u.conj().T
+    rho = probe_states(alpha)
+    p = np.einsum("ikl,lk->i", rho, a0).real
+    got = mle_reconstruct(rho, np.stack([p, 1.0 - p], axis=1))
+    assert got.diagnostics["converged"] and got.diagnostics["iterations"] == 0
+    assert np.max(np.abs(got.pi0 - a0)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(alpha=st.floats(0.2, 1.0), rates=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_mle_beats_the_clipped_inversion_on_the_boundary(alpha, rates):
+    rho = probe_states(alpha)
+    q = np.array(rates)
+    freq = np.stack([q, 1.0 - q], axis=1)
+    w, vecs = np.linalg.eigh(tomography._linear_inversion(rho, freq))
+    assume(w[0] < 0.0 or w[-1] > 1.0)
+    got = mle_reconstruct(rho, freq)
+    assert isinstance(got, ScsPovm) and got.diagnostics["iterations"] > 0
+    clipped = (vecs * np.clip(w, 0.0, 1.0)) @ vecs.conj().T
+    assert got.diagnostics["log_likelihood"] >= log_likelihood(rho, freq, clipped)
+
+
 def test_mle_maximum_entropy_fixed_point():
-    coeffs = probe_coefficients(ALPHA, DIM)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
+    rho = probe_states(ALPHA)
     got = mle_reconstruct(rho, np.full((4, 2), 0.5))
     assert np.max(np.abs(got.pi0 - 0.5 * np.eye(2))) < 1e-9
     assert got.diagnostics["converged"]
 
 
 def test_mle_input_validation():
-    coeffs = probe_coefficients(ALPHA, DIM)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
+    rho = probe_states(ALPHA)
     with pytest.raises(ValueError):
         mle_reconstruct(rho, np.full((4, 2), 0.4))  # rows don't sum to 1
+    with pytest.raises(ValueError, match="finite"):
+        mle_reconstruct(rho, np.full((4, 2), np.nan))  # passes every comparison
     with pytest.raises(ValueError):
         mle_reconstruct(rho * 2.0, np.full((4, 2), 0.5))  # traces wrong
     bad = rho.copy()
