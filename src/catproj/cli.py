@@ -77,6 +77,12 @@ _SCHEMA: dict[str, type | tuple] = {
 }
 
 
+# largest accepted Fock cutoff: the displacement guard scan holds about
+# 125 (n_max + 1)^2 complex entries, about 51 MB at 100 and 5 GB at 1000,
+# while the presets use 20-24
+NMAX_CEILING = 100
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
     return [round(v, 10) for v in np.arange(start, stop + step / 2, step)]
 
@@ -180,6 +186,10 @@ def validate_config(cfg: dict) -> dict:
             continue
         if not all(map(_finite_number, value if want is list else [value])):
             raise ConfigError(f"config key {key!r} must hold finite numbers only")
+    if not 1 <= cfg.get("nmax", 1) <= NMAX_CEILING:
+        raise ConfigError(f"nmax must lie in [1, {NMAX_CEILING}], got {cfg['nmax']}")
+    if cfg.get("error_bars_sigma", 0.0) < 0.0:
+        raise ConfigError(f"error_bars_sigma must be >= 0, got {cfg['error_bars_sigma']}")
     return cfg
 
 
@@ -264,6 +274,7 @@ def _hashable(cfg: dict) -> dict:
 
 
 def cmd_fidelity_sweep(cfg: dict) -> int:
+    """Optimize the three strategies over a parameter grid, write CSV."""
     with _stage("config"):
         grid = SweepGrid(
             tuple(cfg.get("c0sq_values", ())),
@@ -284,6 +295,7 @@ def cmd_fidelity_sweep(cfg: dict) -> int:
 
 
 def cmd_optimize(cfg: dict) -> int:
+    """Single-point optimization report (JSON)."""
     with _stage("config"):
         spec = _spec(cfg)
         detector = _detector(cfg)
@@ -312,6 +324,7 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    """Generate a seeded click table from an apparatus model, write CSV."""
     with _stage("config"):
         dim = _dim(cfg)
         out = _out_path(cfg)
@@ -325,6 +338,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_tomography(cfg: dict) -> int:
+    """Simulate or ingest clicks, reconstruct the POVM, write JSON/CSV."""
     mode = cfg.get("mode", "single")
     if mode == "sweep":
         return _tomography_sweep(cfg)
@@ -437,6 +451,7 @@ def _selftest_checks(dim: TruncationDim):
 
 
 def cmd_selftest(cfg: dict) -> int:
+    """Run the invariant battery and report residuals."""
     # config-provided resources are validated first, so a bad detector or a
     # corrupted click file fails loudly here rather than inside a later run
     with _stage("config"):
@@ -468,22 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catproj",
         description="Cat-state projection measurements: sweeps, simulated campaigns, tomography.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<16}{cmd.__doc__}" for name, cmd in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"catproj {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fidelity-sweep", "optimize the three strategies over a parameter grid, write CSV"),
-        ("optimize", "single-point optimization report (JSON)"),
-        ("simulate", "generate a seeded click table from an apparatus model, write CSV"),
-        ("tomography", "simulate or ingest clicks, reconstruct the POVM, write JSON/CSV"),
-        ("selftest", "run the invariant battery and report residuals"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--preset", help=f"named defaults: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--config", help="flat JSON config file (overrides preset)")
-        p.add_argument("--out", help="output path (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--nmax", type=int, help="Fock-space cutoff (overrides config)")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--preset", help=f"named defaults: {', '.join(sorted(PRESETS))}")
+    parser.add_argument("--config", help="flat JSON config file (overrides preset)")
+    parser.add_argument("--out", help="output path (overrides config)")
+    parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+    parser.add_argument("--nmax", type=int, help="Fock-space cutoff (overrides config)")
     return parser
 
 

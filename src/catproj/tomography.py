@@ -13,14 +13,14 @@ fit lies inside the box and by bounded-variable least squares (BVLS, Stark &
 Parker, Comput. Stat. 10, 129 (1995)) otherwise.  The 2x2 pair is then
 reconstructed from four informationally complete probe states, closed form
 first: the linear inversion of the four rates is the likelihood maximum
-whenever it is physical, and a fixed-point maximum-likelihood iteration runs
-only when the optimum lies on the boundary.
+whenever it is physical.  Only an optimum on the boundary of 0 <= pi0 <= I
+runs an iteration, a log-det barrier Newton solve whose result is certified
+by a duality gap.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +37,16 @@ from .fock import (
 COMPLETENESS_TOL_2D = 1e-6
 EIGENVALUE_FLOOR_2D = 1e-9
 _BVLS_MAX_ITER = 100
-MLE_STOP_TOL = 1e-9
-MLE_MAX_ITER = 10**5
 MLE_PROB_FLOOR = 1e-12
-_MLE_MAX_DILUTIONS = 60
+MLE_GAP_TOL = 1e-12
+MLE_MAX_STEPS = 50
 ENTRY_BOUND_TOL = 1e-9
 
 _AMPLITUDE_MATCH_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """A solver exhausted its iteration budget or could not certify its result."""
 
 
 @dataclass(frozen=True)
@@ -344,33 +343,104 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def _psd_inv(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    if evals.min() <= 0.0:
-        raise ArithmeticError("normalization operator is singular")
-    return (vecs / evals) @ vecs.conj().T
+# E_k with pi0 = sum_k x_k E_k for x = (a, b, Re c, Im c) and pi0 = [[a, c], [c*, b]]
+_ELEMENT_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+
+
+def _design(rho: np.ndarray) -> np.ndarray:
+    """Real (n, 4) design with p_i = Tr(rho_i pi0) = design[i] @ x.
+
+    Tr(rho pi0) = a rho_00 + b rho_11 + 2 Re(c) Re(rho_10) - 2 Im(c) Im(rho_10)
+    for pi0 = [[a, c], [c*, b]], one real row per probe.
+    """
+    return np.stack(
+        [rho[:, 0, 0].real, rho[:, 1, 1].real, 2.0 * rho[:, 1, 0].real, -2.0 * rho[:, 1, 0].imag],
+        axis=1,
+    )
+
+
+def _element(x: np.ndarray) -> np.ndarray:
+    return np.tensordot(x, _ELEMENT_BASIS, axes=1)
 
 
 def _linear_inversion(rho: np.ndarray, freq: np.ndarray) -> np.ndarray | None:
     """The pi0 whose pair (pi0, I - pi0) reproduces every frequency row, or
     None when the probes do not fix one (a number of probes other than four,
-    or a singular design).
-
-    Tr(rho pi0) = a rho_00 + b rho_11 + 2 Re(c) Re(rho_10) - 2 Im(c) Im(rho_10)
-    for pi0 = [[a, c], [c*, b]], one real row per probe.
-    """
+    or a singular design)."""
     if rho.shape[0] != 4:
         return None
-    design = np.stack(
-        [rho[:, 0, 0].real, rho[:, 1, 1].real, 2.0 * rho[:, 1, 0].real, -2.0 * rho[:, 1, 0].imag],
-        axis=1,
-    )
     try:
-        a, b, re_c, im_c = np.linalg.solve(design, freq[:, 0] / freq.sum(axis=1))
+        a, b, re_c, im_c = np.linalg.solve(_design(rho), freq[:, 0] / freq.sum(axis=1))
     except np.linalg.LinAlgError:
         return None
     c = complex(re_c, im_c)
     return np.array([[a, c], [c.conjugate(), b]])
+
+
+def _likelihood_weights(p: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-probe slope f_0/p - f_1/(1 - p) and curvature f_0/p^2 + f_1/(1 - p)^2
+    of the log-likelihood in p.  A zero frequency contributes nothing, also
+    where its probability has rounded to 0."""
+    q = np.stack([p, 1.0 - p], axis=1)
+    seen = freq > 0.0
+    ratio = np.divide(freq, q, out=np.zeros_like(q), where=seen)
+    curvature = np.divide(ratio, q, out=np.zeros_like(q), where=seen)
+    return ratio[:, 0] - ratio[:, 1], curvature.sum(axis=1)
+
+
+def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Maximize the log-likelihood over 0 <= pi0 <= I by path following.
+
+    Each stage minimizes -L(x) - mu [log det pi0 + log det(I - pi0)] in
+    x = (a, b, Re c, Im c), starting from I/2, with damped Newton steps
+    x += dx / (1 + lam), or the full step once lam <= 1/4, where
+    lam^2 = g' H^-1 g / mu (Boyd & Vandenberghe, Convex Optimization,
+    sections 9.6 and 11.3).  The step stays inside the Dikin ellipsoid of the
+    log-det barrier, so every iterate has its spectrum strictly inside
+    (0, 1).  The result is certified by the Frank-Wolfe gap
+    sum(max(eig G, 0)) - Tr(G pi0), G = sum_i (f_i0/p_i - f_i1/(1 - p_i)) rho_i,
+    which bounds L* - L because L is concave (Jaggi, ICML 2013).
+
+    The weights run mu = 1, 1e-1, ..., 1e-13, one Newton stage each of at
+    most ``MLE_MAX_STEPS`` steps.  At the centre of a stage the gap is at
+    most 2 mu; a smaller last mu leaves the Hessian near singular.  A stage
+    ends when lam < 1e-7, or when a full step fails to lower lam: full steps
+    at least halve it, so it has reached the floor that rounding in the
+    smallest eigenvalue sets."""
+    design = _design(rho)
+    x = np.array([0.5, 0.5, 0.0, 0.0])
+    steps = 0
+    delta = 0.0
+    for mu in 10.0 ** -np.arange(14):
+        previous = math.inf
+        for _ in range(MLE_MAX_STEPS):
+            pi0 = _element(x)
+            slope, curvature = _likelihood_weights(design @ x, freq)
+            inverses = np.linalg.inv(np.stack([pi0, np.eye(2) - pi0]))
+            scaled = inverses[:, None] @ _ELEMENT_BASIS[None]  # Y E_k
+            barrier_grad = np.array([-1.0, 1.0]) @ np.einsum("jkaa->jk", scaled).real
+            barrier_hess = np.einsum("jkab,jlba->kl", scaled, scaled).real
+            grad = -design.T @ slope + mu * barrier_grad
+            hess = design.T @ (curvature[:, None] * design) + mu * barrier_hess
+            dx = -np.linalg.solve(hess, grad)
+            lam = math.sqrt(max(-float(grad @ dx), 0.0) / mu)
+            dx *= 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+            x = x + dx
+            steps += 1
+            delta = float(np.max(np.abs(_element(dx))))
+            if lam < 1e-7 or previous <= lam <= 0.25:
+                break
+            previous = lam
+    pi0 = _element(x)
+    slope, _ = _likelihood_weights(design @ x, freq)
+    gradient = np.einsum("i,ikl->kl", slope, rho)
+    gap = float(np.clip(np.linalg.eigvalsh(gradient), 0.0, None).sum() - slope @ (design @ x))
+    if not gap <= MLE_GAP_TOL:
+        raise ConvergenceError(
+            f"boundary likelihood fit left a duality gap of {gap:g} after {steps} Newton steps "
+            f"(tolerance {MLE_GAP_TOL:g})"
+        )
+    return pi0, {"iterations": steps, "converged": True, "final_delta": delta, "duality_gap": gap}
 
 
 def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
@@ -387,22 +457,11 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     with ``iterations`` 0 in ``diagnostics``.
 
     Only an inversion outside [0, 1] (an optimum on the boundary) or a probe
-    set that does not fix pi0 runs the fixed point (Fiurasek, PRA 64, 024102
-    (2001)), which iterates
-
-        p_ij = Tr(rho_i P_j),  R_j = sum_i (f_ij / p_ij) rho_i,
-        L = (sum_j R_j P_j R_j)^(1/2),  P_j <- L^-1 R_j P_j R_j L^-1
-
-    from P_j = I/2 until the largest entry change falls below
-    ``MLE_STOP_TOL``.  The normalization keeps completeness exact at every
-    step.  Whenever the full step would lower the log-likelihood the update
-    is damped (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)), so
-    the likelihood is non-decreasing on every accepted step.
-
-    Rounding near a rank-deficient optimum can leave pi0 a hair outside
-    [0, 1]: its spectrum is then clipped and pi1 = I - pi0, and the lowest
-    pre-repair eigenvalue of the pair goes into ``diagnostics``.  An
-    excursion beyond ``COMPLETENESS_TOL_2D`` raises ArithmeticError.
+    set that does not fix pi0 runs a certified barrier Newton solve
+    (``_barrier_newton``): ``iterations`` counts its Newton steps,
+    ``final_delta`` is the largest entry change of the last one, and
+    ``duality_gap`` bounds how far the log-likelihood lies below the
+    maximum.  A gap above ``MLE_GAP_TOL`` raises ConvergenceError.
     """
     rho = np.asarray(probe_states, dtype=complex)
     freq = np.asarray(frequencies, dtype=float)
@@ -420,94 +479,22 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
         if np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() < -1e-9:
             raise ValueError(f"probe {i} is not positive semidefinite")
 
-    def probabilities():
-        p = np.empty((rho.shape[0], 2))
-        for j, pi in enumerate(elements):
-            p[:, j] = np.einsum("ikl,lk->i", rho, pi).real
-        return np.maximum(p, MLE_PROB_FLOOR)
-
-    def log_likelihood(p: np.ndarray) -> float:
-        return float(np.sum(freq * np.log(p)))
+    def log_likelihood(elements) -> float:
+        p = np.stack([np.einsum("ikl,lk->i", rho, pi).real for pi in elements], axis=1)
+        return float(np.sum(freq * np.log(np.maximum(p, MLE_PROB_FLOOR))))
 
     pi0 = _linear_inversion(rho, freq)
     if pi0 is not None:
         w = np.linalg.eigvalsh(pi0)
-        if w[0] >= 0.0 and w[-1] <= 1.0:
-            elements = [pi0, np.eye(2) - pi0]
-            diagnostics = {
-                "iterations": 0,
-                "converged": True,
-                "final_delta": 0.0,
-                "log_likelihood": log_likelihood(probabilities()),
-            }
-            return ScsPovm(*elements, diagnostics=diagnostics)
-
-    elements = [0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)]
-    p = probabilities()
-    likelihood = log_likelihood(p)
-    eye = np.eye(2, dtype=complex)
-
-    def mapped(ops):
-        new = [ops[j] @ elements[j] @ ops[j] for j in range(2)]
-        lam_inv = _psd_inv(_psd_sqrt(new[0] + new[1]))
-        new = [lam_inv @ nj @ lam_inv for nj in new]
-        return [0.5 * (nj + nj.conj().T) for nj in new]
-
-    converged = False
-    iterations = 0
-    delta = np.inf
-    for iterations in range(1, MLE_MAX_ITER + 1):
-        ratios = freq / p
-        r_ops = [np.einsum("i,ikl->kl", ratios[:, j], rho) for j in range(2)]
-        # The full fixed-point step can overshoot and lower the likelihood;
-        # when it does, damp it (R -> (I + eps R)/(1 + eps)), which keeps the
-        # same fixed points and ascends for small enough eps.
-        new = mapped(r_ops)
-        eps = 1.0
-        for _ in range(_MLE_MAX_DILUTIONS + 1):
-            saved, elements = elements, new
-            p = probabilities()
-            next_likelihood = log_likelihood(p)
-            if next_likelihood >= likelihood - 1e-12:
-                break
-            elements = saved
-            new = mapped([(eye + eps * rj) / (1.0 + eps) for rj in r_ops])
-            eps *= 0.5
-        else:
-            raise ArithmeticError(
-                f"log-likelihood decreased by {likelihood - next_likelihood:g} "
-                f"at iteration {iterations} even with a maximally damped step"
-            )
-        delta = max(np.max(np.abs(n - o)) for n, o in zip(elements, saved))
-        likelihood = next_likelihood
-        if delta < MLE_STOP_TOL:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"reconstruction stopped at {MLE_MAX_ITER} iterations with "
-            f"residual entry change {delta:g}",
-            stacklevel=2,
-        )
-    diagnostics = {
-        "iterations": iterations,
-        "converged": converged,
-        "final_delta": float(delta),
-        "log_likelihood": likelihood,
-    }
-    pi0, pi1 = elements
-    w, U = np.linalg.eigh(pi0)
-    low = float(min(w[0], 1.0 - w[-1]))
-    if low < 0.0:
-        if -low > COMPLETENESS_TOL_2D:
-            raise ArithmeticError(
-                f"reconstructed pi0 has eigenvalues {w[0]:g}, {w[-1]:g}, "
-                f"outside [0, 1] by more than {COMPLETENESS_TOL_2D:g}"
-            )
-        pi0 = (U * np.clip(w, 0.0, 1.0)) @ U.conj().T
-        pi1 = np.eye(2) - pi0
-        diagnostics["pre_repair_min_eigenvalue"] = low
-    return ScsPovm(pi0, pi1, diagnostics=diagnostics)
+        if not (w[0] >= 0.0 and w[-1] <= 1.0):
+            pi0 = None
+    if pi0 is None:
+        pi0, diagnostics = _barrier_newton(rho, freq)
+    else:
+        diagnostics = {"iterations": 0, "converged": True, "final_delta": 0.0}
+    elements = (pi0, np.eye(2) - pi0)
+    diagnostics["log_likelihood"] = log_likelihood(elements)
+    return ScsPovm(*elements, diagnostics=diagnostics)
 
 
 def scs_basis_project(op: FockOperator, alpha: float, dim) -> np.ndarray:

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from catproj.cli import PRESETS, main, resolve_config, validate_config
+from catproj import fidelity, fock
+from catproj.cli import COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
@@ -278,3 +279,36 @@ def test_unknown_preset_and_key(tmp_path, capsys):
     record = last_error(capsys)
     assert record["stage"] == "config"
     assert "unknown config key 'threads'" in record["message"]
+
+
+def test_out_of_range_settings_fail_at_config(tmp_path, capsys, monkeypatch):
+    # an oversized cutoff is rejected before any displacement matrix is built
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("a displacement matrix was built")
+
+    monkeypatch.setattr(fock, "_displacement_matrix", no_matrices)
+    monkeypatch.setattr(fidelity, "_displacement_matrix", no_matrices)
+    for nmax in (0, NMAX_CEILING + 1, 1000):
+        assert main(["optimize", "--nmax", str(nmax)]) == 1
+        record = last_error(capsys)
+        assert record["stage"] == "config" and "nmax" in record["message"]
+    assert validate_config({"nmax": NMAX_CEILING}) == {"nmax": NMAX_CEILING}
+    # a negative error-bar width used to run and write "error_bars": null
+    path = write_config(tmp_path, {"error_bars_sigma": -0.01})
+    out = tmp_path / "never.json"
+    assert main(["tomography", "--preset", "fig3", "--config", path, "--out", str(out)]) == 1
+    record = last_error(capsys)
+    assert record["stage"] == "config" and "error_bars_sigma" in record["message"]
+    assert not out.exists()
+
+
+def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    for name, cmd in COMMANDS.items():
+        assert name in text and cmd.__doc__ in text
+    out = tmp_path / "report.json"
+    assert main(["--nmax", "14", "--out", str(out), "optimize"]) == 0
+    assert json.loads(out.read_text())["schema"] == "catproj/optimize 1.0"

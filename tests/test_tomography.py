@@ -346,7 +346,7 @@ def test_mle_forward_model_oracle():
         freq = np.stack([p, 1.0 - p], axis=1)
         got = mle_reconstruct(rho, freq)
         assert got.diagnostics["converged"] and got.diagnostics["iterations"] == 0
-        assert "pre_repair_min_eigenvalue" not in got.diagnostics  # interior: no repair
+        assert set(got.diagnostics) == {"iterations", "converged", "final_delta", "log_likelihood"}
         assert np.max(np.abs(got.pi0 - a0)) < 1e-12
         assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-6
 
@@ -387,25 +387,61 @@ def boundary_input():
     return rho, np.stack([q, 1.0 - q], axis=1)
 
 
-def test_mle_repairs_rounding_excursion_of_the_spectrum():
-    # the fixed point converges to a rank-deficient pi1 whose smallest
-    # eigenvalue lands at -1.2e-7, below the ScsPovm floor
-    got = mle_reconstruct(*boundary_input())
+def duality_gap(rho: np.ndarray, freq: np.ndarray, pi0: np.ndarray) -> float:
+    """Frank-Wolfe bound on L* - L(pi0) over 0 <= pi0 <= I: with G the
+    gradient of L in pi0, sum(max(eig G, 0)) - Tr(G pi0).  Rows of zero
+    frequency contribute nothing."""
+    p0 = np.einsum("ikl,lk->i", rho, pi0).real
+    q = np.stack([p0, 1.0 - p0], axis=1)
+    ratio = np.divide(freq, q, out=np.zeros_like(q), where=freq > 0.0)
+    grad = np.einsum("i,ikl->kl", ratio[:, 0] - ratio[:, 1], rho)
+    return float(np.clip(np.linalg.eigvalsh(grad), 0.0, None).sum() - np.trace(grad @ pi0).real)
+
+
+def test_mle_boundary_optimum_is_certified():
+    # the inversion lies outside [0, 1]; a diluted fixed point (Rehacek et
+    # al., PRA 75, 042108) stops short on this input at -1.6726064
+    rho, freq = boundary_input()
+    got = mle_reconstruct(rho, freq)
     assert got.diagnostics["converged"] and got.diagnostics["iterations"] > 0
-    assert -1e-6 < got.diagnostics["pre_repair_min_eigenvalue"] < -1e-7
+    assert duality_gap(rho, freq, got.pi0) <= 1e-12
+    assert got.diagnostics["duality_gap"] <= 1e-12
+    assert got.diagnostics["log_likelihood"] >= -1.6726030
+    assert not any(key.startswith("pre_repair") for key in got.diagnostics)
     for el in (got.pi0, got.pi1):
         w = np.linalg.eigvalsh(el)
-        assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
-    assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) < 1e-15
+        assert w[0] >= 0.0 and w[-1] <= 1.0
+    assert np.max(np.abs(got.pi0 + got.pi1 - np.eye(2))) <= 1e-15
 
 
-def test_mle_fallback_warns_when_it_stops_on_its_budget(monkeypatch):
-    # the unpatched call on the same input converges and is repaired (above)
-    monkeypatch.setattr(tomography, "MLE_MAX_ITER", 20)
-    with pytest.warns(UserWarning, match="stopped"):
-        got = mle_reconstruct(*boundary_input())
-    assert isinstance(got, ScsPovm)
-    assert not got.diagnostics["converged"] and got.diagnostics["iterations"] == 20
+def test_mle_raises_when_the_boundary_gap_stays_open(monkeypatch):
+    monkeypatch.setattr(tomography, "MLE_MAX_STEPS", 1)
+    with pytest.raises(tomography.ConvergenceError, match="duality gap"):
+        mle_reconstruct(*boundary_input())
+
+
+def six_probe_states() -> np.ndarray:
+    """The four reconstruction probes plus |C-> and (|C+> + i|C->)/sqrt(2)."""
+    extra = np.array([[0.0, 1.0], [1.0, 1.0j]]) / np.array([[1.0], [math.sqrt(2.0)]])
+    return np.concatenate([probe_states(ALPHA), np.einsum("ik,il->ikl", extra, extra.conj())])
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [np.zeros(6), np.ones(6), np.array([1.0, 0.3, 0.0, 0.8, 1.0, 0.45])],
+    ids=["all-0", "all-1", "mixed"],
+)
+def test_mle_certifies_six_probe_sets(rates):
+    # six probes do not go through the four-probe inversion; rates of exactly
+    # 0 and 1 put the optimum on a corner or a face of [0, I]
+    rho = six_probe_states()
+    freq = np.stack([rates, 1.0 - rates], axis=1)
+    got = mle_reconstruct(rho, freq)
+    assert np.isfinite(got.pi0).all() and np.isfinite(got.diagnostics["log_likelihood"])
+    assert got.diagnostics["duality_gap"] <= 1e-12
+    assert duality_gap(rho, freq, got.pi0) <= 1e-12
+    if np.all(rates == rates[0]):  # pi0 = 0 or I reproduces every rate
+        assert got.diagnostics["log_likelihood"] >= -1e-12
 
 
 PROPERTY_SETTINGS = settings(
@@ -451,6 +487,7 @@ def test_mle_beats_the_clipped_inversion_on_the_boundary(alpha, rates):
     assume(w[0] < 0.0 or w[-1] > 1.0)
     got = mle_reconstruct(rho, freq)
     assert isinstance(got, ScsPovm) and got.diagnostics["iterations"] > 0
+    assert duality_gap(rho, freq, got.pi0) <= 1e-12
     clipped = (vecs * np.clip(w, 0.0, 1.0)) @ vecs.conj().T
     assert got.diagnostics["log_likelihood"] >= log_likelihood(rho, freq, clipped)
 
