@@ -11,6 +11,13 @@ on/off click model otherwise), for binary homodyne detection, and for the
 bare photon-number-parity baseline, and provides deterministic
 grid-plus-simplex optimizers over the displacement and over the homodyne
 threshold/phase.
+
+Every target vector is a two-term sum u|alpha> + v|-alpha>, and
+D(beta)^dag |a> = e^{i Im(beta* a)} |a - beta>, so every fidelity the
+optimizers search has a closed form in coherent-state overlaps.  The closed
+form searches, with no N x N matrix per evaluation; the truncated Fock model
+scores the point each search returns, so every reported number is the Fock
+model's.
 """
 
 from __future__ import annotations
@@ -19,9 +26,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import erfc
 
 from .fock import (
     ScsMeasurementSpec,
@@ -55,8 +64,9 @@ REFINE_TOL = 1e-8
 
 REPORT_CONSISTENCY_TOL = 1e-10
 
-#: complex elements per (rows, phases, N) grid temporary: about 0.5 MB, so a
-#: grid's memory stays flat however large the cutoff
+#: complex elements per grid temporary, such as the 2 N Fock amplitudes per
+#: point of the ideal-counter closed form: about 0.5 MB, so a grid's memory
+#: stays flat however large the cutoff
 _GRID_BLOCK_ELEMENTS = 2**15
 
 
@@ -95,26 +105,96 @@ def _by_blocks(score, rows: np.ndarray, row_elements: int) -> np.ndarray:
     return np.concatenate([score(rows[i : i + size]) for i in range(0, rows.size, size)])
 
 
-def _click_values(t0, t1, radii, phases, detector: DetectorModel, dim) -> np.ndarray:
-    """Fidelity at every displacement ``radii[r] * exp(i*phases[p])`` as an
-    ``(R, P)`` array; ``radii`` may be complex.
+@lru_cache(maxsize=8)
+def _contrast(spec: ScsMeasurementSpec) -> np.ndarray:
+    """S[k, l] = conj(C_0k) C_0l - conj(C_1k) C_1l, where t_j = sum_k C[j, k] |a_k>
+    writes the target vectors as sums of two untruncated coherent states,
+    a = (alpha, -alpha), the cat vectors normalized by
+    N_pm^2 = 2 (1 +- exp(-2 alpha^2)).
 
-    The matrices of all radii come from one batched build, rescaled by the
-    interference visibility for a click detector.  Rotating the phase only
-    multiplies matrix elements by ``exp(i*theta*(m-n))``, so every phase on
-    a ring reuses the ring's matrix.
+    For any outcome-0 element P, <t0|P|t0> - <t1|P|t1> = sum_kl S_kl
+    <a_k|P|a_l>, so a fidelity F = (1 + <t0|P|t0> - <t1|P|t1>) / 2 needs only
+    the 2 x 2 coherent-state matrix elements of P.  Cached, because every
+    objective evaluation of an optimizer reads the same spec's matrix.
     """
-    scale = 1.0 if detector.is_ideal else detector.visibility
-    dmats = _displacement_matrix(scale * np.atleast_1d(radii), dim)
-    m = np.arange(dim.size)
-    ramp = np.exp(1j * np.outer(phases, m))
-    r0 = np.abs((ramp * t0.conj()) @ dmats) ** 2
-    r1 = np.abs((ramp * t1.conj()) @ dmats) ** 2
+    x = 2.0 * spec.alpha**2
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0 + 2.0 * math.exp(-x))
+    minus = np.array([1.0, -1.0]) / math.sqrt(-2.0 * math.expm1(-x))
+    u = spec.c1 * complex(math.cos(spec.phi), math.sin(spec.phi))
+    C = np.array([spec.c0 * plus + u * minus, u.conjugate() * plus - spec.c0 * minus])
+    S = C[0].conj()[:, None] * C[0] - C[1].conj()[:, None] * C[1]
+    S.setflags(write=False)
+    return S
+
+
+def _contrast_sum(S: np.ndarray, m00, m11, m01):
+    """sum_kl S_kl M_kl for a Hermitian M given by M_00, M_11 and M_01."""
+    return S[0, 0].real * m00 + S[1, 1].real * m11 + 2.0 * (S[0, 1] * m01).real
+
+
+def _displaced_coherent(spec: ScsMeasurementSpec, b) -> tuple[np.ndarray, np.ndarray]:
+    """gamma[k, ...] = a_k - b and f[k, ...] = e^{i Im(b* a_k) - |gamma_k|^2/2}
+    for displacements ``b`` of any shape.  D(b)^dag |a_k> =
+    e^{i Im(b* a_k)} |a_k - b> has the Fock amplitudes f_k gamma_k^n / sqrt(n!).
+    The axes of ``b`` come last, so array operations run along the long axes."""
+    b = np.asarray(b, dtype=complex)
+    a = spec.alpha * np.array([1.0, -1.0]).reshape((2,) + (1,) * b.ndim)
+    gamma = a - b
+    return gamma, np.exp(1j * (b.conj() * a).imag - 0.5 * (gamma.real**2 + gamma.imag**2))
+
+
+def _coherent_click_fidelity(spec: ScsMeasurementSpec, beta, detector: DetectorModel, n_max: int):
+    """``displaced_click_fidelity`` at every displacement in ``beta`` (any
+    shape) from the coherent-state closed forms; no matrix is built.
+
+    An ideal counter sums max(d_n, 0) over n <= n_max, where
+    d_n = |<n|D^dag|t0>|^2 - |<n|D^dag|t1>|^2 comes from the amplitudes
+    u_k[n] = f_k gamma_k^n / sqrt(n!), built by a running product; this is
+    the partition rule of the Fock model, whose ties add nothing.  For a
+    click detector the loss weights (1 - eta)^n sum every photon number in
+    closed form: <a_k|P0|a_l> / (1 - nu) =
+    conj(f_k) f_l exp((1 - eta) conj(gamma_k) gamma_l).
+    """
+    S = _contrast(spec)
     if detector.is_ideal:
-        keep = r0 >= r1
-        return 0.5 * ((r0 * keep).sum(axis=-1) + 1.0 - (r1 * keep).sum(axis=-1))
-    weights = _outcome_weights(m == 0, detector.eta)
-    return 0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights))
+        gamma, f = _displaced_coherent(spec, beta)
+        inv_sqrt = 1.0 / np.sqrt(np.arange(1.0, n_max + 1)).reshape((-1,) + (1,) * gamma.ndim)
+        u = np.empty((n_max + 1,) + gamma.shape, dtype=complex)
+        u[0] = f
+        u[1:] = gamma * inv_sqrt
+        np.cumprod(u, axis=0, out=u)
+        u0, u1 = u[:, 0], u[:, 1]
+        d = _contrast_sum(S, u0.real**2 + u0.imag**2, u1.real**2 + u1.imag**2, u0.conj() * u1)
+        return 0.5 * (1.0 + np.maximum(d, 0.0).sum(axis=0))
+    (g0, g1), (f0, f1) = _displaced_coherent(spec, detector.visibility * np.asarray(beta))
+    eta = detector.eta
+    no_click = _contrast_sum(
+        S,
+        np.exp(-eta * (g0.real**2 + g0.imag**2)),
+        np.exp(-eta * (g1.real**2 + g1.imag**2)),
+        f0.conj() * f1 * np.exp((1.0 - eta) * g0.conj() * g1),
+    )
+    return 0.5 * (1.0 + (1.0 - detector.nu) * no_click)
+
+
+def _coherent_homodyne_fidelity(spec: ScsMeasurementSpec, x_th, lo_phase):
+    """``homodyne_fidelity`` at broadcastable arrays of thresholds and
+    phases from the coherent-state closed form.
+
+    For coherent wavefunctions int_x^inf conj(psi_a) psi_b =
+    1/2 erfc(x - s) exp(s^2 - (conj(a)^2 + b^2)/2 - (|a|^2 + |b|^2)/2) with
+    s = (conj(a) + b)/sqrt(2).  The phase rotates a_k = +-alpha to
+    +-alpha e^{-i theta}; the exponent then vanishes for k = l and is
+    -2 alpha^2 for k != l, so with c + i d = sqrt(2) alpha e^{i theta} the
+    matrix elements are erfc(x - c)/2, erfc(x + c)/2 and
+    e^{-2 alpha^2} erfc(x - i d)/2.
+    """
+    x = np.asarray(x_th, dtype=float)
+    theta = np.asarray(lo_phase, dtype=float)
+    c = math.sqrt(2.0) * spec.alpha * np.cos(theta)
+    d = math.sqrt(2.0) * spec.alpha * np.sin(theta)
+    cross = math.exp(-2.0 * spec.alpha**2) * erfc(x - 1j * d)
+    return 0.5 * (1.0 + 0.5 * _contrast_sum(_contrast(spec), erfc(x - c), erfc(x + c), cross))
 
 
 def displaced_click_fidelity(
@@ -123,10 +203,25 @@ def displaced_click_fidelity(
     detector: DetectorModel,
     dim,
 ) -> float:
-    """Fidelity of the displaced counting measurement at a fixed ``beta``."""
+    """Fidelity of the displaced counting measurement at a fixed ``beta`` in
+    the truncated Fock model.
+
+    An ideal counter assigns each photon number to the target whose
+    displaced overlap dominates; a click detector weights the no-click
+    outcome by loss and dark counts, behind a displacement scaled by the
+    interference visibility.
+    """
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
-    return float(_click_values(t0.amps, t1.amps, complex(beta), 0.0, detector, dim)[0, 0])
+    scale = 1.0 if detector.is_ideal else detector.visibility
+    D = _displacement_matrix(scale * complex(beta), dim)
+    r0 = np.abs(t0.amps.conj() @ D) ** 2
+    r1 = np.abs(t1.amps.conj() @ D) ** 2
+    if detector.is_ideal:
+        keep = r0 >= r1
+        return float(0.5 * ((r0 * keep).sum() + 1.0 - (r1 * keep).sum()))
+    weights = _outcome_weights(np.arange(dim.size) == 0, detector.eta)
+    return float(0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights)))
 
 
 def optimize_displacement(
@@ -136,24 +231,27 @@ def optimize_displacement(
 ) -> tuple[complex, float]:
     """Maximize the displaced-counting fidelity over complex ``beta``.
 
-    A coarse polar grid (amplitude step ``AMPLITUDE_STEP`` up to the largest
-    amplitude the truncation supports, phase step ``PHASE_STEP``) is followed
-    by Nelder-Mead refinement in the (Re, Im) plane; amplitudes outside the
-    supported disc are rejected by a penalty, and the refined point is only
-    accepted when it actually improves on the grid.  Fully deterministic:
-    grid ties go to the first maximum in radius-major order.
+    The coherent-state closed form searches: a coarse polar grid (amplitude
+    step ``AMPLITUDE_STEP`` up to the largest amplitude the truncation
+    supports, phase step ``PHASE_STEP``), then Nelder-Mead refinement in the
+    (Re, Im) plane; amplitudes outside the supported disc are rejected by a
+    penalty, and the refined point is only accepted when it improves on the
+    grid.  The Fock model scores the result: the returned fidelity is
+    ``displaced_click_fidelity`` at the returned ``beta``.  Fully
+    deterministic: grid ties go to the first maximum in radius-major order.
     """
     dim = as_dim(dim)
-    t0, t1 = scs_projectors(spec, dim)
-    a0, a1 = t0.amps, t1.amps
     r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(dim, AMPLITUDE_STEP))
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP
 
-    vals = _by_blocks(
-        lambda rs: _click_values(a0, a1, rs, phases, detector, dim), radii, phases.size * dim.size
-    )
+    def score(b):
+        return _coherent_click_fidelity(spec, b, detector, dim.n_max)
+
+    ring = np.exp(1j * phases)
+    point_elements = 2 * dim.size if detector.is_ideal else 4
+    vals = _by_blocks(lambda rs: score(rs[:, None] * ring), radii, phases.size * point_elements)
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_f = float(vals[i, k])
     r = float(radii[i])
@@ -164,7 +262,7 @@ def optimize_displacement(
         excess = abs(b) - r_max
         if excess > 0.0:
             return 1.0 + excess
-        return -float(_click_values(a0, a1, b, 0.0, detector, dim)[0, 0])
+        return -float(score(b))
 
     res = minimize(
         negated,
@@ -174,22 +272,8 @@ def optimize_displacement(
     )
     refined = complex(res.x[0], res.x[1])
     if -res.fun >= best_f and abs(refined) <= r_max:
-        best_f = float(-res.fun)
         best_beta = refined
-    return best_beta, best_f
-
-
-def _homodyne_values(t0, t1, thresholds, lo_phases, dim) -> np.ndarray:
-    """Fidelity of thresholded homodyne readout at every (threshold, phase)
-    pair, as a ``(T, P)`` array; all threshold operators come from one
-    closed-form evaluation."""
-    intervals = quadrature_interval_operator(np.atleast_1d(thresholds), np.inf, dim)
-    ramp = np.exp(-1j * np.outer(lo_phases, np.arange(dim.size)))
-    w0 = ramp * t0
-    w1 = ramp * t1
-    v0 = np.sum((w0.conj() @ intervals) * w0, axis=-1).real
-    v1 = np.sum((w1.conj() @ intervals) * w1, axis=-1).real
-    return 0.5 * (v0 + 1.0 - v1)
+    return best_beta, displaced_click_fidelity(spec, best_beta, detector, dim)
 
 
 def homodyne_fidelity(
@@ -198,29 +282,36 @@ def homodyne_fidelity(
     lo_phase: float,
     dim,
 ) -> float:
-    """Fidelity of thresholded homodyne readout at fixed threshold and phase."""
+    """Fidelity of thresholded homodyne readout at fixed threshold and phase
+    in the truncated Fock model."""
     dim = as_dim(dim)
     t0, t1 = scs_projectors(spec, dim)
-    return float(_homodyne_values(t0.amps, t1.amps, x_th, lo_phase, dim)[0, 0])
+    interval = quadrature_interval_operator(x_th, np.inf, dim)
+    ramp = np.exp(-1j * lo_phase * np.arange(dim.size))
+    w0 = ramp * t0.amps
+    w1 = ramp * t1.amps
+    v0 = np.sum((w0.conj() @ interval) * w0).real
+    v1 = np.sum((w1.conj() @ interval) * w1).real
+    return float(0.5 * (v0 + 1.0 - v1))
 
 
 def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, float]:
     """Maximize the homodyne fidelity over threshold and local-oscillator phase.
 
-    Grid over ``x_th`` in ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times
-    sixty phases in [0, pi), then clamped Nelder-Mead refinement.  Grid ties
-    go to the first maximum in threshold-major order.  Returns
-    ``(x_th_opt, lo_phase_opt, f)``.
+    The coherent-state closed form searches: a grid over ``x_th`` in
+    ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times sixty phases in
+    [0, pi), then clamped Nelder-Mead refinement.  Grid ties go to the first
+    maximum in threshold-major order.  The Fock model scores the result.
+    Returns ``(x_th_opt, lo_phase_opt, f)`` with
+    ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.
     """
     dim = as_dim(dim)
-    t0, t1 = scs_projectors(spec, dim)
-    a0, a1 = t0.amps, t1.amps
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     thetas = np.arange(60) * (math.pi / 60.0)
 
     vals = _by_blocks(
-        lambda block: _homodyne_values(a0, a1, block, thetas, dim), xs, thetas.size * dim.size
+        lambda block: _coherent_homodyne_fidelity(spec, block[:, None], thetas), xs, thetas.size
     )
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
@@ -234,8 +325,7 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
         )
 
     def negated(p: np.ndarray) -> float:
-        x, th = clamp(p)
-        return -float(_homodyne_values(a0, a1, x, th, dim)[0, 0])
+        return -float(_coherent_homodyne_fidelity(spec, *clamp(p)))
 
     res = minimize(
         negated,
@@ -243,10 +333,8 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
         method="Nelder-Mead",
         options={"xatol": REFINE_TOL, "fatol": REFINE_TOL, "maxiter": 400},
     )
-    if -res.fun >= best[0]:
-        x_opt, th_opt = clamp(res.x)
-        return x_opt, th_opt, float(-res.fun)
-    return best[1], best[2], best[0]
+    x_opt, th_opt = clamp(res.x) if -res.fun >= best[0] else best[1:]
+    return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)
 
 
 def quantize_to_schedule(beta: complex, levels) -> complex:
@@ -331,13 +419,8 @@ class SweepGrid:
         return itertools.product(self.c0sq_values, self.alpha_sq_values, self.phi_values)
 
 
-def _sweep_point(
-    point: tuple[float, float, float],
-    detector: DetectorModel,
-    dim,
-) -> FidelityReport:
-    c0sq, alpha_sq, phi = point
-    spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
+def _optimized_report(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
+    """All three strategies optimized at one spec, checked by ``verify``."""
     beta_opt, f_dp = optimize_displacement(spec, detector, dim)
     x_opt, th_opt, f_hd = optimize_homodyne(spec, dim)
     report = FidelityReport(
@@ -370,7 +453,9 @@ def sweep(
     reports = []
     for idx, point in enumerate(grid.points()):
         try:
-            reports.append(_sweep_point(point, detector, dim))
+            c0sq, alpha_sq, phi = point
+            spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
+            reports.append(_optimized_report(spec, detector, dim))
         except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
             if errors is not None:
                 errors.append((idx, point, exc))

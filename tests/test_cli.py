@@ -1,11 +1,17 @@
 import hashlib
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catproj import fidelity, fock
-from catproj.cli import COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
+from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
@@ -130,6 +136,26 @@ def test_optimize_prints_report(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert out.read_text() == text
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
+    # alpha^2 = 6.76 does not fit a 10-level truncation; the failure must be
+    # the one JSON record on stderr, with no library warning ahead of it
+    sweep_cfg = {"c0sq_values": [0.75], "alpha_sq_values": [0.25, 6.76], "phi_values": [0.0], "nmax": 10}
+    sweep_path = write_config(tmp_path, sweep_cfg)
+    optimize_path = write_config(tmp_path, {"alpha": 2.6, "c0sq": 0.5, "nmax": 10}, "opt.json")
+    for argv, stage in (
+        (["fidelity-sweep", "--config", sweep_path, "--out", str(tmp_path / "x.csv")], "sweep"),
+        (["optimize", "--config", optimize_path], "optimize"),
+    ):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])
+        assert record["stage"] == stage
+        assert "n_max=10" in record["message"]
+    assert record["error"] == "CutoffTooSmallError"  # not an IndexError from an empty sweep
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_deterministic_and_readable(tmp_path):
@@ -312,3 +338,57 @@ def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys
     out = tmp_path / "report.json"
     assert main(["--nmax", "14", "--out", str(out), "optimize"]) == 0
     assert json.loads(out.read_text())["schema"] == "catproj/optimize 1.0"
+
+
+_NUMBER_KEYS = sorted(k for k, want in _SCHEMA.items() if want == (int, float))
+_INT_KEYS = sorted(k for k, want in _SCHEMA.items() if want is int)
+_LIST_KEYS = sorted(k for k, want in _SCHEMA.items() if want is list)
+_TEXT_KEYS = sorted(k for k, want in _SCHEMA.items() if want is str)
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2))
+_BAD_ELEMENT = st.one_of(_NOT_FINITE, st.booleans(), st.none(), st.text(max_size=2))
+
+# one (key, value) pair that validate_config must reject
+_BAD_ENTRIES = st.one_of(
+    st.tuples(st.text(max_size=8).filter(lambda k: k not in _SCHEMA), st.integers()),
+    st.tuples(
+        st.sampled_from(_NUMBER_KEYS + _INT_KEYS),
+        st.one_of(_NOT_FINITE, st.booleans(), _NOT_A_NUMBER),
+    ),
+    st.tuples(st.sampled_from(_INT_KEYS), st.floats()),  # 2.0 is not an int either
+    st.tuples(
+        st.sampled_from(_LIST_KEYS),
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.text(max_size=4),
+            st.lists(_BAD_ELEMENT, min_size=1, max_size=3),
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(_TEXT_KEYS),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.none()),
+    ),
+    st.tuples(st.just("quantize"), st.one_of(st.integers(), st.text(max_size=4), st.none())),
+    st.tuples(
+        st.just("nmax"),
+        st.one_of(st.integers(max_value=0), st.integers(min_value=NMAX_CEILING + 1)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), entry=_BAD_ENTRIES, base=st.booleans())
+def test_every_bad_config_is_one_config_record(command, entry, base):
+    key, value = entry
+    cfg = {"alpha": 0.5, "c0sq": 0.75} if base else {}
+    cfg[key] = value
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with redirect_stderr(stderr):
+            assert main([command, "--config", str(path), "--out", str(Path(tmp) / "out")]) == 1
+        assert list(Path(tmp).iterdir()) == [path]
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["stage"] == "config"

@@ -1,8 +1,9 @@
 """Smoke test: the demo scripts run to completion in a fresh interpreter.
 
-``fidelity_landscape.py`` is left out because it takes about 5 s; the two
-kept here take about a second each and run the tomography pipeline, its
-boundary likelihood fit included, end to end.
+Each takes about one to two seconds.  ``fidelity_landscape.py`` runs 44
+optimized sweep points, ``detector_reconstruction.py`` and
+``loss_compensation.py`` the tomography pipeline, its boundary likelihood
+fit included, end to end.
 """
 
 import os
@@ -17,7 +18,9 @@ import catproj
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["detector_reconstruction.py", "loss_compensation.py"])
+@pytest.mark.parametrize(
+    "script", ["detector_reconstruction.py", "fidelity_landscape.py", "loss_compensation.py"]
+)
 def test_demo_exits_cleanly(script):
     package_root = str(Path(catproj.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from catproj import fidelity as fidelity_module
+from catproj import fock
 from catproj.fidelity import (
     FidelityReport,
     SweepGrid,
+    _coherent_click_fidelity,
+    _coherent_homodyne_fidelity,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -16,10 +20,11 @@ from catproj.fidelity import (
     quantize_to_schedule,
     sweep,
 )
-from catproj.fock import ScsMeasurementSpec, TruncationDim, _displacement_matrix
+from catproj.fock import ScsMeasurementSpec, TruncationDim, _displacement_matrix, max_guarded_amplitude
 from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm, parity_povm
 
 DIM = TruncationDim(20)
+LAB = DetectorModel(eta=0.689, nu=5.32e-5, visibility=0.998)
 
 # optimal ideal-counter fidelity and displacement modulus on the
 # c0^2 = 0.5 .. 1.0 (step 0.05) row at alpha = 0.5, phi = 0, from a dense
@@ -104,6 +109,83 @@ def test_click_model_matrix_route_agreement():
         direct = displaced_click_fidelity(spec, b, det, DIM)
         assembled = fidelity(onoff_povm(b, det, DIM), spec)
         assert direct == pytest.approx(assembled, abs=1e-12)
+
+
+def test_closed_forms_match_the_fock_kernels():
+    # the optimizers search with the untruncated coherent-state closed forms;
+    # at a cutoff where truncation is negligible they are the Fock model
+    dim = TruncationDim(40)
+    rng = np.random.default_rng(8)
+    worst = {"ideal": 0.0, "lab": 0.0, "homodyne": 0.0}
+    for alpha_sq in (0.1, 0.25, 1.0, 1.6, 2.3):
+        for c0sq in (0.2, 0.5, 0.75, 0.95):
+            for phi in (0.0, 0.9, math.pi / 2):
+                spec = spec_of(c0sq, math.sqrt(alpha_sq), phi)
+                radii = np.concatenate([[0.0, 2.5], rng.uniform(0.0, 2.5, 3)])
+                for b in radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, radii.size)):
+                    for name, det in (("ideal", IDEAL_DETECTOR), ("lab", LAB)):
+                        closed = _coherent_click_fidelity(spec, b, det, dim.n_max)
+                        fock_value = displaced_click_fidelity(spec, b, det, dim)
+                        worst[name] = max(worst[name], abs(closed - fock_value))
+                for x in np.concatenate([[-6.0, 6.0], rng.uniform(-6.0, 6.0, 3)]):
+                    th = rng.uniform(0.0, math.pi)
+                    closed = _coherent_homodyne_fidelity(spec, x, th)
+                    fock_value = homodyne_fidelity(spec, x, th, dim)
+                    worst["homodyne"] = max(worst["homodyne"], abs(closed - fock_value))
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_closed_forms_score_whole_grids():
+    # one array call scores a grid; each entry equals the single-point call
+    spec = spec_of(0.7, 0.8, 0.4)
+    betas = np.array([[0.0, 0.3 + 0.4j], [-0.7j, 1.1]])
+    for det in (IDEAL_DETECTOR, LAB):
+        grid = _coherent_click_fidelity(spec, betas, det, 20)
+        assert grid.shape == betas.shape
+        for b, v in zip(betas.ravel(), grid.ravel()):
+            assert v == pytest.approx(float(_coherent_click_fidelity(spec, b, det, 20)), abs=1e-15)
+    xs, thetas = np.array([-1.0, 0.2, 3.0]), np.array([0.0, 1.0])
+    grid = _coherent_homodyne_fidelity(spec, xs[:, None], thetas)
+    assert grid.shape == (3, 2)
+    for i, j in np.ndindex(grid.shape):
+        point = float(_coherent_homodyne_fidelity(spec, xs[i], thetas[j]))
+        assert grid[i, j] == pytest.approx(point, abs=1e-15)
+
+
+def counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_optimizers_build_one_fock_operator_each(monkeypatch):
+    # the search runs on closed forms; only the final score builds an N x N
+    # matrix, so no matrix build may creep back into the objective
+    max_guarded_amplitude(DIM)  # the cached guard scan is set-up, not search
+    counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
+    counting(monkeypatch, fock, "_displacement_matrix", counts)
+    counting(monkeypatch, fidelity_module, "_displacement_matrix", counts)
+    counting(monkeypatch, fidelity_module, "quadrature_interval_operator", counts)
+    spec = spec_of(0.8, 0.7, 0.3)
+    for det in (IDEAL_DETECTOR, LAB):
+        optimize_displacement(spec, det, DIM)
+        assert counts == {"_displacement_matrix": 1, "quadrature_interval_operator": 0}
+        counts["_displacement_matrix"] = 0
+    optimize_homodyne(spec, DIM)
+    assert counts == {"_displacement_matrix": 0, "quadrature_interval_operator": 1}
+
+
+def test_optimizers_report_the_fock_value_at_their_point():
+    for spec in (spec_of(0.8, 0.7, 0.3), spec_of(0.55, 1.2, 0.0)):
+        for det in (IDEAL_DETECTOR, LAB):
+            beta, f = optimize_displacement(spec, det, DIM)
+            assert f == displaced_click_fidelity(spec, beta, det, DIM)
+        x, th, f = optimize_homodyne(spec, DIM)
+        assert f == homodyne_fidelity(spec, x, th, DIM)
 
 
 def test_click_model_never_beats_ideal_counter():
@@ -192,8 +274,8 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_batched_matches_per_amplitude():
-    # the polar grid scores every radius from one (R, N, N) stack; each
-    # slice must equal the matrix built for that amplitude alone
+    # the displacement guard scan builds every radius from one (R, N, N)
+    # stack; each slice must equal the matrix built for that amplitude alone
     betas = np.concatenate([np.arange(0.0, 1.02 + 1e-12, 0.02), [0.3 + 0.4j, -0.7j]])
     stack = _displacement_matrix(betas, DIM)
     assert stack.shape == (betas.size, 21, 21)
