@@ -30,7 +30,7 @@ from .experiment import (
 )
 from .fidelity import (
     SweepGrid,
-    _coherent_click_fidelity,
+    _click_form,
     _optimized_report,
     displaced_povm,
     fidelity,
@@ -437,7 +437,7 @@ def _selftest_checks(dim: TruncationDim):
     # the coherent-state closed form against the assembled Fock-space POVM
     ideal_pair = displaced_povm(spec, 0.894j, DetectorModel(), dim)
     dual_route = max(
-        abs(_coherent_click_fidelity(spec, 0.894j, det, dim.n_max) - fidelity(povm, spec))
+        abs(_click_form(spec, det, dim.n_max, True)(0.894j) - fidelity(povm, spec))
         for det, povm in ((DetectorModel(), ideal_pair), (lab, pair))
     )
 
@@ -468,7 +468,8 @@ def cmd_selftest(cfg: dict) -> int:
         _detector(cfg)
         if "clicks" in cfg:
             read_click_table(cfg["clicks"])
-    checks = _selftest_checks(_dim(cfg))
+    with _stage("selftest"):
+        checks = _selftest_checks(_dim(cfg))
     failures = 0
     for name, tol, residual in checks:
         ok = residual <= tol

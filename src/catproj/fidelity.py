@@ -15,21 +15,25 @@ threshold/phase.
 Every target vector is a two-term sum u|alpha> + v|-alpha>, and
 D(beta)^dag |a> = e^{i Im(beta* a)} |a - beta>, so every fidelity the
 optimizers search has a closed form in coherent-state overlaps.  The closed
-form searches, with no N x N matrix per evaluation; the truncated Fock model
+form searches, with no N x N matrix per evaluation: the grids score whole
+arrays at once, every temporary the size of the grid, and an in-repo
+two-variable Nelder-Mead refines the grid's best point on the same closed
+form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
 scores the point each search returns, so every reported number is the Fock
 model's.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erfc
 
 from .fock import (
@@ -64,11 +68,6 @@ REFINE_TOL = 1e-8
 
 REPORT_CONSISTENCY_TOL = 1e-10
 
-#: complex elements per grid temporary, such as the 2 N Fock amplitudes per
-#: point of the ideal-counter closed form: about 0.5 MB, so a grid's memory
-#: stays flat however large the cutoff
-_GRID_BLOCK_ELEMENTS = 2**15
-
 
 def fidelity(pair: PovmPair, spec: ScsMeasurementSpec) -> float:
     """Average of the two diagonal POVM matrix elements in the target basis."""
@@ -98,24 +97,19 @@ def displaced_povm(spec: ScsMeasurementSpec, beta: complex, detector: DetectorMo
     return onoff_povm(beta, detector, dim)
 
 
-def _by_blocks(score, rows: np.ndarray, row_elements: int) -> np.ndarray:
-    """``score`` applied to consecutive blocks of ``rows``, results stacked;
-    a block holds about ``_GRID_BLOCK_ELEMENTS / row_elements`` rows."""
-    size = max(1, _GRID_BLOCK_ELEMENTS // row_elements)
-    return np.concatenate([score(rows[i : i + size]) for i in range(0, rows.size, size)])
-
-
 @lru_cache(maxsize=8)
-def _contrast(spec: ScsMeasurementSpec) -> np.ndarray:
-    """S[k, l] = conj(C_0k) C_0l - conj(C_1k) C_1l, where t_j = sum_k C[j, k] |a_k>
+def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
+    """(S_00, S_11, 2 S_01) as Python scalars, for the Hermitian
+    S[k, l] = conj(C_0k) C_0l - conj(C_1k) C_1l, where t_j = sum_k C[j, k] |a_k>
     writes the target vectors as sums of two untruncated coherent states,
     a = (alpha, -alpha), the cat vectors normalized by
     N_pm^2 = 2 (1 +- exp(-2 alpha^2)).
 
-    For any outcome-0 element P, <t0|P|t0> - <t1|P|t1> = sum_kl S_kl
-    <a_k|P|a_l>, so a fidelity F = (1 + <t0|P|t0> - <t1|P|t1>) / 2 needs only
-    the 2 x 2 coherent-state matrix elements of P.  Cached, because every
-    objective evaluation of an optimizer reads the same spec's matrix.
+    For any outcome-0 element P with M_kl = <a_k|P|a_l>, <t0|P|t0> -
+    <t1|P|t1> = sum_kl S_kl M_kl = S_00 M_00 + S_11 M_11 + Re(2 S_01 M_01), so
+    a fidelity F = (1 + <t0|P|t0> - <t1|P|t1>) / 2 needs only the 2 x 2
+    coherent-state matrix elements of P.  Cached, because each optimizer
+    builds its closed form twice, for the grid and for the refinement.
     """
     x = 2.0 * spec.alpha**2
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0 + 2.0 * math.exp(-x))
@@ -123,63 +117,70 @@ def _contrast(spec: ScsMeasurementSpec) -> np.ndarray:
     u = spec.c1 * complex(math.cos(spec.phi), math.sin(spec.phi))
     C = np.array([spec.c0 * plus + u * minus, u.conjugate() * plus - spec.c0 * minus])
     S = C[0].conj()[:, None] * C[0] - C[1].conj()[:, None] * C[1]
-    S.setflags(write=False)
-    return S
+    return float(S[0, 0].real), float(S[1, 1].real), complex(2.0 * S[0, 1])
 
 
-def _contrast_sum(S: np.ndarray, m00, m11, m01):
-    """sum_kl S_kl M_kl for a Hermitian M given by M_00, M_11 and M_01."""
-    return S[0, 0].real * m00 + S[1, 1].real * m11 + 2.0 * (S[0, 1] * m01).real
+def _click_form(spec: ScsMeasurementSpec, detector: DetectorModel, n_max: int, scalar: bool):
+    """The closed form of ``displaced_click_fidelity`` as a function of the
+    displacement b: of one Python complex in ``math``/``cmath`` arithmetic
+    when ``scalar``, else of a complex array of any shape.  No matrix is
+    built.
 
-
-def _displaced_coherent(spec: ScsMeasurementSpec, b) -> tuple[np.ndarray, np.ndarray]:
-    """gamma[k, ...] = a_k - b and f[k, ...] = e^{i Im(b* a_k) - |gamma_k|^2/2}
-    for displacements ``b`` of any shape.  D(b)^dag |a_k> =
-    e^{i Im(b* a_k)} |a_k - b> has the Fock amplitudes f_k gamma_k^n / sqrt(n!).
-    The axes of ``b`` come last, so array operations run along the long axes."""
-    b = np.asarray(b, dtype=complex)
-    a = spec.alpha * np.array([1.0, -1.0]).reshape((2,) + (1,) * b.ndim)
-    gamma = a - b
-    return gamma, np.exp(1j * (b.conj() * a).imag - 0.5 * (gamma.real**2 + gamma.imag**2))
-
-
-def _coherent_click_fidelity(spec: ScsMeasurementSpec, beta, detector: DetectorModel, n_max: int):
-    """``displaced_click_fidelity`` at every displacement in ``beta`` (any
-    shape) from the coherent-state closed forms; no matrix is built.
-
-    An ideal counter sums max(d_n, 0) over n <= n_max, where
-    d_n = |<n|D^dag|t0>|^2 - |<n|D^dag|t1>|^2 comes from the amplitudes
-    u_k[n] = f_k gamma_k^n / sqrt(n!), built by a running product; this is
+    D(b)^dag |a_k> = f_k |gamma_k>, with gamma_k = a_k - b and
+    f_k = e^{i Im(conj(b) a_k) - |gamma_k|^2 / 2}.  An ideal counter sums
+    max(d_n, 0) over n <= n_max, where d_n = |<n|D^dag|t0>|^2 -
+    |<n|D^dag|t1>|^2 comes from the amplitudes u_k[n] = f_k gamma_k^n / sqrt(n!)
+    through |u_k[n]|^2 = e^{-|gamma_k|^2} |gamma_k|^{2n} / n! and
+    conj(u_0[n]) u_1[n] = conj(f_0) f_1 (conj(gamma_0) gamma_1)^n / n!: two
+    real running products and one complex one, each the size of b.  This is
     the partition rule of the Fock model, whose ties add nothing.  For a
     click detector the loss weights (1 - eta)^n sum every photon number in
     closed form: <a_k|P0|a_l> / (1 - nu) =
-    conj(f_k) f_l exp((1 - eta) conj(gamma_k) gamma_l).
+    conj(f_k) f_l exp((1 - eta) conj(gamma_k) gamma_l), with b scaled by
+    the visibility.
     """
-    S = _contrast(spec)
+    s00, s11, s01 = _contrast(spec)
+    alpha = spec.alpha
+    exp, cexp = (math.exp, cmath.exp) if scalar else (np.exp, np.exp)
+
     if detector.is_ideal:
-        gamma, f = _displaced_coherent(spec, beta)
-        inv_sqrt = 1.0 / np.sqrt(np.arange(1.0, n_max + 1)).reshape((-1,) + (1,) * gamma.ndim)
-        u = np.empty((n_max + 1,) + gamma.shape, dtype=complex)
-        u[0] = f
-        u[1:] = gamma * inv_sqrt
-        np.cumprod(u, axis=0, out=u)
-        u0, u1 = u[:, 0], u[:, 1]
-        d = _contrast_sum(S, u0.real**2 + u0.imag**2, u1.real**2 + u1.imag**2, u0.conj() * u1)
-        return 0.5 * (1.0 + np.maximum(d, 0.0).sum(axis=0))
-    (g0, g1), (f0, f1) = _displaced_coherent(spec, detector.visibility * np.asarray(beta))
-    eta = detector.eta
-    no_click = _contrast_sum(
-        S,
-        np.exp(-eta * (g0.real**2 + g0.imag**2)),
-        np.exp(-eta * (g1.real**2 + g1.imag**2)),
-        f0.conj() * f1 * np.exp((1.0 - eta) * g0.conj() * g1),
-    )
-    return 0.5 * (1.0 + (1.0 - detector.nu) * no_click)
+
+        def ideal(b):
+            g0, g1 = alpha - b, -alpha - b
+            q0 = g0.real * g0.real + g0.imag * g0.imag
+            q1 = g1.real * g1.real + g1.imag * g1.imag
+            r = g0.conjugate() * g1
+            p0, p1 = exp(-q0), exp(-q1)  # |f_0|^2, |f_1|^2
+            c = cexp(-0.5 * (q0 + q1) + 2j * alpha * b.imag)  # conj(f_0) f_1
+            total = 0.0
+            for n in range(n_max + 1):
+                if n:
+                    p0, p1, c = p0 * q0 / n, p1 * q1 / n, c * r / n
+                d = s00 * p0 + s11 * p1 + (s01 * c).real
+                total = total + d * (d > 0.0)
+            return 0.5 * (1.0 + total)
+
+        return ideal
+
+    v, eta, bright = detector.visibility, detector.eta, 1.0 - detector.nu
+
+    def click(b):
+        b = v * b
+        g0, g1 = alpha - b, -alpha - b
+        q0 = g0.real * g0.real + g0.imag * g0.imag
+        q1 = g1.real * g1.real + g1.imag * g1.imag
+        # conj(f_0) f_1 exp((1 - eta) conj(gamma_0) gamma_1) as one exponential
+        cross = cexp(-0.5 * (q0 + q1) + 2j * alpha * b.imag + (1.0 - eta) * g0.conjugate() * g1)
+        no_click = s00 * exp(-eta * q0) + s11 * exp(-eta * q1) + (s01 * cross).real
+        return 0.5 * (1.0 + bright * no_click)
+
+    return click
 
 
-def _coherent_homodyne_fidelity(spec: ScsMeasurementSpec, x_th, lo_phase):
-    """``homodyne_fidelity`` at broadcastable arrays of thresholds and
-    phases from the coherent-state closed form.
+def _homodyne_form(spec: ScsMeasurementSpec, scalar: bool):
+    """The closed form of ``homodyne_fidelity`` as a function of threshold
+    and phase: of two floats in ``math`` arithmetic when ``scalar`` (scipy's
+    ``erfc`` only for the complex argument), else of broadcastable arrays.
 
     For coherent wavefunctions int_x^inf conj(psi_a) psi_b =
     1/2 erfc(x - s) exp(s^2 - (conj(a)^2 + b^2)/2 - (|a|^2 + |b|^2)/2) with
@@ -189,12 +190,94 @@ def _coherent_homodyne_fidelity(spec: ScsMeasurementSpec, x_th, lo_phase):
     matrix elements are erfc(x - c)/2, erfc(x + c)/2 and
     e^{-2 alpha^2} erfc(x - i d)/2.
     """
-    x = np.asarray(x_th, dtype=float)
-    theta = np.asarray(lo_phase, dtype=float)
-    c = math.sqrt(2.0) * spec.alpha * np.cos(theta)
-    d = math.sqrt(2.0) * spec.alpha * np.sin(theta)
-    cross = math.exp(-2.0 * spec.alpha**2) * erfc(x - 1j * d)
-    return 0.5 * (1.0 + 0.5 * _contrast_sum(_contrast(spec), erfc(x - c), erfc(x + c), cross))
+    s00, s11, s01 = _contrast(spec)
+    radius = math.sqrt(2.0) * spec.alpha
+    overlap = math.exp(-2.0 * spec.alpha**2)
+    cos, sin, real_erfc = (math.cos, math.sin, math.erfc) if scalar else (np.cos, np.sin, erfc)
+    to_complex = complex if scalar else np.asarray  # scipy returns numpy scalars
+
+    def homodyne(x, theta):
+        c, d = radius * cos(theta), radius * sin(theta)
+        cross = overlap * to_complex(erfc(x - 1j * d))
+        upper = s00 * real_erfc(x - c) + s11 * real_erfc(x + c) + (s01 * cross).real
+        return 0.5 * (1.0 + 0.5 * upper)
+
+    return homodyne
+
+
+def _first_maximum(vals: np.ndarray) -> int:
+    """Flat index of the first entry within 16 ulps of the largest.  Mirror
+    images, such as beta and conj(beta) at phi = 0, score the same up to
+    rounding noise; this sends such ties to the first in grid order."""
+    top = vals.max()
+    return int(np.argmax(vals >= top - 16.0 * np.spacing(top)))
+
+
+_value = itemgetter(0)
+
+
+def _nelder_mead(fun, x0, maxiter: int):
+    """Minimize ``fun(x, y)`` from ``x0 = (x, y)`` by the two-variable
+    Nelder-Mead simplex method with fixed coefficients (Lagarias, Reeds,
+    Wright & Wright, SIAM J. Optim. 9, 1998), in Python floats.
+
+    Every step is that of scipy's default (non-adaptive) Nelder-Mead, to the
+    last bit: reflection 1, expansion 2, contractions and shrink 1/2; a
+    start simplex that scales each coordinate by 1.05, or sets it to 0.00025
+    where it is exactly 0; a stable sort of the vertices by value; and a stop
+    once every vertex lies within ``REFINE_TOL`` of the best one in each
+    coordinate and in value, or after ``maxiter - 1`` iterations.
+    Returns ``((x, y), value, evaluations)`` of the best vertex.
+    """
+    bx, by = x0
+    sx = 1.05 * bx if bx != 0.0 else 0.00025
+    sy = 1.05 * by if by != 0.0 else 0.00025
+    start = ((bx, by), (sx, by), (bx, sy))
+    sim = sorted([(fun(x, y), x, y) for x, y in start], key=_value)
+    nfev = 3
+    for _ in range(maxiter - 1):
+        (fb, bx, by), (fm, mx, my), (fw, wx, wy) = sim
+        if (
+            abs(mx - bx) <= REFINE_TOL
+            and abs(my - by) <= REFINE_TOL
+            and abs(wx - bx) <= REFINE_TOL
+            and abs(wy - by) <= REFINE_TOL
+            and abs(fb - fm) <= REFINE_TOL
+            and abs(fb - fw) <= REFINE_TOL
+        ):
+            break
+        cx, cy = (bx + mx) / 2, (by + my) / 2  # centroid of all but the worst
+        xr, yr = 2 * cx - wx, 2 * cy - wy
+        fr = fun(xr, yr)
+        nfev += 1
+        if fr < fb:
+            xe, ye = 3 * cx - 2 * wx, 3 * cy - 2 * wy
+            fe = fun(xe, ye)
+            nfev += 1
+            sim[2] = (fe, xe, ye) if fe < fr else (fr, xr, yr)
+        elif fr < fm:
+            sim[2] = (fr, xr, yr)
+        else:
+            if fr < fw:  # contract outside
+                xc, yc = 1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy
+                fc = fun(xc, yc)
+                accept = fc <= fr
+            else:  # contract inside
+                xc, yc = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
+                fc = fun(xc, yc)
+                accept = fc < fw
+            nfev += 1
+            if accept:
+                sim[2] = (fc, xc, yc)
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    _, x, y = sim[j]
+                    x, y = bx + 0.5 * (x - bx), by + 0.5 * (y - by)
+                    sim[j] = (fun(x, y), x, y)
+                nfev += 2
+        sim.sort(key=_value)
+    f, x, y = sim[0]
+    return (x, y), f, nfev
 
 
 def displaced_click_fidelity(
@@ -233,12 +316,14 @@ def optimize_displacement(
 
     The coherent-state closed form searches: a coarse polar grid (amplitude
     step ``AMPLITUDE_STEP`` up to the largest amplitude the truncation
-    supports, phase step ``PHASE_STEP``), then Nelder-Mead refinement in the
-    (Re, Im) plane; amplitudes outside the supported disc are rejected by a
-    penalty, and the refined point is only accepted when it improves on the
-    grid.  The Fock model scores the result: the returned fidelity is
+    supports, phase step ``PHASE_STEP``) scored as one array, then
+    ``_nelder_mead`` refinement in the (Re, Im) plane on the scalar closed
+    form; amplitudes outside the supported disc are rejected by a penalty,
+    and the refined point is only accepted when it improves on the grid.
+    The Fock model scores the result: the returned fidelity is
     ``displaced_click_fidelity`` at the returned ``beta``.  Fully
-    deterministic: grid ties go to the first maximum in radius-major order.
+    deterministic: grid ties within a few ulps go to the first maximum in
+    radius-major, phase-ascending order.
     """
     dim = as_dim(dim)
     r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(dim, AMPLITUDE_STEP))
@@ -246,32 +331,23 @@ def optimize_displacement(
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP
 
-    def score(b):
-        return _coherent_click_fidelity(spec, b, detector, dim.n_max)
-
-    ring = np.exp(1j * phases)
-    point_elements = 2 * dim.size if detector.is_ideal else 4
-    vals = _by_blocks(lambda rs: score(rs[:, None] * ring), radii, phases.size * point_elements)
-    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    vals = _click_form(spec, detector, dim.n_max, False)(radii[:, None] * np.exp(1j * phases))
+    i, k = np.unravel_index(_first_maximum(vals), vals.shape)
     best_f = float(vals[i, k])
     r = float(radii[i])
     best_beta = complex(r * math.cos(phases[k]), r * math.sin(phases[k]))
+    score = _click_form(spec, detector, dim.n_max, True)
 
-    def negated(xy: np.ndarray) -> float:
-        b = complex(xy[0], xy[1])
+    def negated(x: float, y: float) -> float:
+        b = complex(x, y)
         excess = abs(b) - r_max
         if excess > 0.0:
             return 1.0 + excess
-        return -float(score(b))
+        return -score(b)
 
-    res = minimize(
-        negated,
-        np.array([best_beta.real, best_beta.imag]),
-        method="Nelder-Mead",
-        options={"xatol": REFINE_TOL, "fatol": REFINE_TOL, "maxiter": 600},
-    )
-    refined = complex(res.x[0], res.x[1])
-    if -res.fun >= best_f and abs(refined) <= r_max:
+    (x, y), f, _ = _nelder_mead(negated, (best_beta.real, best_beta.imag), 600)
+    refined = complex(x, y)
+    if -f >= best_f and abs(refined) <= r_max:
         best_beta = refined
     return best_beta, displaced_click_fidelity(spec, best_beta, detector, dim)
 
@@ -300,7 +376,8 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
 
     The coherent-state closed form searches: a grid over ``x_th`` in
     ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times sixty phases in
-    [0, pi), then clamped Nelder-Mead refinement.  Grid ties go to the first
+    [0, pi), scored as one array, then clamped ``_nelder_mead`` refinement
+    on the scalar closed form.  Grid ties within a few ulps go to the first
     maximum in threshold-major order.  The Fock model scores the result.
     Returns ``(x_th_opt, lo_phase_opt, f)`` with
     ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.
@@ -310,30 +387,20 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     thetas = np.arange(60) * (math.pi / 60.0)
 
-    vals = _by_blocks(
-        lambda block: _coherent_homodyne_fidelity(spec, block[:, None], thetas), xs, thetas.size
-    )
-    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    vals = _homodyne_form(spec, False)(xs[:, None], thetas)
+    i, k = np.unravel_index(_first_maximum(vals), vals.shape)
     best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
-
+    score = _homodyne_form(spec, True)
     theta_cap = math.pi * (1.0 - 1e-12)
 
-    def clamp(p: np.ndarray) -> tuple[float, float]:
-        return (
-            min(max(float(p[0]), lo), hi),
-            min(max(float(p[1]), 0.0), theta_cap),
-        )
+    def clamp(x: float, theta: float) -> tuple[float, float]:
+        return min(max(x, lo), hi), min(max(theta, 0.0), theta_cap)
 
-    def negated(p: np.ndarray) -> float:
-        return -float(_coherent_homodyne_fidelity(spec, *clamp(p)))
+    def negated(x: float, theta: float) -> float:
+        return -score(*clamp(x, theta))
 
-    res = minimize(
-        negated,
-        np.array([best[1], best[2]]),
-        method="Nelder-Mead",
-        options={"xatol": REFINE_TOL, "fatol": REFINE_TOL, "maxiter": 400},
-    )
-    x_opt, th_opt = clamp(res.x) if -res.fun >= best[0] else best[1:]
+    (x, th), f, _ = _nelder_mead(negated, best[1:], 400)
+    x_opt, th_opt = clamp(x, th) if -f >= best[0] else best[1:]
     return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)
 
 

@@ -280,9 +280,12 @@ def test_selftest_passes_and_reports(tmp_path, capsys):
 
 def test_selftest_guards_small_truncation(capsys):
     # the published operating point is not certified at this cutoff; the
-    # displacement guard turns that into a clean config-stage failure
+    # displacement guard inside the battery turns that into a clean failure
+    # of the selftest stage
     assert main(["selftest", "--nmax", "16"]) == 1
-    assert last_error(capsys)["error"] == "CutoffTooSmallError"
+    record = last_error(capsys)
+    assert record["error"] == "CutoffTooSmallError"
+    assert record["stage"] == "selftest"
 
 
 def test_selftest_rejects_invalid_detector(tmp_path, capsys):

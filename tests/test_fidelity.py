@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from catproj import fidelity as fidelity_module
 from catproj import fock
+from catproj.cli import PRESETS
 from catproj.fidelity import (
+    AMPLITUDE_CEILING,
+    REFINE_TOL,
+    THRESHOLD_RANGE,
     FidelityReport,
     SweepGrid,
-    _coherent_click_fidelity,
-    _coherent_homodyne_fidelity,
+    _click_form,
+    _first_maximum,
+    _homodyne_form,
+    _nelder_mead,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -124,32 +131,118 @@ def test_closed_forms_match_the_fock_kernels():
                 radii = np.concatenate([[0.0, 2.5], rng.uniform(0.0, 2.5, 3)])
                 for b in radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, radii.size)):
                     for name, det in (("ideal", IDEAL_DETECTOR), ("lab", LAB)):
-                        closed = _coherent_click_fidelity(spec, b, det, dim.n_max)
+                        closed = _click_form(spec, det, dim.n_max, True)(complex(b))
                         fock_value = displaced_click_fidelity(spec, b, det, dim)
                         worst[name] = max(worst[name], abs(closed - fock_value))
                 for x in np.concatenate([[-6.0, 6.0], rng.uniform(-6.0, 6.0, 3)]):
                     th = rng.uniform(0.0, math.pi)
-                    closed = _coherent_homodyne_fidelity(spec, x, th)
+                    closed = _homodyne_form(spec, True)(float(x), float(th))
                     fock_value = homodyne_fidelity(spec, x, th, dim)
                     worst["homodyne"] = max(worst["homodyne"], abs(closed - fock_value))
     assert max(worst.values()) <= 1e-12, worst
 
 
 def test_closed_forms_score_whole_grids():
-    # one array call scores a grid; each entry equals the single-point call
-    spec = spec_of(0.7, 0.8, 0.4)
-    betas = np.array([[0.0, 0.3 + 0.4j], [-0.7j, 1.1]])
-    for det in (IDEAL_DETECTOR, LAB):
-        grid = _coherent_click_fidelity(spec, betas, det, 20)
-        assert grid.shape == betas.shape
-        for b, v in zip(betas.ravel(), grid.ravel()):
-            assert v == pytest.approx(float(_coherent_click_fidelity(spec, b, det, 20)), abs=1e-15)
-    xs, thetas = np.array([-1.0, 0.2, 3.0]), np.array([0.0, 1.0])
-    grid = _coherent_homodyne_fidelity(spec, xs[:, None], thetas)
-    assert grid.shape == (3, 2)
-    for i, j in np.ndindex(grid.shape):
-        point = float(_coherent_homodyne_fidelity(spec, xs[i], thetas[j]))
-        assert grid[i, j] == pytest.approx(point, abs=1e-15)
+    # one array call scores a grid; each entry equals the scalar closed form
+    # that the refinement calls, a Python float in math/cmath arithmetic
+    rng = np.random.default_rng(12)
+    for spec in (spec_of(0.7, 0.8, 0.4), spec_of(0.2, 1.4, 2.0)):
+        drawn = rng.uniform(0.0, 2.5, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+        betas = np.concatenate([[0.0, 0.3 + 0.4j, -0.7j, 1.1], drawn]).reshape(4, 5)
+        for det in (IDEAL_DETECTOR, LAB):
+            grid = _click_form(spec, det, 20, False)(betas)
+            assert grid.shape == betas.shape
+            score = _click_form(spec, det, 20, True)
+            for b, v in zip(betas.ravel(), grid.ravel()):
+                point = score(complex(b))
+                assert type(point) is float and abs(v - point) <= 1e-15
+        xs = np.concatenate([[-1.0, 0.2, 3.0], rng.uniform(-6.0, 6.0, 5)])
+        thetas = np.array([0.0, 1.0, 2.9])
+        grid = _homodyne_form(spec, False)(xs[:, None], thetas)
+        assert grid.shape == (8, 3)
+        score = _homodyne_form(spec, True)
+        for i, j in np.ndindex(grid.shape):
+            point = score(float(xs[i]), float(thetas[j]))
+            assert type(point) is float and abs(grid[i, j] - point) <= 1e-15
+
+
+def same_as_scipy(fun, x0, maxiter):
+    """Run the in-repo Nelder-Mead and scipy's on fun(x, y); both must visit
+    the same vertices to the last bit.  Returns the evaluation count."""
+    (x, y), f, nfev = _nelder_mead(fun, x0, maxiter)
+    res = minimize(
+        lambda p: fun(p[0], p[1]),
+        np.array(x0, dtype=float),
+        method="Nelder-Mead",
+        options={"xatol": REFINE_TOL, "fatol": REFINE_TOL, "maxiter": maxiter},
+    )
+    assert (x, y) == (res.x[0], res.x[1]) and f == res.fun and nfev == res.nfev, (x0, maxiter)
+    return nfev
+
+
+def test_nelder_mead_matches_scipy():
+    # the objectives the optimizers refine, from grid starts: Re beta =
+    # r cos(pi/2) is about 1e-17, the threshold grid's "0" is -2.1e-14, and
+    # phase 0 gives a coordinate that is exactly 0
+    r_max = AMPLITUDE_CEILING
+    lo, hi = THRESHOLD_RANGE
+    theta_cap = math.pi * (1.0 - 1e-12)
+    thresholds = np.arange(lo, hi + 1e-9, 0.1)
+    for spec in (spec_of(0.8, 0.7, 0.3), spec_of(0.55, 1.2, 0.0), spec_of(0.5)):
+        for det in (IDEAL_DETECTOR, LAB):
+            score = _click_form(spec, det, DIM.n_max, True)
+
+            def negated(x, y):
+                b = complex(x, y)
+                excess = abs(b) - r_max
+                return 1.0 + excess if excess > 0.0 else -score(b)
+
+            for r, phase in ((0.76, 0.0), (0.4, math.pi / 2), (1.1, 2.2), (2.48, 0.3)):
+                same_as_scipy(negated, (r * math.cos(phase), r * math.sin(phase)), 600)
+            same_as_scipy(negated, (0.0, 0.0), 600)
+            same_as_scipy(negated, (1e-16, 0.5), 600)
+            converged = same_as_scipy(negated, (0.3, 0.2), 600)
+            assert same_as_scipy(negated, (0.3, 0.2), 6) < converged  # stopped by maxiter
+
+        hd = _homodyne_form(spec, True)
+
+        def negated_hd(x, theta):
+            return -hd(min(max(x, lo), hi), min(max(theta, 0.0), theta_cap))
+
+        for i, k in ((60, 0), (55, 13), (70, 59), (120, 30)):
+            same_as_scipy(negated_hd, (float(thresholds[i]), k * math.pi / 60.0), 400)
+
+
+def test_nelder_mead_shrinks_like_scipy():
+    # from (1, 1) on sqrt|x - 1| + sqrt|y - 1| the reflected and the inside
+    # contracted points are both worse than the worst vertex, so the first
+    # iteration shrinks the simplex toward the best vertex
+    seen = []
+
+    def cusp(x, y):
+        seen.append((float(x), float(y)))
+        return math.sqrt(abs(x - 1.0)) + math.sqrt(abs(y - 1.0))
+
+    same_as_scipy(cusp, (1.0, 1.0), 400)
+    half = 1.0 + 0.5 * (1.05 - 1.0)
+    assert seen[5:7] == [(half, 1.0), (1.0, half)]
+
+
+def test_mirror_ties_go_to_the_first_grid_maximum():
+    # beta and -beta tie at c0^2 = 1/2, phi = 0, and beta and conj(beta) tie
+    # at phi = 0; within a few ulps the grid takes the first maximum in
+    # radius-major, phase-ascending order, not the last bits of the values
+    vals = np.array([[0.5, 0.9, np.nextafter(0.96, 0.0)], [0.96, 0.7, 0.96]])
+    assert _first_maximum(vals) == 2
+    vals[0, 2] = 0.96 - 1e-12
+    assert _first_maximum(vals) == 3
+    beta, _ = optimize_displacement(spec_of(0.5), IDEAL_DETECTOR, DIM)
+    assert beta.real > 0.5
+    fig1d = PRESETS["fig1d"]
+    c0sq = next(c for c in fig1d["c0sq_values"] if abs(c - 0.8) < 1e-9)
+    alpha_sq = next(a for a in fig1d["alpha_sq_values"] if abs(a - 1.6) < 1e-9)
+    beta, _ = optimize_displacement(spec_of(c0sq, math.sqrt(alpha_sq)), IDEAL_DETECTOR, DIM)
+    assert beta.imag > 0.1
 
 
 def counting(monkeypatch, module, name, counts):
