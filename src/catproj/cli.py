@@ -31,6 +31,7 @@ from .experiment import (
 from .fidelity import (
     SweepGrid,
     _click_form,
+    _contrast,
     _optimized_report,
     displaced_povm,
     fidelity,
@@ -52,6 +53,7 @@ from .tomography import (
     ClickTable,
     ProbeSet,
     ScsPovm,
+    _require_probe_rows,
     error_bars,
     povm_entry_bound_check,
     povm_pair_fidelity,
@@ -362,6 +364,7 @@ def cmd_tomography(cfg: dict) -> int:
     if "clicks" in cfg:
         with _stage("ingest"):
             table, clicks_meta = read_click_table(cfg["clicks"])
+            _require_probe_rows(table, probes)
             clicks_sha256 = clicks_meta["sha256"]
     else:
         with _stage("simulate"):
@@ -437,7 +440,7 @@ def _selftest_checks(dim: TruncationDim):
     # the coherent-state closed form against the assembled Fock-space POVM
     ideal_pair = displaced_povm(spec, 0.894j, DetectorModel(), dim)
     dual_route = max(
-        abs(_click_form(spec, det, dim.n_max, True)(0.894j) - fidelity(povm, spec))
+        abs(_click_form(spec.alpha, _contrast(spec), det, dim.n_max)(0.894j) - fidelity(povm, spec))
         for det, povm in ((DetectorModel(), ideal_pair), (lab, pair))
     )
 

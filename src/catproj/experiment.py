@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fidelity import displaced_povm, fidelity, optimize_displacement, quantize_to_schedule
+from .fidelity import (
+    _optimize_displacements,
+    displaced_povm,
+    fidelity,
+    optimize_displacement,
+    quantize_to_schedule,
+)
 from .fock import ScsMeasurementSpec, TruncationDim, as_dim, coherent_state, expect
 from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _displaced_counting
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
@@ -155,7 +161,8 @@ def reconstruction_sweep(
 ) -> list[ReconstructionPoint]:
     """Measure-and-reconstruct loop over a grid of target superpositions.
 
-    For each ``c0^2``: find the ideal optimal displacement, snap it to the
+    For each ``c0^2``: find the ideal optimal displacement (all of them in
+    one optimizer pass, as they share the probe alpha), snap it to the
     campaign's amplitude menu (unless ``quantize`` is off), build the
     imperfect-apparatus POVM at that shift, simulate clicks, reconstruct,
     and score against the target.  ``f_raw`` interprets probes at their
@@ -170,10 +177,10 @@ def reconstruction_sweep(
     root_eta = math.sqrt(campaign.detector.eta)
     menu = [abs(b) for b in campaign.displacement_schedule]
     seeds = campaign.point_seeds(len(c0sq_values))
+    specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
+    optima = _optimize_displacements(specs, IDEAL_DETECTOR, dim)
     out: list[ReconstructionPoint] = []
-    for seed, c0sq in zip(seeds, c0sq_values):
-        spec = ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi)
-        beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, dim)
+    for seed, c0sq, spec, (beta, _) in zip(seeds, c0sq_values, specs, optima):
         if quantize:
             beta = quantize_to_schedule(beta, menu)
         truth = apparatus_povm(spec, beta, campaign.detector, dim)

@@ -21,6 +21,12 @@ two-variable Nelder-Mead refines the grid's best point on the same closed
 form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
 scores the point each search returns, so every reported number is the Fock
 model's.
+
+Only a 2 x 2 contrast depends on the superposition weight and phase; the
+rest of each closed form depends on alpha alone.  A sweep therefore groups
+its points by alpha and optimizes each group in one pass: the alpha-only
+grid terms are computed once per group, and each point costs a contrast
+combination over the grid plus its own refinement and Fock score.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -68,6 +73,9 @@ REFINE_TOL = 1e-8
 
 REPORT_CONSISTENCY_TOL = 1e-10
 
+#: most specs one grid call scores at once
+_STACK = 32
+
 
 def fidelity(pair: PovmPair, spec: ScsMeasurementSpec) -> float:
     """Average of the two diagonal POVM matrix elements in the target basis."""
@@ -97,7 +105,6 @@ def displaced_povm(spec: ScsMeasurementSpec, beta: complex, detector: DetectorMo
     return onoff_povm(beta, detector, dim)
 
 
-@lru_cache(maxsize=8)
 def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
     """(S_00, S_11, 2 S_01) as Python scalars, for the Hermitian
     S[k, l] = conj(C_0k) C_0l - conj(C_1k) C_1l, where t_j = sum_k C[j, k] |a_k>
@@ -108,8 +115,7 @@ def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
     For any outcome-0 element P with M_kl = <a_k|P|a_l>, <t0|P|t0> -
     <t1|P|t1> = sum_kl S_kl M_kl = S_00 M_00 + S_11 M_11 + Re(2 S_01 M_01), so
     a fidelity F = (1 + <t0|P|t0> - <t1|P|t1>) / 2 needs only the 2 x 2
-    coherent-state matrix elements of P.  Cached, because each optimizer
-    builds its closed form twice, for the grid and for the refinement.
+    coherent-state matrix elements of P, which do not depend on c0 or phi.
     """
     x = 2.0 * spec.alpha**2
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0 + 2.0 * math.exp(-x))
@@ -120,11 +126,31 @@ def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
     return float(S[0, 0].real), float(S[1, 1].real), complex(2.0 * S[0, 1])
 
 
-def _click_form(spec: ScsMeasurementSpec, detector: DetectorModel, n_max: int, scalar: bool):
+def _grids(form, contrasts, *grid):
+    """Yield ``form(contrast)(*grid)`` for each contrast.  Up to ``_STACK``
+    contrasts at a time go in as three (k, 1, 1) arrays, which broadcast
+    against the alpha-only terms of a two-dimensional grid to one grid per
+    spec: the alpha-only terms are computed once per stack, and the
+    temporaries stay a few MB however many specs share an alpha."""
+    for start in range(0, len(contrasts), _STACK):
+        stack = contrasts[start : start + _STACK]
+        yield from form(tuple(np.array(terms).reshape(-1, 1, 1) for terms in zip(*stack)))(*grid)
+
+
+def _shared_alpha(specs) -> float:
+    alpha = specs[0].alpha
+    if any(spec.alpha != alpha for spec in specs):
+        raise ValueError("specs optimized in one pass must share one alpha")
+    return alpha
+
+
+def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     """The closed form of ``displaced_click_fidelity`` as a function of the
-    displacement b: of one Python complex in ``math``/``cmath`` arithmetic
-    when ``scalar``, else of a complex array of any shape.  No matrix is
-    built.
+    displacement b.  With the contrast of one spec (Python scalars, from
+    ``_contrast``) it is a function of one Python complex in
+    ``math``/``cmath`` arithmetic; with the contrasts of k specs stacked by
+    ``_grids`` it scores a two-dimensional array of b for all k at once,
+    returning shape (k, *b.shape).  No matrix is built.
 
     D(b)^dag |a_k> = f_k |gamma_k>, with gamma_k = a_k - b and
     f_k = e^{i Im(conj(b) a_k) - |gamma_k|^2 / 2}.  An ideal counter sums
@@ -137,10 +163,11 @@ def _click_form(spec: ScsMeasurementSpec, detector: DetectorModel, n_max: int, s
     click detector the loss weights (1 - eta)^n sum every photon number in
     closed form: <a_k|P0|a_l> / (1 - nu) =
     conj(f_k) f_l exp((1 - eta) conj(gamma_k) gamma_l), with b scaled by
-    the visibility.
+    the visibility.  The products and exponentials depend on alpha and b
+    only; just d_n (ideal) or the no-click sum (click) is per spec.
     """
-    s00, s11, s01 = _contrast(spec)
-    alpha = spec.alpha
+    s00, s11, s01 = contrast
+    scalar = not isinstance(s00, np.ndarray)
     exp, cexp = (math.exp, cmath.exp) if scalar else (np.exp, np.exp)
 
     if detector.is_ideal:
@@ -177,10 +204,12 @@ def _click_form(spec: ScsMeasurementSpec, detector: DetectorModel, n_max: int, s
     return click
 
 
-def _homodyne_form(spec: ScsMeasurementSpec, scalar: bool):
+def _homodyne_form(alpha: float, contrast):
     """The closed form of ``homodyne_fidelity`` as a function of threshold
-    and phase: of two floats in ``math`` arithmetic when ``scalar`` (scipy's
-    ``erfc`` only for the complex argument), else of broadcastable arrays.
+    and phase: of two floats in ``math`` arithmetic for the contrast of one
+    spec (scipy's ``erfc`` only for the complex argument), else of
+    broadcastable two-dimensional arrays for k stacked contrasts, returning
+    one grid per spec.
 
     For coherent wavefunctions int_x^inf conj(psi_a) psi_b =
     1/2 erfc(x - s) exp(s^2 - (conj(a)^2 + b^2)/2 - (|a|^2 + |b|^2)/2) with
@@ -188,11 +217,12 @@ def _homodyne_form(spec: ScsMeasurementSpec, scalar: bool):
     +-alpha e^{-i theta}; the exponent then vanishes for k = l and is
     -2 alpha^2 for k != l, so with c + i d = sqrt(2) alpha e^{i theta} the
     matrix elements are erfc(x - c)/2, erfc(x + c)/2 and
-    e^{-2 alpha^2} erfc(x - i d)/2.
+    e^{-2 alpha^2} erfc(x - i d)/2, computed once for every spec.
     """
-    s00, s11, s01 = _contrast(spec)
-    radius = math.sqrt(2.0) * spec.alpha
-    overlap = math.exp(-2.0 * spec.alpha**2)
+    s00, s11, s01 = contrast
+    scalar = not isinstance(s00, np.ndarray)
+    radius = math.sqrt(2.0) * alpha
+    overlap = math.exp(-2.0 * alpha**2)
     cos, sin, real_erfc = (math.cos, math.sin, math.erfc) if scalar else (np.cos, np.sin, erfc)
     to_complex = complex if scalar else np.asarray  # scipy returns numpy scalars
 
@@ -325,31 +355,47 @@ def optimize_displacement(
     deterministic: grid ties within a few ulps go to the first maximum in
     radius-major, phase-ascending order.
     """
+    return _optimize_displacements([spec], detector, dim)[0]
+
+
+def _optimize_displacements(specs, detector: DetectorModel, dim) -> list[tuple[complex, float]]:
+    """``optimize_displacement`` for every spec of a list that shares one
+    alpha: one grid call scores the polar grid for all of them."""
+    if not specs:
+        return []
+    alpha = _shared_alpha(specs)
     dim = as_dim(dim)
     r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(dim, AMPLITUDE_STEP))
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP
 
-    vals = _click_form(spec, detector, dim.n_max, False)(radii[:, None] * np.exp(1j * phases))
-    i, k = np.unravel_index(_first_maximum(vals), vals.shape)
-    best_f = float(vals[i, k])
-    r = float(radii[i])
-    best_beta = complex(r * math.cos(phases[k]), r * math.sin(phases[k]))
-    score = _click_form(spec, detector, dim.n_max, True)
+    def form(contrast):
+        return _click_form(alpha, contrast, detector, dim.n_max)
 
-    def negated(x: float, y: float) -> float:
-        b = complex(x, y)
-        excess = abs(b) - r_max
-        if excess > 0.0:
-            return 1.0 + excess
-        return -score(b)
+    contrasts = [_contrast(spec) for spec in specs]
+    grids = _grids(form, contrasts, radii[:, None] * np.exp(1j * phases))
+    optima = []
+    for spec, contrast, vals in zip(specs, contrasts, grids):
+        i, k = np.unravel_index(_first_maximum(vals), vals.shape)
+        best_f = float(vals[i, k])
+        r = float(radii[i])
+        best_beta = complex(r * math.cos(phases[k]), r * math.sin(phases[k]))
+        score = form(contrast)
 
-    (x, y), f, _ = _nelder_mead(negated, (best_beta.real, best_beta.imag), 600)
-    refined = complex(x, y)
-    if -f >= best_f and abs(refined) <= r_max:
-        best_beta = refined
-    return best_beta, displaced_click_fidelity(spec, best_beta, detector, dim)
+        def negated(x: float, y: float) -> float:
+            b = complex(x, y)
+            excess = abs(b) - r_max
+            if excess > 0.0:
+                return 1.0 + excess
+            return -score(b)
+
+        (x, y), f, _ = _nelder_mead(negated, (best_beta.real, best_beta.imag), 600)
+        refined = complex(x, y)
+        if -f >= best_f and abs(refined) <= r_max:
+            best_beta = refined
+        optima.append((best_beta, displaced_click_fidelity(spec, best_beta, detector, dim)))
+    return optima
 
 
 def homodyne_fidelity(
@@ -382,26 +428,42 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
     Returns ``(x_th_opt, lo_phase_opt, f)`` with
     ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.
     """
+    return _optimize_homodynes([spec], dim)[0]
+
+
+def _optimize_homodynes(specs, dim) -> list[tuple[float, float, float]]:
+    """``optimize_homodyne`` for every spec of a list that shares one alpha:
+    one grid call scores the threshold/phase grid for all of them."""
+    if not specs:
+        return []
+    alpha = _shared_alpha(specs)
     dim = as_dim(dim)
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     thetas = np.arange(60) * (math.pi / 60.0)
-
-    vals = _homodyne_form(spec, False)(xs[:, None], thetas)
-    i, k = np.unravel_index(_first_maximum(vals), vals.shape)
-    best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
-    score = _homodyne_form(spec, True)
     theta_cap = math.pi * (1.0 - 1e-12)
 
     def clamp(x: float, theta: float) -> tuple[float, float]:
         return min(max(x, lo), hi), min(max(theta, 0.0), theta_cap)
 
-    def negated(x: float, theta: float) -> float:
-        return -score(*clamp(x, theta))
+    def form(contrast):
+        return _homodyne_form(alpha, contrast)
 
-    (x, th), f, _ = _nelder_mead(negated, best[1:], 400)
-    x_opt, th_opt = clamp(x, th) if -f >= best[0] else best[1:]
-    return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)
+    contrasts = [_contrast(spec) for spec in specs]
+    grids = _grids(form, contrasts, xs[:, None], thetas)
+    optima = []
+    for spec, contrast, vals in zip(specs, contrasts, grids):
+        i, k = np.unravel_index(_first_maximum(vals), vals.shape)
+        best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
+        score = form(contrast)
+
+        def negated(x: float, theta: float) -> float:
+            return -score(*clamp(x, theta))
+
+        (x, th), f, _ = _nelder_mead(negated, best[1:], 400)
+        x_opt, th_opt = clamp(x, th) if -f >= best[0] else best[1:]
+        optima.append((x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)))
+    return optima
 
 
 def quantize_to_schedule(beta: complex, levels) -> complex:
@@ -488,20 +550,28 @@ class SweepGrid:
 
 def _optimized_report(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
     """All three strategies optimized at one spec, checked by ``verify``."""
-    beta_opt, f_dp = optimize_displacement(spec, detector, dim)
-    x_opt, th_opt, f_hd = optimize_homodyne(spec, dim)
-    report = FidelityReport(
-        f_dp=f_dp,
-        f_hd=f_hd,
-        f_pn=pnrd_fidelity(spec),
-        beta_opt=beta_opt,
-        x_th_opt=x_opt,
-        lo_phase_opt=th_opt,
-        spec=spec,
-        detector=detector,
-    )
-    report.verify(dim)
-    return report
+    return _optimized_reports([spec], detector, dim)[0]
+
+
+def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport]:
+    """``_optimized_report`` for every spec of a list that shares one alpha."""
+    reports = []
+    for spec, (beta_opt, f_dp), (x_opt, th_opt, f_hd) in zip(
+        specs, _optimize_displacements(specs, detector, dim), _optimize_homodynes(specs, dim)
+    ):
+        report = FidelityReport(
+            f_dp=f_dp,
+            f_hd=f_hd,
+            f_pn=pnrd_fidelity(spec),
+            beta_opt=beta_opt,
+            x_th_opt=x_opt,
+            lo_phase_opt=th_opt,
+            spec=spec,
+            detector=detector,
+        )
+        report.verify(dim)
+        reports.append(report)
+    return reports
 
 
 def sweep(
@@ -512,21 +582,40 @@ def sweep(
 ) -> list[FidelityReport]:
     """One optimized FidelityReport per grid point, in grid order.
 
-    A failing point does not abort the sweep: its exception is appended to
-    ``errors`` (when given) as ``(index, point, exception)`` and reported
-    as a warning, and the point is dropped from the output.
+    The points that share an alpha^2 are optimized in one pass.  A failing
+    point does not abort the sweep: its exception is appended to ``errors``
+    (when given) as ``(index, point, exception)`` and reported as a
+    warning, and the point is dropped from the output.  When a pass fails,
+    its points are rerun one by one, so each failure is charged to its own
+    point.
     """
     dim = as_dim(dim)
-    reports = []
-    for idx, point in enumerate(grid.points()):
+    points = list(grid.points())
+    specs = [ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in points]
+    groups: dict[float, list[int]] = {}
+    for idx, spec in enumerate(specs):
+        groups.setdefault(spec.alpha, []).append(idx)
+
+    outcomes: dict[int, FidelityReport | Exception] = {}
+    for indices in groups.values():
         try:
-            c0sq, alpha_sq, phi = point
-            spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
-            reports.append(_optimized_report(spec, detector, dim))
-        except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
+            outcomes.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
+        except Exception:  # noqa: BLE001 - rerun point by point below
+            for idx in indices:
+                try:
+                    outcomes[idx] = _optimized_report(specs[idx], detector, dim)
+                except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
+                    outcomes[idx] = exc
+
+    reports = []
+    for idx, point in enumerate(points):
+        outcome = outcomes[idx]
+        if isinstance(outcome, Exception):
             if errors is not None:
-                errors.append((idx, point, exc))
-            warnings.warn(f"sweep point {idx} {point} failed: {exc}", stacklevel=2)
+                errors.append((idx, point, outcome))
+            warnings.warn(f"sweep point {idx} {point} failed: {outcome}", stacklevel=2)
+        else:
+            reports.append(outcome)
     return reports
 
 

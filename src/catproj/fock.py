@@ -247,6 +247,7 @@ def _fix_global_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=1)  # a sweep asks for one alpha many times in a row
 def cat_basis(alpha: float, dim) -> tuple[StateVector, StateVector]:
     """Even/odd cat vectors |C+-> = (|alpha> +- |-alpha>)/N_pm.
 

@@ -576,9 +576,8 @@ class TomographyRun:
     povm: ScsPovm
 
 
-def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> TomographyRun:
-    """Chain statistics -> series solves -> synthesized probes -> MLE."""
-    dim = as_dim(dim)
+def _require_probe_rows(clicks: ClickTable, probes: ProbeSet) -> None:
+    """Raise ``ValueError`` unless the table has one row per probe amplitude."""
     expected = probes.amplitudes()
     if len(clicks.probe_amplitudes) != len(expected):
         raise ValueError(
@@ -586,7 +585,16 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
             f"probe set requires {len(expected)}"
         )
     for amp in expected:
-        clicks.row_index(amp)  # raises KeyError when a row is missing
+        try:
+            clicks.row_index(amp)
+        except KeyError:
+            raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
+
+
+def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> TomographyRun:
+    """Chain statistics -> series solves -> synthesized probes -> MLE."""
+    dim = as_dim(dim)
+    _require_probe_rows(clicks, probes)
 
     r0, _ = clicks.rates()
     q_plus = float(r0[clicks.row_index(complex(probes.alpha))])

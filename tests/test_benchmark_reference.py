@@ -3,8 +3,9 @@
 ``perfbench/workloads.py`` defines each workload's seeded pool of CLI calls
 and the oracle that checks a call's artifacts; ``perfbench/reference.json``
 pins the results of calls 1-4 of the seed-1 pools.  Replaying those calls
-through ``cli.main`` here makes a change that moves an optimum fail in the
-tests, not first in a benchmark run.  The workload module is imported from
+through ``cli.main`` here makes a change that moves an optimum, a simulated
+click table or a reconstruction fail in the tests, not first in a benchmark
+run.  The workload module is imported from
 its file as it is.
 """
 
@@ -33,7 +34,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["sweep", "reconstruct"])
+@pytest.mark.parametrize("name", ["sweep", "reconstruct", "campaign"])
 def test_seed_one_reference_calls(workloads, name, tmp_path):
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))[name]
     workload = workloads.WORKLOADS[name]()

@@ -3,7 +3,8 @@ import io
 import json
 import math
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,65 @@ def test_tomography_ingest_corrupted_table(tmp_path, capsys):
         assert record["stage"] == "ingest"
         assert reason in record["message"]
         assert not (tmp_path / "x.json").exists()
+
+
+@cache
+def fig3_click_lines() -> tuple[str, ...]:
+    """The lines of the click table that ``simulate --preset fig3`` writes."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "clicks.csv"
+        assert main(["simulate", "--preset", "fig3", "--out", str(out)]) == 0
+        return tuple(out.read_text().splitlines())
+
+
+def fig3_tomography(lines, tmp: Path) -> tuple[int, list[str], list[Path]]:
+    """Run ``tomography --preset fig3`` on a click table with these lines:
+    the exit code, the stderr lines and the files left in ``tmp``."""
+    clicks = tmp / "clicks.csv"
+    clicks.write_text("\n".join(lines) + "\n")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"clicks": str(clicks)}))
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        rc = main(["tomography", "--preset", "fig3", "--config", str(cfg), "--out", str(tmp / "out.json")])
+    return rc, stderr.getvalue().splitlines(), sorted(tmp.iterdir())
+
+
+def test_tomography_ingest_rejects_a_missing_probe_amplitude(tmp_path):
+    # moving row 1 off -alpha leaves a table that parses but lacks a probe
+    lines = list(fig3_click_lines())
+    row = lines.index("probe_label,re_amp,im_amp,outcome0_count,outcome1_count,shots") + 2
+    cells = lines[row].split(",")
+    cells[1] = "-1"
+    lines[row] = ",".join(cells)
+    rc, records, files = fig3_tomography(lines, tmp_path)
+    assert rc == 1 and len(records) == 1
+    record = json.loads(records[0])
+    assert record["stage"] == "ingest" and record["error"] == "ValueError"
+    assert "no row at probe amplitude (-0.499+0j)" in record["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    token=st.sampled_from(["", "nan", "inf", "1e309", "-1", "abc", "0x10"]),
+    row=st.integers(0, 5),
+    column=st.integers(0, 5),
+)
+def test_every_bad_click_cell_fails_at_ingest_or_not_at_all(token, row, column):
+    lines = list(fig3_click_lines())
+    start = lines.index("probe_label,re_amp,im_amp,outcome0_count,outcome1_count,shots") + 1
+    cells = lines[start + row].split(",")
+    cells[column] = token
+    lines[start + row] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, records, files = fig3_tomography(lines, Path(tmp))
+        if rc == 0:
+            assert records == [] and Path(tmp, "out.json") in files
+        else:
+            assert rc == 1 and len(records) == 1, records
+            assert json.loads(records[0])["stage"] == "ingest"
+            assert Path(tmp, "out.json") not in files
 
 
 def test_tomography_series_solve_on_its_box_bounds(tmp_path, capsys):

@@ -218,10 +218,15 @@ def test_reconstruction_sweep_compensation_wins():
 
 def test_reconstruction_sweep_deterministic_and_unquantized():
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
-    a = reconstruction_sweep(camp, [0.7], 0.0, quantize=False)
-    b = reconstruction_sweep(camp, [0.7], 0.0, quantize=False)
+    weights = [0.55, 0.7, 0.9]
+    a = reconstruction_sweep(camp, weights, 0.0, quantize=False)
+    b = reconstruction_sweep(camp, weights, 0.0, quantize=False)
     assert a == b
-    spec = ScsMeasurementSpec.from_c0sq(ALPHA, 0.7, 0.0)
-    beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
-    assert abs(a[0].displacement - beta) < 1e-12
-    assert a[0].phi == 0.0
+    # the displacements of all points come from one optimizer pass, each the
+    # optimum of its point alone
+    for point, c0sq in zip(a, weights):
+        spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, 0.0)
+        beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
+        assert point.displacement == beta
+        assert point.c0sq == c0sq and point.phi == 0.0
+    assert reconstruction_sweep(camp, [], 0.0) == []

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from catproj.fidelity import (
     FidelityReport,
     SweepGrid,
     _click_form,
+    _contrast,
     _first_maximum,
     _homodyne_form,
     _nelder_mead,
+    _grids,
+    _optimized_report,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -45,6 +49,16 @@ ROW_BETA = [0.771702, 0.734730, 0.695950, 0.654580, 0.609678, 0.560029,
 
 def spec_of(c0sq, alpha=0.5, phi=0.0):
     return ScsMeasurementSpec.from_c0sq(alpha, c0sq, phi)
+
+
+def click_score(spec, det, n_max):
+    """The scalar closed form the displacement refinement calls."""
+    return _click_form(spec.alpha, _contrast(spec), det, n_max)
+
+
+def homodyne_score(spec):
+    """The scalar closed form the homodyne refinement calls."""
+    return _homodyne_form(spec.alpha, _contrast(spec))
 
 
 def test_fidelity_trivial_pairs():
@@ -131,39 +145,45 @@ def test_closed_forms_match_the_fock_kernels():
                 radii = np.concatenate([[0.0, 2.5], rng.uniform(0.0, 2.5, 3)])
                 for b in radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, radii.size)):
                     for name, det in (("ideal", IDEAL_DETECTOR), ("lab", LAB)):
-                        closed = _click_form(spec, det, dim.n_max, True)(complex(b))
+                        closed = click_score(spec, det, dim.n_max)(complex(b))
                         fock_value = displaced_click_fidelity(spec, b, det, dim)
                         worst[name] = max(worst[name], abs(closed - fock_value))
                 for x in np.concatenate([[-6.0, 6.0], rng.uniform(-6.0, 6.0, 3)]):
                     th = rng.uniform(0.0, math.pi)
-                    closed = _homodyne_form(spec, True)(float(x), float(th))
+                    closed = homodyne_score(spec)(float(x), float(th))
                     fock_value = homodyne_fidelity(spec, x, th, dim)
                     worst["homodyne"] = max(worst["homodyne"], abs(closed - fock_value))
     assert max(worst.values()) <= 1e-12, worst
 
 
 def test_closed_forms_score_whole_grids():
-    # one array call scores a grid; each entry equals the scalar closed form
-    # that the refinement calls, a Python float in math/cmath arithmetic
+    # one array call scores a grid for a stack of specs at one alpha: each
+    # slice is bit for bit the grid of that spec alone, and each entry equals
+    # the scalar closed form that the refinement calls, a Python float in
+    # math/cmath arithmetic
     rng = np.random.default_rng(12)
-    for spec in (spec_of(0.7, 0.8, 0.4), spec_of(0.2, 1.4, 2.0)):
+    for alpha, weights in ((0.8, ((0.7, 0.4), (0.5, 0.0), (1.0, 1.1))), (1.4, ((0.2, 2.0), (0.0, 0.3), (0.9, 3.0)))):
+        contrasts = [_contrast(spec_of(c0sq, alpha, phi)) for c0sq, phi in weights]
         drawn = rng.uniform(0.0, 2.5, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
         betas = np.concatenate([[0.0, 0.3 + 0.4j, -0.7j, 1.1], drawn]).reshape(4, 5)
-        for det in (IDEAL_DETECTOR, LAB):
-            grid = _click_form(spec, det, 20, False)(betas)
-            assert grid.shape == betas.shape
-            score = _click_form(spec, det, 20, True)
-            for b, v in zip(betas.ravel(), grid.ravel()):
-                point = score(complex(b))
-                assert type(point) is float and abs(v - point) <= 1e-15
         xs = np.concatenate([[-1.0, 0.2, 3.0], rng.uniform(-6.0, 6.0, 5)])
         thetas = np.array([0.0, 1.0, 2.9])
-        grid = _homodyne_form(spec, False)(xs[:, None], thetas)
-        assert grid.shape == (8, 3)
-        score = _homodyne_form(spec, True)
-        for i, j in np.ndindex(grid.shape):
-            point = score(float(xs[i]), float(thetas[j]))
-            assert type(point) is float and abs(grid[i, j] - point) <= 1e-15
+        cases = [
+            (partial(_click_form, alpha, detector=det, n_max=20), (betas,), [(complex(b),) for b in betas.ravel()])
+            for det in (IDEAL_DETECTOR, LAB)
+        ]
+        thresholds = [(float(x), float(th)) for x in xs for th in thetas]
+        cases.append((partial(_homodyne_form, alpha), (xs[:, None], thetas), thresholds))
+        for form, grid_args, points in cases:
+            stack = list(_grids(form, contrasts, *grid_args))
+            assert len(stack) == 3
+            for contrast, grid in zip(contrasts, stack):
+                assert grid.shape == np.broadcast_shapes(*(np.shape(a) for a in grid_args))
+                assert np.array_equal(grid, next(_grids(form, [contrast], *grid_args)))
+                score = form(contrast)
+                for args, v in zip(points, grid.ravel()):
+                    point = score(*args)
+                    assert type(point) is float and abs(v - point) <= 1e-15
 
 
 def same_as_scipy(fun, x0, maxiter):
@@ -190,7 +210,7 @@ def test_nelder_mead_matches_scipy():
     thresholds = np.arange(lo, hi + 1e-9, 0.1)
     for spec in (spec_of(0.8, 0.7, 0.3), spec_of(0.55, 1.2, 0.0), spec_of(0.5)):
         for det in (IDEAL_DETECTOR, LAB):
-            score = _click_form(spec, det, DIM.n_max, True)
+            score = click_score(spec, det, DIM.n_max)
 
             def negated(x, y):
                 b = complex(x, y)
@@ -204,7 +224,7 @@ def test_nelder_mead_matches_scipy():
             converged = same_as_scipy(negated, (0.3, 0.2), 600)
             assert same_as_scipy(negated, (0.3, 0.2), 6) < converged  # stopped by maxiter
 
-        hd = _homodyne_form(spec, True)
+        hd = homodyne_score(spec)
 
         def negated_hd(x, theta):
             return -hd(min(max(x, lo), hi), min(max(theta, 0.0), theta_cap))
@@ -384,16 +404,62 @@ def test_sweep_batched_matches_per_amplitude():
     assert reports[0].spec.phi == 0.0 and reports[1].spec.phi == pytest.approx(math.pi / 2)
 
 
-def test_sweep_aggregates_point_failures():
-    # alpha^2 = 6.76 exceeds what a 10-level truncation can hold, so that
-    # point must fail without taking down the rest of the sweep
-    grid = SweepGrid((0.75,), (0.25, 6.76), (0.0,))
+def test_sweep_batches_each_alpha_as_its_points_alone(monkeypatch):
+    # points that share alpha^2 are optimized in one pass, a repeated alpha^2
+    # in the same one, in stacks of at most _STACK specs per grid call;
+    # every report equals the point optimized on its own
+    grid = SweepGrid((0.3, 0.85), (0.25, 0.9, 0.9, 1.6), (0.0, 1.2))
+    for det, stack in ((IDEAL_DETECTOR, fidelity_module._STACK), (LAB, 3)):
+        monkeypatch.setattr(fidelity_module, "_STACK", stack)
+        reports = sweep(grid, det, DIM)
+        assert len(reports) == len(grid) == 16
+        for report, (c0sq, alpha_sq, phi) in zip(reports, grid.points()):
+            spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
+            alone = _optimized_report(spec, det, DIM)
+            for name in FidelityReport.__dataclass_fields__:
+                assert getattr(report, name) == getattr(alone, name), name
+
+
+def test_sweep_aggregates_point_failures(monkeypatch):
+    # alpha^2 = 6.76 exceeds what a 10-level truncation can hold, so those
+    # points must fail without taking down the rest of the sweep, each
+    # charged to its own grid index, in grid order
+    grid = SweepGrid((0.5, 0.75), (0.25, 6.76), (0.0,))
     errors = []
     with pytest.warns(UserWarning, match="failed"):
         reports = sweep(grid, IDEAL_DETECTOR, TruncationDim(10), errors=errors)
-    assert len(reports) == 1
-    assert len(errors) == 1
-    assert errors[0][0] == 1 and errors[0][1][1] == 6.76
+    assert [(round(r.spec.c0sq, 9), round(r.spec.alpha**2, 9)) for r in reports] == [(0.5, 0.25), (0.75, 0.25)]
+    assert [(idx, point) for idx, point, _ in errors] == [(1, (0.5, 6.76, 0.0)), (3, (0.75, 6.76, 0.0))]
+    assert all(isinstance(exc, fock.CutoffTooSmallError) for _, _, exc in errors)
+
+    # a failing alpha^2 between passing ones; one failing point in an
+    # alpha^2 whose other point passes; failures in two alpha^2 passes,
+    # listed in grid order, not in the order the passes ran
+    verify = FidelityReport.verify
+    failing = set()
+
+    def picky(report, dim):
+        if (round(report.spec.c0sq, 9), round(report.spec.alpha**2, 9)) in failing:
+            raise ArithmeticError("injected")
+        verify(report, dim)
+
+    monkeypatch.setattr(FidelityReport, "verify", picky)
+    grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
+    for bad, indices in (
+        ({(0.5, 1.0), (0.75, 1.0)}, [1, 4]),
+        ({(0.5, 1.6), (0.75, 1.0)}, [2, 4]),
+        ({(0.75, 1.0)}, [4]),
+    ):
+        failing.clear()
+        failing.update(bad)
+        errors = []
+        with pytest.warns(UserWarning, match="failed"):
+            reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
+        assert [idx for idx, _, _ in errors] == indices
+        assert all(str(exc) == "injected" for _, _, exc in errors)
+        assert len(reports) == len(grid) - len(indices)
+    # the point that passed in the failing pass was rerun alone
+    assert reports[1] == _optimized_report(spec_of(0.5, 1.0), IDEAL_DETECTOR, DIM)
 
 
 def test_quantize_to_schedule():

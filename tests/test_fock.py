@@ -118,6 +118,17 @@ def test_cat_basis_parity_support():
     assert minus.amps[1].real > 0 and minus.amps[1].imag == 0
 
 
+def test_cat_basis_is_shared_read_only():
+    # a sweep asks for the same alpha many times and gets the same vectors,
+    # so no caller may write to them
+    plus, minus = cat_basis(0.5, DIM20)
+    assert cat_basis(0.5, DIM20)[0] is plus
+    for amps in (plus.amps, minus.amps):
+        with pytest.raises(ValueError):
+            amps[0] = 2.0
+    assert cat_basis(0.7, DIM20)[0] is not plus
+
+
 def test_cat_norm_factors_closed_form():
     for alpha in (0.3, 0.499, 0.5, 1.0):
         np_, nm = cat_norm_factors(alpha, DIM20)
