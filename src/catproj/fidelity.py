@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import erfc
 
 from .fock import (
     ScsMeasurementSpec,
@@ -207,9 +206,9 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
 def _homodyne_form(alpha: float, contrast):
     """The closed form of ``homodyne_fidelity`` as a function of threshold
     and phase: of two floats in ``math`` arithmetic for the contrast of one
-    spec (scipy's ``erfc`` only for the complex argument), else of
-    broadcastable two-dimensional arrays for k stacked contrasts, returning
-    one grid per spec.
+    spec (scipy's ``erfc``, imported here, only for the complex argument),
+    else of broadcastable two-dimensional arrays for k stacked contrasts,
+    returning one grid per spec.
 
     For coherent wavefunctions int_x^inf conj(psi_a) psi_b =
     1/2 erfc(x - s) exp(s^2 - (conj(a)^2 + b^2)/2 - (|a|^2 + |b|^2)/2) with
@@ -219,6 +218,8 @@ def _homodyne_form(alpha: float, contrast):
     matrix elements are erfc(x - c)/2, erfc(x + c)/2 and
     e^{-2 alpha^2} erfc(x - i d)/2, computed once for every spec.
     """
+    from scipy.special import erfc
+
     s00, s11, s01 = contrast
     scalar = not isinstance(s00, np.ndarray)
     radius = math.sqrt(2.0) * alpha

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import erfc, xlog1py, xlogy
 
 from .fock import (
     FockOperator,
@@ -177,14 +175,30 @@ def dp_partition(spec: ScsMeasurementSpec, beta: complex, dim) -> np.ndarray:
     return _partition(spec, displacement_operator(beta, dim).entries, dim)
 
 
-@lru_cache(maxsize=32)
-def _binomial_loss(eta: float, n_max: int) -> np.ndarray:
-    """B[n, j] = C(n, j) eta^j (1 - eta)^(n - j): the chance that j of n
-    photons reach the counter.  xlogy/xlog1py keep eta = 0 and 1 exact."""
+def _k_log(k: np.ndarray, log_p: float) -> np.ndarray:
+    """k log p, exactly 0 wherever k = 0, also for p = 0 (log_p = -inf)."""
+    return k * log_p if log_p > -math.inf else np.where(k > 0, -math.inf, 0.0)
+
+
+def _loss_log_map(eta: float, n_max: int) -> np.ndarray:
+    """L[n, j] = log C(n, j) + j log eta + (n - j) log(1 - eta): the log of
+    the chance that j of n photons survive loss eta.  L is -inf above the
+    diagonal and wherever that chance is exactly 0 (j > 0 at eta = 0,
+    j < n at eta = 1), so eta = 0 and 1 stay exact."""
     lf = _logfact(n_max)
     n, j = np.tril_indices(n_max + 1)
-    B = np.zeros((n_max + 1, n_max + 1))
-    B[n, j] = np.exp(lf[n] - lf[j] - lf[n - j] + xlogy(j, eta) + xlog1py(n - j, -eta))
+    log_eta = math.log(eta) if eta > 0.0 else -math.inf
+    log_loss = math.log1p(-eta) if eta < 1.0 else -math.inf
+    L = np.full((n_max + 1, n_max + 1), -math.inf)
+    L[n, j] = lf[n] - lf[j] - lf[n - j] + _k_log(j, log_eta) + _k_log(n - j, log_loss)
+    return L
+
+
+@lru_cache(maxsize=32)
+def _binomial_loss(eta: float, n_max: int) -> np.ndarray:
+    """B[n, j] = C(n, j) eta^j (1 - eta)^(n - j) = exp(L[n, j]): the chance
+    that j of n photons reach the counter."""
+    B = np.exp(_loss_log_map(eta, n_max))
     B.setflags(write=False)
     return B
 
@@ -276,6 +290,8 @@ def quadrature_interval_operator(x_lo, x_hi, dim) -> np.ndarray:
     psi_m psi_n is below 1e-14.  ``x_lo`` and ``x_hi`` may be arrays; the
     result has shape ``np.broadcast(x_lo, x_hi).shape + (N, N)``.
     """
+    from scipy.special import erfc
+
     dim = as_dim(dim)
     W = math.sqrt(2.0 * dim.n_max + 1.0) + 8.0
     lo, hi = np.broadcast_arrays(np.clip(x_lo, -W, W), np.clip(x_hi, -W, W))
@@ -308,34 +324,25 @@ def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:
 # pure-loss channel on POVM elements
 
 
-def _loss_kraus_log_coeffs(eta: float, n_max: int) -> list[np.ndarray]:
-    """c_{n,k} = sqrt(C(n,k) eta^{n-k} (1-eta)^k) for each k as a vector
-    over n >= k, computed in log space."""
-    lf = _logfact(n_max)
-    out = []
-    for k in range(n_max + 1):
-        n = np.arange(k, n_max + 1)
-        logc = 0.5 * (lf[n] - lf[k] - lf[n - k]) + 0.5 * (n - k) * math.log(eta)
-        if k > 0:
-            logc = logc + 0.5 * k * math.log1p(-eta)
-        out.append(np.exp(logc))
-    return out
+def _loss_diagonal_maps(eta: float, n_max: int) -> list[np.ndarray]:
+    """The loss adjoint sum_k A_k^dag pi A_k, with the binomial
+    photon-subtraction Kraus operators A_k|n> = sqrt(B[n, n-k]) |n-k>, acts
+    on each pair of matrix diagonals m - n = +-d on its own.  Returns, for
+    each d, the lower-triangular M_d with (Lambda^dag pi)[j+d, j] =
+    sum_i M_d[j, i] pi[i+d, i], and likewise above the diagonal:
+    M_d[j, i] = sqrt(B[j+d, i+d] B[j, i]), built from L in log space."""
+    L = _loss_log_map(float(eta), n_max)
+    N = n_max + 1
+    return [np.exp(0.5 * (L[d:, d:] + L[: N - d, : N - d])) for d in range(N)]
 
 
-def _loss_adjoint_matrix(pi: np.ndarray, eta: float, dim: TruncationDim) -> np.ndarray:
-    """Heisenberg-picture pure-loss map sum_k A_k^dag pi A_k with the
-    binomial photon-subtraction Kraus operators A_k."""
-    if eta == 1.0:
-        return pi.copy()
-    N = dim.size
-    coeffs = _loss_kraus_log_coeffs(eta, dim.n_max)
-    out = np.zeros_like(pi, dtype=complex)
-    for k in range(N):
-        c = coeffs[k]
-        n = np.arange(k, N)
-        A = np.zeros((N, N))
-        A[n - k, n] = c
-        out += A.conj().T @ pi @ A
+def _loss_adjoint(pi: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+    """Lambda^dag pi: one matrix-vector product per pair of diagonals."""
+    out = np.zeros(pi.shape, dtype=complex)
+    for d, M in enumerate(maps):
+        idx = np.arange(pi.shape[0] - d)
+        below, above = np.diagonal(pi, -d), np.diagonal(pi, d)
+        out[idx + d, idx], out[idx, idx + d] = (M @ np.stack([below, above], axis=1)).T
     return out
 
 
@@ -344,33 +351,20 @@ def apply_loss(p: PovmPair, eta: float) -> PovmPair:
     unital, so completeness is preserved exactly."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    pi0 = _loss_adjoint_matrix(p.pi0.entries, eta, p.dim)
-    pi1 = _loss_adjoint_matrix(p.pi1.entries, eta, p.dim)
+    maps = _loss_diagonal_maps(eta, p.dim.n_max)
+    pi0 = _loss_adjoint(p.pi0.entries, maps)
+    pi1 = _loss_adjoint(p.pi1.entries, maps)
     return PovmPair.checked(p.dim, pi0, pi1, p.label, p.diagnostics)
-
-
-def _loss_diagonal_map(d: int, eta: float, dim: TruncationDim) -> np.ndarray:
-    """The loss adjoint acts independently on each matrix diagonal m-n=d.
-    Returns the lower-triangular matrix M with
-    (Lambda^dag pi)[j+d, j] = sum_i M[j, i] pi[i+d, i]."""
-    N = dim.size
-    coeffs = _loss_kraus_log_coeffs(eta, dim.n_max)
-    M = np.zeros((N - d, N - d))
-    for j in range(N - d):
-        for k in range(j + 1):
-            i = j - k
-            M[j, i] = coeffs[k][j + d - k] * coeffs[k][j - k]
-    return M
 
 
 def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
     """Inverse of apply_loss, followed by a physicality repair.
 
     The inverse is computed diagonal-by-diagonal (each matrix diagonal
-    transforms under a lower-triangular map, inverted with a triangular
-    solve).  The inverted pi0 is then clipped to eigenvalues in [0, 1] and
-    pi1 is recomputed as I - pi0 so the pair invariants hold; the
-    pre-repair spectral defects are recorded in diagnostics.
+    transforms under a lower-triangular map M_d, inverted with one solve).
+    The inverted pi0 is then clipped to eigenvalues in [0, 1] and pi1 is
+    recomputed as I - pi0 so the pair invariants hold; the pre-repair
+    spectral defects are recorded in diagnostics.
     """
     if not 0.1 < eta <= 1.0:
         raise ValueError(f"eta must be in (0.1, 1], got {eta}")
@@ -380,11 +374,9 @@ def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
     pi0 = p.pi0.entries
     out = np.zeros_like(pi0, dtype=complex)
     max_cond = 0.0
-    for d in range(N):
-        M = _loss_diagonal_map(d, eta, p.dim)
+    for d, M in enumerate(_loss_diagonal_maps(eta, p.dim.n_max)):
         max_cond = max(max_cond, float(np.linalg.cond(M)))
-        y = np.diagonal(pi0, offset=-d)
-        x = solve_triangular(M, y, lower=True)
+        x = np.linalg.solve(M, np.diagonal(pi0, offset=-d))
         idx = np.arange(N - d)
         out[idx + d, idx] = x
         if d > 0:

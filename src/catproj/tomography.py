@@ -10,12 +10,12 @@ synthesize an even-cat probe.  One routine per step serves both series,
 selected by ``parity``; each series is fitted inside the box that the entry
 bound on POVM elements puts on its coefficients, by an exact solve when the
 fit lies inside the box and by bounded-variable least squares (BVLS, Stark &
-Parker, Comput. Stat. 10, 129 (1995)) otherwise.  The 2x2 pair is then
-reconstructed from four informationally complete probe states, closed form
-first: the linear inversion of the four rates is the likelihood maximum
-whenever it is physical.  Only an optimum on the boundary of 0 <= pi0 <= I
-runs an iteration, a log-det barrier Newton solve whose result is certified
-by a duality gap.
+Parker, Comput. Stat. 10, 129 (1995); scipy's, imported only then) otherwise.
+The 2x2 pair is then reconstructed from four informationally complete probe
+states, closed form first: the linear inversion of the four rates is the
+likelihood maximum whenever it is physical.  Only an optimum on the boundary
+of 0 <= pi0 <= I runs an iteration, a log-det barrier Newton solve whose
+result is certified by a duality gap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .fock import (
     FockOperator,
@@ -203,8 +202,8 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
 
     The design matrix is square and, for distinct positive gammas,
     nonsingular, so its exact solve is the zero-residual fit; inside the box
-    that is the answer.  Only a fit outside the box goes to BVLS, which is
-    exact after finitely many active-set steps."""
+    that is the answer.  Only a fit outside the box imports and runs BVLS
+    (``scipy.optimize.lsq_linear``), exact after finitely many steps."""
     f = np.asarray(f, dtype=float)
     if f.shape != (probes.k,):
         raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
@@ -216,6 +215,8 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
         exact = None
     if exact is not None and np.all(np.abs(exact) <= bounds):
         return PhiVector(exact, parity)
+    from scipy.optimize import lsq_linear
+
     res = lsq_linear(mat, f, bounds=(-bounds, bounds), method="bvls", max_iter=_BVLS_MAX_ITER)
     if res.status == 0:
         raise ConvergenceError(

@@ -1,0 +1,63 @@
+"""The import path stays free of scipy.
+
+Every CLI call is a fresh process, so the modules that ``import catproj.cli``
+loads are paid on every call.  scipy is imported only where it is used: the
+homodyne code (``scipy.special.erfc``) and the BVLS fallback of the series
+solve (``scipy.optimize.lsq_linear``).  Each case runs commands through
+``cli.main`` in a fresh interpreter and lists the scipy modules loaded after
+the import and after the commands.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import catproj
+
+PROBE = """
+import json, sys
+import catproj.cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_import = loaded()
+for argv in json.loads(sys.argv[1]):
+    if catproj.cli.main(argv) != 0:
+        sys.exit(f"catproj {' '.join(argv)} failed")
+print(json.dumps({"after_import": after_import, "after_commands": loaded()}))
+"""
+
+
+def loaded_scipy(commands: list[list[str]]) -> dict:
+    package_root = str(Path(catproj.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_counting_commands_load_no_scipy(tmp_path):
+    modules = loaded_scipy(
+        [
+            ["selftest"],
+            ["simulate", "--preset", "fig3", "--out", str(tmp_path / "clicks.csv")],
+            ["tomography", "--preset", "fig3", "--out", str(tmp_path / "tomography.json")],
+        ]
+    )
+    assert modules == {"after_import": [], "after_commands": []}
+
+
+def test_homodyne_sweep_loads_only_scipy_special(tmp_path):
+    modules = loaded_scipy([["fidelity-sweep", "--preset", "fig1b", "--out", str(tmp_path / "sweep.csv")]])
+    assert modules["after_import"] == []
+    loaded = modules["after_commands"]
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))]

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.optimize import brentq
+from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from catproj.fock import (
     COHERENT_TAIL_TOL,
@@ -14,6 +16,7 @@ from catproj.fock import (
     ScsMeasurementSpec,
     StateVector,
     TruncationDim,
+    _logfact,
     apply_operator,
     cat_basis,
     cat_norm_factors,
@@ -86,6 +89,35 @@ def test_coherent_tail_guard():
     # just inside: alpha^2 = 2.3 at n_max=20 leaves tail ~1e-13
     coherent_state(math.sqrt(2.3), DIM20)
     assert COHERENT_TAIL_TOL == 1e-8
+
+
+def test_logfact_matches_gammaln():
+    assert np.max(np.abs(_logfact(100) - gammaln(np.arange(101) + 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 10, 20, 40, 100])
+def test_coherent_tail_guard_agrees_with_gammainc(n_max):
+    # the guard's upper Poisson tail must accept or reject exactly where the
+    # regularized gamma function P(n_max + 1, |alpha|^2) does, at the edge too
+    edge = brentq(lambda lam: gammainc(n_max + 1, lam) - COHERENT_TAIL_TOL, 1e-9, 4.0 * n_max + 50.0)
+    near = edge * np.array([1 - 1e-4, 1 + 1e-4])
+    lams = np.concatenate([np.geomspace(1e-6, 3.0 * n_max + 30.0, 60), near])
+    for lam in lams:
+        for phase in (1.0, 1j, cmath.exp(2.1j)):
+            alpha = math.sqrt(lam) * phase
+            if gammainc(n_max + 1, lam) <= COHERENT_TAIL_TOL:
+                coherent_state(alpha, n_max)
+            else:
+                with pytest.raises(CutoffTooSmallError):
+                    coherent_state(alpha, n_max)
+
+
+def test_non_finite_amplitudes_are_rejected():
+    for alpha in (float("nan"), float("inf"), float("-inf"), complex("nan+1j"), complex(0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_state(alpha, DIM20)
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(DIM10, np.full(11, np.nan, dtype=complex))
 
 
 def test_coherent_overlap_oracle():

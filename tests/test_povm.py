@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, xlog1py, xlogy
 
 from catproj.fock import (
     CutoffTooSmallError,
     FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
+    _logfact,
     coherent_state,
     displacement_operator,
     expect,
@@ -20,6 +21,7 @@ from catproj.povm import (
     DetectorModel,
     HomodyneSpec,
     PovmPair,
+    _binomial_loss,
     apply_loss,
     compensate_loss,
     dp_partition,
@@ -195,6 +197,48 @@ def test_apply_loss_examples():
     lossy = apply_loss(pair, eta)
     ref = np.diag((1 - eta) ** np.arange(21)).astype(complex)
     assert np.max(np.abs(lossy.pi0.entries - ref)) < 1e-12
+
+
+def kraus_loss_adjoint(pi: np.ndarray, eta: float) -> np.ndarray:
+    """sum_k A_k^dag pi A_k with the photon-subtraction Kraus operators
+    A_k|n> = sqrt(C(n, k) eta^(n-k) (1 - eta)^k) |n-k>."""
+    N = pi.shape[0]
+    out = np.zeros_like(pi, dtype=complex)
+    for k in range(N):
+        A = np.zeros((N, N))
+        for n in range(k, N):
+            A[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
+        out += A.T @ pi @ A
+    return out
+
+
+def test_apply_loss_matches_kraus_sum():
+    rng = np.random.default_rng(5)
+    for n_max in (5, 20):
+        for eta in (0.15, 0.5, 0.689, 0.99, 1.0):
+            pair = random_povm_pair(TruncationDim(n_max), rng)
+            lossy = apply_loss(pair, eta)
+            for before, after in ((pair.pi0, lossy.pi0), (pair.pi1, lossy.pi1)):
+                assert np.max(np.abs(after.entries - kraus_loss_adjoint(before.entries, eta))) < 1e-12
+
+
+def xlogy_binomial_loss(eta: float, n_max: int) -> np.ndarray:
+    """B[n, j] = C(n, j) eta^j (1 - eta)^(n - j) through scipy's xlogy/xlog1py."""
+    lf = _logfact(n_max)
+    n, j = np.tril_indices(n_max + 1)
+    B = np.zeros((n_max + 1, n_max + 1))
+    B[n, j] = np.exp(lf[n] - lf[j] - lf[n - j] + xlogy(j, eta) + xlog1py(n - j, -eta))
+    return B
+
+
+def test_binomial_loss_edges_and_xlogy_oracle():
+    assert np.array_equal(_binomial_loss(1.0, 30), np.eye(31))
+    dark = _binomial_loss(0.0, 30)
+    assert np.all(dark[:, 0] == 1.0) and np.all(dark[:, 1:] == 0.0)
+    assert np.array_equal(_binomial_loss(0.689, 100), xlogy_binomial_loss(0.689, 100))
+    for n_max in (5, 20, 40, 100):
+        for eta in np.linspace(0.01, 0.99, 25):
+            assert np.max(np.abs(_binomial_loss(float(eta), n_max) - xlogy_binomial_loss(eta, n_max))) <= 2e-15
 
 
 def test_apply_loss_preserves_positivity_and_completeness():
