@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fidelity import (
-    _optimize_displacements,
-    displaced_povm,
-    fidelity,
-    optimize_displacement,
-    quantize_to_schedule,
-)
+from .fidelity import _search_displacements, displaced_click_fidelity, quantize_to_schedule
 from .fock import ScsMeasurementSpec, TruncationDim, as_dim, coherent_state, expect
 from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _displaced_counting
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
@@ -126,12 +120,14 @@ def default_displacement_schedule(
     """Evenly spaced amplitude menu covering the optimizer's range.
 
     The largest optimal displacement over c0^2 in [0.5, 1] occurs at the
-    balanced superposition, so the menu runs from zero to that amplitude.
+    balanced superposition, so the menu runs from zero to that amplitude:
+    the ideal detector's optimal ``beta`` there, from the displacement
+    search alone (its fidelity is not needed).
     """
     if levels < 2:
         raise ValueError("a displacement menu needs at least two levels")
     spec = ScsMeasurementSpec.from_c0sq(alpha, 0.5, 0.0)
-    beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, dim)
+    (beta,) = _search_displacements([spec], IDEAL_DETECTOR, dim)
     return tuple(complex(r, 0.0) for r in np.linspace(0.0, abs(beta), levels))
 
 
@@ -162,15 +158,18 @@ def reconstruction_sweep(
     """Measure-and-reconstruct loop over a grid of target superpositions.
 
     For each ``c0^2``: find the ideal optimal displacement (all of them in
-    one optimizer pass, as they share the probe alpha), snap it to the
-    campaign's amplitude menu (unless ``quantize`` is off), build the
-    imperfect-apparatus POVM at that shift, simulate clicks, reconstruct,
-    and score against the target.  ``f_raw`` interprets probes at their
-    physical amplitudes; ``f_compensated`` re-reads the same clicks with
-    amplitudes scaled by sqrt(eta), which undoes the loss channel exactly
-    for coherent inputs.  ``f_ideal`` is the lossless click fidelity at the
-    same (quantized) displacement.  Point ``i`` uses seed ``rng_seed + i``;
-    seeds past 2^64 - 1 are rejected before any point is computed.
+    one search pass, as they share the probe alpha; the search's own
+    fidelity is not computed), snap it to the campaign's amplitude menu
+    (unless ``quantize`` is off), build the imperfect-apparatus POVM at that
+    shift, simulate clicks, reconstruct, and score against the target.
+    ``f_raw`` interprets probes at their physical amplitudes;
+    ``f_compensated`` re-reads the same clicks with amplitudes scaled by
+    sqrt(eta), which undoes the loss channel exactly for coherent inputs.
+    ``f_ideal`` is the lossless click fidelity at the same (quantized)
+    displacement, ``displaced_click_fidelity`` with the ideal detector: the
+    Fock model and photon-number partition of ``dp_povm``, without
+    assembling the POVM.  Point ``i`` uses seed ``rng_seed + i``; seeds past
+    2^64 - 1 are rejected before any point is computed.
     """
     dim = as_dim(dim)
     alpha = campaign.probes.alpha
@@ -178,9 +177,9 @@ def reconstruction_sweep(
     menu = [abs(b) for b in campaign.displacement_schedule]
     seeds = campaign.point_seeds(len(c0sq_values))
     specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
-    optima = _optimize_displacements(specs, IDEAL_DETECTOR, dim)
+    betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
     out: list[ReconstructionPoint] = []
-    for seed, c0sq, spec, (beta, _) in zip(seeds, c0sq_values, specs, optima):
+    for seed, c0sq, spec, beta in zip(seeds, c0sq_values, specs, betas):
         if quantize:
             beta = quantize_to_schedule(beta, menu)
         truth = apparatus_povm(spec, beta, campaign.detector, dim)
@@ -190,13 +189,12 @@ def reconstruction_sweep(
         comp_probes = ProbeSet(root_eta * alpha, tuple(root_eta * g for g in campaign.probes.gammas))
         comp = tomography_pipeline(_relabeled(clicks, root_eta), comp_probes, dim)
 
-        f_ideal = fidelity(displaced_povm(spec, beta, IDEAL_DETECTOR, dim), spec)
         out.append(
             ReconstructionPoint(
                 c0sq=float(c0sq),
                 phi=float(phi),
                 displacement=beta,
-                f_ideal=f_ideal,
+                f_ideal=displaced_click_fidelity(spec, beta, IDEAL_DETECTOR, dim),
                 f_raw=measurement_fidelity(raw.povm, spec),
                 f_compensated=measurement_fidelity(comp.povm, spec),
             )

@@ -361,7 +361,20 @@ def optimize_displacement(
 
 def _optimize_displacements(specs, detector: DetectorModel, dim) -> list[tuple[complex, float]]:
     """``optimize_displacement`` for every spec of a list that shares one
-    alpha: one grid call scores the polar grid for all of them."""
+    alpha: ``_search_displacements``, then the Fock score of each optimum."""
+    betas = _search_displacements(specs, detector, dim)
+    return [
+        (beta, displaced_click_fidelity(spec, beta, detector, dim))
+        for spec, beta in zip(specs, betas)
+    ]
+
+
+def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
+    """The optimal ``beta`` of every spec of a list that shares one alpha,
+    from the coherent-state closed form alone: one grid call scores the
+    polar grid for all of them, then each runs its own refinement.  No Fock
+    model is built, so callers that need only the displacement skip the
+    score."""
     if not specs:
         return []
     alpha = _shared_alpha(specs)
@@ -376,8 +389,8 @@ def _optimize_displacements(specs, detector: DetectorModel, dim) -> list[tuple[c
 
     contrasts = [_contrast(spec) for spec in specs]
     grids = _grids(form, contrasts, radii[:, None] * np.exp(1j * phases))
-    optima = []
-    for spec, contrast, vals in zip(specs, contrasts, grids):
+    betas = []
+    for contrast, vals in zip(contrasts, grids):
         i, k = np.unravel_index(_first_maximum(vals), vals.shape)
         best_f = float(vals[i, k])
         r = float(radii[i])
@@ -395,8 +408,8 @@ def _optimize_displacements(specs, detector: DetectorModel, dim) -> list[tuple[c
         refined = complex(x, y)
         if -f >= best_f and abs(refined) <= r_max:
             best_beta = refined
-        optima.append((best_beta, displaced_click_fidelity(spec, best_beta, detector, dim)))
-    return optima
+        betas.append(best_beta)
+    return betas
 
 
 def homodyne_fidelity(

@@ -217,10 +217,14 @@ def coherent_state(alpha: complex, dim) -> StateVector:
     if alpha == 0:
         amps[0] = 1.0
     else:
-        lam = abs(alpha) ** 2
         n = np.arange(dim.size)
-        mag = np.exp(n * math.log(abs(alpha)) - 0.5 * lam - 0.5 * _logfact(dim.n_max))
-        tail = 1.0 - float(mag @ mag)
+        try:
+            lam = abs(alpha) ** 2
+        except OverflowError:  # |alpha|^2 beyond the float range: no mass within any cutoff
+            tail = 1.0
+        else:
+            mag = np.exp(n * math.log(abs(alpha)) - 0.5 * lam - 0.5 * _logfact(dim.n_max))
+            tail = 1.0 - float(mag @ mag)
         if not tail <= COHERENT_TAIL_TOL:
             raise CutoffTooSmallError(
                 f"coherent amplitude {alpha!r} leaves tail mass {tail:.3e} above "

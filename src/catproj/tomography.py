@@ -344,10 +344,6 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-# E_k with pi0 = sum_k x_k E_k for x = (a, b, Re c, Im c) and pi0 = [[a, c], [c*, b]]
-_ELEMENT_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
-
-
 def _design(rho: np.ndarray) -> np.ndarray:
     """Real (n, 4) design with p_i = Tr(rho_i pi0) = design[i] @ x.
 
@@ -358,10 +354,6 @@ def _design(rho: np.ndarray) -> np.ndarray:
         [rho[:, 0, 0].real, rho[:, 1, 1].real, 2.0 * rho[:, 1, 0].real, -2.0 * rho[:, 1, 0].imag],
         axis=1,
     )
-
-
-def _element(x: np.ndarray) -> np.ndarray:
-    return np.tensordot(x, _ELEMENT_BASIS, axes=1)
 
 
 def _linear_inversion(rho: np.ndarray, freq: np.ndarray) -> np.ndarray | None:
@@ -378,15 +370,104 @@ def _linear_inversion(rho: np.ndarray, freq: np.ndarray) -> np.ndarray | None:
     return np.array([[a, c], [c.conjugate(), b]])
 
 
-def _likelihood_weights(p: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-probe slope f_0/p - f_1/(1 - p) and curvature f_0/p^2 + f_1/(1 - p)^2
-    of the log-likelihood in p.  A zero frequency contributes nothing, also
-    where its probability has rounded to 0."""
-    q = np.stack([p, 1.0 - p], axis=1)
-    seen = freq > 0.0
-    ratio = np.divide(freq, q, out=np.zeros_like(q), where=seen)
-    curvature = np.divide(ratio, q, out=np.zeros_like(q), where=seen)
-    return ratio[:, 0] - ratio[:, 1], curvature.sum(axis=1)
+def _newton_system(rows, x: tuple, mu: float) -> tuple[tuple, tuple, float]:
+    """Gradient and upper Hessian triangle (row-major) of the stage objective
+    -L(x) - mu [log det pi0 + log det(I - pi0)] at x = (a, b, Re c, Im c),
+    and sum_i s_i p_i, for design rows (d_i, f_i0, f_i1).
+
+    Probe i has p_i = d_i . x, slope s_i = f_i0/p_i - f_i1/(1 - p_i) and
+    curvature w_i = f_i0/p_i^2 + f_i1/(1 - p_i)^2, so -L contributes
+    -sum_i s_i d_i and sum_i w_i d_i d_i'.  A zero frequency contributes
+    nothing, also where its probability has rounded to 0.  With
+    pi0 = sum_k x_k E_k and Y = [[p, z], [z*, q]] the inverse of pi0 or of
+    I - pi0, Tr(Y E_k) = (p, q, 2 Re z, 2 Im z) and the Hessian of
+    -log det is Tr(Y E_k Y E_l), whose ten distinct entries are written out
+    below.  At mu = 0 this is -L alone.  An x with pi0 or I - pi0 not
+    positive definite raises ConvergenceError."""
+    a, b, re, im = x
+    cc = re * re + im * im
+    det0 = a * b - cc
+    det1 = (1.0 - a) * (1.0 - b) - cc
+    if not (det0 > 0.0 and det1 > 0.0):
+        raise ConvergenceError(
+            f"barrier Newton iterate left the interior of 0 <= pi0 <= I "
+            f"(det pi0 = {det0:g}, det(I - pi0) = {det1:g})"
+        )
+    # pi0^-1 = [[b, -c], [-c*, a]] / det0, (I - pi0)^-1 = [[1 - b, c], [c*, 1 - a]] / det1;
+    # d(I - pi0)/dx_k = -E_k flips the sign of the second gradient only
+    p0, q0, r0, i0 = b / det0, a / det0, -re / det0, -im / det0
+    p1, q1, r1, i1 = (1.0 - b) / det1, (1.0 - a) / det1, re / det1, im / det1
+    zz0, zz1 = r0 * r0 - i0 * i0, r1 * r1 - i1 * i1
+    mu2 = 2.0 * mu
+    g0, g1, g2, g3 = mu * (p1 - p0), mu * (q1 - q0), mu2 * (r1 - r0), mu2 * (i1 - i0)
+    h00 = mu * (p0 * p0 + p1 * p1)
+    h01 = mu * (r0 * r0 + i0 * i0 + r1 * r1 + i1 * i1)
+    h02 = mu2 * (p0 * r0 + p1 * r1)
+    h03 = mu2 * (p0 * i0 + p1 * i1)
+    h11 = mu * (q0 * q0 + q1 * q1)
+    h12 = mu2 * (q0 * r0 + q1 * r1)
+    h13 = mu2 * (q0 * i0 + q1 * i1)
+    h22 = mu2 * (p0 * q0 + zz0 + p1 * q1 + zz1)
+    h23 = 2.0 * mu2 * (r0 * i0 + r1 * i1)
+    h33 = mu2 * (p0 * q0 - zz0 + p1 * q1 - zz1)
+    sp = 0.0
+    for d0, d1, d2, d3, f0, f1 in rows:
+        p = d0 * a + d1 * b + d2 * re + d3 * im
+        s = w = 0.0
+        if f0 > 0.0:
+            s = f0 / p
+            w = s / p
+        if f1 > 0.0:
+            r = f1 / (1.0 - p)
+            s -= r
+            w += r / (1.0 - p)
+        g0 -= s * d0
+        g1 -= s * d1
+        g2 -= s * d2
+        g3 -= s * d3
+        sp += s * p
+        w0, w1, w2, w3 = w * d0, w * d1, w * d2, w * d3
+        h00 += w0 * d0
+        h01 += w0 * d1
+        h02 += w0 * d2
+        h03 += w0 * d3
+        h11 += w1 * d1
+        h12 += w1 * d2
+        h13 += w1 * d3
+        h22 += w2 * d2
+        h23 += w2 * d3
+        h33 += w3 * d3
+    return (g0, g1, g2, g3), (h00, h01, h02, h03, h11, h12, h13, h22, h23, h33), sp
+
+
+def _pivot_root(pivot: float) -> float:
+    if not pivot > 0.0:
+        raise ConvergenceError(f"barrier Newton Hessian is not positive definite (pivot {pivot:g})")
+    return math.sqrt(pivot)
+
+
+def _spd_solve(h: tuple, v: tuple) -> tuple:
+    """Solve H x = v for a symmetric positive definite 4 x 4 H given by its
+    upper triangle (row-major), by Cholesky factorization H = L L'.  A pivot
+    that is not positive raises ConvergenceError."""
+    h00, h01, h02, h03, h11, h12, h13, h22, h23, h33 = h
+    v0, v1, v2, v3 = v
+    l00 = _pivot_root(h00)
+    l10, l20, l30 = h01 / l00, h02 / l00, h03 / l00
+    l11 = _pivot_root(h11 - l10 * l10)
+    l21, l31 = (h12 - l20 * l10) / l11, (h13 - l30 * l10) / l11
+    l22 = _pivot_root(h22 - l20 * l20 - l21 * l21)
+    l32 = (h23 - l30 * l20 - l31 * l21) / l22
+    l33 = _pivot_root(h33 - l30 * l30 - l31 * l31 - l32 * l32)
+    y0 = v0 / l00
+    y1 = (v1 - l10 * y0) / l11
+    y2 = (v2 - l20 * y0 - l21 * y1) / l22
+    y3 = (v3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+    x3 = y3 / l33
+    x2 = (y2 - l32 * x3) / l22
+    x1 = (y1 - l21 * x2 - l31 * x3) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+    return x0, x1, x2, x3
 
 
 def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -407,40 +488,46 @@ def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict
     most 2 mu; a smaller last mu leaves the Hessian near singular.  A stage
     ends when lam < 1e-7, or when a full step fails to lower lam: full steps
     at least halve it, so it has reached the floor that rounding in the
-    smallest eigenvalue sets."""
-    design = _design(rho)
-    x = np.array([0.5, 0.5, 0.0, 0.0])
+    smallest eigenvalue sets.
+
+    Every step is scalar arithmetic on Python floats: the gradient and
+    Hessian come from the closed-form 2 x 2 inverses of pi0 and I - pi0
+    (``_newton_system``), the step from a 4 x 4 Cholesky solve
+    (``_spd_solve``), and the certificate from the closed-form eigenvalues
+    of the 2 x 2 Hermitian G.  An iterate whose pi0 or I - pi0 is not
+    positive definite, or a Hessian that is not, raises ConvergenceError."""
+    rows = [(*d, f0, f1) for d, (f0, f1) in zip(_design(rho).tolist(), freq.tolist())]
+    x = (0.5, 0.5, 0.0, 0.0)
     steps = 0
     delta = 0.0
-    for mu in 10.0 ** -np.arange(14):
+    for mu in (10.0 ** -np.arange(14)).tolist():
         previous = math.inf
         for _ in range(MLE_MAX_STEPS):
-            pi0 = _element(x)
-            slope, curvature = _likelihood_weights(design @ x, freq)
-            inverses = np.linalg.inv(np.stack([pi0, np.eye(2) - pi0]))
-            scaled = inverses[:, None] @ _ELEMENT_BASIS[None]  # Y E_k
-            barrier_grad = np.array([-1.0, 1.0]) @ np.einsum("jkaa->jk", scaled).real
-            barrier_hess = np.einsum("jkab,jlba->kl", scaled, scaled).real
-            grad = -design.T @ slope + mu * barrier_grad
-            hess = design.T @ (curvature[:, None] * design) + mu * barrier_hess
-            dx = -np.linalg.solve(hess, grad)
-            lam = math.sqrt(max(-float(grad @ dx), 0.0) / mu)
-            dx *= 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-            x = x + dx
+            (g0, g1, g2, g3), hess, _ = _newton_system(rows, x, mu)
+            d0, d1, d2, d3 = _spd_solve(hess, (-g0, -g1, -g2, -g3))
+            lam = math.sqrt(max(-(g0 * d0 + g1 * d1 + g2 * d2 + g3 * d3), 0.0) / mu)
+            if lam > 0.25:
+                scale = 1.0 / (1.0 + lam)
+                d0, d1, d2, d3 = d0 * scale, d1 * scale, d2 * scale, d3 * scale
+            x = (x[0] + d0, x[1] + d1, x[2] + d2, x[3] + d3)
             steps += 1
-            delta = float(np.max(np.abs(_element(dx))))
+            delta = max(abs(d0), abs(d1), abs(complex(d2, d3)))
             if lam < 1e-7 or previous <= lam <= 0.25:
                 break
             previous = lam
-    pi0 = _element(x)
-    slope, _ = _likelihood_weights(design @ x, freq)
-    gradient = np.einsum("i,ikl->kl", slope, rho)
-    gap = float(np.clip(np.linalg.eigvalsh(gradient), 0.0, None).sum() - slope @ (design @ x))
+    # the gradient of L is G = sum_i s_i rho_i, Hermitian 2 x 2 with diagonal
+    # (-g0, -g1) and |G_01| = |g2 + i g3| / 2 in the mu = 0 gradient g of -L
+    (g0, g1, g2, g3), _, sp = _newton_system(rows, x, 0.0)
+    mean, radius = -0.5 * (g0 + g1), math.hypot(0.5 * (g0 - g1), 0.5 * g2, 0.5 * g3)
+    gap = max(mean + radius, 0.0) + max(mean - radius, 0.0) - sp
     if not gap <= MLE_GAP_TOL:
         raise ConvergenceError(
             f"boundary likelihood fit left a duality gap of {gap:g} after {steps} Newton steps "
             f"(tolerance {MLE_GAP_TOL:g})"
         )
+    a, b, re, im = x
+    c = complex(re, im)
+    pi0 = np.array([[a, c], [c.conjugate(), b]])
     return pi0, {"iterations": steps, "converged": True, "final_delta": delta, "duality_gap": gap}
 
 

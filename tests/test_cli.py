@@ -159,6 +159,21 @@ def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "entry, stage", [({"alpha": 1e200}, "config"), ({"gammas": [0.2, 1e200]}, "simulate")]
+)
+def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, entry, stage):
+    path = write_config(tmp_path, entry)
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--preset", "fig3", "--config", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == stage
+    assert "1e+200" in record["message"]
+    assert not out.exists()
+
+
 def test_simulate_deterministic_and_readable(tmp_path):
     path = write_config(tmp_path, SIM_CONFIG)
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -329,6 +344,19 @@ def test_tomography_sweep_mode(tmp_path, capsys):
     assert record["stage"] == "config"
     assert "64-bit" in record["message"]
     assert not late.exists()
+
+
+def test_tomography_sweep_guards_a_schedule_level_beyond_the_cutoff(tmp_path, capsys):
+    # the apparatus model builds the guarded displacement operator before
+    # any fidelity is scored, so an amplitude the cutoff cannot hold stops
+    # the sweep at stage reconstruct
+    path = write_config(tmp_path, {"schedule": [2.5], "c0sq_values": [0.5, 0.6]})
+    out = tmp_path / "never.csv"
+    assert main(["tomography", "--preset", "fig4", "--config", path, "--out", str(out)]) == 1
+    record = last_error(capsys)
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "reconstruct"
+    assert "unitarity defect" in record["message"] and "n_max=24" in record["message"]
+    assert not out.exists()
 
 
 def test_selftest_passes_and_reports(tmp_path, capsys):

@@ -55,6 +55,13 @@ def test_counting_commands_load_no_scipy(tmp_path):
     assert modules == {"after_import": [], "after_commands": []}
 
 
+def test_tomography_sweep_loads_no_scipy(tmp_path):
+    # fig4 runs displacement searches and five boundary likelihood fits, all
+    # of them on numpy and scalar closed forms
+    modules = loaded_scipy([["tomography", "--preset", "fig4", "--out", str(tmp_path / "sweep.csv")]])
+    assert modules == {"after_import": [], "after_commands": []}
+
+
 def test_homodyne_sweep_loads_only_scipy_special(tmp_path):
     modules = loaded_scipy([["fidelity-sweep", "--preset", "fig1b", "--out", str(tmp_path / "sweep.csv")]])
     assert modules["after_import"] == []

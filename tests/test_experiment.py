@@ -14,7 +14,7 @@ from catproj.experiment import (
     reconstruction_sweep,
     simulate_counts,
 )
-from catproj.fidelity import displaced_povm, optimize_displacement
+from catproj.fidelity import displaced_povm, fidelity, optimize_displacement
 from catproj.fock import (
     FockOperator,
     ScsMeasurementSpec,
@@ -230,3 +230,21 @@ def test_reconstruction_sweep_deterministic_and_unquantized():
         assert point.displacement == beta
         assert point.c0sq == c0sq and point.phi == 0.0
     assert reconstruction_sweep(camp, [], 0.0) == []
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+def test_reconstruction_sweep_scores_f_ideal_like_the_ideal_povm(quantize):
+    # f_ideal comes from the click-fidelity kernel, not from an assembled
+    # POVM; both use the same Fock model and photon-number partition
+    camp = Campaign(
+        probes=PROBES,
+        detector=LAB_DETECTOR,
+        displacement_schedule=default_displacement_schedule(),
+        rng_seed=11,
+    )
+    for phi in (0.0, 1.2):
+        weights = [0.5, 0.65, 0.8, 1.0]
+        for point, c0sq in zip(reconstruction_sweep(camp, weights, phi, quantize=quantize), weights):
+            spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, phi)
+            pair = displaced_povm(spec, point.displacement, IDEAL_DETECTOR, DIM)
+            assert abs(point.f_ideal - fidelity(pair, spec)) <= 1e-12

@@ -20,7 +20,9 @@ from catproj.fidelity import (
     _homodyne_form,
     _nelder_mead,
     _grids,
+    _optimize_displacements,
     _optimized_report,
+    _search_displacements,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -290,6 +292,27 @@ def test_optimizers_build_one_fock_operator_each(monkeypatch):
         counts["_displacement_matrix"] = 0
     optimize_homodyne(spec, DIM)
     assert counts == {"_displacement_matrix": 0, "quadrature_interval_operator": 1}
+
+
+def test_search_returns_the_optimizers_displacement_without_a_fock_score(monkeypatch):
+    # the search is the optimizer without its score: the same beta, bit for
+    # bit, and no N x N matrix, so callers that drop the score skip its cost
+    max_guarded_amplitude(DIM)
+    cases = {
+        alpha: [spec_of(c0sq, alpha, phi) for c0sq, phi in ((0.5, 0.0), (0.8, 0.3), (0.95, 2.0))]
+        for alpha in (0.3, 0.499, 0.9, 1.3)
+    }
+    for det in (IDEAL_DETECTOR, LAB):
+        for specs in cases.values():
+            optima = _optimize_displacements(specs, det, DIM)
+            counts = {"_displacement_matrix": 0}
+            with monkeypatch.context() as patch:
+                counting(patch, fidelity_module, "_displacement_matrix", counts)
+                betas = _search_displacements(specs, det, DIM)
+            assert counts == {"_displacement_matrix": 0}
+            assert betas == [beta for beta, _ in optima]
+            assert betas == [optimize_displacement(spec, det, DIM)[0] for spec in specs]
+    assert _search_displacements([], IDEAL_DETECTOR, DIM) == []
 
 
 def test_optimizers_report_the_fock_value_at_their_point():

@@ -120,6 +120,14 @@ def test_non_finite_amplitudes_are_rejected():
         StateVector(DIM10, np.full(11, np.nan, dtype=complex))
 
 
+def test_overflowing_amplitudes_are_cut_off():
+    # |alpha|^2 overflows above about 1.3e154; such an amplitude has all of its
+    # mass beyond any cutoff and must fail like 1e154 does, not with OverflowError
+    for alpha in (1e154, 1e200, -1e200, complex(1e200, 0.0), 1e308, complex(1e308, 1e308)):
+        with pytest.raises(CutoffTooSmallError, match="tail mass 1.000e"):
+            coherent_state(alpha, DIM20)
+
+
 def test_coherent_overlap_oracle():
     # <alpha|-alpha> summed over the Fock series equals e^{-2 alpha^2}
     for alpha in np.linspace(0.1, 1.0, 10):

@@ -426,6 +426,97 @@ def six_probe_states() -> np.ndarray:
     return np.concatenate([probe_states(ALPHA), np.einsum("ik,il->ikl", extra, extra.conj())])
 
 
+# E_k with pi0 = sum_k x_k E_k for x = (a, b, Re c, Im c) and pi0 = [[a, c], [c*, b]]
+ELEMENT_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+
+
+def oracle_barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, float]:
+    """The barrier path following of ``tomography._barrier_newton`` in numpy
+    array arithmetic: numpy inverses of pi0 and I - pi0, einsum traces for
+    the barrier gradient and Hessian, ``np.linalg.solve`` for the step and
+    ``eigvalsh`` for the certificate.  Returns pi0 and its duality gap."""
+    design = tomography._design(rho)
+
+    def weights(x):
+        p = design @ x
+        q = np.stack([p, 1.0 - p], axis=1)
+        ratio = np.divide(freq, q, out=np.zeros_like(q), where=freq > 0.0)
+        curvature = np.divide(ratio, q, out=np.zeros_like(q), where=freq > 0.0)
+        return ratio[:, 0] - ratio[:, 1], curvature.sum(axis=1)
+
+    x = np.array([0.5, 0.5, 0.0, 0.0])
+    for mu in 10.0 ** -np.arange(14):
+        previous = math.inf
+        for _ in range(tomography.MLE_MAX_STEPS):
+            pi0 = np.tensordot(x, ELEMENT_BASIS, axes=1)
+            slope, curvature = weights(x)
+            inverses = np.linalg.inv(np.stack([pi0, np.eye(2) - pi0]))
+            scaled = inverses[:, None] @ ELEMENT_BASIS[None]  # Y E_k
+            barrier_grad = np.array([-1.0, 1.0]) @ np.einsum("jkaa->jk", scaled).real
+            barrier_hess = np.einsum("jkab,jlba->kl", scaled, scaled).real
+            grad = -design.T @ slope + mu * barrier_grad
+            hess = design.T @ (curvature[:, None] * design) + mu * barrier_hess
+            dx = -np.linalg.solve(hess, grad)
+            lam = math.sqrt(max(-float(grad @ dx), 0.0) / mu)
+            x = x + dx * (1.0 if lam <= 0.25 else 1.0 / (1.0 + lam))
+            if lam < 1e-7 or previous <= lam <= 0.25:
+                break
+            previous = lam
+    slope, _ = weights(x)
+    gradient = np.einsum("i,ikl->kl", slope, rho)
+    gap = float(np.clip(np.linalg.eigvalsh(gradient), 0.0, None).sum() - slope @ (design @ x))
+    return np.tensordot(x, ELEMENT_BASIS, axes=1), gap
+
+
+def boundary_cases():
+    """Boundary MLE inputs: the fig4 re-read, the six-probe sets, and a seeded
+    family of four-probe rates whose linear inversion is unphysical."""
+    cases = [boundary_input()]
+    for rates in ([0.0] * 6, [1.0] * 6, [1.0, 0.3, 0.0, 0.8, 1.0, 0.45]):
+        q = np.array(rates)
+        cases.append((six_probe_states(), np.stack([q, 1.0 - q], axis=1)))
+    rng = np.random.default_rng(2024)
+    while len(cases) < 24:
+        rho = probe_states(float(rng.uniform(0.2, 1.0)))
+        q = rng.uniform(0.0, 1.0, 4)
+        freq = np.stack([q, 1.0 - q], axis=1)
+        w = np.linalg.eigvalsh(tomography._linear_inversion(rho, freq))
+        if w[0] < 0.0 or w[-1] > 1.0:
+            cases.append((rho, freq))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_scalar_barrier_newton_matches_the_array_oracle(case):
+    rho, freq = boundary_cases()[case]
+    want, want_gap = oracle_barrier_newton(rho, freq)
+    got, diagnostics = tomography._barrier_newton(rho, freq)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert want_gap <= 1e-12
+    assert diagnostics["duality_gap"] <= 1e-12
+    assert duality_gap(rho, freq, got) <= 1e-12
+    assert got[0, 1] == np.conj(got[1, 0]) and got[0, 0].imag == got[1, 1].imag == 0.0
+
+
+def test_spd_solve_solves_and_rejects_indefinite_matrices():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(4, 4))
+    h = z @ z.T + 0.1 * np.eye(4)
+    v = rng.normal(size=4)
+    upper = tuple(h[np.triu_indices(4)])
+    assert np.max(np.abs(np.array(tomography._spd_solve(upper, tuple(v))) - np.linalg.solve(h, v))) <= 1e-12
+    for bad in (np.diag([1.0, 1.0, -1.0, 1.0]), np.ones((4, 4)), np.full((4, 4), np.nan)):
+        with pytest.raises(tomography.ConvergenceError, match="positive definite"):
+            tomography._spd_solve(tuple(bad[np.triu_indices(4)]), (1.0, 0.0, 0.0, 0.0))
+
+
+def test_newton_system_rejects_an_iterate_outside_the_interior():
+    rows = [(*d, 0.5, 0.5) for d in tomography._design(probe_states(ALPHA)).tolist()]
+    for x in ((1.0, 0.5, 0.0, 0.0), (0.5, 0.5, 0.5, 0.1), (-0.1, 0.5, 0.0, 0.0)):
+        with pytest.raises(tomography.ConvergenceError, match="interior"):
+            tomography._newton_system(rows, x, 1.0)
+
+
 @pytest.mark.parametrize(
     "rates",
     [np.zeros(6), np.ones(6), np.array([1.0, 0.3, 0.0, 0.8, 1.0, 0.45])],
