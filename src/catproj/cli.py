@@ -32,7 +32,7 @@ from .fidelity import (
     SweepGrid,
     _click_form,
     _contrast,
-    _optimized_report,
+    _optimized_reports,
     displaced_povm,
     fidelity,
     sweep,
@@ -312,7 +312,9 @@ def cmd_optimize(cfg: dict) -> int:
         spec = _spec(cfg)
         detector = _detector(cfg)
     with _stage("optimize"):
-        report = _optimized_report(spec, detector, _dim(cfg))
+        (report,) = _optimized_reports([spec], detector, _dim(cfg))
+        if isinstance(report, Exception):
+            raise report
     values = {
         "alpha": spec.alpha,
         "c0sq": spec.c0**2,

@@ -345,36 +345,26 @@ def optimize_displacement(
 ) -> tuple[complex, float]:
     """Maximize the displaced-counting fidelity over complex ``beta``.
 
-    The coherent-state closed form searches: a coarse polar grid (amplitude
-    step ``AMPLITUDE_STEP`` up to the largest amplitude the truncation
-    supports, phase step ``PHASE_STEP``) scored as one array, then
-    ``_nelder_mead`` refinement in the (Re, Im) plane on the scalar closed
-    form; amplitudes outside the supported disc are rejected by a penalty,
-    and the refined point is only accepted when it improves on the grid.
-    The Fock model scores the result: the returned fidelity is
+    The coherent-state closed form searches (``_search_displacements``): a
+    coarse polar grid (amplitude step ``AMPLITUDE_STEP`` up to the largest
+    amplitude the truncation supports, phase step ``PHASE_STEP``) scored as
+    one array, then ``_nelder_mead`` refinement in the (Re, Im) plane on the
+    scalar closed form; amplitudes outside the supported disc are rejected
+    by a penalty, and the refined point is only accepted when it improves on
+    the grid.  The Fock model scores the result: the returned fidelity is
     ``displaced_click_fidelity`` at the returned ``beta``.  Fully
     deterministic: grid ties within a few ulps go to the first maximum in
     radius-major, phase-ascending order.
     """
-    return _optimize_displacements([spec], detector, dim)[0]
-
-
-def _optimize_displacements(specs, detector: DetectorModel, dim) -> list[tuple[complex, float]]:
-    """``optimize_displacement`` for every spec of a list that shares one
-    alpha: ``_search_displacements``, then the Fock score of each optimum."""
-    betas = _search_displacements(specs, detector, dim)
-    return [
-        (beta, displaced_click_fidelity(spec, beta, detector, dim))
-        for spec, beta in zip(specs, betas)
-    ]
+    (beta,) = _search_displacements([spec], detector, dim)
+    return beta, displaced_click_fidelity(spec, beta, detector, dim)
 
 
 def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
     """The optimal ``beta`` of every spec of a list that shares one alpha,
     from the coherent-state closed form alone: one grid call scores the
     polar grid for all of them, then each runs its own refinement.  No Fock
-    model is built, so callers that need only the displacement skip the
-    score."""
+    model is built."""
     if not specs:
         return []
     alpha = _shared_alpha(specs)
@@ -434,24 +424,26 @@ def homodyne_fidelity(
 def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, float]:
     """Maximize the homodyne fidelity over threshold and local-oscillator phase.
 
-    The coherent-state closed form searches: a grid over ``x_th`` in
-    ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times sixty phases in
-    [0, pi), scored as one array, then clamped ``_nelder_mead`` refinement
-    on the scalar closed form.  Grid ties within a few ulps go to the first
-    maximum in threshold-major order.  The Fock model scores the result.
-    Returns ``(x_th_opt, lo_phase_opt, f)`` with
+    The coherent-state closed form searches (``_search_homodynes``): a grid
+    over ``x_th`` in ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times
+    sixty phases in [0, pi), scored as one array, then clamped
+    ``_nelder_mead`` refinement on the scalar closed form.  Grid ties within
+    a few ulps go to the first maximum in threshold-major order.  The Fock
+    model scores the result.  Returns ``(x_th_opt, lo_phase_opt, f)`` with
     ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.
     """
-    return _optimize_homodynes([spec], dim)[0]
+    ((x_opt, th_opt),) = _search_homodynes([spec])
+    return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)
 
 
-def _optimize_homodynes(specs, dim) -> list[tuple[float, float, float]]:
-    """``optimize_homodyne`` for every spec of a list that shares one alpha:
-    one grid call scores the threshold/phase grid for all of them."""
+def _search_homodynes(specs) -> list[tuple[float, float]]:
+    """The optimal ``(x_th, lo_phase)`` of every spec of a list that shares
+    one alpha, from the coherent-state closed form alone: one grid call
+    scores the threshold/phase grid for all of them, then each runs its own
+    refinement.  No Fock model is built."""
     if not specs:
         return []
     alpha = _shared_alpha(specs)
-    dim = as_dim(dim)
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     thetas = np.arange(60) * (math.pi / 60.0)
@@ -466,7 +458,7 @@ def _optimize_homodynes(specs, dim) -> list[tuple[float, float, float]]:
     contrasts = [_contrast(spec) for spec in specs]
     grids = _grids(form, contrasts, xs[:, None], thetas)
     optima = []
-    for spec, contrast, vals in zip(specs, contrasts, grids):
+    for contrast, vals in zip(contrasts, grids):
         i, k = np.unravel_index(_first_maximum(vals), vals.shape)
         best = (float(vals[i, k]), float(xs[i]), float(thetas[k]))
         score = form(contrast)
@@ -475,8 +467,7 @@ def _optimize_homodynes(specs, dim) -> list[tuple[float, float, float]]:
             return -score(*clamp(x, theta))
 
         (x, th), f, _ = _nelder_mead(negated, best[1:], 400)
-        x_opt, th_opt = clamp(x, th) if -f >= best[0] else best[1:]
-        optima.append((x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)))
+        optima.append(clamp(x, th) if -f >= best[0] else best[1:])
     return optima
 
 
@@ -562,30 +553,35 @@ class SweepGrid:
         return itertools.product(self.c0sq_values, self.alpha_sq_values, self.phi_values)
 
 
-def _optimized_report(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
-    """All three strategies optimized at one spec, checked by ``verify``."""
-    return _optimized_reports([spec], detector, dim)[0]
-
-
-def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport]:
-    """``_optimized_report`` for every spec of a list that shares one alpha."""
-    reports = []
-    for spec, (beta_opt, f_dp), (x_opt, th_opt, f_hd) in zip(
-        specs, _optimize_displacements(specs, detector, dim), _optimize_homodynes(specs, dim)
-    ):
-        report = FidelityReport(
-            f_dp=f_dp,
-            f_hd=f_hd,
-            f_pn=pnrd_fidelity(spec),
-            beta_opt=beta_opt,
-            x_th_opt=x_opt,
-            lo_phase_opt=th_opt,
-            spec=spec,
-            detector=detector,
-        )
-        report.verify(dim)
-        reports.append(report)
-    return reports
+def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport | Exception]:
+    """The outcome of optimizing all three strategies at every spec of a
+    list that shares one alpha: both closed-form searches run once for the
+    whole list, then the Fock model scores each point and ``verify`` checks
+    its report.  A point whose score or check fails gets its exception in
+    place of a report; a failed search is every point's outcome."""
+    try:
+        betas = _search_displacements(specs, detector, dim)
+        homodynes = _search_homodynes(specs)
+    except Exception as exc:  # noqa: BLE001 - charged to every point of the group
+        return [exc] * len(specs)
+    outcomes: list[FidelityReport | Exception] = []
+    for spec, beta, (x_th, lo_phase) in zip(specs, betas, homodynes):
+        try:
+            outcome = FidelityReport(
+                f_dp=displaced_click_fidelity(spec, beta, detector, dim),
+                f_hd=homodyne_fidelity(spec, x_th, lo_phase, dim),
+                f_pn=pnrd_fidelity(spec),
+                beta_opt=beta,
+                x_th_opt=x_th,
+                lo_phase_opt=lo_phase,
+                spec=spec,
+                detector=detector,
+            )
+            outcome.verify(dim)
+        except Exception as exc:  # noqa: BLE001 - charged to this point alone
+            outcome = exc
+        outcomes.append(outcome)
+    return outcomes
 
 
 def sweep(
@@ -596,12 +592,11 @@ def sweep(
 ) -> list[FidelityReport]:
     """One optimized FidelityReport per grid point, in grid order.
 
-    The points that share an alpha^2 are optimized in one pass.  A failing
-    point does not abort the sweep: its exception is appended to ``errors``
-    (when given) as ``(index, point, exception)`` and reported as a
-    warning, and the point is dropped from the output.  When a pass fails,
-    its points are rerun one by one, so each failure is charged to its own
-    point.
+    The points that share an alpha^2 are optimized in one pass
+    (``_optimized_reports``).  A failing point does not abort the sweep:
+    its exception is appended to ``errors`` (when given) as
+    ``(index, point, exception)`` and reported as a warning, and the point
+    is dropped from the output.
     """
     dim = as_dim(dim)
     points = list(grid.points())
@@ -612,14 +607,7 @@ def sweep(
 
     outcomes: dict[int, FidelityReport | Exception] = {}
     for indices in groups.values():
-        try:
-            outcomes.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
-        except Exception:  # noqa: BLE001 - rerun point by point below
-            for idx in indices:
-                try:
-                    outcomes[idx] = _optimized_report(specs[idx], detector, dim)
-                except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
-                    outcomes[idx] = exc
+        outcomes.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
 
     reports = []
     for idx, point in enumerate(points):

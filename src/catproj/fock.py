@@ -47,7 +47,6 @@ __all__ = [
     "identity_operator",
     "inner",
     "expect",
-    "apply_operator",
 ]
 
 # Maximum photon-number tail mass allowed outside the truncated basis when
@@ -103,16 +102,11 @@ def _require_same_dim(a: TruncationDim, b: TruncationDim) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Dense ket on the truncated basis.
-
-    With ``normalized=True`` (the default) the constructor enforces
-    sum |c_n|^2 = 1 within ``NORM_TOL``.  Pass ``normalized=False`` for
-    intermediate unnormalized vectors.
-    """
+    """Dense normalized ket on the truncated basis: the constructor enforces
+    sum |c_n|^2 = 1 within ``NORM_TOL``."""
 
     dim: TruncationDim
     amps: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=complex, copy=True)
@@ -120,15 +114,11 @@ class StateVector:
             raise DimensionMismatchError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.dim.size},)"
             )
-        if self.normalized:
-            nrm = float(np.sum(np.abs(amps) ** 2))
-            if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
-                raise ValueError(f"state marked normalized but has norm^2 = {nrm!r}")
+        nrm = float(np.sum(np.abs(amps) ** 2))
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
+            raise ValueError(f"state is not normalized: norm^2 = {nrm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +290,7 @@ def scs_projectors(spec: ScsMeasurementSpec, dim) -> tuple[StateVector, StateVec
     return StateVector(dim, pi0), StateVector(dim, pi1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _displacement_matrix(beta, dim: TruncationDim) -> np.ndarray:
     """<m|D(beta)|n> from the closed-form associated-Laguerre expression
     (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
@@ -309,6 +300,8 @@ def _displacement_matrix(beta, dim: TruncationDim) -> np.ndarray:
     scalar or an array of amplitudes; the result has shape
     ``np.shape(beta) + (N, N)``.  One stable three-term recurrence in n
     generates the Laguerre values of every amplitude and every diagonal.
+    An amplitude far beyond the cutoff overflows to inf or NaN entries
+    without a warning; the unitarity guard rejects such a matrix.
     """
     beta = np.asarray(beta, dtype=complex)
     N = dim.size
@@ -358,7 +351,7 @@ def displacement_operator(beta: complex, dim) -> FockOperator:
     dim = as_dim(dim)
     D = _displacement_matrix(beta, dim)
     defect = float(_unitarity_defect(D, dim.n_max))
-    if defect > DISPLACEMENT_GUARD_TOL:
+    if not defect <= DISPLACEMENT_GUARD_TOL:  # also rejects NaN
         raise CutoffTooSmallError(
             f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
             f"(n_max//2)^2 guard block at n_max={dim.n_max} "
@@ -401,8 +394,3 @@ def expect(op: FockOperator, s: StateVector) -> complex:
     _require_same_dim(op.dim, s.dim)
     return complex(np.vdot(s.amps, op.entries @ s.amps))
 
-
-def apply_operator(op: FockOperator, s: StateVector) -> StateVector:
-    """op|s> as an (unnormalized) vector."""
-    _require_same_dim(op.dim, s.dim)
-    return StateVector(op.dim, op.entries @ s.amps, normalized=False)

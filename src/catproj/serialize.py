@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import ReconstructionPoint
-from .fidelity import FidelityReport
 from .tomography import ClickTable, TomographyRun
 
 SCHEMA_MAJOR = 1
@@ -108,12 +106,14 @@ def _parse_header(lines: list[str], schema: str) -> tuple[dict, int]:
     return meta, i
 
 
-def _csv_text(schema: str, config: dict, seed: int, columns, rows, extra=None) -> str:
+def _write_csv(path, schema: str, config: dict, seed: int, columns, rows, extra=None) -> None:
+    """Write the header, the column row and one line per row atomically;
+    numbers go through ``format_float``, strings as they are."""
     lines = _header_lines(schema, config, seed, extra)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def probe_labels(amplitudes) -> list[str]:
@@ -129,23 +129,16 @@ def probe_labels(amplitudes) -> list[str]:
 
 
 def write_click_table(path, table: ClickTable, config: dict, seed: int, extra: dict | None = None) -> None:
-    rows = []
-    labels = probe_labels(table.probe_amplitudes)
-    for label, amp, c0, c1, shots in zip(
-        labels, table.probe_amplitudes, table.counts0, table.counts1, table.shots
-    ):
-        amp = complex(amp)
-        rows.append(
-            (
-                label,
-                format_float(amp.real),
-                format_float(amp.imag),
-                format_float(c0),
-                format_float(c1),
-                format_float(shots),
-            )
-        )
-    atomic_write_text(path, _csv_text(CLICK_SCHEMA, config, seed, _CLICK_COLUMNS, rows, extra))
+    amps = table.probe_amplitudes  # Python complex, as ClickTable stores them
+    rows = zip(
+        probe_labels(amps),
+        (a.real for a in amps),
+        (a.imag for a in amps),
+        table.counts0,
+        table.counts1,
+        table.shots,
+    )
+    _write_csv(path, CLICK_SCHEMA, config, seed, _CLICK_COLUMNS, rows, extra)
 
 
 def read_click_table(path) -> tuple[ClickTable, dict]:
@@ -173,50 +166,30 @@ def read_click_table(path) -> tuple[ClickTable, dict]:
 
 
 def write_sweep_csv(path, reports, config: dict, seed: int, extra: dict | None = None) -> None:
-    rows = []
-    for rep in reports:
-        rep: FidelityReport
-        rows.append(
-            tuple(
-                format_float(v)
-                for v in (
-                    rep.spec.c0**2,
-                    rep.spec.alpha**2,
-                    rep.spec.phi,
-                    rep.f_dp,
-                    rep.f_hd,
-                    rep.f_pn,
-                    rep.beta_opt.real,
-                    rep.beta_opt.imag,
-                    rep.x_th_opt,
-                    rep.lo_phase_opt,
-                )
-            )
+    rows = (
+        (
+            rep.spec.c0**2,
+            rep.spec.alpha**2,
+            rep.spec.phi,
+            rep.f_dp,
+            rep.f_hd,
+            rep.f_pn,
+            rep.beta_opt.real,
+            rep.beta_opt.imag,
+            rep.x_th_opt,
+            rep.lo_phase_opt,
         )
-    atomic_write_text(path, _csv_text(SWEEP_SCHEMA, config, seed, _SWEEP_COLUMNS, rows, extra))
+        for rep in reports
+    )
+    _write_csv(path, SWEEP_SCHEMA, config, seed, _SWEEP_COLUMNS, rows, extra)
 
 
 def write_reconstruction_csv(path, points, config: dict, seed: int, extra: dict | None = None) -> None:
-    rows = []
-    for p in points:
-        p: ReconstructionPoint
-        rows.append(
-            tuple(
-                format_float(v)
-                for v in (
-                    p.c0sq,
-                    p.phi,
-                    p.displacement.real,
-                    p.displacement.imag,
-                    p.f_ideal,
-                    p.f_raw,
-                    p.f_compensated,
-                )
-            )
-        )
-    atomic_write_text(
-        path, _csv_text(RECONSTRUCTION_SCHEMA, config, seed, _RECONSTRUCTION_COLUMNS, rows, extra)
+    rows = (
+        (p.c0sq, p.phi, p.displacement.real, p.displacement.imag, p.f_ideal, p.f_raw, p.f_compensated)
+        for p in points
     )
+    _write_csv(path, RECONSTRUCTION_SCHEMA, config, seed, _RECONSTRUCTION_COLUMNS, rows, extra)
 
 
 def _rounded(value):

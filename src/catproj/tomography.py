@@ -292,6 +292,21 @@ def even_cat_probe_expectation(
     return min(max(raw, 0.0), 1.0), raw
 
 
+def _hermitian_eigvals(a: float, b: float, c: complex) -> tuple[float, float]:
+    """Eigenvalues (low, high) of the Hermitian [[a, c], [c*, b]] in closed
+    form: (a + b)/2 -+ hypot((a - b)/2, |c|)."""
+    mean = 0.5 * (a + b)
+    radius = math.hypot(0.5 * (a - b), c.real, c.imag)
+    return mean - radius, mean + radius
+
+
+def _eigvals_2x2(m: np.ndarray) -> tuple[float, float]:
+    """Eigenvalues (low, high) of the Hermitian part of a 2 x 2 matrix."""
+    return _hermitian_eigvals(
+        float(m[0, 0].real), float(m[1, 1].real), complex(0.5 * (m[0, 1] + m[1, 0].conjugate()))
+    )
+
+
 @dataclass(frozen=True)
 class ScsPovm:
     """Two-outcome POVM restricted to the orthonormal {|C+>, |C->} basis."""
@@ -305,16 +320,17 @@ class ScsPovm:
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         comp = np.max(np.abs(self.pi0 + self.pi1 - np.eye(2)))
-        if comp > COMPLETENESS_TOL_2D:
+        if not comp <= COMPLETENESS_TOL_2D:
             raise ValueError(f"elements do not sum to identity (residual {comp:g})")
         for name in ("pi0", "pi1"):
-            arr = getattr(self, name)
-            evals = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-            if evals.min() < -EIGENVALUE_FLOOR_2D:
-                raise ValueError(f"{name} has eigenvalue {evals.min():g} below the floor")
+            low, _ = _eigvals_2x2(getattr(self, name))
+            if not low >= -EIGENVALUE_FLOOR_2D:
+                raise ValueError(f"{name} has eigenvalue {low:g} below the floor")
 
 
 def probe_coefficients(alpha: float, dim) -> np.ndarray:
@@ -336,12 +352,6 @@ def probe_coefficients(alpha: float, dim) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
 def _design(rho: np.ndarray) -> np.ndarray:
@@ -494,8 +504,9 @@ def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict
     Hessian come from the closed-form 2 x 2 inverses of pi0 and I - pi0
     (``_newton_system``), the step from a 4 x 4 Cholesky solve
     (``_spd_solve``), and the certificate from the closed-form eigenvalues
-    of the 2 x 2 Hermitian G.  An iterate whose pi0 or I - pi0 is not
-    positive definite, or a Hessian that is not, raises ConvergenceError."""
+    of the 2 x 2 Hermitian G (``_hermitian_eigvals``).  An iterate whose
+    pi0 or I - pi0 is not positive definite, or a Hessian that is not,
+    raises ConvergenceError."""
     rows = [(*d, f0, f1) for d, (f0, f1) in zip(_design(rho).tolist(), freq.tolist())]
     x = (0.5, 0.5, 0.0, 0.0)
     steps = 0
@@ -518,8 +529,8 @@ def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict
     # the gradient of L is G = sum_i s_i rho_i, Hermitian 2 x 2 with diagonal
     # (-g0, -g1) and |G_01| = |g2 + i g3| / 2 in the mu = 0 gradient g of -L
     (g0, g1, g2, g3), _, sp = _newton_system(rows, x, 0.0)
-    mean, radius = -0.5 * (g0 + g1), math.hypot(0.5 * (g0 - g1), 0.5 * g2, 0.5 * g3)
-    gap = max(mean + radius, 0.0) + max(mean - radius, 0.0) - sp
+    low, high = _hermitian_eigvals(-g0, -g1, complex(0.5 * g2, 0.5 * g3))
+    gap = max(high, 0.0) + max(low, 0.0) - sp
     if not gap <= MLE_GAP_TOL:
         raise ConvergenceError(
             f"boundary likelihood fit left a duality gap of {gap:g} after {steps} Newton steps "
@@ -564,7 +575,7 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     for i, r in enumerate(rho):
         if abs(np.trace(r) - 1.0) > 1e-9:
             raise ValueError(f"probe {i} does not have unit trace")
-        if np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() < -1e-9:
+        if _eigvals_2x2(r)[0] < -1e-9:
             raise ValueError(f"probe {i} is not positive semidefinite")
 
     def log_likelihood(elements) -> float:
@@ -573,8 +584,8 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
 
     pi0 = _linear_inversion(rho, freq)
     if pi0 is not None:
-        w = np.linalg.eigvalsh(pi0)
-        if not (w[0] >= 0.0 and w[-1] <= 1.0):
+        low, high = _eigvals_2x2(pi0)
+        if not (low >= 0.0 and high <= 1.0):
             pi0 = None
     if pi0 is None:
         pi0, diagnostics = _barrier_newton(rho, freq)
@@ -624,18 +635,15 @@ def measurement_fidelity(povm: ScsPovm, spec: ScsMeasurementSpec) -> float:
     return float(val.real)
 
 
-def _uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
-    s = _psd_sqrt(rho)
-    evals = np.linalg.eigvalsh(0.5 * ((s @ sigma @ s) + (s @ sigma @ s).conj().T))
-    return float(np.sqrt(np.clip(evals, 0.0, None)).sum() ** 2)
-
-
 def povm_pair_fidelity(a: ScsPovm, b: ScsPovm) -> float:
     """Trace-weighted Uhlmann fidelity between two binary 2x2 POVMs.
 
     Each element is normalized to unit trace and compared as a state; the
     per-outcome fidelities are averaged with weights Tr(a_j)/2 taken from
-    the first pair.
+    the first pair.  For qubit states the Uhlmann fidelity has the exact
+    form F = Tr(rho sigma) + 2 sqrt(det rho det sigma) (Huebner, Phys. Lett.
+    A 163, 239 (1992)), with each determinant the product of the
+    closed-form eigenvalues, so no matrix square root is taken.
     """
     total = 0.0
     for aj, bj in ((a.pi0, b.pi0), (a.pi1, b.pi1)):
@@ -643,7 +651,10 @@ def povm_pair_fidelity(a: ScsPovm, b: ScsPovm) -> float:
         tb = np.trace(bj).real
         if ta <= 0.0 or tb <= 0.0:
             continue
-        total += 0.5 * ta * _uhlmann(aj / ta, bj / tb)
+        rho, sigma = aj / ta, bj / tb
+        det_rho, det_sigma = (max(low, 0.0) * high for low, high in map(_eigvals_2x2, (rho, sigma)))
+        overlap = float(np.einsum("kl,lk->", rho, sigma).real)
+        total += 0.5 * ta * (overlap + 2.0 * math.sqrt(det_rho * det_sigma))
     return total
 
 

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catproj
 from catproj import fidelity, fock
 from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
@@ -171,6 +175,32 @@ def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, e
     record = json.loads(lines[0])
     assert record["error"] == "CutoffTooSmallError" and record["stage"] == stage
     assert "1e+200" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", [1e10, 1e200])
+def test_an_overflowing_drive_is_one_cutoff_record(tmp_path, amplitude):
+    # a fresh interpreter with the default warning filters: an overflow in the
+    # displacement matrix must not print a numpy warning ahead of the record,
+    # and a NaN unitarity defect must fail the guard, not a later eigensolver
+    path = write_config(tmp_path, {"drive_amplitude": amplitude})
+    out = tmp_path / "never.csv"
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    package_root = str(Path(catproj.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "catproj.cli", "simulate", "--preset", "fig3", "--config", path, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "config"
     assert not out.exists()
 
 

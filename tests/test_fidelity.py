@@ -20,9 +20,9 @@ from catproj.fidelity import (
     _homodyne_form,
     _nelder_mead,
     _grids,
-    _optimize_displacements,
-    _optimized_report,
+    _optimized_reports,
     _search_displacements,
+    _search_homodynes,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -304,15 +304,27 @@ def test_search_returns_the_optimizers_displacement_without_a_fock_score(monkeyp
     }
     for det in (IDEAL_DETECTOR, LAB):
         for specs in cases.values():
-            optima = _optimize_displacements(specs, det, DIM)
             counts = {"_displacement_matrix": 0}
             with monkeypatch.context() as patch:
                 counting(patch, fidelity_module, "_displacement_matrix", counts)
                 betas = _search_displacements(specs, det, DIM)
             assert counts == {"_displacement_matrix": 0}
-            assert betas == [beta for beta, _ in optima]
             assert betas == [optimize_displacement(spec, det, DIM)[0] for spec in specs]
     assert _search_displacements([], IDEAL_DETECTOR, DIM) == []
+
+
+def test_homodyne_search_returns_the_optimizers_point_without_a_fock_score(monkeypatch):
+    for alpha in (0.3, 0.9, 1.3):
+        specs = [spec_of(c0sq, alpha, phi) for c0sq, phi in ((0.5, 0.0), (0.8, 0.3), (0.95, 2.0))]
+        counts = {"quadrature_interval_operator": 0}
+        with monkeypatch.context() as patch:
+            counting(patch, fidelity_module, "quadrature_interval_operator", counts)
+            optima = _search_homodynes(specs)
+        assert counts == {"quadrature_interval_operator": 0}
+        assert optima == [optimize_homodyne(spec, DIM)[:2] for spec in specs]
+    assert _search_homodynes([]) == []
+    with pytest.raises(ValueError, match="share one alpha"):
+        _search_homodynes([spec_of(0.5, 0.3), spec_of(0.5, 0.4)])
 
 
 def test_optimizers_report_the_fock_value_at_their_point():
@@ -438,7 +450,7 @@ def test_sweep_batches_each_alpha_as_its_points_alone(monkeypatch):
         assert len(reports) == len(grid) == 16
         for report, (c0sq, alpha_sq, phi) in zip(reports, grid.points()):
             spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
-            alone = _optimized_report(spec, det, DIM)
+            (alone,) = _optimized_reports([spec], det, DIM)
             for name in FidelityReport.__dataclass_fields__:
                 assert getattr(report, name) == getattr(alone, name), name
 
@@ -481,8 +493,48 @@ def test_sweep_aggregates_point_failures(monkeypatch):
         assert [idx for idx, _, _ in errors] == indices
         assert all(str(exc) == "injected" for _, _, exc in errors)
         assert len(reports) == len(grid) - len(indices)
-    # the point that passed in the failing pass was rerun alone
-    assert reports[1] == _optimized_report(spec_of(0.5, 1.0), IDEAL_DETECTOR, DIM)
+    # the point that passed beside a failing one equals the point optimized alone
+    assert reports[1] == _optimized_reports([spec_of(0.5, 1.0)], IDEAL_DETECTOR, DIM)[0]
+
+
+def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(monkeypatch):
+    # a point whose check fails is charged alone, in the same pass: the
+    # search runs once per alpha^2 group and the Fock model scores each point
+    # once, with no rerun of the failing group point by point
+    counts = {"_search_displacements": 0, "homodyne_fidelity": 0}
+    counting(monkeypatch, fidelity_module, "_search_displacements", counts)
+    counting(monkeypatch, fidelity_module, "homodyne_fidelity", counts)
+    verify = FidelityReport.verify
+
+    def picky(report, dim):
+        if (round(report.spec.c0sq, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
+            raise ArithmeticError("injected")
+        verify(report, dim)
+
+    monkeypatch.setattr(FidelityReport, "verify", picky)
+    grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
+    errors = []
+    with pytest.warns(UserWarning, match="failed"):
+        reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
+    assert counts == {"_search_displacements": 3, "homodyne_fidelity": 6}
+    assert [(idx, str(exc)) for idx, _, exc in errors] == [(4, "injected")]
+    assert len(reports) == 5
+
+    # a search that fails for one alpha^2 is charged to that group's points only
+    monkeypatch.setattr(FidelityReport, "verify", verify)
+    search = fidelity_module._search_homodynes
+
+    def failing_search(specs):
+        if round(specs[0].alpha ** 2, 9) == 1.6:
+            raise ArithmeticError("search failed")
+        return search(specs)
+
+    monkeypatch.setattr(fidelity_module, "_search_homodynes", failing_search)
+    errors = []
+    with pytest.warns(UserWarning, match="failed"):
+        reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
+    assert [(idx, str(exc)) for idx, _, exc in errors] == [(2, "search failed"), (5, "search failed")]
+    assert [round(r.spec.alpha**2, 9) for r in reports] == [0.25, 1.0, 0.25, 1.0]
 
 
 def test_quantize_to_schedule():

@@ -612,6 +612,88 @@ def test_scs_povm_validation():
         ScsPovm(np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scs_povm_rejects_non_finite_elements(bad):
+    # NaN passes every ordered comparison, so it must be rejected up front
+    full = np.full((2, 2), bad, dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        ScsPovm(full, np.eye(2) - full)
+    one = 0.5 * np.eye(2, dtype=complex)
+    one[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ScsPovm(one, np.eye(2) - one)
+
+
+def random_hermitian(rng, spectrum) -> np.ndarray:
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return (u * spectrum) @ u.conj().T
+
+
+def test_closed_form_spectrum_matches_eigvalsh():
+    rng = np.random.default_rng(23)
+    cases = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(200)]  # not Hermitian
+    cases += [random_hermitian(rng, rng.uniform(-1.0, 2.0, 2)) for _ in range(200)]
+    cases += [random_hermitian(rng, [w, w]) for w in rng.uniform(-1.0, 2.0, 20)]  # degenerate
+    cases += [np.zeros((2, 2)), np.eye(2), np.diag([1.0, 0.0]), np.array([[0.5, 0.5], [0.5, 0.5]])]
+    cases += [np.array([[1e-300, 1e-300j], [0.0, 1e300]]), np.array([[3.0, 0.0], [4.0j, 3.0]])]
+    for m in cases:
+        m = np.asarray(m, dtype=complex)
+        ref = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        low, high = tomography._eigvals_2x2(m)
+        assert low <= high
+        scale = max(1.0, float(np.max(np.abs(m))))
+        assert abs(low - ref[0]) <= 1e-15 * scale and abs(high - ref[1]) <= 1e-15 * scale, m
+
+
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+
+
+def uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Eigen-route Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    Where sigma is singular, sqrt(rho) sigma sqrt(rho) has an eigenvalue that
+    is 0 only up to rounding, about 1e-17, whose square root moves the result
+    by about 1e-8; a singular rho has an exact 0 when eigh finds one."""
+    s = psd_sqrt(rho)
+    evals = np.linalg.eigvalsh(0.5 * ((s @ sigma @ s) + (s @ sigma @ s).conj().T))
+    return float(np.sqrt(np.clip(evals, 0.0, None)).sum() ** 2)
+
+
+def oracle_pair_fidelity(a: ScsPovm, b: ScsPovm) -> float:
+    """``povm_pair_fidelity`` by the eigen route.  The fidelity is symmetric,
+    so each element pair goes in with the state of smaller determinant
+    first (see ``uhlmann``)."""
+    total = 0.0
+    for aj, bj in ((a.pi0, b.pi0), (a.pi1, b.pi1)):
+        ta, tb = np.trace(aj).real, np.trace(bj).real
+        if ta <= 0.0 or tb <= 0.0:
+            continue
+        states = sorted((aj / ta, bj / tb), key=lambda m: np.linalg.det(m).real)
+        total += 0.5 * ta * uhlmann(*states)
+    return total
+
+
+def test_closed_form_pair_fidelity_matches_the_eigen_route():
+    rng = np.random.default_rng(29)
+    pairs = []
+    for _ in range(300):
+        el = random_hermitian(rng, rng.uniform(0.0, 1.0, 2))
+        pairs.append(ScsPovm(el, np.eye(2) - el))
+    # rank-1 elements whose zero eigenvalue is exact in floating point
+    for el in (
+        np.diag([1.0, 0.0]),
+        np.diag([0.0, 0.6]),
+        np.array([[0.5, 0.5], [0.5, 0.5]]),
+        np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+        np.array([[0.25, 0.25], [0.25, 0.25]]),
+    ):
+        pairs.append(ScsPovm(el, np.eye(2) - el))
+    for i, a in enumerate(pairs):
+        for b in pairs[-8:] + pairs[i : i + 2]:
+            assert abs(povm_pair_fidelity(a, b) - oracle_pair_fidelity(a, b)) <= 1e-12
+
+
 def test_scs_basis_project_identity_and_parity():
     for alpha in (0.1, 0.3, 0.499, 0.7, 1.0):
         m = scs_basis_project(identity_operator(DIM), alpha, DIM)
@@ -676,6 +758,29 @@ def test_pipeline_probe_count_stability():
     assert abs(run2.povm.pi0[0, 1] - run4.povm.pi0[0, 1]) < 5e-3
     assert abs(run2.expectations["im_plus"] - run4.expectations["im_plus"]) < 5e-3
     assert np.max(np.abs(run2.povm.pi0 - run4.povm.pi0)) < 5e-2
+
+
+def test_two_by_two_work_calls_no_lapack_eigensolver(monkeypatch):
+    # every 2 x 2 spectrum in a reconstruction is the closed form; only the
+    # N x N Fock checks may call LAPACK
+    def guarded(original):
+        def call(m, *args, **kwargs):
+            if np.shape(m)[-2:] == (2, 2):
+                raise AssertionError(f"{original.__name__} called on a 2 x 2 matrix")
+            return original(m, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", guarded(np.linalg.eigh))
+    probes = ProbeSet(ALPHA, (0.2, 0.3))
+    interior = tomography_pipeline(exact_table(experimental_pair(), probes), probes, DIM)
+    assert interior.povm.diagnostics["iterations"] == 0
+    rates = [1.0, 0.5, 0.7, 0.6, 0.75, 0.65]
+    boundary = tomography_pipeline(ClickTable.from_rates(probes.amplitudes(), rates, 1000.0), probes, DIM)
+    assert boundary.povm.diagnostics["iterations"] > 0
+    assert error_bars(interior, 0.011)["pi0_11_re"][0] < interior.povm.pi0[1, 1].real
+    assert 0.0 < povm_pair_fidelity(interior.povm, boundary.povm) < 1.0
 
 
 def test_pipeline_rejects_missing_rows():
