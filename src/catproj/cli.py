@@ -252,21 +252,24 @@ def _spec(cfg: dict) -> ScsMeasurementSpec:
     )
 
 
+def _campaign(cfg: dict, schedule) -> Campaign:
+    """Acquisition plan implied by a config, with the given displacement menu."""
+    return Campaign(
+        probes=_probes(cfg),
+        shots_per_probe=int(cfg.get("shots", 200_000)),
+        detector=_detector(cfg),
+        displacement_schedule=tuple(complex(b) for b in schedule),
+        rng_seed=int(cfg.get("seed", 0)),
+    )
+
+
 def _truth_campaign(cfg: dict, dim: TruncationDim):
     """Apparatus POVM plus acquisition plan implied by a config."""
     detector = _detector(cfg)
     drive = float(cfg.get("drive_amplitude", 0.0)) * np.exp(1j * float(cfg.get("drive_phase", 0.0)))
     shift = effective_displacement(drive, detector)
     truth = apparatus_povm(_spec(cfg), shift, detector, dim)
-    schedule = tuple(complex(b) for b in cfg.get("schedule", (0j,)))
-    campaign = Campaign(
-        probes=_probes(cfg),
-        shots_per_probe=int(cfg.get("shots", 200_000)),
-        detector=detector,
-        displacement_schedule=schedule,
-        rng_seed=int(cfg.get("seed", 0)),
-    )
-    return truth, campaign
+    return truth, _campaign(cfg, cfg.get("schedule", (0j,)))
 
 
 def _meta(cfg: dict) -> dict:
@@ -390,17 +393,12 @@ def _tomography_sweep(cfg: dict) -> int:
     with _stage("config"):
         dim = _dim(cfg)
         out = _out_path(cfg)
-        detector = _detector(cfg)
         schedule = cfg.get("schedule")
-        if schedule is None and cfg.get("quantize", True):
-            schedule = default_displacement_schedule(float(cfg.get("alpha", 0.499)))
-        campaign = Campaign(
-            probes=_probes(cfg),
-            shots_per_probe=int(cfg.get("shots", 200_000)),
-            detector=detector,
-            displacement_schedule=tuple(complex(b) for b in schedule) if schedule else (0j,),
-            rng_seed=int(cfg.get("seed", 0)),
-        )
+        if schedule is None:
+            schedule = (0j,)
+            if cfg.get("quantize", True):
+                schedule = default_displacement_schedule(float(cfg.get("alpha", 0.499)))
+        campaign = _campaign(cfg, schedule)
         phis = [float(p) for p in cfg.get("phi_values", (0.0,))]
         c0sq_values = list(cfg.get("c0sq_values", ()))
         if not c0sq_values:

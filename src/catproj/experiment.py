@@ -25,6 +25,9 @@ DEFAULT_SHOTS = 200_000
 DRIVE_TO_SHIFT = 0.5
 RATE_TOL = 1e-9
 _SEED_LIMIT = 2**64
+# the default displacement menu: its size, and the cutoff of its top amplitude's search
+SCHEDULE_LEVELS = 9
+SCHEDULE_DIM = TruncationDim(20)
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,10 @@ def apparatus_povm(
 
         P0 = (1 - nu) * D(shift) L_eta[ P_omega0 ] D(shift)^dag
     """
-    return _displaced_counting(shift, dim, "displaced-onoff", spec, detector.eta, detector.nu)
+    return _displaced_counting(shift, dim, spec, detector.eta, detector.nu)
 
 
-def default_displacement_schedule(
-    alpha: float = 0.499,
-    levels: int = 9,
-    dim=TruncationDim(20),
-) -> tuple[complex, ...]:
+def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
     """Evenly spaced amplitude menu covering the optimizer's range.
 
     The largest optimal displacement over c0^2 in [0.5, 1] occurs at the
@@ -124,11 +123,9 @@ def default_displacement_schedule(
     the ideal detector's optimal ``beta`` there, from the displacement
     search alone (its fidelity is not needed).
     """
-    if levels < 2:
-        raise ValueError("a displacement menu needs at least two levels")
     spec = ScsMeasurementSpec.from_c0sq(alpha, 0.5, 0.0)
-    (beta,) = _search_displacements([spec], IDEAL_DETECTOR, dim)
-    return tuple(complex(r, 0.0) for r in np.linspace(0.0, abs(beta), levels))
+    (beta,) = _search_displacements([spec], IDEAL_DETECTOR, SCHEDULE_DIM)
+    return tuple(complex(r, 0.0) for r in np.linspace(0.0, abs(beta), SCHEDULE_LEVELS))
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,6 @@ class ReconstructionPoint:
     f_ideal: float
     f_raw: float
     f_compensated: float
-
-
-def _relabeled(clicks: ClickTable, scale: float) -> ClickTable:
-    amps = tuple(scale * a for a in clicks.probe_amplitudes)
-    return ClickTable(amps, clicks.counts0, clicks.counts1, clicks.shots)
 
 
 def reconstruction_sweep(
@@ -187,7 +179,8 @@ def reconstruction_sweep(
 
         raw = tomography_pipeline(clicks, campaign.probes, dim)
         comp_probes = ProbeSet(root_eta * alpha, tuple(root_eta * g for g in campaign.probes.gammas))
-        comp = tomography_pipeline(_relabeled(clicks, root_eta), comp_probes, dim)
+        comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), comp_probes.amplitudes())
+        comp = tomography_pipeline(comp_clicks, comp_probes, dim)
 
         out.append(
             ReconstructionPoint(

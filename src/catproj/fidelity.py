@@ -354,7 +354,8 @@ def optimize_displacement(
     the grid.  The Fock model scores the result: the returned fidelity is
     ``displaced_click_fidelity`` at the returned ``beta``.  Fully
     deterministic: grid ties within a few ulps go to the first maximum in
-    radius-major, phase-ascending order.
+    radius-major, phase-ascending order.  The single-point library entry;
+    the sweep and the CLI batch the same search over a whole alpha group.
     """
     (beta,) = _search_displacements([spec], detector, dim)
     return beta, displaced_click_fidelity(spec, beta, detector, dim)
@@ -430,7 +431,8 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
     ``_nelder_mead`` refinement on the scalar closed form.  Grid ties within
     a few ulps go to the first maximum in threshold-major order.  The Fock
     model scores the result.  Returns ``(x_th_opt, lo_phase_opt, f)`` with
-    ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.
+    ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.  The
+    single-point library entry; the sweep and the CLI batch the same search.
     """
     ((x_opt, th_opt),) = _search_homodynes([spec])
     return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)

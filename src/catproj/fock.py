@@ -37,14 +37,12 @@ __all__ = [
     "ScsMeasurementSpec",
     "as_dim",
     "coherent_state",
-    "number_state",
     "cat_basis",
     "cat_norm_factors",
     "scs_projectors",
     "displacement_operator",
     "displacement_defect",
     "max_guarded_amplitude",
-    "identity_operator",
     "inner",
     "expect",
 ]
@@ -138,15 +136,6 @@ class FockOperator:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
-
-    def is_positive_semidefinite(self, tol: float = 1e-9) -> bool:
-        # eigvalsh reads the lower triangle; symmetrize first so the test is
-        # meaningful for almost-Hermitian input too.
-        h = 0.5 * (self.entries + self.entries.conj().T)
-        return float(np.linalg.eigvalsh(h)[0]) >= -tol
-
 
 @dataclass(frozen=True)
 class ScsMeasurementSpec:
@@ -180,10 +169,6 @@ class ScsMeasurementSpec:
         """
         c0sq = min(max(float(c0sq), 0.0), 1.0)
         return cls(alpha=alpha, c0=math.sqrt(c0sq), c1=math.sqrt(1.0 - c0sq), phi=phi)
-
-    @property
-    def c0sq(self) -> float:
-        return self.c0**2
 
 
 @lru_cache(maxsize=None)
@@ -222,15 +207,6 @@ def coherent_state(alpha: complex, dim) -> StateVector:
             )
         amps = mag * np.exp(1j * n * np.angle(alpha))
         amps /= np.linalg.norm(amps)
-    return StateVector(dim, amps)
-
-
-def number_state(n: int, dim) -> StateVector:
-    dim = as_dim(dim)
-    if not 0 <= n <= dim.n_max:
-        raise ValueError(f"photon number {n} outside [0, {dim.n_max}]")
-    amps = np.zeros(dim.size, dtype=complex)
-    amps[n] = 1.0
     return StateVector(dim, amps)
 
 
@@ -376,11 +352,6 @@ def max_guarded_amplitude(dim, step: float = 0.02) -> float:
     this so they never request operators the guard would reject."""
     dim = as_dim(dim)
     return _max_guarded_amplitude_cached(dim.n_max, float(step))
-
-
-def identity_operator(dim) -> FockOperator:
-    dim = as_dim(dim)
-    return FockOperator(dim, np.eye(dim.size, dtype=complex))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -1,13 +1,12 @@
 """Binary POVM constructors and detector-imperfection maps.
 
-Four measurement families, all as two-element POVM pairs (pi0, pi1) on the
+Three measurement families, all as two-element POVM pairs (pi0, pi1) on the
 truncated Fock basis:
 
 * displaced photon counting: displaced number projectors split by which
   target vector dominates each photon-number outcome;
 * displaced on/off detection with efficiency / dark-count / visibility
   imperfections folded in;
-* photon-number parity (the undisplaced limit of the above);
 * binary homodyne (quadrature above/below a threshold), whose element is
   evaluated in closed form from Hermite functions at the threshold.
 
@@ -39,7 +38,6 @@ from .fock import (
 )
 
 __all__ = [
-    "POVM_LABELS",
     "COMPLETENESS_TOL",
     "EIGENVALUE_FLOOR",
     "ENTRY_BOUND_TOL",
@@ -47,10 +45,8 @@ __all__ = [
     "IDEAL_DETECTOR",
     "HomodyneSpec",
     "PovmPair",
-    "dp_partition",
     "dp_povm",
     "onoff_povm",
-    "parity_povm",
     "homodyne_povm",
     "hermite_functions",
     "quadrature_interval_operator",
@@ -58,10 +54,6 @@ __all__ = [
     "compensate_loss",
     "random_povm_pair",
 ]
-
-POVM_LABELS = frozenset(
-    {"displaced-pnrd", "displaced-onoff", "pnrd-parity", "homodyne-binary", "reconstructed"}
-)
 
 COMPLETENESS_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-9
@@ -97,7 +89,8 @@ IDEAL_DETECTOR = DetectorModel()
 @dataclass(frozen=True)
 class HomodyneSpec:
     """Quadrature threshold and local-oscillator phase of the binary
-    homodyne measurement (convention: x = (a + a^dag)/sqrt(2))."""
+    homodyne measurement (convention: x = (a + a^dag)/sqrt(2)), as
+    ``homodyne_povm`` takes them."""
 
     x_th: float
     lo_phase: float = 0.0
@@ -111,13 +104,11 @@ class HomodyneSpec:
 
 @dataclass(frozen=True, eq=False)
 class PovmPair:
-    """Two-outcome POVM (pi0, pi1) with a kind label and optional
-    constructor diagnostics."""
+    """Two-outcome POVM (pi0, pi1) with optional constructor diagnostics."""
 
     dim: TruncationDim
     pi0: FockOperator
     pi1: FockOperator
-    label: str
     diagnostics: dict | None = None
 
     def validate(self) -> dict:
@@ -140,15 +131,13 @@ class PovmPair:
         return res
 
     @classmethod
-    def checked(cls, dim, pi0, pi1, label: str, diagnostics: dict | None = None) -> "PovmPair":
+    def checked(cls, dim, pi0, pi1, diagnostics: dict | None = None) -> "PovmPair":
         dim = as_dim(dim)
-        if label not in POVM_LABELS:
-            raise ValueError(f"unknown POVM label {label!r}")
         if not isinstance(pi0, FockOperator):
             pi0 = FockOperator(dim, pi0)
         if not isinstance(pi1, FockOperator):
             pi1 = FockOperator(dim, pi1)
-        pair = cls(dim, pi0, pi1, label, diagnostics)
+        pair = cls(dim, pi0, pi1, diagnostics)
         res = pair.validate()
         if res["completeness"] > COMPLETENESS_TOL:
             raise ValueError(f"POVM pair not complete: residual {res['completeness']:.3e}")
@@ -165,14 +154,6 @@ def _partition(spec: ScsMeasurementSpec, D: np.ndarray, dim: TruncationDim) -> n
     """Photon numbers n with |<pi0|D|n>|^2 >= |<pi1|D|n>|^2 (ties go to 0)."""
     pi0, pi1 = scs_projectors(spec, dim)
     return np.abs(pi0.amps.conj() @ D) ** 2 >= np.abs(pi1.amps.conj() @ D) ** 2
-
-
-def dp_partition(spec: ScsMeasurementSpec, beta: complex, dim) -> np.ndarray:
-    """Boolean mask over photon numbers: True where the displaced number
-    outcome favors the first target vector, i.e.
-    |<pi0|D(beta)|n>|^2 >= |<pi1|D(beta)|n>|^2 (ties go to outcome 0)."""
-    dim = as_dim(dim)
-    return _partition(spec, displacement_operator(beta, dim).entries, dim)
 
 
 def _k_log(k: np.ndarray, log_p: float) -> np.ndarray:
@@ -212,7 +193,6 @@ def _outcome_weights(keep: np.ndarray, eta: float) -> np.ndarray:
 def _displaced_counting(
     beta: complex,
     dim,
-    label: str,
     spec: ScsMeasurementSpec | None = None,
     eta: float = 1.0,
     nu: float = 0.0,
@@ -228,23 +208,14 @@ def _displaced_counting(
     keep = _partition(spec, D, dim) if spec is not None else np.arange(dim.size) == 0
     pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
     pi0 = 0.5 * (pi0 + pi0.conj().T)
-    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0, label)
+    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
 
 
 def dp_povm(spec: ScsMeasurementSpec, beta: complex, dim) -> PovmPair:
     """Displaced-photon-counting POVM: displace by beta, count photons,
     and assign each photon-number outcome to the target vector whose
     displaced overlap dominates."""
-    return _displaced_counting(beta, dim, "displaced-pnrd", spec)
-
-
-def parity_povm(dim) -> PovmPair:
-    """Even/odd photon-number parity projectors."""
-    dim = as_dim(dim)
-    even = (np.arange(dim.size) % 2 == 0).astype(float)
-    pi0 = np.diag(even).astype(complex)
-    pi1 = np.diag(1.0 - even).astype(complex)
-    return PovmPair.checked(dim, pi0, pi1, "pnrd-parity")
+    return _displaced_counting(beta, dim, spec)
 
 
 def onoff_povm(beta: complex, model: DetectorModel, dim) -> PovmPair:
@@ -255,9 +226,7 @@ def onoff_povm(beta: complex, model: DetectorModel, dim) -> PovmPair:
     pi1 the click element I - pi0.  With eta=1, nu=0, V=1 this is the
     ideal displaced vacuum projector.
     """
-    return _displaced_counting(
-        model.visibility * beta, dim, "displaced-onoff", eta=model.eta, nu=model.nu
-    )
+    return _displaced_counting(model.visibility * beta, dim, eta=model.eta, nu=model.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +279,15 @@ def quadrature_interval_operator(x_lo, x_hi, dim) -> np.ndarray:
 
 def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:
     """Binary homodyne POVM: pi0 integrates the rotated quadrature
-    projectors over [x_th, infinity)."""
+    projectors over [x_th, infinity).  Public as the assembled reference
+    that the optimizer's closed-form homodyne score is checked against."""
     dim = as_dim(dim)
     E = quadrature_interval_operator(spec.x_th, np.inf, dim).astype(complex)
     if spec.lo_phase != 0.0:
         ph = np.exp(1j * np.arange(dim.size) * spec.lo_phase)
         E = E * np.outer(ph, ph.conj())
     pi1 = np.eye(dim.size) - E
-    return PovmPair.checked(dim, E, pi1, "homodyne-binary")
+    return PovmPair.checked(dim, E, pi1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +318,14 @@ def _loss_adjoint(pi: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
 
 def apply_loss(p: PovmPair, eta: float) -> PovmPair:
     """Map both POVM elements through the loss-channel adjoint.  The map is
-    unital, so completeness is preserved exactly."""
+    unital, so completeness is preserved exactly.  Public for loss studies
+    on an assembled pair; the apparatus model folds loss into its weights."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     maps = _loss_diagonal_maps(eta, p.dim.n_max)
     pi0 = _loss_adjoint(p.pi0.entries, maps)
     pi1 = _loss_adjoint(p.pi1.entries, maps)
-    return PovmPair.checked(p.dim, pi0, pi1, p.label, p.diagnostics)
+    return PovmPair.checked(p.dim, pi0, pi1, p.diagnostics)
 
 
 def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
@@ -364,12 +335,13 @@ def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
     transforms under a lower-triangular map M_d, inverted with one solve).
     The inverted pi0 is then clipped to eigenvalues in [0, 1] and pi1 is
     recomputed as I - pi0 so the pair invariants hold; the pre-repair
-    spectral defects are recorded in diagnostics.
+    spectral defects are recorded in diagnostics.  Public as the Fock-space
+    check of the probe rescaling that compensates loss in the sweep.
     """
     if not 0.1 < eta <= 1.0:
         raise ValueError(f"eta must be in (0.1, 1], got {eta}")
     if eta == 1.0:
-        return PovmPair.checked(p.dim, p.pi0, p.pi1, p.label, p.diagnostics)
+        return PovmPair.checked(p.dim, p.pi0, p.pi1, p.diagnostics)
     N = p.dim.size
     pi0 = p.pi0.entries
     out = np.zeros_like(pi0, dtype=complex)
@@ -394,7 +366,7 @@ def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
     pi0c = (U * wc) @ U.conj().T
     pi0c = 0.5 * (pi0c + pi0c.conj().T)
     pi1c = np.eye(N) - pi0c
-    return PovmPair.checked(p.dim, pi0c, pi1c, p.label, diag)
+    return PovmPair.checked(p.dim, pi0c, pi1c, diag)
 
 
 def random_povm_pair(dim, rng: np.random.Generator) -> PovmPair:
@@ -408,4 +380,4 @@ def random_povm_pair(dim, rng: np.random.Generator) -> PovmPair:
     pi0 = (Q * w) @ Q.conj().T
     pi0 = 0.5 * (pi0 + pi0.conj().T)
     pi1 = np.eye(N) - pi0
-    return PovmPair.checked(dim, pi0, pi1, "reconstructed")
+    return PovmPair.checked(dim, pi0, pi1)

@@ -97,13 +97,18 @@ def _parse_header(lines: list[str], schema: str) -> tuple[dict, int]:
         i = len(lines)
     if "schema" not in meta:
         raise ValueError("missing schema header line")
-    name, _, version = meta["schema"].rpartition(" ")
-    if name != schema:
-        raise ValueError(f"expected a {schema!r} file, found {meta['schema']!r}")
-    major = version.partition(".")[0]
-    if major != str(SCHEMA_MAJOR):
-        raise ValueError(f"unsupported major schema version {version!r}")
+    _check_schema(meta["schema"], schema)
     return meta, i
+
+
+def _check_schema(found: str, schema: str) -> None:
+    """Raise ``ValueError`` unless ``found`` reads ``<schema> <major>.<minor>``
+    with this code's major version."""
+    name, _, version = found.rpartition(" ")
+    if name != schema:
+        raise ValueError(f"expected a {schema!r} file, found {found!r}")
+    if version.partition(".")[0] != str(SCHEMA_MAJOR):
+        raise ValueError(f"unsupported major schema version {version!r}")
 
 
 def _write_csv(path, schema: str, config: dict, seed: int, columns, rows, extra=None) -> None:
@@ -266,11 +271,8 @@ def write_tomography_json(
 
 
 def read_tomography_json(path) -> dict:
+    """Load a file that ``write_tomography_json`` wrote; any other schema
+    name or major version is rejected before the payload is used."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = payload.get("schema", "")
-    name, _, version = schema.rpartition(" ")
-    if name != TOMOGRAPHY_SCHEMA:
-        raise ValueError(f"expected a {TOMOGRAPHY_SCHEMA!r} file, found {schema!r}")
-    if version.partition(".")[0] != str(SCHEMA_MAJOR):
-        raise ValueError(f"unsupported major schema version {version!r}")
+    _check_schema(payload.get("schema", ""), TOMOGRAPHY_SCHEMA)
     return payload

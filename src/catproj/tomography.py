@@ -21,7 +21,7 @@ result is certified by a duality gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class ProbeSet:
 
 @dataclass(frozen=True)
 class ClickTable:
-    """Per-probe outcome counts.  Rows follow ``ProbeSet.amplitudes`` order.
+    """Per-probe outcome counts, one row per probe amplitude in any order:
+    readers find a row by amplitude (``row_index``), not by position.
 
     Counts are stored as floats so that exact-probability tables (rates
     times a nominal shot number) can flow through the same code path as
@@ -129,15 +130,17 @@ class ClickTable:
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         return self.counts0 / self.shots, self.counts1 / self.shots
 
-    def scaled(self, factor: float) -> "ClickTable":
-        """Same table with every count (and shot) multiplied by ``factor``."""
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return ClickTable(
-            self.probe_amplitudes,
-            self.counts0 * factor,
-            self.counts1 * factor,
-            self.shots * factor,
+    def relabeled(self, old_amps, new_amps) -> "ClickTable":
+        """The same clicks read at other probe amplitudes: the row at
+        ``old_amps[j]`` (found by ``row_index``, in whatever order the table
+        holds it) becomes row ``j``, at ``new_amps[j]``."""
+        rows = [self.row_index(a) for a in old_amps]
+        return replace(
+            self,
+            probe_amplitudes=tuple(new_amps),
+            counts0=self.counts0[rows],
+            counts1=self.counts1[rows],
+            shots=self.shots[rows],
         )
 
     def row_index(self, amplitude: complex) -> int:
@@ -545,7 +548,8 @@ def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict
 def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
     """Maximum-likelihood reconstruction of a binary 2x2 POVM.
 
-    ``probe_states`` is an (n, 2, 2) stack of density matrices, and
+    ``probe_states`` is an (n, 2, 2) stack of density matrices (Hermitian
+    within 1e-9, unit trace, positive semidefinite), and
     ``frequencies`` an (n, 2) row-stochastic matrix of observed outcome
     rates.
 
@@ -573,6 +577,8 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     if np.any(freq < -1e-12) or np.max(np.abs(freq.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("frequency rows must be non-negative and sum to 1")
     for i, r in enumerate(rho):
+        if max(abs(r[0, 1] - r[1, 0].conjugate()), abs(r[0, 0].imag), abs(r[1, 1].imag)) > 1e-9:
+            raise ValueError(f"probe {i} is not Hermitian")
         if abs(np.trace(r) - 1.0) > 1e-9:
             raise ValueError(f"probe {i} does not have unit trace")
         if _eigvals_2x2(r)[0] < -1e-9:
@@ -670,8 +676,6 @@ class TomographyRun:
     phi: tuple[PhiVector, PhiVector]
     psi: tuple[PhiVector, PhiVector]
     expectations: dict
-    probe_matrices: np.ndarray
-    frequencies: np.ndarray
     povm: ScsPovm
 
 
@@ -742,8 +746,6 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
             "cat_plus": cat_plus,
             "cat_plus_raw": cat_plus_raw,
         },
-        probe_matrices=rho,
-        frequencies=frequencies,
         povm=povm,
     )
 
@@ -772,9 +774,7 @@ def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     runs = [run]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)
-        clicks = ClickTable(
-            probes.amplitudes(), run.clicks.counts0, run.clicks.counts1, run.clicks.shots
-        )
+        clicks = run.clicks.relabeled(run.probes.amplitudes(), probes.amplitudes())
         runs.append(tomography_pipeline(clicks, probes, run.dim))
     out = {}
     for name, extract in _REPORTED_SCALARS:

@@ -310,6 +310,26 @@ def test_tomography_ingest_rejects_a_missing_probe_amplitude(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "order", [(2, 3, 4, 5, 0, 1), (1, 0, 2, 3, 4, 5)], ids=["gammas-first", "alphas-swapped"]
+)
+def test_error_bars_follow_ingested_rows_by_amplitude(tmp_path, order):
+    # the envelopes re-read the clicks at alpha -+ sigma; each row must keep
+    # its own counts whatever order the file lists the rows in
+    lines = list(fig3_click_lines())
+    start = lines.index("probe_label,re_amp,im_amp,outcome0_count,outcome1_count,shots") + 1
+    shuffled = lines[:start] + [lines[start + i] for i in order]
+    payloads = []
+    for name, table in (("canonical", lines), ("shuffled", shuffled)):
+        (tmp_path / name).mkdir()
+        rc, records, _ = fig3_tomography(table, tmp_path / name)
+        assert rc == 0, records
+        payloads.append(json.loads((tmp_path / name / "out.json").read_text()))
+    canonical, reordered = payloads
+    assert reordered["povm"] == canonical["povm"]
+    assert reordered["error_bars"] == canonical["error_bars"]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     token=st.sampled_from(["", "nan", "inf", "1e309", "-1", "abc", "0x10"]),
@@ -386,6 +406,15 @@ def test_tomography_sweep_guards_a_schedule_level_beyond_the_cutoff(tmp_path, ca
     record = last_error(capsys)
     assert record["error"] == "CutoffTooSmallError" and record["stage"] == "reconstruct"
     assert "unitarity defect" in record["message"] and "n_max=24" in record["message"]
+    assert not out.exists()
+
+
+def test_tomography_sweep_rejects_an_empty_schedule_at_config(tmp_path, capsys):
+    path = write_config(tmp_path, {"schedule": [], "c0sq_values": [0.5]})
+    out = tmp_path / "never.csv"
+    assert main(["tomography", "--preset", "fig4", "--config", path, "--out", str(out)]) == 1
+    record = last_error(capsys)
+    assert record["stage"] == "config" and "schedule must not be empty" in record["message"]
     assert not out.exists()
 
 

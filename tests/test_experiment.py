@@ -25,8 +25,8 @@ from catproj.povm import (
     IDEAL_DETECTOR,
     DetectorModel,
     PovmPair,
+    _partition,
     apply_loss,
-    dp_partition,
     random_povm_pair,
 )
 from catproj.tomography import ProbeSet
@@ -40,7 +40,7 @@ PROBES = ProbeSet(ALPHA, (0.2, 0.3))
 
 def half_identity_pair(dim=DIM) -> PovmPair:
     h = 0.5 * np.eye(dim.size, dtype=complex)
-    return PovmPair.checked(dim, h, h, "displaced-onoff")
+    return PovmPair.checked(dim, h, h)
 
 
 def lab_truth(dim=DIM) -> PovmPair:
@@ -71,7 +71,7 @@ def test_campaign_validation():
 def test_expected_rates_closed_forms():
     vac = np.zeros((DIM.size, DIM.size), dtype=complex)
     vac[0, 0] = 1.0
-    truth = PovmPair.checked(DIM, vac, np.eye(DIM.size) - vac, "displaced-onoff")
+    truth = PovmPair.checked(DIM, vac, np.eye(DIM.size) - vac)
     rates = expected_rates(truth, PROBES, DIM)
     # |<0|i gamma>|^2 = exp(-gamma^2), and the vacuum projector cannot tell
     # +i gamma from -i gamma
@@ -92,7 +92,7 @@ def test_expected_rates_closed_forms():
 
 def test_simulate_counts_identity_truth():
     eye = np.eye(DIM.size, dtype=complex)
-    truth = PovmPair.checked(DIM, eye, np.zeros_like(eye), "displaced-onoff")
+    truth = PovmPair.checked(DIM, eye, np.zeros_like(eye))
     table = simulate_counts(truth, Campaign(probes=PROBES, shots_per_probe=500))
     assert np.all(table.counts0 == 500.0)
     assert np.all(table.counts1 == 0.0)
@@ -133,7 +133,7 @@ def test_simulate_counts_deterministic():
 
 def test_simulate_counts_rejects_invalid_truth():
     eye = np.eye(DIM.size, dtype=complex)
-    bogus = PovmPair(DIM, FockOperator(DIM, 1.5 * eye), FockOperator(DIM, -0.5 * eye), "displaced-onoff")
+    bogus = PovmPair(DIM, FockOperator(DIM, 1.5 * eye), FockOperator(DIM, -0.5 * eye))
     with pytest.raises(ValueError, match="outside"):
         simulate_counts(bogus, Campaign(probes=PROBES))
 
@@ -159,14 +159,13 @@ def test_apparatus_povm_composition():
     shift = effective_displacement(0.894j, LAB_DETECTOR)
     got = apparatus_povm(OPERATING_SPEC, shift, LAB_DETECTOR, DIM)
 
-    mask = dp_partition(OPERATING_SPEC, shift, DIM)
-    proj = np.diag(mask.astype(complex))
-    base = PovmPair.checked(DIM, proj, np.eye(DIM.size) - proj, "displaced-pnrd")
-    lossy = apply_loss(base, LAB_DETECTOR.eta)
     dmat = displacement_operator(shift, DIM).entries
+    mask = _partition(OPERATING_SPEC, dmat, DIM)
+    proj = np.diag(mask.astype(complex))
+    base = PovmPair.checked(DIM, proj, np.eye(DIM.size) - proj)
+    lossy = apply_loss(base, LAB_DETECTOR.eta)
     pi0 = (1.0 - LAB_DETECTOR.nu) * (dmat @ lossy.pi0.entries @ dmat.conj().T)
     assert np.max(np.abs(got.pi0.entries - pi0)) < 1e-12
-    assert got.label == "displaced-onoff"
 
     # eta = 0 is a valid detector: every photon number collapses onto n = 0,
     # so pi0 is (1 - nu) D D^dag when the vacuum belongs to outcome 0, else 0
@@ -193,8 +192,6 @@ def test_default_displacement_schedule():
     assert radii[-1] == pytest.approx(abs(beta), abs=1e-12)
     steps = np.diff(radii)
     assert np.max(np.abs(steps - steps[0])) < 1e-12
-    with pytest.raises(ValueError):
-        default_displacement_schedule(levels=1)
 
 
 def test_reconstruction_sweep_compensation_wins():

@@ -34,7 +34,7 @@ from catproj.fidelity import (
     sweep,
 )
 from catproj.fock import ScsMeasurementSpec, TruncationDim, _displacement_matrix, max_guarded_amplitude
-from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm, parity_povm
+from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm
 
 DIM = TruncationDim(20)
 LAB = DetectorModel(eta=0.689, nu=5.32e-5, visibility=0.998)
@@ -65,10 +65,12 @@ def homodyne_score(spec):
 
 def test_fidelity_trivial_pairs():
     spec = ScsMeasurementSpec(alpha=0.5, c0=1.0, c1=0.0)
-    assert fidelity(parity_povm(DIM), spec) == pytest.approx(1.0, abs=1e-10)
+    even = np.diag(np.arange(21) % 2 == 0).astype(complex)
+    parity = PovmPair.checked(DIM, even, np.eye(21) - even)
+    assert fidelity(parity, spec) == pytest.approx(1.0, abs=1e-10)
 
     half = 0.5 * np.eye(21, dtype=complex)
-    split = PovmPair.checked(DIM, half, half, "reconstructed")
+    split = PovmPair.checked(DIM, half, half)
     assert fidelity(split, spec_of(0.3)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -347,8 +349,11 @@ def test_click_model_never_beats_ideal_counter():
 
 def test_displaced_povm_route_selection():
     spec = spec_of(0.6)
-    assert displaced_povm(spec, 0.2, IDEAL_DETECTOR, DIM).label == "displaced-pnrd"
-    assert displaced_povm(spec, 0.2, DetectorModel(eta=0.9), DIM).label == "displaced-onoff"
+    lossy = DetectorModel(eta=0.9)
+    ideal_pi0 = displaced_povm(spec, 0.2, IDEAL_DETECTOR, DIM).pi0.entries
+    lossy_pi0 = displaced_povm(spec, 0.2, lossy, DIM).pi0.entries
+    assert np.array_equal(ideal_pi0, dp_povm(spec, 0.2, DIM).pi0.entries)
+    assert np.array_equal(lossy_pi0, onoff_povm(0.2, lossy, DIM).pi0.entries)
 
 
 def test_homodyne_optimum_half_weight():
@@ -434,8 +439,8 @@ def test_sweep_batched_matches_per_amplitude():
     reports = sweep(grid, IDEAL_DETECTOR, DIM)
     assert len(reports) == len(grid) == 4
     # grid-index ordering: first axis is the weight
-    assert reports[0].spec.c0sq == pytest.approx(0.5)
-    assert reports[-1].spec.c0sq == pytest.approx(0.8)
+    assert reports[0].spec.c0**2 == pytest.approx(0.5)
+    assert reports[-1].spec.c0**2 == pytest.approx(0.8)
     assert reports[0].spec.phi == 0.0 and reports[1].spec.phi == pytest.approx(math.pi / 2)
 
 
@@ -463,7 +468,7 @@ def test_sweep_aggregates_point_failures(monkeypatch):
     errors = []
     with pytest.warns(UserWarning, match="failed"):
         reports = sweep(grid, IDEAL_DETECTOR, TruncationDim(10), errors=errors)
-    assert [(round(r.spec.c0sq, 9), round(r.spec.alpha**2, 9)) for r in reports] == [(0.5, 0.25), (0.75, 0.25)]
+    assert [(round(r.spec.c0**2, 9), round(r.spec.alpha**2, 9)) for r in reports] == [(0.5, 0.25), (0.75, 0.25)]
     assert [(idx, point) for idx, point, _ in errors] == [(1, (0.5, 6.76, 0.0)), (3, (0.75, 6.76, 0.0))]
     assert all(isinstance(exc, fock.CutoffTooSmallError) for _, _, exc in errors)
 
@@ -474,7 +479,7 @@ def test_sweep_aggregates_point_failures(monkeypatch):
     failing = set()
 
     def picky(report, dim):
-        if (round(report.spec.c0sq, 9), round(report.spec.alpha**2, 9)) in failing:
+        if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) in failing:
             raise ArithmeticError("injected")
         verify(report, dim)
 
@@ -507,7 +512,7 @@ def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(mon
     verify = FidelityReport.verify
 
     def picky(report, dim):
-        if (round(report.spec.c0sq, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
+        if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
             raise ArithmeticError("injected")
         verify(report, dim)
 

@@ -23,10 +23,8 @@ from catproj.fock import (
     displacement_defect,
     displacement_operator,
     expect,
-    identity_operator,
     inner,
     max_guarded_amplitude,
-    number_state,
     scs_projectors,
 )
 
@@ -134,19 +132,6 @@ def test_coherent_overlap_oracle():
         assert abs(ov.imag) < 1e-12
 
 
-def test_number_state():
-    n3 = number_state(3, TruncationDim(5))
-    assert n3.amps[3] == 1.0 and np.sum(np.abs(n3.amps)) == 1.0
-    for m in range(6):
-        for n in range(6):
-            ov = inner(number_state(m, TruncationDim(5)), number_state(n, TruncationDim(5)))
-            assert ov == (1.0 if m == n else 0.0)
-    with pytest.raises(ValueError):
-        number_state(6, TruncationDim(5))
-    with pytest.raises(ValueError):
-        number_state(-1, TruncationDim(5))
-
-
 def test_cat_basis_parity_support():
     plus, minus = cat_basis(0.5, DIM20)
     assert np.all(plus.amps[1::2] == 0.0)
@@ -198,14 +183,15 @@ def test_displacement_identity_and_vacuum_action():
     D0 = displacement_operator(0.0, DIM20)
     assert np.all(D0.entries == np.eye(21))
 
+    vacuum = np.eye(21)[0]
     beta = 0.894
     D = displacement_operator(beta, DIM20)
-    out = D.entries @ number_state(0, DIM20).amps
+    out = D.entries @ vacuum
     ref = coherent_state(beta, DIM20)
     assert np.max(np.abs(out - ref.amps)) < 1e-8
 
     bc = 0.3 - 0.4j
-    out = displacement_operator(bc, DIM20).entries @ number_state(0, DIM20).amps
+    out = displacement_operator(bc, DIM20).entries @ vacuum
     assert np.max(np.abs(out - coherent_state(bc, DIM20).amps)) < 1e-10
 
 
@@ -296,7 +282,7 @@ def test_max_guarded_amplitude():
 def test_inner_expect_basics():
     v = coherent_state(0.5, DIM10)
     assert inner(v, v).real == pytest.approx(1.0, abs=1e-12)
-    assert expect(identity_operator(DIM10), v).real == pytest.approx(1.0, abs=1e-12)
+    assert expect(FockOperator(DIM10, np.eye(11)), v).real == pytest.approx(1.0, abs=1e-12)
 
     vac_proj = np.zeros((11, 11), dtype=complex)
     vac_proj[0, 0] = 1.0
@@ -307,14 +293,4 @@ def test_inner_expect_basics():
     with pytest.raises(DimensionMismatchError):
         inner(coherent_state(0.5, DIM10), coherent_state(0.5, DIM20))
     with pytest.raises(DimensionMismatchError):
-        expect(identity_operator(DIM20), v)
-
-
-def test_operator_predicates():
-    h = identity_operator(DIM10)
-    assert h.is_hermitian() and h.is_positive_semidefinite()
-    skew = np.zeros((11, 11), dtype=complex)
-    skew[0, 1] = 1.0
-    assert not FockOperator(DIM10, skew).is_hermitian()
-    neg = -np.eye(11, dtype=complex)
-    assert not FockOperator(DIM10, neg).is_positive_semidefinite()
+        expect(FockOperator(DIM20, np.eye(21)), v)

@@ -13,8 +13,6 @@ from catproj.fock import (
     _logfact,
     coherent_state,
     displacement_operator,
-    expect,
-    number_state,
 )
 from catproj.povm import (
     IDEAL_DETECTOR,
@@ -24,12 +22,10 @@ from catproj.povm import (
     _binomial_loss,
     apply_loss,
     compensate_loss,
-    dp_partition,
     dp_povm,
     hermite_functions,
     homodyne_povm,
     onoff_povm,
-    parity_povm,
     quadrature_interval_operator,
     random_povm_pair,
 )
@@ -60,26 +56,24 @@ def test_homodyne_spec_validation():
 def test_povm_pair_checked_rejects_invalid():
     eye = np.eye(21, dtype=complex)
     with pytest.raises(ValueError):
-        PovmPair.checked(DIM, eye, eye, "displaced-pnrd")  # not complete
+        PovmPair.checked(DIM, eye, eye)  # not complete
     with pytest.raises(ValueError):
-        PovmPair.checked(DIM, 2 * eye, -eye, "displaced-pnrd")  # negative part
-    with pytest.raises(ValueError):
-        PovmPair.checked(DIM, 0.5 * eye, 0.5 * eye, "nonsense-label")
+        PovmPair.checked(DIM, 2 * eye, -eye)  # negative part
 
 
 def test_dp_povm_parity_limit():
     spec = ScsMeasurementSpec(alpha=0.5, c0=1.0, c1=0.0)
     pair = dp_povm(spec, 0.0, DIM)
-    ref = parity_povm(DIM)
-    assert np.array_equal(pair.pi0.entries, ref.pi0.entries)
-    assert np.array_equal(pair.pi1.entries, ref.pi1.entries)
+    even = np.diag(np.arange(21) % 2 == 0).astype(complex)
+    assert np.array_equal(pair.pi0.entries, even)
+    assert np.array_equal(pair.pi1.entries, np.eye(21) - even)
 
 
 def test_dp_partition_tie_break():
     # at c0^2 = 1/2, phi = 0, beta = 0 every photon number ties, and ties
-    # go to outcome 0
-    mask = dp_partition(SPEC_HALF, 0.0, DIM)
-    assert mask.all()
+    # go to outcome 0, so pi0 is the identity
+    pair = dp_povm(SPEC_HALF, 0.0, DIM)
+    assert np.array_equal(pair.pi0.entries, np.eye(21))
 
 
 def test_dp_povm_completeness_and_bounds():
@@ -106,11 +100,11 @@ def test_onoff_povm_examples():
     assert np.max(np.abs(pair.pi0.entries - vac)) < 1e-14
 
     pair = onoff_povm(0.0, DetectorModel(eta=0.689), DIM)
-    assert expect(pair.pi0, number_state(1, DIM)).real == pytest.approx(0.311, abs=1e-12)
+    assert pair.pi0.entries[1, 1].real == pytest.approx(0.311, abs=1e-12)
 
     nu = 5.32e-5
     pair = onoff_povm(0.0, DetectorModel(nu=nu), DIM)
-    assert expect(pair.pi0, number_state(0, DIM)).real == pytest.approx(1 - nu, abs=1e-15)
+    assert pair.pi0.entries[0, 0].real == pytest.approx(1 - nu, abs=1e-15)
 
     # a blind counter (eta = 0) weighs every photon number as no-click, so
     # pi0 = (1 - nu) D D^dag, which is (1 - nu) I up to the truncation edge
@@ -185,7 +179,8 @@ def test_homodyne_phase_rotation_structure():
 
 
 def test_apply_loss_examples():
-    pair = parity_povm(DIM)
+    even = np.diag(np.arange(21) % 2 == 0).astype(complex)
+    pair = PovmPair.checked(DIM, even, np.eye(21) - even)
     same = apply_loss(pair, 1.0)
     assert np.array_equal(same.pi0.entries, pair.pi0.entries)
 
@@ -193,7 +188,7 @@ def test_apply_loss_examples():
     eta = 0.689
     vac = np.zeros((21, 21), dtype=complex)
     vac[0, 0] = 1.0
-    pair = PovmPair.checked(DIM, vac, np.eye(21) - vac, "displaced-onoff")
+    pair = PovmPair.checked(DIM, vac, np.eye(21) - vac)
     lossy = apply_loss(pair, eta)
     ref = np.diag((1 - eta) ** np.arange(21)).astype(complex)
     assert np.max(np.abs(lossy.pi0.entries - ref)) < 1e-12

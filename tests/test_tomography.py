@@ -14,9 +14,8 @@ from catproj.fock import (
     coherent_state,
     displacement_operator,
     expect,
-    identity_operator,
 )
-from catproj.povm import PovmPair, apply_loss, dp_partition, dp_povm, parity_povm, random_povm_pair
+from catproj.povm import PovmPair, _partition, apply_loss, dp_povm, random_povm_pair
 from catproj.tomography import (
     MLE_PROB_FLOOR,
     ClickTable,
@@ -55,13 +54,18 @@ def experimental_pair(dim=DIM) -> PovmPair:
     """Lossy displaced on/off element at the calibrated operating point."""
     drive, vis, eta, nu = 0.894, 0.998, 0.689, 5.32e-5
     shift = 0.5 * drive * vis * 1j
-    mask = dp_partition(OPERATING_SPEC, shift, dim)
-    proj = np.diag(mask.astype(complex))
-    base = PovmPair.checked(dim, proj, np.eye(dim.size) - proj, "displaced-pnrd")
-    lossy = apply_loss(base, eta)
     dmat = displacement_operator(shift, dim).entries
+    proj = np.diag(_partition(OPERATING_SPEC, dmat, dim).astype(complex))
+    base = PovmPair.checked(dim, proj, np.eye(dim.size) - proj)
+    lossy = apply_loss(base, eta)
     pi0 = (1.0 - nu) * (dmat @ lossy.pi0.entries @ dmat.conj().T)
-    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0, "displaced-onoff")
+    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
+
+
+def parity_pair(dim=DIM) -> PovmPair:
+    """Even/odd photon-number parity projectors."""
+    even = np.diag(np.arange(dim.size) % 2 == 0).astype(complex)
+    return PovmPair.checked(dim, even, np.eye(dim.size) - even)
 
 
 def project_pair(pair: PovmPair) -> ScsPovm:
@@ -152,9 +156,15 @@ def test_click_table_validation():
     with pytest.raises(ValueError, match="empty"):
         ClickTable((), [], [], [])
 
-    doubled = table.scaled(2.0)
-    assert np.array_equal(doubled.counts0, table.counts0 * 2)
-    assert np.allclose(doubled.rates()[0], r0)
+    # relabeling finds rows by amplitude and re-validates the table it builds
+    moved = table.relabeled([-0.5, 0.5], [-0.6, 0.6])
+    assert moved.probe_amplitudes == (-0.6, 0.6)
+    assert np.array_equal(moved.counts0, table.counts0[::-1])
+    assert np.array_equal(moved.rates()[0], r0[::-1])
+    with pytest.raises(KeyError):
+        table.relabeled([0.3j], [0.3j])
+    with pytest.raises(ValueError):
+        table.relabeled([0.5, -0.5], [0.5])
 
 
 def test_gamma_matrix_examples():
@@ -250,7 +260,7 @@ def test_f_statistic_symmetric_counts():
     # +-i*gamma coincide
     vac = np.zeros((DIM.size, DIM.size), dtype=complex)
     vac[0, 0] = 1.0
-    pair = PovmPair.checked(DIM, vac, np.eye(DIM.size) - vac, "displaced-onoff")
+    pair = PovmPair.checked(DIM, vac, np.eye(DIM.size) - vac)
     f = f_statistic(exact_table(pair, probes), probes)
     assert np.max(np.abs(f)) < 1e-15
 
@@ -281,7 +291,7 @@ def test_imaginary_probe_expectation_diagonal_case():
 
 
 def test_imaginary_probe_expectation_parity_oracle():
-    pair = parity_povm(DIM)
+    pair = parity_pair()
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
     probe = (coherent_state(ALPHA, DIM).amps + 1j * coherent_state(-ALPHA, DIM).amps) / math.sqrt(2)
@@ -604,6 +614,19 @@ def test_mle_input_validation():
         mle_reconstruct(bad, np.full((4, 2), 0.5))  # not PSD
 
 
+def test_mle_rejects_a_probe_that_is_not_hermitian():
+    # the design reads only rho_10 of each probe, so a probe whose rho_01 is
+    # not its conjugate would be fitted as some other, Hermitian state
+    rho = probe_states(ALPHA)
+    freq = np.array([[f, 1.0 - f] for f in (0.9, 0.5, 0.7, 0.8)])
+    mle_reconstruct(rho, freq)
+    for bad in ([[0.5, 0.4], [0.0, 0.5]], [[0.5 + 1e-6j, 0.0], [0.0, 0.5 - 1e-6j]]):
+        skewed = rho.copy()
+        skewed[3] = bad  # unit trace, and a positive Hermitian part
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mle_reconstruct(skewed, freq)
+
+
 def test_scs_povm_validation():
     ScsPovm(0.5 * np.eye(2), 0.5 * np.eye(2))
     with pytest.raises(ValueError):
@@ -696,9 +719,9 @@ def test_closed_form_pair_fidelity_matches_the_eigen_route():
 
 def test_scs_basis_project_identity_and_parity():
     for alpha in (0.1, 0.3, 0.499, 0.7, 1.0):
-        m = scs_basis_project(identity_operator(DIM), alpha, DIM)
+        m = scs_basis_project(FockOperator(DIM, np.eye(DIM.size)), alpha, DIM)
         assert np.max(np.abs(m - np.eye(2))) < 1e-10, alpha
-    par = scs_basis_project(parity_povm(DIM).pi0, ALPHA, DIM)
+    par = scs_basis_project(parity_pair().pi0, ALPHA, DIM)
     assert np.max(np.abs(par - np.diag([1.0, 0.0]))) < 1e-12
 
 
@@ -740,9 +763,15 @@ def test_pipeline_noiseless_roundtrip():
 def test_pipeline_count_scaling_invariance():
     pair = experimental_pair()
     probes = ProbeSet(ALPHA, (0.2, 0.3))
-    clicks = exact_table(pair, probes).scaled(1000.0)
-    base = tomography_pipeline(clicks, probes, DIM)
-    doubled = tomography_pipeline(clicks.scaled(2.0), probes, DIM)
+    table = exact_table(pair, probes)
+
+    def scaled(factor):
+        return ClickTable(
+            probes.amplitudes(), table.counts0 * factor, table.counts1 * factor, table.shots * factor
+        )
+
+    base = tomography_pipeline(scaled(1000.0), probes, DIM)
+    doubled = tomography_pipeline(scaled(2000.0), probes, DIM)
     assert np.array_equal(base.povm.pi0, doubled.povm.pi0)
     assert base.expectations == doubled.expectations
 
@@ -817,9 +846,9 @@ def test_error_bars():
 
 
 def test_povm_entry_bound_check():
-    ok, top = povm_entry_bound_check(identity_operator(DIM))
+    ok, top = povm_entry_bound_check(FockOperator(DIM, np.eye(DIM.size)))
     assert ok and top == pytest.approx(1.0, abs=1e-12)
-    ok, top = povm_entry_bound_check(parity_povm(DIM).pi0)
+    ok, top = povm_entry_bound_check(parity_pair().pi0)
     assert ok and top == pytest.approx(1.0, abs=1e-12)
 
     bad = np.zeros((5, 5), dtype=complex)
