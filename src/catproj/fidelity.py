@@ -16,9 +16,11 @@ Every target vector is a two-term sum u|alpha> + v|-alpha>, and
 D(beta)^dag |a> = e^{i Im(beta* a)} |a - beta>, so every fidelity the
 optimizers search has a closed form in coherent-state overlaps.  The closed
 form searches, with no N x N matrix per evaluation: the grids score whole
-arrays at once, every temporary the size of the grid, and an in-repo
-two-variable Nelder-Mead refines the grid's best point on the same closed
-form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
+arrays at once, every temporary the size of the grid (the ideal counter's
+running products in four real buffers updated in place, each spec's
+photon-number term one product of its contrast row with them), and an
+in-repo two-variable Nelder-Mead refines the grid's best point on the same
+closed form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
 scores the point each search returns, so every reported number is the Fock
 model's.
 
@@ -129,7 +131,9 @@ def _grids(form, contrasts, *grid):
     """Yield ``form(contrast)(*grid)`` for each contrast.  Up to ``_STACK``
     contrasts at a time go in as three (k, 1, 1) arrays, which broadcast
     against the alpha-only terms of a two-dimensional grid to one grid per
-    spec: the alpha-only terms are computed once per stack, and the
+    spec (the ideal counter instead contracts one contrast row at a time
+    with its alpha-only buffers): the alpha-only terms are computed once
+    per stack, each spec's grid is the one it would get alone, and the
     temporaries stay a few MB however many specs share an alpha."""
     for start in range(0, len(contrasts), _STACK):
         stack = contrasts[start : start + _STACK]
@@ -149,7 +153,8 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     ``_contrast``) it is a function of one Python complex in
     ``math``/``cmath`` arithmetic; with the contrasts of k specs stacked by
     ``_grids`` it scores a two-dimensional array of b for all k at once,
-    returning shape (k, *b.shape).  No matrix is built.
+    returning shape (k, *b.shape).  No matrix is built; the ideal counter's
+    two routes are ``_ideal_point`` and ``_ideal_grid``.
 
     D(b)^dag |a_k> = f_k |gamma_k>, with gamma_k = a_k - b and
     f_k = e^{i Im(conj(b) a_k) - |gamma_k|^2 / 2}.  An ideal counter sums
@@ -157,7 +162,8 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     |<n|D^dag|t1>|^2 comes from the amplitudes u_k[n] = f_k gamma_k^n / sqrt(n!)
     through |u_k[n]|^2 = e^{-|gamma_k|^2} |gamma_k|^{2n} / n! and
     conj(u_0[n]) u_1[n] = conj(f_0) f_1 (conj(gamma_0) gamma_1)^n / n!: two
-    real running products and one complex one, each the size of b.  This is
+    real running products and one complex one, each the size of b, so
+    d_n = S_00 p_0 + S_11 p_1 + Re(2 S_01) Re c - Im(2 S_01) Im c.  This is
     the partition rule of the Fock model, whose ties add nothing.  For a
     click detector the loss weights (1 - eta)^n sum every photon number in
     closed form: <a_k|P0|a_l> / (1 - nu) =
@@ -167,27 +173,10 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     """
     s00, s11, s01 = contrast
     scalar = not isinstance(s00, np.ndarray)
-    exp, cexp = (math.exp, cmath.exp) if scalar else (np.exp, np.exp)
-
     if detector.is_ideal:
+        return (_ideal_point if scalar else _ideal_grid)(alpha, contrast, n_max)
 
-        def ideal(b):
-            g0, g1 = alpha - b, -alpha - b
-            q0 = g0.real * g0.real + g0.imag * g0.imag
-            q1 = g1.real * g1.real + g1.imag * g1.imag
-            r = g0.conjugate() * g1
-            p0, p1 = exp(-q0), exp(-q1)  # |f_0|^2, |f_1|^2
-            c = cexp(-0.5 * (q0 + q1) + 2j * alpha * b.imag)  # conj(f_0) f_1
-            total = 0.0
-            for n in range(n_max + 1):
-                if n:
-                    p0, p1, c = p0 * q0 / n, p1 * q1 / n, c * r / n
-                d = s00 * p0 + s11 * p1 + (s01 * c).real
-                total = total + d * (d > 0.0)
-            return 0.5 * (1.0 + total)
-
-        return ideal
-
+    exp, cexp = (math.exp, cmath.exp) if scalar else (np.exp, np.exp)
     v, eta, bright = detector.visibility, detector.eta, 1.0 - detector.nu
 
     def click(b):
@@ -201,6 +190,89 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
         return 0.5 * (1.0 + bright * no_click)
 
     return click
+
+
+def _ideal_point(alpha: float, contrast, n_max: int):
+    """The ideal-counter closed form of ``_click_form`` for one spec, as a
+    function of one Python complex b.  The running products c = conj(f_0) f_1
+    (conj(gamma_0) gamma_1)^n / n! and its ratio r are carried as real pairs
+    through exactly the operations Python's complex arithmetic performs on
+    them, so every value is, bit for bit, the one complex arithmetic gives."""
+    s00, s11, s01 = contrast
+    wr, wi = s01.real, s01.imag
+    divisors = [float(n) for n in range(1, n_max + 1)]  # the same quotients as int n, faster
+
+    def ideal(b):
+        g0, g1 = alpha - b, -alpha - b
+        q0 = g0.real * g0.real + g0.imag * g0.imag
+        q1 = g1.real * g1.real + g1.imag * g1.imag
+        r = g0.conjugate() * g1
+        rr, ri = r.real, r.imag
+        p0, p1 = math.exp(-q0), math.exp(-q1)  # |f_0|^2, |f_1|^2
+        c = cmath.exp(-0.5 * (q0 + q1) + 2j * alpha * b.imag)  # conj(f_0) f_1
+        cr, ci = c.real, c.imag
+        d = s00 * p0 + s11 * p1 + (wr * cr - wi * ci)
+        total = d if d > 0.0 else 0.0
+        for n in divisors:
+            p0, p1 = p0 * q0 / n, p1 * q1 / n
+            cr, ci = (cr * rr - ci * ri) / n, (cr * ri + ci * rr) / n
+            d = s00 * p0 + s11 * p1 + (wr * cr - wi * ci)
+            if d > 0.0:
+                total += d
+        return 0.5 * (1.0 + total)
+
+    return ideal
+
+
+def _ideal_grid(alpha: float, contrast, n_max: int):
+    """The ideal-counter closed form of ``_click_form`` for k specs stacked
+    by ``_grids``, as a function of an array of b; returns (k, *b.shape).
+
+    The alpha-only running products p_0, p_1, Re c and Im c live in four
+    grid-sized buffers, updated in place in real arithmetic.  Each spec's
+    d_n is one product of its row W = (S_00, S_11, Re 2S_01, -Im 2S_01) with
+    those four buffers, so a spec's grid is the same to the last bit however
+    many specs share the stack, and no (n_max + 1) x grid array is built."""
+    s00, s11, s01 = (np.ravel(term) for term in contrast)
+    W = np.stack([s00, s11, s01.real, -s01.imag], axis=1)
+
+    def ideal(b):
+        shape = np.shape(b)
+        b = np.ravel(b)
+        g0, g1 = alpha - b, -alpha - b
+        q0 = g0.real * g0.real + g0.imag * g0.imag
+        q1 = g1.real * g1.real + g1.imag * g1.imag
+        r = g0.conjugate() * g1
+        rr, ri = r.real, r.imag
+        basis = np.empty((4, b.size))
+        p0, p1, cr, ci = basis
+        np.exp(-q0, out=p0)  # |f_0|^2
+        np.exp(-q1, out=p1)  # |f_1|^2
+        c = np.exp(-0.5 * (q0 + q1) + 2j * alpha * b.imag)  # conj(f_0) f_1
+        cr[:], ci[:] = c.real, c.imag
+        u, v = np.empty((2, b.size))
+        d = np.empty((len(W), b.size))
+        total = np.zeros_like(d)
+        for n in range(n_max + 1):
+            if n:
+                p0 *= q0
+                p0 /= n
+                p1 *= q1
+                p1 /= n
+                np.multiply(cr, ri, out=u)
+                np.multiply(ci, ri, out=v)
+                cr *= rr
+                cr -= v
+                cr /= n
+                ci *= rr
+                ci += u
+                ci /= n
+            for w, row in zip(W, d):
+                np.dot(w, basis, out=row)
+            total += np.maximum(d, 0.0, out=d)
+        return (0.5 * (1.0 + total)).reshape((len(W),) + shape)
+
+    return ideal
 
 
 def _homodyne_form(alpha: float, contrast):

@@ -266,6 +266,32 @@ def scs_projectors(spec: ScsMeasurementSpec, dim) -> tuple[StateVector, StateVec
     return StateVector(dim, pi0), StateVector(dim, pi1)
 
 
+@lru_cache(maxsize=None)
+def _laguerre_table(n_max: int) -> tuple[np.ndarray, ...]:
+    """The constants of ``_displacement_matrix`` at one cutoff, built on
+    first use and read-only: the recurrence coefficients 2k - 1 + d and
+    k - 1 + d as (N, N) float tables indexed [k, d], the lower-triangle
+    indices (m, n), 0.5 (log n! - log m!), the exponent m - n and the mask
+    of the entries below the diagonal, m > n."""
+    N = n_max + 1
+    k = np.arange(N)[:, None]
+    d = np.arange(N)
+    m, n = np.tril_indices(N)
+    lf = _logfact(n_max)
+    table = (
+        (2 * k - 1 + d).astype(float),
+        (k - 1 + d).astype(float),
+        m,
+        n,
+        0.5 * (lf[n] - lf[m]),
+        m - n,
+        m > n,
+    )
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _displacement_matrix(beta, dim: TruncationDim) -> np.ndarray:
     """<m|D(beta)|n> from the closed-form associated-Laguerre expression
@@ -275,30 +301,31 @@ def _displacement_matrix(beta, dim: TruncationDim) -> np.ndarray:
     and <n|m> entries follow from D(-beta)^T symmetry.  ``beta`` may be a
     scalar or an array of amplitudes; the result has shape
     ``np.shape(beta) + (N, N)``.  One stable three-term recurrence in n
-    generates the Laguerre values of every amplitude and every diagonal.
-    An amplitude far beyond the cutoff overflows to inf or NaN entries
-    without a warning; the unitarity guard rejects such a matrix.
+    generates the Laguerre values of every amplitude and every diagonal:
+    the cutoff's constants come from ``_laguerre_table``, 2k - 1 + d - x is
+    formed for every k in one array operation, and each step is then two
+    products, a difference and a division, in place.  An amplitude far
+    beyond the cutoff overflows to inf or NaN entries without a warning;
+    the unitarity guard rejects such a matrix.
     """
     beta = np.asarray(beta, dtype=complex)
     N = dim.size
+    step, weight, m, n, half, power, up = _laguerre_table(dim.n_max)
     b = beta.reshape(-1, 1)
     x = np.abs(b) ** 2
-    d = np.arange(N)
-    # lag[:, k, d] = L_k^{(d)}(x)
-    lag = np.empty((b.shape[0], N, N))
+    # lag[:, k, d] = L_k^{(d)}(x); row k holds 2k - 1 + d - x until step k
+    lag = step - x[:, :, None]
     lag[:, 0] = 1.0
-    if N > 1:
-        lag[:, 1] = 1.0 + d - x
     for k in range(2, N):
-        lag[:, k] = ((2 * k - 1 + d - x) * lag[:, k - 1] - (k - 1 + d) * lag[:, k - 2]) / k
-    m, n = np.tril_indices(N)
-    lf = _logfact(dim.n_max)
-    base = np.exp(0.5 * (lf[n] - lf[m]) - 0.5 * x)
-    lag = lag[:, n, m - n]
+        row = lag[:, k]
+        row *= lag[:, k - 1]
+        row -= weight[k] * lag[:, k - 2]
+        row /= k
+    base = np.exp(half - 0.5 * x)
+    lag = lag[:, n, power]
     D = np.zeros((b.shape[0], N, N), dtype=complex)
-    D[:, m, n] = base * b ** (m - n) * lag
-    up = m > n
-    D[:, n[up], m[up]] = (base * (-np.conj(b)) ** (m - n) * lag)[:, up]
+    D[:, m, n] = base * b**power * lag
+    D[:, n[up], m[up]] = base[:, up] * (-np.conj(b)) ** power[up] * lag[:, up]
     return D.reshape(beta.shape + (N, N))
 
 

@@ -271,8 +271,29 @@ def write_tomography_json(
 
 
 def read_tomography_json(path) -> dict:
-    """Load a file that ``write_tomography_json`` wrote; any other schema
-    name or major version is rejected before the payload is used."""
+    """Load a file that ``write_tomography_json`` wrote.  A file that is not
+    a JSON object, has any other schema name or major version, or lacks the
+    two 2 x 2 POVM elements as ``{"re": ..., "im": ...}`` nested lists is
+    rejected with a ``ValueError`` before the payload is used."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    _check_schema(payload.get("schema", ""), TOMOGRAPHY_SCHEMA)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, found {type(payload).__name__}")
+    schema = payload.get("schema", "")
+    if not isinstance(schema, str):
+        raise ValueError(f"schema must be a string, found {schema!r}")
+    _check_schema(schema, TOMOGRAPHY_SCHEMA)
+    povm = payload.get("povm")
+    for name in ("pi0", "pi1"):
+        element = povm.get(name) if isinstance(povm, dict) else None
+        if not (isinstance(element, dict) and _is_2x2(element.get("re")) and _is_2x2(element.get("im"))):
+            raise ValueError(f'povm.{name} must hold "re" and "im" as 2 x 2 lists of numbers')
     return payload
+
+
+def _is_2x2(value) -> bool:
+    """True for a 2 x 2 nested list of JSON numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return False
+    return array.shape == (2, 2) and array.dtype.kind in "iuf"

@@ -1,11 +1,12 @@
-"""The import path stays free of scipy.
+"""The import path stays free of scipy and of work done on first use.
 
 Every CLI call is a fresh process, so the modules that ``import catproj.cli``
 loads are paid on every call.  scipy is imported only where it is used: the
 homodyne code (``scipy.special.erfc``) and the BVLS fallback of the series
 solve (``scipy.optimize.lsq_linear``).  Each case runs commands through
 ``cli.main`` in a fresh interpreter and lists the scipy modules loaded after
-the import and after the commands.
+the import and after the commands.  The import also builds none of the
+cached displacement tables.
 """
 
 import json
@@ -29,19 +30,31 @@ print(json.dumps({"after_import": after_import, "after_commands": loaded()}))
 """
 
 
-def loaded_scipy(commands: list[list[str]]) -> dict:
+def fresh_interpreter(code: str, *args: str) -> str:
+    """The last line that ``code`` prints in a new interpreter."""
     package_root = str(Path(catproj.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout.strip().splitlines()[-1]
+
+
+def loaded_scipy(commands: list[list[str]]) -> dict:
+    return json.loads(fresh_interpreter(PROBE, json.dumps(commands)))
+
+
+def test_import_builds_no_displacement_tables():
+    # the per-cutoff Laguerre constants are built on first use, so a command
+    # that never displaces does not pay for them
+    code = "import catproj.cli, catproj.fock; print(catproj.fock._laguerre_table.cache_info().currsize)"
+    assert fresh_interpreter(code) == "0"
 
 
 def test_counting_commands_load_no_scipy(tmp_path):

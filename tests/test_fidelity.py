@@ -1,3 +1,4 @@
+import cmath
 import math
 from functools import partial
 
@@ -188,6 +189,75 @@ def test_closed_forms_score_whole_grids():
                 for args, v in zip(points, grid.ravel()):
                     point = score(*args)
                     assert type(point) is float and abs(v - point) <= 1e-15
+
+
+def complex_ideal_form(alpha, contrast, n_max):
+    """Oracle: the ideal-counter closed form in complex arithmetic, one
+    expression for a Python complex (math/cmath) or for an array of b with
+    (k, 1, 1) stacked contrasts (numpy), carrying c = conj(f_0) f_1
+    (conj(gamma_0) gamma_1)^n / n! as one complex running product."""
+    s00, s11, s01 = contrast
+    scalar = not isinstance(s00, np.ndarray)
+    exp, cexp = (math.exp, cmath.exp) if scalar else (np.exp, np.exp)
+
+    def ideal(b):
+        g0, g1 = alpha - b, -alpha - b
+        q0 = g0.real * g0.real + g0.imag * g0.imag
+        q1 = g1.real * g1.real + g1.imag * g1.imag
+        r = g0.conjugate() * g1
+        p0, p1 = exp(-q0), exp(-q1)
+        c = cexp(-0.5 * (q0 + q1) + 2j * alpha * b.imag)
+        total = 0.0
+        for n in range(n_max + 1):
+            if n:
+                p0, p1, c = p0 * q0 / n, p1 * q1 / n, c * r / n
+            d = s00 * p0 + s11 * p1 + (s01 * c).real
+            total = total + d * (d > 0.0)
+        return 0.5 * (1.0 + total)
+
+    return ideal
+
+
+@pytest.mark.parametrize("n_max", [20, 24])
+def test_ideal_point_form_is_bitwise_the_complex_form(n_max):
+    # the refinement's scalar form carries the complex running product as a
+    # real pair; every value is the complex-arithmetic one to the last bit
+    rng = np.random.default_rng(n_max)
+    for _ in range(2000):
+        alpha = math.sqrt(rng.uniform(0.05, 2.5))
+        phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(0.0, 2.0 * math.pi)]))
+        spec = spec_of(rng.uniform(), alpha, phi)
+        b = complex(*rng.uniform(-2.5, 2.5, 2))
+        oracle = complex_ideal_form(alpha, _contrast(spec), n_max)
+        assert click_score(spec, IDEAL_DETECTOR, n_max)(b) == oracle(b)
+
+
+@pytest.mark.parametrize("stack", [fidelity_module._STACK, 2])
+def test_ideal_grid_matches_the_complex_form(monkeypatch, stack):
+    # on the optimizer's polar grid, the in-place real buffers and one
+    # contraction per spec pick the same first maximum as the
+    # complex-arithmetic grid, mirror ties at phi = 0 included.  Each d_n may
+    # round differently by about one ulp of its largest term, and the term
+    # weights p_0, p_1 and |c| each sum to at most 1 over n, so an entry may
+    # move by eps (|S_00| + |S_11| + |2 S_01|): about 6.4e-16 for
+    # alpha^2 >= 1, 1.3e-15 at alpha^2 = 0.2 and 1.1e-14 at alpha^2 = 0.02,
+    # where the cat normalization makes the contrast large
+    monkeypatch.setattr(fidelity_module, "_STACK", stack)
+    rng = np.random.default_rng(15)
+    for n_max in (20, 24):
+        r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(TruncationDim(n_max)))
+        grid = np.arange(0.0, r_max + 1e-12, 0.02)[:, None] * np.exp(1j * np.arange(120) * (math.pi / 60.0))
+        for alpha in np.sqrt([0.02, *rng.uniform(0.02, 2.5, 5)]):
+            weights = [0.5, *rng.uniform(size=4)]
+            phases = [0.0, 0.0, math.pi / 2, math.pi / 2, rng.uniform(0.0, 2.0 * math.pi)]
+            contrasts = [_contrast(spec_of(c0sq, alpha, phi)) for c0sq, phi in zip(weights, phases)]
+            grids = _grids(partial(_click_form, alpha, detector=IDEAL_DETECTOR, n_max=n_max), contrasts, grid)
+            for contrast, vals in zip(contrasts, grids, strict=True):
+                stacked = tuple(np.reshape(term, (1, 1, 1)) for term in contrast)
+                (oracle,) = complex_ideal_form(alpha, stacked, n_max)(grid)
+                scale = sum(abs(term) for term in contrast)
+                assert np.max(np.abs(vals - oracle)) <= np.finfo(float).eps * scale
+                assert _first_maximum(vals) == _first_maximum(oracle)
 
 
 def same_as_scipy(fun, x0, maxiter):

@@ -16,6 +16,7 @@ from catproj.fock import (
     ScsMeasurementSpec,
     StateVector,
     TruncationDim,
+    _displacement_matrix,
     _logfact,
     cat_basis,
     cat_norm_factors,
@@ -221,6 +222,48 @@ def test_displacement_against_genlaguerre():
                     )
                 ref[m, n] = val
         assert np.max(np.abs(D - ref)) < 1e-10
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def complex_recurrence_displacement(beta, dim):
+    """Oracle: <m|D(beta)|n> by the Laguerre recurrence written step by step,
+    every constant rebuilt on each call."""
+    beta = np.asarray(beta, dtype=complex)
+    N = dim.size
+    b = beta.reshape(-1, 1)
+    x = np.abs(b) ** 2
+    d = np.arange(N)
+    lag = np.empty((b.shape[0], N, N))
+    lag[:, 0] = 1.0
+    if N > 1:
+        lag[:, 1] = 1.0 + d - x
+    for k in range(2, N):
+        lag[:, k] = ((2 * k - 1 + d - x) * lag[:, k - 1] - (k - 1 + d) * lag[:, k - 2]) / k
+    m, n = np.tril_indices(N)
+    lf = _logfact(dim.n_max)
+    base = np.exp(0.5 * (lf[n] - lf[m]) - 0.5 * x)
+    lag = lag[:, n, m - n]
+    D = np.zeros((b.shape[0], N, N), dtype=complex)
+    D[:, m, n] = base * b ** (m - n) * lag
+    up = m > n
+    D[:, n[up], m[up]] = (base * (-np.conj(b)) ** (m - n) * lag)[:, up]
+    return D.reshape(beta.shape + (N, N))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 20, 24, 40])
+def test_displacement_matrix_is_bitwise_the_step_by_step_recurrence(n_max):
+    # the cached per-cutoff constants and the in-place recurrence change no
+    # bit of any entry, for a scalar, stacked, two-dimensional or empty beta
+    dim = TruncationDim(n_max)
+    rng = np.random.default_rng(n_max)
+
+    def drawn(*shape):
+        return rng.uniform(0.0, 2.5, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+    for beta in (0.0, 0.3 - 0.4j, complex(drawn()), drawn(7), drawn(2, 3), np.zeros(0, dtype=complex)):
+        got = _displacement_matrix(beta, dim)
+        assert got.shape == np.shape(beta) + (dim.size, dim.size)
+        assert np.array_equal(got, complex_recurrence_displacement(beta, dim))
 
 
 def test_displacement_against_generator_exponential():

@@ -194,6 +194,24 @@ def test_tomography_json_roundtrip(tmp_path):
         read_tomography_json(tmp_path / "bumped.json")
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[1, 2]", "JSON object, found list"),
+        ('{"schema": 1}', "schema must be a string, found 1"),
+        ('{"schema": "catproj/tomography 1.0"}', "povm.pi0 must hold"),
+    ],
+    ids=["not-an-object", "schema-not-a-string", "no-povm"],
+)
+def test_tomography_reader_rejects_malformed_payloads(tmp_path, text, problem):
+    # a file that parses as JSON but is not a tomography payload fails at the
+    # reader with a ValueError that names the problem
+    path = tmp_path / "malformed.json"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=problem):
+        read_tomography_json(path)
+
+
 def test_tomography_payload_rounds_floats():
     table = sample_table()
     run = tomography_pipeline(table, PROBES, DIM)
