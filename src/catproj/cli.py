@@ -2,8 +2,11 @@
 
 Configuration is a flat JSON object; figure presets supply the published
 operating points as named defaults, a ``--config`` file overrides the
-preset, and command-line flags override both.  Every failure is reported
-as a one-line JSON record on stderr with a nonzero exit status.
+preset, and command-line flags override both.  ``_SCHEMA`` is the one table
+of every key's accepted type and its default.  Each command builds every
+object it uses at stage ``config``, so a bad value, whatever its key and
+whatever the command, fails there.  Every failure is reported as a
+one-line JSON record on stderr with a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .tomography import (
     ClickTable,
     ProbeSet,
     ScsPovm,
+    _check_error_bar_width,
     _require_probe_rows,
     error_bars,
     povm_entry_bound_check,
@@ -61,30 +65,38 @@ from .tomography import (
     tomography_pipeline,
 )
 
-# every key a config file may contain, with the accepted value shape
-_SCHEMA: dict[str, type | tuple] = {
-    "mode": str,  # tomography only: "single" or "sweep"
-    "alpha": (int, float),
-    "c0sq": (int, float),
-    "phi": (int, float),
-    "c0sq_values": list,
-    "alpha_sq_values": list,
-    "phi_values": list,
-    "eta": (int, float),
-    "nu": (int, float),
-    "visibility": (int, float),
-    "drive_amplitude": (int, float),
-    "drive_phase": (int, float),
-    "gammas": list,
-    "shots": int,
-    "seed": int,
-    "nmax": int,
-    "schedule": list,
-    "quantize": bool,
-    "clicks": str,
-    "error_bars_sigma": (int, float),
-    "out": str,
+# every key a config file may contain: (accepted value shape, default),
+# where a default of None means the key has none
+_SCHEMA: dict[str, tuple] = {
+    "mode": (str, "single"),  # tomography only: "single" or "sweep"
+    "alpha": ((int, float), 0.499),
+    "c0sq": ((int, float), 0.5),
+    "phi": ((int, float), 0.0),
+    "c0sq_values": (list, ()),
+    "alpha_sq_values": (list, ()),
+    "phi_values": (list, (0.0,)),
+    "eta": ((int, float), 1.0),
+    "nu": ((int, float), 0.0),
+    "visibility": ((int, float), 1.0),
+    "drive_amplitude": ((int, float), 0.0),
+    "drive_phase": ((int, float), 0.0),
+    "gammas": (list, (0.2, 0.3)),
+    "shots": (int, 200_000),
+    "seed": (int, 0),
+    "nmax": (int, 20),
+    "schedule": (list, (0j,)),  # a quantized tomography sweep's default is computed
+    "quantize": (bool, True),
+    "clicks": (str, None),
+    "error_bars_sigma": ((int, float), 0.0),
+    "out": (str, None),
 }
+
+
+class Config(dict):
+    """A validated config; a key it does not hold reads as its ``_SCHEMA`` default."""
+
+    def __missing__(self, key):
+        return _SCHEMA[key][1]
 
 
 # largest accepted Fock cutoff: the displacement guard scan holds about
@@ -189,27 +201,23 @@ def validate_config(cfg: dict) -> dict:
     for key, value in cfg.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        want = _SCHEMA[key]
+        want = _SCHEMA[key][0]
         if isinstance(value, bool) and want is not bool or not isinstance(value, want):
             raise ConfigError(f"config key {key!r} has the wrong type")
         if want in (str, bool):
             continue
         if not all(map(_finite_number, value if want is list else [value])):
             raise ConfigError(f"config key {key!r} must hold finite numbers only")
-    if not 1 <= cfg.get("nmax", 1) <= NMAX_CEILING:
+    if "nmax" in cfg and not 1 <= cfg["nmax"] <= NMAX_CEILING:
         raise ConfigError(f"nmax must lie in [1, {NMAX_CEILING}], got {cfg['nmax']}")
-    if cfg.get("error_bars_sigma", 0.0) < 0.0:
-        raise ConfigError(f"error_bars_sigma must be >= 0, got {cfg['error_bars_sigma']}")
     return cfg
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(args: argparse.Namespace) -> Config:
     cfg: dict = {}
     if args.preset:
         if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
-            )
+            raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
         cfg.update(PRESETS[args.preset])
     if args.config:
         try:
@@ -221,60 +229,49 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    return validate_config(cfg)
+    return Config(validate_config(cfg))
 
 
-def _detector(cfg: dict) -> DetectorModel:
-    return DetectorModel(
-        eta=float(cfg.get("eta", 1.0)),
-        nu=float(cfg.get("nu", 0.0)),
-        visibility=float(cfg.get("visibility", 1.0)),
-    )
+def _detector(cfg: Config) -> DetectorModel:
+    return DetectorModel(eta=float(cfg["eta"]), nu=float(cfg["nu"]), visibility=float(cfg["visibility"]))
 
 
-def _dim(cfg: dict) -> TruncationDim:
-    return TruncationDim(int(cfg.get("nmax", 20)))
-
-
-def _out_path(cfg: dict) -> Path:
-    if "out" not in cfg:
+def _out_path(cfg: Config) -> Path:
+    if cfg["out"] is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
     return Path(cfg["out"])
 
 
-def _probes(cfg: dict) -> ProbeSet:
-    return ProbeSet(float(cfg.get("alpha", 0.499)), tuple(float(g) for g in cfg.get("gammas", (0.2, 0.3))))
+def _probes(cfg: Config) -> ProbeSet:
+    return ProbeSet(float(cfg["alpha"]), tuple(float(g) for g in cfg["gammas"]))
 
 
-def _spec(cfg: dict) -> ScsMeasurementSpec:
-    return ScsMeasurementSpec.from_c0sq(
-        float(cfg.get("alpha", 0.499)), float(cfg.get("c0sq", 0.5)), float(cfg.get("phi", 0.0))
-    )
+def _spec(cfg: Config) -> ScsMeasurementSpec:
+    return ScsMeasurementSpec.from_c0sq(float(cfg["alpha"]), float(cfg["c0sq"]), float(cfg["phi"]))
 
 
-def _campaign(cfg: dict, schedule) -> Campaign:
+def _campaign(cfg: Config, schedule) -> Campaign:
     """Acquisition plan implied by a config, with the given displacement menu."""
     return Campaign(
         probes=_probes(cfg),
-        shots_per_probe=int(cfg.get("shots", 200_000)),
+        shots_per_probe=cfg["shots"],
         detector=_detector(cfg),
         displacement_schedule=tuple(complex(b) for b in schedule),
-        rng_seed=int(cfg.get("seed", 0)),
+        rng_seed=cfg["seed"],
     )
 
 
-def _truth_campaign(cfg: dict, dim: TruncationDim):
+def _truth_campaign(cfg: Config, dim: TruncationDim):
     """Apparatus POVM plus acquisition plan implied by a config."""
     detector = _detector(cfg)
-    drive = float(cfg.get("drive_amplitude", 0.0)) * np.exp(1j * float(cfg.get("drive_phase", 0.0)))
-    shift = effective_displacement(drive, detector)
-    truth = apparatus_povm(_spec(cfg), shift, detector, dim)
-    return truth, _campaign(cfg, cfg.get("schedule", (0j,)))
+    drive = float(cfg["drive_amplitude"]) * np.exp(1j * float(cfg["drive_phase"]))
+    truth = apparatus_povm(_spec(cfg), effective_displacement(drive, detector), detector, dim)
+    return truth, _campaign(cfg, cfg["schedule"])
 
 
-def _meta(cfg: dict) -> dict:
+def _meta(dim: TruncationDim) -> dict:
     return {
-        "nmax": int(cfg.get("nmax", 20)),
+        "nmax": dim.n_max,
         "version": __version__,
         "convention": "outcome 0 targets c0*C+ + c1*exp(i*phi)*C-",
     }
@@ -286,36 +283,34 @@ def _hashable(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k != "out"}
 
 
-def cmd_fidelity_sweep(cfg: dict) -> int:
+def cmd_fidelity_sweep(cfg: Config) -> int:
     """Optimize the three strategies over a parameter grid, write CSV."""
     with _stage("config"):
-        grid = SweepGrid(
-            tuple(cfg.get("c0sq_values", ())),
-            tuple(cfg.get("alpha_sq_values", ())),
-            tuple(cfg.get("phi_values", ())),
-        )
+        grid = SweepGrid(tuple(cfg["c0sq_values"]), tuple(cfg["alpha_sq_values"]), tuple(cfg["phi_values"]))
         detector = _detector(cfg)
+        dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
     with _stage("sweep"), warnings.catch_warnings():
         # each failed point is also a library warning; the record below reports them
         warnings.simplefilter("ignore")
         errors: list = []
-        reports = sweep(grid, detector, _dim(cfg), errors=errors)
+        reports = sweep(grid, detector, dim, errors=errors)
         if errors:
             raise RuntimeError(f"{len(errors)} grid points failed; first: {errors[0][2]}")
     with _stage("write"):
-        write_sweep_csv(out, reports, _hashable(cfg), int(cfg.get("seed", 0)), extra=_meta(cfg))
+        write_sweep_csv(out, reports, _hashable(cfg), cfg["seed"], extra=_meta(dim))
     print(f"wrote {len(reports)} rows to {out}")
     return 0
 
 
-def cmd_optimize(cfg: dict) -> int:
+def cmd_optimize(cfg: Config) -> int:
     """Single-point optimization report (JSON)."""
     with _stage("config"):
         spec = _spec(cfg)
         detector = _detector(cfg)
+        dim = TruncationDim(cfg["nmax"])
     with _stage("optimize"):
-        (report,) = _optimized_reports([spec], detector, _dim(cfg))
+        (report,) = _optimized_reports([spec], detector, dim)
         if isinstance(report, Exception):
             raise report
     values = {
@@ -331,7 +326,7 @@ def cmd_optimize(cfg: dict) -> int:
         "lo_phase_opt": report.lo_phase_opt,
     }
     text = json.dumps(optimize_payload(values, _hashable(cfg)), sort_keys=True, indent=2)
-    if "out" in cfg:
+    if cfg["out"] is not None:
         with _stage("write"):
             atomic_write_text(cfg["out"], text + "\n")
     else:
@@ -339,48 +334,48 @@ def cmd_optimize(cfg: dict) -> int:
     return 0
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: Config) -> int:
     """Generate a seeded click table from an apparatus model, write CSV."""
     with _stage("config"):
-        dim = _dim(cfg)
+        dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
         truth, campaign = _truth_campaign(cfg, dim)
     with _stage("simulate"):
         table = simulate_counts(truth, campaign)
     with _stage("write"):
-        write_click_table(out, table, _hashable(cfg), campaign.rng_seed, extra=_meta(cfg))
+        write_click_table(out, table, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
     print(f"wrote {len(table.probe_amplitudes)} probe rows to {out}")
     return 0
 
 
-def cmd_tomography(cfg: dict) -> int:
+def cmd_tomography(cfg: Config) -> int:
     """Simulate or ingest clicks, reconstruct the POVM, write JSON/CSV."""
-    mode = cfg.get("mode", "single")
-    if mode == "sweep":
+    if cfg["mode"] == "sweep":
         return _tomography_sweep(cfg)
-    if mode != "single":
-        raise ConfigError(f"mode must be 'single' or 'sweep', got {mode!r}")
+    if cfg["mode"] != "single":
+        raise ConfigError(f"mode must be 'single' or 'sweep', got {cfg['mode']!r}")
     with _stage("config"):
-        dim = _dim(cfg)
+        dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
         probes = _probes(cfg)
-        seed = int(cfg.get("seed", 0))
+        sigma = float(cfg["error_bars_sigma"])
+        _check_error_bar_width(probes.alpha, sigma)
+        if cfg["clicks"] is None:
+            truth, campaign = _truth_campaign(cfg, dim)
     clicks_sha256 = None
-    if "clicks" in cfg:
+    if cfg["clicks"] is not None:
         with _stage("ingest"):
             table, clicks_meta = read_click_table(cfg["clicks"])
             _require_probe_rows(table, probes)
             clicks_sha256 = clicks_meta["sha256"]
     else:
         with _stage("simulate"):
-            truth, campaign = _truth_campaign(cfg, dim)
             table = simulate_counts(truth, campaign)
     with _stage("reconstruct"):
         run = tomography_pipeline(table, probes, dim)
-        sigma = float(cfg.get("error_bars_sigma", 0.0))
         bars = error_bars(run, sigma) if sigma > 0.0 else None
     with _stage("write"):
-        write_tomography_json(out, run, _hashable(cfg), seed, bars, clicks_sha256)
+        write_tomography_json(out, run, _hashable(cfg), cfg["seed"], bars, clicks_sha256)
     pi0 = run.povm.pi0
     print(
         f"reconstructed pi0 diag=({format_float(pi0[0, 0].real)}, "
@@ -389,31 +384,27 @@ def cmd_tomography(cfg: dict) -> int:
     return 0
 
 
-def _tomography_sweep(cfg: dict) -> int:
+def _tomography_sweep(cfg: Config) -> int:
     with _stage("config"):
-        dim = _dim(cfg)
+        dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
-        schedule = cfg.get("schedule")
-        if schedule is None:
-            schedule = (0j,)
-            if cfg.get("quantize", True):
-                schedule = default_displacement_schedule(float(cfg.get("alpha", 0.499)))
+        schedule = cfg["schedule"]
+        if cfg["quantize"] and "schedule" not in cfg:
+            schedule = default_displacement_schedule(float(cfg["alpha"]))
         campaign = _campaign(cfg, schedule)
-        phis = [float(p) for p in cfg.get("phi_values", (0.0,))]
-        c0sq_values = list(cfg.get("c0sq_values", ()))
+        phis = [float(p) for p in cfg["phi_values"]]
+        c0sq_values = list(cfg["c0sq_values"])
         if not c0sq_values:
             raise ConfigError("c0sq_values must not be empty")
+        for c0sq in c0sq_values:
+            ScsMeasurementSpec.from_c0sq(campaign.probes.alpha, c0sq)
         campaign.point_seeds(len(c0sq_values))
     points = []
     with _stage("reconstruct"):
         for phi in phis:
-            points.extend(
-                reconstruction_sweep(
-                    campaign, c0sq_values, phi, dim, quantize=bool(cfg.get("quantize", True))
-                )
-            )
+            points.extend(reconstruction_sweep(campaign, c0sq_values, phi, dim, quantize=cfg["quantize"]))
     with _stage("write"):
-        write_reconstruction_csv(out, points, _hashable(cfg), campaign.rng_seed, extra=_meta(cfg))
+        write_reconstruction_csv(out, points, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
     print(f"wrote {len(points)} reconstruction rows to {out}")
     return 0
 
@@ -463,16 +454,17 @@ def _selftest_checks(dim: TruncationDim):
     ]
 
 
-def cmd_selftest(cfg: dict) -> int:
+def cmd_selftest(cfg: Config) -> int:
     """Run the invariant battery and report residuals."""
     # config-provided resources are validated first, so a bad detector or a
     # corrupted click file fails loudly here rather than inside a later run
     with _stage("config"):
         _detector(cfg)
-        if "clicks" in cfg:
+        dim = TruncationDim(cfg["nmax"])
+        if cfg["clicks"] is not None:
             read_click_table(cfg["clicks"])
     with _stage("selftest"):
-        checks = _selftest_checks(_dim(cfg))
+        checks = _selftest_checks(dim)
     failures = 0
     for name, tol, residual in checks:
         ok = residual <= tol

@@ -43,6 +43,8 @@ from operator import itemgetter
 import numpy as np
 
 from .fock import (
+    AMPLITUDE_CEILING,
+    AMPLITUDE_STEP,
     ScsMeasurementSpec,
     _displacement_matrix,
     as_dim,
@@ -60,9 +62,7 @@ from .povm import (
     quadrature_interval_operator,
 )
 
-#: coarse polar search grid for the displacement optimizer
-AMPLITUDE_STEP = 0.02
-AMPLITUDE_CEILING = 2.5
+#: coarse polar search grid for the displacement optimizer (amplitudes from ``fock``)
 PHASE_STEP = math.pi / 60.0
 
 #: search box for the homodyne optimizer
@@ -442,7 +442,7 @@ def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
         return []
     alpha = _shared_alpha(specs)
     dim = as_dim(dim)
-    r_max = min(AMPLITUDE_CEILING, max_guarded_amplitude(dim, AMPLITUDE_STEP))
+    r_max = max_guarded_amplitude(dim)
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP

@@ -26,6 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "AMPLITUDE_CEILING",
+    "AMPLITUDE_STEP",
     "COHERENT_TAIL_TOL",
     "DISPLACEMENT_GUARD_TOL",
     "NORM_TOL",
@@ -57,6 +59,10 @@ COHERENT_TAIL_TOL = 1e-8
 # above that envelope; 1e-4 admits every amplitude the optimizers need
 # while still rejecting clearly under-truncated requests.
 DISPLACEMENT_GUARD_TOL = 1e-4
+
+# amplitudes of the guard scan and of the displacement optimizer's polar grid
+AMPLITUDE_STEP = 0.02
+AMPLITUDE_CEILING = 2.5
 
 # Constructor tolerance on state normalization.
 NORM_TOL = 1e-9
@@ -165,9 +171,11 @@ class ScsMeasurementSpec:
         """Build a spec from the population c0^2, clamping float-grid dust.
 
         Grid arithmetic can produce c0sq = 1 + 2e-16; the clamp keeps the
-        complementary coefficient real.
+        complementary coefficient real.  Beyond 1e-12 of [0, 1] it raises.
         """
-        c0sq = min(max(float(c0sq), 0.0), 1.0)
+        if not -1e-12 <= c0sq <= 1.0 + 1e-12:  # also rejects NaN
+            raise ValueError(f"c0sq must lie in [0, 1], got {c0sq!r}")
+        c0sq = min(max(c0sq, 0.0), 1.0)
         return cls(alpha=alpha, c0=math.sqrt(c0sq), c1=math.sqrt(1.0 - c0sq), phi=phi)
 
 
@@ -364,21 +372,17 @@ def displacement_operator(beta: complex, dim) -> FockOperator:
 
 
 @lru_cache(maxsize=None)
-def _max_guarded_amplitude_cached(n_max: int, step: float) -> float:
-    ks = np.arange(1, int(2.5 / step) + 2)
-    radii = ks[ks * step <= 2.5 + 1e-12] * step
-    defects = _unitarity_defect(_displacement_matrix(radii, TruncationDim(n_max)), n_max)
+def max_guarded_amplitude(dim) -> float:
+    """Largest multiple of ``AMPLITUDE_STEP`` up to ``AMPLITUDE_CEILING`` that
+    passes the displacement guard at this truncation.  Bounded optimizer
+    domains use it so they never request operators the guard would reject."""
+    dim = as_dim(dim)
+    ks = np.arange(1, int(AMPLITUDE_CEILING / AMPLITUDE_STEP) + 2)
+    radii = ks[ks * AMPLITUDE_STEP <= AMPLITUDE_CEILING + 1e-12] * AMPLITUDE_STEP
+    defects = _unitarity_defect(_displacement_matrix(radii, dim), dim.n_max)
     failed = np.flatnonzero(defects > DISPLACEMENT_GUARD_TOL)
     passing = failed[0] if failed.size else radii.size
     return float(radii[passing - 1]) if passing else 0.0
-
-
-def max_guarded_amplitude(dim, step: float = 0.02) -> float:
-    """Largest grid amplitude (multiples of ``step``) passing the
-    displacement guard at this truncation.  Bounded optimizer domains use
-    this so they never request operators the guard would reject."""
-    dim = as_dim(dim)
-    return _max_guarded_amplitude_cached(dim.n_max, float(step))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -760,6 +760,12 @@ _REPORTED_SCALARS = (
 )
 
 
+def _check_error_bar_width(alpha: float, alpha_sigma: float) -> None:
+    """``error_bars`` needs 0 <= sigma < alpha: both alpha -+ sigma stay positive."""
+    if not 0.0 <= alpha_sigma < alpha:  # also rejects NaN
+        raise ValueError(f"error_bars_sigma must lie in [0, alpha) = [0, {alpha!r}), got {alpha_sigma!r}")
+
+
 def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     """Systematic-error envelopes from re-running at alpha +- sigma.
 
@@ -767,10 +773,7 @@ def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     reported scalar gets a ``(lo, hi)`` interval over the three re-runs,
     which by construction contains the central value.
     """
-    if alpha_sigma < 0:
-        raise ValueError("alpha_sigma must be >= 0")
-    if run.probes.alpha - alpha_sigma <= 0:
-        raise ValueError("alpha - sigma must stay positive")
+    _check_error_bar_width(run.probes.alpha, alpha_sigma)
     runs = [run]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)

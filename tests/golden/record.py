@@ -25,7 +25,6 @@ import json
 import os
 import platform
 import shutil
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -191,4 +190,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    record()

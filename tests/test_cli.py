@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catproj
-from catproj import fidelity, fock
+from catproj import cli, fidelity, fock
 from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize_displacement
 from catproj.fock import ScsMeasurementSpec, TruncationDim
@@ -243,6 +243,22 @@ def test_tomography_ingest_matches_simulation_path(tmp_path, capsys):
     c = json.loads(ingested.read_text())
     assert c["config_sha256"] == b["config_sha256"]
     assert c["clicks_sha256"] == hashlib.sha256(clicks.read_bytes()).hexdigest() != b["clicks_sha256"]
+
+
+def test_tomography_ingest_builds_no_apparatus(tmp_path, monkeypatch):
+    # an ingesting run reads its clicks; the apparatus POVM and the campaign
+    # of the simulating path are built only when the run simulates
+    def never(*args, **kwargs):
+        raise AssertionError("an ingesting run built simulation inputs")
+
+    (tmp_path / "clicks.csv").write_text("\n".join(fig3_click_lines()) + "\n")
+    monkeypatch.setattr(cli, "apparatus_povm", never)
+    monkeypatch.setattr(cli, "Campaign", never)
+    path = write_config(tmp_path, {"clicks": str(tmp_path / "clicks.csv")})
+    out = tmp_path / "out.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["tomography", "--preset", "fig3", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["clicks_sha256"]
 
 
 def test_tomography_ingest_corrupted_table(tmp_path, capsys):
@@ -478,6 +494,45 @@ def test_out_of_range_settings_fail_at_config(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+_SIMULATE = ["simulate", "--preset", "fig3"]
+_SINGLE = ["tomography", "--preset", "fig3"]
+_SWEEP = ["tomography", "--preset", "fig4"]
+_FIG1B = ["fidelity-sweep", "--preset", "fig1b"]
+# (command line, out-of-range entry, a fragment of the message) for every
+# command that reads the key
+_OUT_OF_RANGE = [
+    *((argv, {"c0sq": v}, "c0sq") for argv in (["optimize"], _SIMULATE, _SINGLE) for v in (1.5, -3)),
+    *(
+        (argv, {key: v}, key)
+        for argv in (_FIG1B, ["optimize"], _SIMULATE, _SINGLE, _SWEEP, ["selftest"])
+        for key, v in (("eta", 2), ("visibility", 1.5), ("nu", 1))
+    ),
+    *((argv, {"shots": 0}, "shots") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
+    *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
+    *((argv, {"c0sq_values": [1.5]}, "c0sq") for argv in (_FIG1B, _SWEEP)),
+    *((_SINGLE, {"error_bars_sigma": v}, "error_bars_sigma") for v in (0.499, 0.6)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, entry, fragment",
+    _OUT_OF_RANGE,
+    ids=["-".join(argv[::2]) + "-{}={}".format(*next(iter(entry.items()))) for argv, entry, _ in _OUT_OF_RANGE],
+)
+def test_an_out_of_range_value_is_one_config_record(tmp_path, argv, entry, fragment):
+    # each value used to pass (c0sq clamped into [0, 1], a c0sq_values row
+    # labelled 1.5 scored as c0^2 = 1) or to fail at a later stage
+    path = write_config(tmp_path, entry)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["stage"] == "config" and fragment in record["message"], record
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
 def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
@@ -490,10 +545,10 @@ def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys
     assert json.loads(out.read_text())["schema"] == "catproj/optimize 1.0"
 
 
-_NUMBER_KEYS = sorted(k for k, want in _SCHEMA.items() if want == (int, float))
-_INT_KEYS = sorted(k for k, want in _SCHEMA.items() if want is int)
-_LIST_KEYS = sorted(k for k, want in _SCHEMA.items() if want is list)
-_TEXT_KEYS = sorted(k for k, want in _SCHEMA.items() if want is str)
+_NUMBER_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want == (int, float))
+_INT_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is int)
+_LIST_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is list)
+_TEXT_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is str)
 _NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2))
 _BAD_ELEMENT = st.one_of(_NOT_FINITE, st.booleans(), st.none(), st.text(max_size=2))

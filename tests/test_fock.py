@@ -8,6 +8,8 @@ from scipy.optimize import brentq
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from catproj.fock import (
+    AMPLITUDE_CEILING,
+    AMPLITUDE_STEP,
     COHERENT_TAIL_TOL,
     DISPLACEMENT_GUARD_TOL,
     CutoffTooSmallError,
@@ -67,6 +69,16 @@ def test_scs_spec_validation():
     # grid dust just above 1 must clamp instead of producing NaN
     spec = ScsMeasurementSpec.from_c0sq(0.5, 1.0 + 2e-16)
     assert spec.c0 == 1.0 and spec.c1 == 0.0
+
+
+def test_from_c0sq_clamps_only_grid_dust():
+    # within 1e-12 of [0, 1] is float-grid dust and clamps; beyond it is an
+    # error, which used to clamp silently (1.5 built the c0^2 = 1 projection)
+    assert ScsMeasurementSpec.from_c0sq(0.5, -1e-13).c0 == 0.0
+    assert ScsMeasurementSpec.from_c0sq(0.5, 1.0 + 1e-13).c1 == 0.0
+    for bad in (1.5, -3.0, 1.0 + 1e-11, -1e-11, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c0sq must lie in"):
+            ScsMeasurementSpec.from_c0sq(0.5, bad)
 
 
 def test_vacuum_and_coherent_amplitudes():
@@ -320,6 +332,19 @@ def test_max_guarded_amplitude():
     assert displacement_defect(r, DIM20) <= DISPLACEMENT_GUARD_TOL
     assert displacement_defect(r + 0.02, DIM20) > DISPLACEMENT_GUARD_TOL
     assert max_guarded_amplitude(TruncationDim(24)) > r
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 9, 20, 24, 40])
+def test_max_guarded_amplitude_is_the_scalar_guard_scan(n_max):
+    # the batched scan against one displacement_defect call per grid amplitude:
+    # multiples of AMPLITUDE_STEP up to AMPLITUDE_CEILING, stopping at the first failure
+    dim = TruncationDim(n_max)
+    last = 0.0
+    for k in range(1, int(AMPLITUDE_CEILING / AMPLITUDE_STEP) + 1):
+        if displacement_defect(k * AMPLITUDE_STEP, dim) > DISPLACEMENT_GUARD_TOL:
+            break
+        last = k * AMPLITUDE_STEP
+    assert max_guarded_amplitude(dim) == last
 
 
 def test_inner_expect_basics():
