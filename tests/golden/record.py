@@ -37,6 +37,12 @@ GOLDEN = Path(__file__).resolve().parent
 CASES: dict[str, tuple] = {
     "fidelity-sweep-fig1b": ((["fidelity-sweep", "--preset", "fig1b", "--out", "fig1b.csv"], None),),
     "fidelity-sweep-fig1d": ((["fidelity-sweep", "--preset", "fig1d", "--out", "fig1d.csv"], None),),
+    "fidelity-sweep-lab": (
+        (
+            ["fidelity-sweep", "--preset", "fig1b", "--config", "config.json", "--out", "lab.csv"],
+            {"eta": 0.689, "nu": 5.32e-5, "visibility": 0.998},
+        ),
+    ),
     "tomography-fig3": ((["tomography", "--preset", "fig3", "--out", "fig3.json"], None),),
     "tomography-fig3-seed11": (
         (["tomography", "--preset", "fig3", "--seed", "11", "--out", "fig3.json"], None),
