@@ -394,8 +394,9 @@ def _tomography_sweep(cfg: Config) -> int:
         campaign = _campaign(cfg, schedule)
         phis = [float(p) for p in cfg["phi_values"]]
         c0sq_values = list(cfg["c0sq_values"])
-        if not c0sq_values:
-            raise ConfigError("c0sq_values must not be empty")
+        for name, values in (("c0sq_values", c0sq_values), ("phi_values", phis)):
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
         for c0sq in c0sq_values:
             ScsMeasurementSpec.from_c0sq(campaign.probes.alpha, c0sq)
         campaign.point_seeds(len(c0sq_values))

@@ -15,9 +15,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fidelity import _search_displacements, displaced_click_fidelity, quantize_to_schedule
-from .fock import ScsMeasurementSpec, TruncationDim, as_dim, coherent_state, expect
-from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _displaced_counting
+from .fidelity import _click_score, _search_displacements, quantize_to_schedule
+from .fock import (
+    ScsMeasurementSpec,
+    TruncationDim,
+    _check_guard,
+    _displacement_matrix,
+    _unitarity_defect,
+    as_dim,
+    coherent_state,
+    expect,
+    scs_projectors,
+)
+from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _counting_povm, _displaced_counting
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
 
 DEFAULT_SHOTS = 200_000
@@ -158,10 +168,12 @@ def reconstruction_sweep(
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
     sqrt(eta), which undoes the loss channel exactly for coherent inputs.
     ``f_ideal`` is the lossless click fidelity at the same (quantized)
-    displacement, ``displaced_click_fidelity`` with the ideal detector: the
-    Fock model and photon-number partition of ``dp_povm``, without
-    assembling the POVM.  Point ``i`` uses seed ``rng_seed + i``; seeds past
-    2^64 - 1 are rejected before any point is computed.
+    displacement, ``displaced_click_fidelity`` with the ideal detector.
+    Every point's D(shift) comes from one stack built for the whole sweep,
+    and each point's D serves both its ``apparatus_povm`` (behind the
+    displacement guard) and its ``f_ideal``, whose photon-number partition
+    is the apparatus partition.  Point ``i`` uses seed ``rng_seed + i``;
+    seeds past 2^64 - 1 are rejected before any point is computed.
     """
     dim = as_dim(dim)
     alpha = campaign.probes.alpha
@@ -170,11 +182,15 @@ def reconstruction_sweep(
     seeds = campaign.point_seeds(len(c0sq_values))
     specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
+    if quantize:
+        betas = [quantize_to_schedule(beta, menu) for beta in betas]
+    Ds = _displacement_matrix(np.array(betas, dtype=complex), dim)
+    defects = _unitarity_defect(Ds, dim.n_max)
     out: list[ReconstructionPoint] = []
-    for seed, c0sq, spec, beta in zip(seeds, c0sq_values, specs, betas):
-        if quantize:
-            beta = quantize_to_schedule(beta, menu)
-        truth = apparatus_povm(spec, beta, campaign.detector, dim)
+    for seed, c0sq, spec, beta, D, defect in zip(seeds, c0sq_values, specs, betas, Ds, defects):
+        _check_guard(beta, defect, dim)
+        targets = scs_projectors(spec, dim)
+        truth = _counting_povm(D, dim, targets, campaign.detector.eta, campaign.detector.nu)
         clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
 
         raw = tomography_pipeline(clicks, campaign.probes, dim)
@@ -187,7 +203,7 @@ def reconstruction_sweep(
                 c0sq=float(c0sq),
                 phi=float(phi),
                 displacement=beta,
-                f_ideal=displaced_click_fidelity(spec, beta, IDEAL_DETECTOR, dim),
+                f_ideal=_click_score(targets, D, IDEAL_DETECTOR),
                 f_raw=measurement_fidelity(raw.povm, spec),
                 f_compensated=measurement_fidelity(comp.povm, spec),
             )

@@ -28,7 +28,13 @@ Only a 2 x 2 contrast depends on the superposition weight and phase; the
 rest of each closed form depends on alpha alone.  A sweep therefore groups
 its points by alpha and optimizes each group in one pass: the alpha-only
 grid terms are computed once per group, and each point costs a contrast
-combination over the grid plus its own refinement and Fock score.
+combination over the grid plus its own refinement and Fock score.  The
+Fock scores of a group come from stacks built once for it: one D(beta)
+per point, shared by its f_dp and its ``verify`` check, and one homodyne
+interval operator per point.  Each public per-point function
+(``displaced_click_fidelity``, ``homodyne_fidelity``, ``displaced_povm``,
+``FidelityReport.verify``) builds its one matrix and calls the same kernel
+the group path calls on its slice.
 """
 
 from __future__ import annotations
@@ -46,8 +52,12 @@ from .fock import (
     AMPLITUDE_CEILING,
     AMPLITUDE_STEP,
     ScsMeasurementSpec,
+    TruncationDim,
+    _check_guard,
     _displacement_matrix,
+    _unitarity_defect,
     as_dim,
+    displacement_operator,
     expect,
     max_guarded_amplitude,
     scs_projectors,
@@ -56,9 +66,9 @@ from .povm import (
     IDEAL_DETECTOR,
     DetectorModel,
     PovmPair,
+    _counting_povm,
+    _displaced_overlaps,
     _outcome_weights,
-    dp_povm,
-    onoff_povm,
     quadrature_interval_operator,
 )
 
@@ -80,7 +90,12 @@ _STACK = 32
 
 def fidelity(pair: PovmPair, spec: ScsMeasurementSpec) -> float:
     """Average of the two diagonal POVM matrix elements in the target basis."""
-    t0, t1 = scs_projectors(spec, pair.dim)
+    return _fidelity(pair, scs_projectors(spec, pair.dim))
+
+
+def _fidelity(pair: PovmPair, targets) -> float:
+    """``fidelity`` against prebuilt target vectors ``(t0, t1)``."""
+    t0, t1 = targets
     val = 0.5 * (expect(pair.pi0, t0) + expect(pair.pi1, t1))
     if abs(val.imag) > 1e-10:
         raise ArithmeticError(
@@ -101,9 +116,23 @@ def displaced_povm(spec: ScsMeasurementSpec, beta: complex, detector: DetectorMo
     two-outcome partition; any imperfection switches to the on/off click
     model, which is how the measurement is actually operated.
     """
+    dim = as_dim(dim)
+    D = displacement_operator(_shift(beta, detector), dim).entries
+    return _displaced_povm(D, scs_projectors(spec, dim), detector, dim)
+
+
+def _shift(beta: complex, detector: DetectorModel) -> complex:
+    """The displacement the counter sees: ``beta``, scaled by the
+    interference visibility for a click detector."""
+    return (1.0 if detector.is_ideal else detector.visibility) * complex(beta)
+
+
+def _displaced_povm(D: np.ndarray, targets, detector: DetectorModel, dim) -> PovmPair:
+    """``displaced_povm`` from a prebuilt, guarded D at ``_shift(beta,
+    detector)`` and the spec's target vectors."""
     if detector.is_ideal:
-        return dp_povm(spec, beta, dim)
-    return onoff_povm(beta, detector, dim)
+        return _counting_povm(D, dim, targets)
+    return _counting_povm(D, dim, eta=detector.eta, nu=detector.nu)
 
 
 def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
@@ -398,15 +427,18 @@ def displaced_click_fidelity(
     interference visibility.
     """
     dim = as_dim(dim)
-    t0, t1 = scs_projectors(spec, dim)
-    scale = 1.0 if detector.is_ideal else detector.visibility
-    D = _displacement_matrix(scale * complex(beta), dim)
-    r0 = np.abs(t0.amps.conj() @ D) ** 2
-    r1 = np.abs(t1.amps.conj() @ D) ** 2
+    D = _displacement_matrix(_shift(beta, detector), dim)
+    return _click_score(scs_projectors(spec, dim), D, detector)
+
+
+def _click_score(targets, D: np.ndarray, detector: DetectorModel) -> float:
+    """``displaced_click_fidelity`` from the spec's target vectors and a
+    prebuilt D at ``_shift(beta, detector)``."""
+    r0, r1 = _displaced_overlaps(targets, D)
     if detector.is_ideal:
         keep = r0 >= r1
         return float(0.5 * ((r0 * keep).sum() + 1.0 - (r1 * keep).sum()))
-    weights = _outcome_weights(np.arange(dim.size) == 0, detector.eta)
+    weights = _outcome_weights(np.arange(r0.size) == 0, detector.eta)
     return float(0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights)))
 
 
@@ -484,13 +516,19 @@ def homodyne_fidelity(
     """Fidelity of thresholded homodyne readout at fixed threshold and phase
     in the truncated Fock model."""
     dim = as_dim(dim)
-    t0, t1 = scs_projectors(spec, dim)
-    interval = quadrature_interval_operator(x_th, np.inf, dim)
-    ramp = np.exp(-1j * lo_phase * np.arange(dim.size))
+    E = quadrature_interval_operator(x_th, np.inf, dim)
+    return _homodyne_score(scs_projectors(spec, dim), E, lo_phase)
+
+
+def _homodyne_score(targets, E: np.ndarray, lo_phase: float) -> float:
+    """``homodyne_fidelity`` from the spec's target vectors and the prebuilt
+    interval operator E of [x_th, inf)."""
+    t0, t1 = targets
+    ramp = np.exp(-1j * lo_phase * np.arange(E.shape[-1]))
     w0 = ramp * t0.amps
     w1 = ramp * t1.amps
-    v0 = np.sum((w0.conj() @ interval) * w0).real
-    v1 = np.sum((w1.conj() @ interval) * w1).real
+    v0 = np.sum((w0.conj() @ E) * w0).real
+    v1 = np.sum((w1.conj() @ E) * w1).real
     return float(0.5 * (v0 + 1.0 - v1))
 
 
@@ -585,13 +623,23 @@ class FidelityReport:
 
     def verify(self, dim) -> None:
         """Recompute f_dp from the assembled POVM at beta_opt and compare."""
-        pair = displaced_povm(self.spec, self.beta_opt, self.detector, dim)
-        ref = fidelity(pair, self.spec)
-        if abs(ref - self.f_dp) > REPORT_CONSISTENCY_TOL:
-            raise ArithmeticError(
-                f"reported f_dp={self.f_dp!r} disagrees with the POVM value "
-                f"{ref!r} at beta_opt={self.beta_opt!r}"
-            )
+        dim = as_dim(dim)
+        D = _displacement_matrix(_shift(self.beta_opt, self.detector), dim)
+        _check_report(self, D, _unitarity_defect(D, dim.n_max), scs_projectors(self.spec, dim), dim)
+
+
+def _check_report(report: FidelityReport, D: np.ndarray, defect, targets, dim: TruncationDim) -> None:
+    """``FidelityReport.verify`` from a prebuilt D at ``_shift(beta_opt,
+    detector)``, its unitarity defect and the spec's target vectors: the
+    displacement guard, the assembled POVM (checked by ``PovmPair.checked``)
+    and its fidelity, which must match f_dp within ``REPORT_CONSISTENCY_TOL``."""
+    _check_guard(_shift(report.beta_opt, report.detector), defect, dim)
+    ref = _fidelity(_displaced_povm(D, targets, report.detector, dim), targets)
+    if abs(ref - report.f_dp) > REPORT_CONSISTENCY_TOL:
+        raise ArithmeticError(
+            f"reported f_dp={report.f_dp!r} disagrees with the POVM value "
+            f"{ref!r} at beta_opt={report.beta_opt!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -629,21 +677,32 @@ class SweepGrid:
 
 def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport | Exception]:
     """The outcome of optimizing all three strategies at every spec of a
-    list that shares one alpha: both closed-form searches run once for the
-    whole list, then the Fock model scores each point and ``verify`` checks
-    its report.  A point whose score or check fails gets its exception in
-    place of a report; a failed search is every point's outcome."""
+    list that shares one alpha.  Both closed-form searches run once for the
+    whole list, and the Fock inputs are built once for it too: one stack of
+    D at every point's ``_shift(beta, detector)`` with its unitarity
+    defects, and one stack of interval operators at every point's
+    threshold.  Each point then takes its slices: f_dp and its
+    ``_check_report`` (the ``verify`` check) from the same D, f_hd from its
+    E, both against target vectors built once.  A point whose score or check
+    fails gets its exception in place of a report; a failed search is every
+    point's outcome."""
+    dim = as_dim(dim)
     try:
         betas = _search_displacements(specs, detector, dim)
         homodynes = _search_homodynes(specs)
+        shifts = np.array([_shift(beta, detector) for beta in betas], dtype=complex)
+        Ds = _displacement_matrix(shifts, dim)
+        defects = _unitarity_defect(Ds, dim.n_max)
+        Es = quadrature_interval_operator(np.array([x_th for x_th, _ in homodynes]), np.inf, dim)
     except Exception as exc:  # noqa: BLE001 - charged to every point of the group
         return [exc] * len(specs)
     outcomes: list[FidelityReport | Exception] = []
-    for spec, beta, (x_th, lo_phase) in zip(specs, betas, homodynes):
+    for spec, beta, (x_th, lo_phase), D, defect, E in zip(specs, betas, homodynes, Ds, defects, Es):
         try:
+            targets = scs_projectors(spec, dim)
             outcome = FidelityReport(
-                f_dp=displaced_click_fidelity(spec, beta, detector, dim),
-                f_hd=homodyne_fidelity(spec, x_th, lo_phase, dim),
+                f_dp=_click_score(targets, D, detector),
+                f_hd=_homodyne_score(targets, E, lo_phase),
                 f_pn=pnrd_fidelity(spec),
                 beta_opt=beta,
                 x_th_opt=x_th,
@@ -651,7 +710,7 @@ def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityRepo
                 spec=spec,
                 detector=detector,
             )
-            outcome.verify(dim)
+            _check_report(outcome, D, defect, targets, dim)
         except Exception as exc:  # noqa: BLE001 - charged to this point alone
             outcome = exc
         outcomes.append(outcome)

@@ -352,6 +352,17 @@ def displacement_defect(beta: complex, dim) -> float:
     return float(_unitarity_defect(_displacement_matrix(beta, dim), dim.n_max))
 
 
+def _check_guard(beta, defect, dim: TruncationDim) -> None:
+    """The displacement cutoff guard: raise CutoffTooSmallError when the
+    unitarity defect of D(beta) exceeds DISPLACEMENT_GUARD_TOL."""
+    if not defect <= DISPLACEMENT_GUARD_TOL:  # also rejects NaN
+        raise CutoffTooSmallError(
+            f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
+            f"(n_max//2)^2 guard block at n_max={dim.n_max} "
+            f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
+        )
+
+
 def displacement_operator(beta: complex, dim) -> FockOperator:
     """Displacement D(beta) on the truncated basis.
 
@@ -361,13 +372,7 @@ def displacement_operator(beta: complex, dim) -> FockOperator:
     """
     dim = as_dim(dim)
     D = _displacement_matrix(beta, dim)
-    defect = float(_unitarity_defect(D, dim.n_max))
-    if not defect <= DISPLACEMENT_GUARD_TOL:  # also rejects NaN
-        raise CutoffTooSmallError(
-            f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
-            f"(n_max//2)^2 guard block at n_max={dim.n_max} "
-            f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
-        )
+    _check_guard(beta, float(_unitarity_defect(D, dim.n_max)), dim)
     return FockOperator(dim, D)
 
 

@@ -13,7 +13,7 @@ truncated Fock basis:
 Every displaced-counting element, ideal or lossy, partition or on/off,
 shares one weight formula: pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag,
 where m marks the photon numbers counted as outcome 0 and B_eta is the
-binomial loss map (``_displaced_counting``).
+binomial loss map (``_counting_povm``).
 
 Plus the pure-loss channel acting on POVM elements (adjoint/Heisenberg
 picture) and its inverse with a physicality repair.
@@ -150,10 +150,16 @@ class PovmPair:
         return pair
 
 
-def _partition(spec: ScsMeasurementSpec, D: np.ndarray, dim: TruncationDim) -> np.ndarray:
+def _displaced_overlaps(targets, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|<pi_j|D|n>|^2 of each target vector pi_j, for every photon number n."""
+    pi0, pi1 = targets
+    return np.abs(pi0.amps.conj() @ D) ** 2, np.abs(pi1.amps.conj() @ D) ** 2
+
+
+def _partition(targets, D: np.ndarray) -> np.ndarray:
     """Photon numbers n with |<pi0|D|n>|^2 >= |<pi1|D|n>|^2 (ties go to 0)."""
-    pi0, pi1 = scs_projectors(spec, dim)
-    return np.abs(pi0.amps.conj() @ D) ** 2 >= np.abs(pi1.amps.conj() @ D) ** 2
+    r0, r1 = _displaced_overlaps(targets, D)
+    return r0 >= r1
 
 
 def _k_log(k: np.ndarray, log_p: float) -> np.ndarray:
@@ -190,6 +196,18 @@ def _outcome_weights(keep: np.ndarray, eta: float) -> np.ndarray:
     return _binomial_loss(float(eta), keep.size - 1) @ keep
 
 
+def _counting_povm(
+    D: np.ndarray, dim: TruncationDim, targets=None, eta: float = 1.0, nu: float = 0.0
+) -> PovmPair:
+    """``_displaced_counting`` from a prebuilt, guarded D: m is the
+    partition of the target vectors ``targets``, read off D, or the vacuum
+    alone when none are given."""
+    keep = _partition(targets, D) if targets is not None else np.arange(dim.size) == 0
+    pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
+    pi0 = 0.5 * (pi0 + pi0.conj().T)
+    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
+
+
 def _displaced_counting(
     beta: complex,
     dim,
@@ -205,16 +223,16 @@ def _displaced_counting(
     """
     dim = as_dim(dim)
     D = displacement_operator(beta, dim).entries
-    keep = _partition(spec, D, dim) if spec is not None else np.arange(dim.size) == 0
-    pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
-    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
+    targets = scs_projectors(spec, dim) if spec is not None else None
+    return _counting_povm(D, dim, targets, eta, nu)
 
 
 def dp_povm(spec: ScsMeasurementSpec, beta: complex, dim) -> PovmPair:
     """Displaced-photon-counting POVM: displace by beta, count photons,
     and assign each photon-number outcome to the target vector whose
-    displaced overlap dominates."""
+    displaced overlap dominates.  Public for library callers that fix the
+    counter; ``fidelity.displaced_povm`` picks the model from a detector,
+    through the same ``_counting_povm``."""
     return _displaced_counting(beta, dim, spec)
 
 
@@ -224,7 +242,8 @@ def onoff_povm(beta: complex, model: DetectorModel, dim) -> PovmPair:
     pi0 is the no-click element
     (1-nu) D(V beta) [sum_n (1-eta)^n |n><n|] D(V beta)^dag,
     pi1 the click element I - pi0.  With eta=1, nu=0, V=1 this is the
-    ideal displaced vacuum projector.
+    ideal displaced vacuum projector.  Public for library callers that fix
+    the counter, as ``dp_povm`` is.
     """
     return _displaced_counting(model.visibility * beta, dim, eta=model.eta, nu=model.nu)
 

@@ -434,6 +434,16 @@ def test_tomography_sweep_rejects_an_empty_schedule_at_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["c0sq_values", "phi_values"])
+def test_tomography_sweep_rejects_an_empty_axis_at_config(key, tmp_path, capsys):
+    path = write_config(tmp_path, {key: []})
+    out = tmp_path / "never.csv"
+    assert main(["tomography", "--preset", "fig4", "--config", path, "--out", str(out)]) == 1
+    record = last_error(capsys)
+    assert record["stage"] == "config" and f"{key} must not be empty" in record["message"]
+    assert not out.exists()
+
+
 def test_selftest_passes_and_reports(tmp_path, capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

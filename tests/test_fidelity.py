@@ -34,7 +34,7 @@ from catproj.fidelity import (
     quantize_to_schedule,
     sweep,
 )
-from catproj.fock import ScsMeasurementSpec, TruncationDim, _displacement_matrix, max_guarded_amplitude
+from catproj.fock import ScsMeasurementSpec, TruncationDim, max_guarded_amplitude
 from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm
 
 DIM = TruncationDim(20)
@@ -482,6 +482,11 @@ def test_report_validation():
         bad.verify(DIM)
     with pytest.raises(ValueError):
         FidelityReport(1.2, f_hd, 0.75, beta, x, th, spec, IDEAL_DETECTOR)
+    # a displacement beyond the cutoff guard fails the check, whatever it scores
+    for det in (IDEAL_DETECTOR, LAB):
+        far = FidelityReport(displaced_click_fidelity(spec, 1.15, det, DIM), f_hd, 0.75, 1.15, x, th, spec, det)
+        with pytest.raises(fock.CutoffTooSmallError, match="unitarity defect"):
+            far.verify(DIM)
 
 
 def test_sweep_grid_validation():
@@ -497,14 +502,7 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_batched_matches_per_amplitude():
-    # the displacement guard scan builds every radius from one (R, N, N)
-    # stack; each slice must equal the matrix built for that amplitude alone
-    betas = np.concatenate([np.arange(0.0, 1.02 + 1e-12, 0.02), [0.3 + 0.4j, -0.7j]])
-    stack = _displacement_matrix(betas, DIM)
-    assert stack.shape == (betas.size, 21, 21)
-    for b, D in zip(betas, stack):
-        assert np.max(np.abs(D - _displacement_matrix(complex(b), DIM))) <= 1e-14
-
+    # one report per grid point, in row-major (c0sq, alpha_sq, phi) order
     grid = SweepGrid((0.5, 0.8), (0.25,), (0.0, math.pi / 2))
     reports = sweep(grid, IDEAL_DETECTOR, DIM)
     assert len(reports) == len(grid) == 4
@@ -530,6 +528,23 @@ def test_sweep_batches_each_alpha_as_its_points_alone(monkeypatch):
                 assert getattr(report, name) == getattr(alone, name), name
 
 
+def test_group_reports_are_the_public_per_point_values():
+    # every field of a report scored from the group's D and E stacks equals
+    # the public single-point functions, exactly, and each report verifies
+    specs = [spec_of(c0sq, 0.9, phi) for c0sq, phi in ((0.0, 0.0), (0.3, 1.2), (0.5, 0.0), (0.85, 2.5), (1.0, 0.0))]
+    for det in (IDEAL_DETECTOR, LAB):
+        reports = _optimized_reports(specs, det, DIM)
+        for spec, report in zip(specs, reports):
+            beta, f_dp = optimize_displacement(spec, det, DIM)
+            x, th, f_hd = optimize_homodyne(spec, DIM)
+            assert report.spec == spec and report.detector == det
+            assert report.beta_opt == beta and report.x_th_opt == x and report.lo_phase_opt == th
+            assert report.f_dp == f_dp == displaced_click_fidelity(spec, beta, det, DIM)
+            assert report.f_hd == f_hd == homodyne_fidelity(spec, x, th, DIM)
+            assert report.f_pn == pnrd_fidelity(spec)
+            report.verify(DIM)
+
+
 def test_sweep_aggregates_point_failures(monkeypatch):
     # alpha^2 = 6.76 exceeds what a 10-level truncation can hold, so those
     # points must fail without taking down the rest of the sweep, each
@@ -545,15 +560,15 @@ def test_sweep_aggregates_point_failures(monkeypatch):
     # a failing alpha^2 between passing ones; one failing point in an
     # alpha^2 whose other point passes; failures in two alpha^2 passes,
     # listed in grid order, not in the order the passes ran
-    verify = FidelityReport.verify
+    check = fidelity_module._check_report
     failing = set()
 
-    def picky(report, dim):
+    def picky(report, *args):
         if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) in failing:
             raise ArithmeticError("injected")
-        verify(report, dim)
+        check(report, *args)
 
-    monkeypatch.setattr(FidelityReport, "verify", picky)
+    monkeypatch.setattr(fidelity_module, "_check_report", picky)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
     for bad, indices in (
         ({(0.5, 1.0), (0.75, 1.0)}, [1, 4]),
@@ -574,29 +589,30 @@ def test_sweep_aggregates_point_failures(monkeypatch):
 
 def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(monkeypatch):
     # a point whose check fails is charged alone, in the same pass: the
-    # search runs once per alpha^2 group and the Fock model scores each point
-    # once, with no rerun of the failing group point by point
-    counts = {"_search_displacements": 0, "homodyne_fidelity": 0}
-    counting(monkeypatch, fidelity_module, "_search_displacements", counts)
-    counting(monkeypatch, fidelity_module, "homodyne_fidelity", counts)
-    verify = FidelityReport.verify
+    # search runs once per alpha^2 group, the group's D and E stacks are
+    # built once (shared by each point's score and check), with no rerun of
+    # the failing group point by point
+    counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
+    for name in counts:
+        counting(monkeypatch, fidelity_module, name, counts)
+    check = fidelity_module._check_report
 
-    def picky(report, dim):
+    def picky(report, *args):
         if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
             raise ArithmeticError("injected")
-        verify(report, dim)
+        check(report, *args)
 
-    monkeypatch.setattr(FidelityReport, "verify", picky)
+    monkeypatch.setattr(fidelity_module, "_check_report", picky)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
     errors = []
     with pytest.warns(UserWarning, match="failed"):
         reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
-    assert counts == {"_search_displacements": 3, "homodyne_fidelity": 6}
+    assert counts == {"_search_displacements": 3, "_displacement_matrix": 3, "quadrature_interval_operator": 3}
     assert [(idx, str(exc)) for idx, _, exc in errors] == [(4, "injected")]
     assert len(reports) == 5
 
     # a search that fails for one alpha^2 is charged to that group's points only
-    monkeypatch.setattr(FidelityReport, "verify", verify)
+    monkeypatch.setattr(fidelity_module, "_check_report", check)
     search = fidelity_module._search_homodynes
 
     def failing_search(specs):

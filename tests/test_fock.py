@@ -347,6 +347,20 @@ def test_max_guarded_amplitude_is_the_scalar_guard_scan(n_max):
     assert max_guarded_amplitude(dim) == last
 
 
+@pytest.mark.parametrize("n_max", [20, 24])
+def test_stacked_displacement_matrix_is_each_amplitude_alone(n_max):
+    # the guard scan and the sweep's alpha groups build one stack: each slice
+    # must be, bit for bit, the matrix built for that amplitude alone, also
+    # for an amplitude the guard rejects (3 + 1j)
+    dim = TruncationDim(n_max)
+    betas = np.concatenate([np.arange(0.0, 1.02 + 1e-12, 0.02), [0.3 + 0.4j, -0.7j, -0.9 + 0.2j, 3.0 + 1.0j]])
+    assert displacement_defect(betas[-1], dim) > DISPLACEMENT_GUARD_TOL
+    stack = _displacement_matrix(betas, dim)
+    assert stack.shape == (betas.size, dim.size, dim.size)
+    for beta, D in zip(betas, stack):
+        assert np.array_equal(D, _displacement_matrix(complex(beta), dim))
+
+
 def test_inner_expect_basics():
     v = coherent_state(0.5, DIM10)
     assert inner(v, v).real == pytest.approx(1.0, abs=1e-12)

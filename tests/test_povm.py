@@ -159,6 +159,18 @@ def test_homodyne_against_adaptive_quadrature():
                 assert abs(E[m, n] - ref) < 1e-10, (n_max, x_th, m, n)
 
 
+def test_stacked_interval_operator_is_each_threshold_alone():
+    # a sweep scores every homodyne point of an alpha group from one stack:
+    # each slice must be, bit for bit, the operator built for its threshold alone
+    xs = np.array([-20.0, -3.1, -0.2, 0.0, 0.45, 2.7, 30.0])
+    for n_max in (20, 24):
+        dim = TruncationDim(n_max)
+        stack = quadrature_interval_operator(xs, np.inf, dim)
+        assert stack.shape == (xs.size, dim.size, dim.size)
+        for x_th, E in zip(xs, stack):
+            assert np.array_equal(E, quadrature_interval_operator(float(x_th), np.inf, dim))
+
+
 def test_homodyne_reflection_identity():
     x = 0.8
     rot = homodyne_povm(HomodyneSpec(x_th=x, lo_phase=math.pi), DIM)
