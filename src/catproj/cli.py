@@ -3,7 +3,9 @@
 Configuration is a flat JSON object; figure presets supply the published
 operating points as named defaults, a ``--config`` file overrides the
 preset, and command-line flags override both.  ``_SCHEMA`` is the one table
-of every key's accepted type and its default.  Each command builds every
+of every key's accepted type, its default and the commands that read it; a
+``--config`` key that the command never reads is rejected, while preset
+keys and flags are not checked.  Each command builds every
 object it uses at stage ``config``, so a bad value, whatever its key and
 whatever the command, fails there.  Every failure is reported as a
 one-line JSON record on stderr with a nonzero exit status.
@@ -65,30 +67,37 @@ from .tomography import (
     tomography_pipeline,
 )
 
-# every key a config file may contain: (accepted value shape, default),
-# where a default of None means the key has none
+# the commands that read a key; tomography's single, sweep and ingesting
+# runs count as one command, which reads every key but alpha_sq_values
+_EVERY = frozenset({"fidelity-sweep", "optimize", "simulate", "tomography", "selftest"})
+_POINT = frozenset({"optimize", "simulate", "tomography"})
+_GRID = frozenset({"fidelity-sweep", "tomography"})
+_CLICKS = frozenset({"simulate", "tomography"})
+
+# every key a config file may contain: (accepted value shape, default, the
+# commands that read it), where a default of None means the key has none
 _SCHEMA: dict[str, tuple] = {
-    "mode": (str, "single"),  # tomography only: "single" or "sweep"
-    "alpha": ((int, float), 0.499),
-    "c0sq": ((int, float), 0.5),
-    "phi": ((int, float), 0.0),
-    "c0sq_values": (list, ()),
-    "alpha_sq_values": (list, ()),
-    "phi_values": (list, (0.0,)),
-    "eta": ((int, float), 1.0),
-    "nu": ((int, float), 0.0),
-    "visibility": ((int, float), 1.0),
-    "drive_amplitude": ((int, float), 0.0),
-    "drive_phase": ((int, float), 0.0),
-    "gammas": (list, (0.2, 0.3)),
-    "shots": (int, 200_000),
-    "seed": (int, 0),
-    "nmax": (int, 20),
-    "schedule": (list, (0j,)),  # a quantized tomography sweep's default is computed
-    "quantize": (bool, True),
-    "clicks": (str, None),
-    "error_bars_sigma": ((int, float), 0.0),
-    "out": (str, None),
+    "mode": (str, "single", {"tomography"}),  # "single" or "sweep"
+    "alpha": ((int, float), 0.499, _POINT),
+    "c0sq": ((int, float), 0.5, _POINT),
+    "phi": ((int, float), 0.0, _POINT),
+    "c0sq_values": (list, (), _GRID),
+    "alpha_sq_values": (list, (), {"fidelity-sweep"}),
+    "phi_values": (list, (0.0,), _GRID),
+    "eta": ((int, float), 1.0, _EVERY),
+    "nu": ((int, float), 0.0, _EVERY),
+    "visibility": ((int, float), 1.0, _EVERY),
+    "drive_amplitude": ((int, float), 0.0, _CLICKS),
+    "drive_phase": ((int, float), 0.0, _CLICKS),
+    "gammas": (list, (0.2, 0.3), _CLICKS),
+    "shots": (int, 200_000, _CLICKS),
+    "seed": (int, 0, _GRID | _CLICKS),
+    "nmax": (int, 20, _EVERY),
+    "schedule": (list, (0j,), _CLICKS),  # a quantized tomography sweep's default is computed
+    "quantize": (bool, True, {"tomography"}),
+    "clicks": (str, None, {"tomography", "selftest"}),
+    "error_bars_sigma": ((int, float), 0.0, {"tomography"}),
+    "out": (str, None, _EVERY - {"selftest"}),
 }
 
 
@@ -195,13 +204,17 @@ def _finite_number(value) -> bool:
     return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict, command: str | None = None) -> dict:
+    """``cfg`` itself, once every key is known and holds a value of its
+    type; with a ``command``, every key must also be one that it reads."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for key, value in cfg.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        want = _SCHEMA[key][0]
+        want, _, readers = _SCHEMA[key]
+        if command is not None and command not in readers:
+            raise ConfigError(f"config key {key!r} is not read by {command}")
         if isinstance(value, bool) and want is not bool or not isinstance(value, want):
             raise ConfigError(f"config key {key!r} has the wrong type")
         if want in (str, bool):
@@ -224,7 +237,8 @@ def resolve_config(args: argparse.Namespace) -> Config:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
-        cfg.update(validate_config(loaded))
+        # preset keys are exempt: simulate and tomography share presets
+        cfg.update(validate_config(loaded, args.command))
     for key in ("seed", "nmax", "out"):
         value = getattr(args, key, None)
         if value is not None:

@@ -24,6 +24,19 @@ closed form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
 scores the point each search returns, so every reported number is the Fock
 model's.
 
+Both grids are scored on half their points.  Conjugating b conjugates the
+cross term of the displacement forms, so F(conj b; S) = F(b; S') with 2 S_01
+conjugated in S'; the polar grid scores phases in [0, pi] only.  Moving the
+homodyne phase to pi - theta swaps the two real ``erfc`` terms, so
+F(x, pi - theta; S) = F(x, theta; S') with S_00 and S_11 swapped in S'; the
+homodyne grid scores phases in [0, pi/2] only.  Each spec is scored next to
+its partner S', and the rest of its grid is the partner's half, mirrored.
+Both identities are exact, so a mirrored entry differs from the directly
+scored one by rounding only: it is the form at a point a few ulps of phase
+away, within a few ulps of the value.  The first maximum is taken on the
+whole grid in its usual order, so ties still go to the first point in grid
+order.
+
 Only a 2 x 2 contrast depends on the superposition weight and phase; the
 rest of each closed form depends on alpha alone.  A sweep therefore groups
 its points by alpha and optimizes each group in one pass: the alpha-only
@@ -167,6 +180,35 @@ def _grids(form, contrasts, *grid):
     for start in range(0, len(contrasts), _STACK):
         stack = contrasts[start : start + _STACK]
         yield from form(tuple(np.array(terms).reshape(-1, 1, 1) for terms in zip(*stack)))(*grid)
+
+
+def _mirrored_grids(form, contrasts, mirror, n: int, *half):
+    """Yield ``form(contrast)`` on an n-column grid for each contrast, from
+    one ``_grids`` call on its first columns ``half`` only.  ``mirror`` maps
+    a contrast to its partner, whose form is the mirror image of its own:
+    column j beyond ``half`` of a contrast's grid is column n - j of its
+    partner's.  Each contrast goes into the stack next to its partner, so
+    the alpha-only terms are computed on half the points, and the full grid
+    comes back in the order a direct call on all n columns gives."""
+    grids = _grids(form, list(itertools.chain.from_iterable((c, mirror(c)) for c in contrasts)), *half)
+    for own, partner in zip(grids, grids):
+        yield np.concatenate([own, partner[..., n - own.shape[-1] : 0 : -1]], axis=-1)
+
+
+def _conjugated(contrast):
+    """The partner contrast of the displacement forms: its form at b is this
+    contrast's at conj(b), since b -> conj(b) conjugates c and leaves
+    p_0, p_1 (ideal) or the exponents q_0, q_1 (click) as they are."""
+    s00, s11, s01 = contrast
+    return s00, s11, s01.conjugate()
+
+
+def _swapped(contrast):
+    """The partner contrast of the homodyne form: its form at phase theta is
+    this contrast's at pi - theta, since theta -> pi - theta negates c, which
+    swaps the two real ``erfc`` terms, and leaves d as it is."""
+    s00, s11, s01 = contrast
+    return s11, s00, s01
 
 
 def _shared_alpha(specs) -> float:
@@ -452,13 +494,15 @@ def optimize_displacement(
     The coherent-state closed form searches (``_search_displacements``): a
     coarse polar grid (amplitude step ``AMPLITUDE_STEP`` up to the largest
     amplitude the truncation supports, phase step ``PHASE_STEP``) scored as
-    one array, then ``_nelder_mead`` refinement in the (Re, Im) plane on the
-    scalar closed form; amplitudes outside the supported disc are rejected
-    by a penalty, and the refined point is only accepted when it improves on
-    the grid.  The Fock model scores the result: the returned fidelity is
-    ``displaced_click_fidelity`` at the returned ``beta``.  Fully
-    deterministic: grid ties within a few ulps go to the first maximum in
-    radius-major, phase-ascending order.  The single-point library entry;
+    one array on the upper half plane only (the lower half is its mirror
+    image, see ``_mirrored_grids``), then ``_nelder_mead`` refinement in the
+    (Re, Im) plane on the scalar closed form; amplitudes outside the
+    supported disc are rejected by a penalty, and the refined point is only
+    accepted when it improves on the grid.  The Fock model scores the
+    result: the returned fidelity is ``displaced_click_fidelity`` at the
+    returned ``beta``.  Fully deterministic: grid ties within a few ulps go
+    to the first maximum in radius-major, phase-ascending order, over the
+    whole grid, mirrored half included.  The single-point library entry;
     the sweep and the CLI batch the same search over a whole alpha group.
     """
     (beta,) = _search_displacements([spec], detector, dim)
@@ -469,7 +513,10 @@ def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
     """The optimal ``beta`` of every spec of a list that shares one alpha,
     from the coherent-state closed form alone: one grid call scores the
     polar grid for all of them, then each runs its own refinement.  No Fock
-    model is built."""
+    model is built.  The grid is scored on its 61 phases in [0, pi], for
+    each spec and its ``_conjugated`` partner (``_mirrored_grids``); the
+    first maximum and the refinement's start come from the whole 120-phase
+    grid, so a tie between b and conj(b) still goes to the upper half plane."""
     if not specs:
         return []
     alpha = _shared_alpha(specs)
@@ -478,12 +525,13 @@ def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
     phases = np.arange(n_phases) * PHASE_STEP
+    upper = radii[:, None] * np.exp(1j * phases[: n_phases // 2 + 1])  # 0 <= phase <= pi
 
     def form(contrast):
         return _click_form(alpha, contrast, detector, dim.n_max)
 
     contrasts = [_contrast(spec) for spec in specs]
-    grids = _grids(form, contrasts, radii[:, None] * np.exp(1j * phases))
+    grids = _mirrored_grids(form, contrasts, _conjugated, n_phases, upper)
     betas = []
     for contrast, vals in zip(contrasts, grids):
         i, k = np.unravel_index(_first_maximum(vals), vals.shape)
@@ -537,9 +585,11 @@ def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, floa
 
     The coherent-state closed form searches (``_search_homodynes``): a grid
     over ``x_th`` in ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times
-    sixty phases in [0, pi), scored as one array, then clamped
-    ``_nelder_mead`` refinement on the scalar closed form.  Grid ties within
-    a few ulps go to the first maximum in threshold-major order.  The Fock
+    sixty phases in [0, pi), scored as one array on the phases in
+    [0, pi/2] only (the rest is their mirror image, see
+    ``_mirrored_grids``), then clamped ``_nelder_mead`` refinement on the
+    scalar closed form.  Grid ties within a few ulps go to the first
+    maximum in threshold-major order over the whole grid.  The Fock
     model scores the result.  Returns ``(x_th_opt, lo_phase_opt, f)`` with
     ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.  The
     single-point library entry; the sweep and the CLI batch the same search.
@@ -552,13 +602,18 @@ def _search_homodynes(specs) -> list[tuple[float, float]]:
     """The optimal ``(x_th, lo_phase)`` of every spec of a list that shares
     one alpha, from the coherent-state closed form alone: one grid call
     scores the threshold/phase grid for all of them, then each runs its own
-    refinement.  No Fock model is built."""
+    refinement.  No Fock model is built.  The grid is scored on its 31
+    phases in [0, pi/2], for each spec and its ``_swapped`` partner
+    (``_mirrored_grids``), so the complex ``erfc``, most of its cost, runs
+    on half the points; the first maximum and the refinement's start come
+    from the whole 60-phase grid."""
     if not specs:
         return []
     alpha = _shared_alpha(specs)
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
-    thetas = np.arange(60) * (math.pi / 60.0)
+    n_thetas = 60
+    thetas = np.arange(n_thetas) * (math.pi / n_thetas)
     theta_cap = math.pi * (1.0 - 1e-12)
 
     def clamp(x: float, theta: float) -> tuple[float, float]:
@@ -568,7 +623,7 @@ def _search_homodynes(specs) -> list[tuple[float, float]]:
         return _homodyne_form(alpha, contrast)
 
     contrasts = [_contrast(spec) for spec in specs]
-    grids = _grids(form, contrasts, xs[:, None], thetas)
+    grids = _mirrored_grids(form, contrasts, _swapped, n_thetas, xs[:, None], thetas[: n_thetas // 2 + 1])
     optima = []
     for contrast, vals in zip(contrasts, grids):
         i, k = np.unravel_index(_first_maximum(vals), vals.shape)

@@ -56,6 +56,7 @@ class FakeArgs:
         self.seed = kw.get("seed")
         self.nmax = kw.get("nmax")
         self.out = kw.get("out")
+        self.command = kw.get("command")
 
 
 def test_config_precedence(tmp_path):
@@ -543,6 +544,37 @@ def test_an_out_of_range_value_is_one_config_record(tmp_path, argv, entry, fragm
     assert list(tmp_path.iterdir()) == [Path(path)]
 
 
+@pytest.mark.parametrize("entry", [{"alpha": -1}, {"gammas": [0.2, 0.2]}], ids=["alpha", "gammas"])
+def test_a_key_the_command_never_reads_is_one_config_record(tmp_path, entry):
+    # each run used to exit 0 and hash the ignored key into its output
+    path = write_config(tmp_path, entry)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main([*_FIG1B, "--config", path, "--out", str(tmp_path / "out.csv")]) == 1
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["stage"] == "config", record
+    assert record["message"] == f"config key {next(iter(entry))!r} is not read by fidelity-sweep"
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+def test_every_command_rejects_each_key_it_never_reads():
+    # a key of the right type is still refused by a command that would
+    # ignore it; preset keys and flags are not checked
+    assert all(readers <= set(COMMANDS) for _, _, readers in _SCHEMA.values())
+    typed = {str: "x", bool: True, int: 1, list: [0.5], (int, float): 0.5}
+    for command in COMMANDS:
+        for key, (want, _, readers) in _SCHEMA.items():
+            if command not in readers:
+                with pytest.raises(ValueError, match=f"not read by {command}"):
+                    validate_config({key: typed[want]}, command)
+            else:
+                assert validate_config({key: typed[want]}, command) == {key: typed[want]}
+    cfg = resolve_config(FakeArgs(command="optimize", preset="fig3", seed=5, nmax=14))
+    assert cfg["gammas"] == [0.2, 0.3] and cfg["seed"] == 5
+
+
 def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
@@ -555,10 +587,10 @@ def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys
     assert json.loads(out.read_text())["schema"] == "catproj/optimize 1.0"
 
 
-_NUMBER_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want == (int, float))
-_INT_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is int)
-_LIST_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is list)
-_TEXT_KEYS = sorted(k for k, (want, _) in _SCHEMA.items() if want is str)
+_NUMBER_KEYS = sorted(k for k, (want, *_) in _SCHEMA.items() if want == (int, float))
+_INT_KEYS = sorted(k for k, (want, *_) in _SCHEMA.items() if want is int)
+_LIST_KEYS = sorted(k for k, (want, *_) in _SCHEMA.items() if want is list)
+_TEXT_KEYS = sorted(k for k, (want, *_) in _SCHEMA.items() if want is str)
 _NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2))
 _BAD_ELEMENT = st.one_of(_NOT_FINITE, st.booleans(), st.none(), st.text(max_size=2))
@@ -595,7 +627,8 @@ _BAD_ENTRIES = st.one_of(
 @given(command=st.sampled_from(sorted(COMMANDS)), entry=_BAD_ENTRIES, base=st.booleans())
 def test_every_bad_config_is_one_config_record(command, entry, base):
     key, value = entry
-    cfg = {"alpha": 0.5, "c0sq": 0.75} if base else {}
+    # only keys the command reads, so an unread-key record does not mask the drawn entry
+    cfg = {k: v for k, v in {"alpha": 0.5, "c0sq": 0.75}.items() if base and command in _SCHEMA[k][2]}
     cfg[key] = value
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,19 +11,25 @@ from catproj import fock
 from catproj.cli import PRESETS
 from catproj.fidelity import (
     AMPLITUDE_CEILING,
+    AMPLITUDE_STEP,
+    PHASE_STEP,
     REFINE_TOL,
     THRESHOLD_RANGE,
+    THRESHOLD_STEP,
     FidelityReport,
     SweepGrid,
     _click_form,
+    _conjugated,
     _contrast,
     _first_maximum,
     _homodyne_form,
     _nelder_mead,
     _grids,
+    _mirrored_grids,
     _optimized_reports,
     _search_displacements,
     _search_homodynes,
+    _swapped,
     displaced_click_fidelity,
     displaced_povm,
     fidelity,
@@ -258,6 +264,70 @@ def test_ideal_grid_matches_the_complex_form(monkeypatch, stack):
                 scale = sum(abs(term) for term in contrast)
                 assert np.max(np.abs(vals - oracle)) <= np.finfo(float).eps * scale
                 assert _first_maximum(vals) == _first_maximum(oracle)
+
+
+def search_grids(n_max):
+    """(form, mirror, n, half, full) for the polar grid of each detector and
+    for the homodyne grid, as the searches build them: the grid arguments
+    of the scored half and of the whole grid."""
+    radii = np.arange(0.0, max_guarded_amplitude(TruncationDim(n_max)) + 1e-12, AMPLITUDE_STEP)
+    polar = radii[:, None] * np.exp(1j * np.arange(120) * PHASE_STEP)
+    lo, hi = THRESHOLD_RANGE
+    xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)[:, None]
+    thetas = np.arange(60) * (math.pi / 60.0)
+    return [
+        *(
+            (partial(_click_form, detector=det, n_max=n_max), _conjugated, 120, (polar[:, :61],), (polar,))
+            for det in (IDEAL_DETECTOR, LAB)
+        ),
+        (_homodyne_form, _swapped, 60, (xs, thetas[:31]), (xs, thetas)),
+    ]
+
+
+@pytest.mark.parametrize("n_max", [20, 24])
+def test_mirrored_grids_are_the_directly_scored_grids(n_max):
+    # each search scores half its grid, for the spec and for its partner
+    # contrast, and mirrors the rest.  phi_{120-j} is not bitwise -phi_j, so
+    # a mirrored entry is scored a few ulps of phase away from the direct
+    # one and rounds on its own: it may move by a few ulps of the terms it
+    # sums (up to 2.25 eps (|S_00| + |S_11| + |2 S_01|) over 5,400 random
+    # groups, ideal counter), and the first maximum stays put
+    rng = np.random.default_rng(18 + n_max)
+    eps = np.finfo(float).eps
+    for alpha in np.sqrt([0.02, *rng.uniform(0.02, 2.5, 6)]):
+        weights = [0.5, *rng.uniform(size=5)]
+        phases = [0.0, 0.0, math.pi / 2, math.pi / 2, *rng.uniform(0.0, 2.0 * math.pi, 2)]
+        contrasts = [_contrast(spec_of(c0sq, alpha, phi)) for c0sq, phi in zip(weights, phases)]
+        for form, mirror, n, half, full in search_grids(n_max):
+            form = partial(form, alpha)
+            mirrored = _mirrored_grids(form, contrasts, mirror, n, *half)
+            for phi, contrast, vals, direct in zip(phases, contrasts, mirrored, _grids(form, contrasts, *full)):
+                assert vals.shape == direct.shape
+                assert np.max(np.abs(vals - direct)) <= 4.0 * eps * sum(abs(term) for term in contrast)
+                assert _first_maximum(vals) == _first_maximum(direct)
+                if phi == 0.0 and mirror is _conjugated:
+                    # beta and conj(beta) tie exactly; the tie goes to the upper half plane
+                    assert np.array_equal(vals[:, 61:], vals[:, 59:0:-1])
+                    assert np.unravel_index(_first_maximum(vals), vals.shape)[1] <= 60
+
+
+def test_each_search_scores_half_its_grid(monkeypatch):
+    # per alpha group, one polar grid call on radii x 61 phases in [0, pi]
+    # and one homodyne grid call on 121 thresholds x 31 phases in [0, pi/2],
+    # each for every spec and its partner contrast: half the points of the
+    # radii x 120 and 121 x 60 grids the searches pick their maxima from
+    calls = []
+
+    def spied(form, contrasts, *grid):
+        calls.append((len(contrasts), np.broadcast_shapes(*(np.shape(a) for a in grid))))
+        return _grids(form, contrasts, *grid)
+
+    monkeypatch.setattr(fidelity_module, "_grids", spied)
+    radii = len(np.arange(0.0, max_guarded_amplitude(DIM) + 1e-12, AMPLITUDE_STEP))
+    for det in (IDEAL_DETECTOR, LAB):
+        calls.clear()
+        assert len(sweep(SweepGrid((0.3, 0.6, 0.85), (0.25, 1.6), (0.0,)), det, DIM)) == 6
+        assert calls == [(6, (radii, 61)), (6, (121, 31))] * 2
 
 
 def same_as_scipy(fun, x0, maxiter):
