@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -41,6 +42,20 @@ CASES: dict[str, tuple] = {
         (
             ["fidelity-sweep", "--preset", "fig1b", "--config", "config.json", "--out", "lab.csv"],
             {"eta": 0.689, "nu": 5.32e-5, "visibility": 0.998},
+        ),
+    ),
+    # phi = 4 pi / 3 lies off both mirror axes, so the mirrored half of each
+    # search grid (conjugated contrast, swapped homodyne entries) shows here
+    "fidelity-sweep-mirror": (
+        (
+            ["fidelity-sweep", "--preset", "fig1b", "--config", "config.json", "--out", "mirror.csv"],
+            {"phi_values": [round(4 * math.pi / 3, 10)]},
+        ),
+    ),
+    "fidelity-sweep-mirror-lab": (
+        (
+            ["fidelity-sweep", "--preset", "fig1b", "--config", "config.json", "--out", "mirror-lab.csv"],
+            {"phi_values": [round(4 * math.pi / 3, 10)], "eta": 0.689, "nu": 5.32e-5, "visibility": 0.998},
         ),
     ),
     "tomography-fig3": ((["tomography", "--preset", "fig3", "--out", "fig3.json"], None),),
