@@ -9,8 +9,9 @@ coefficients (symmetric combination) recover the real parts needed to
 synthesize an even-cat probe.  One routine per step serves both series,
 selected by ``parity``; each series is fitted inside the box that the entry
 bound on POVM elements puts on its coefficients, by an exact solve when the
-fit lies inside the box and by bounded-variable least squares (BVLS, Stark &
-Parker, Comput. Stat. 10, 129 (1995); scipy's, imported only then) otherwise.
+fit lies inside the box and otherwise by the reduced solves of the box's 3^K
+faces, of which the least-residual feasible one is the fit (Lawson & Hanson,
+Solving Least Squares Problems, 1974).
 The 2x2 pair is then reconstructed from four informationally complete probe
 states, closed form first: the linear inversion of the four rates is the
 likelihood maximum whenever it is physical.  Only an optimum on the boundary
@@ -20,6 +21,7 @@ result is certified by a duality gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,7 +37,8 @@ from .fock import (
 
 COMPLETENESS_TOL_2D = 1e-6
 EIGENVALUE_FLOOR_2D = 1e-9
-_BVLS_MAX_ITER = 100
+# the out-of-box series solve enumerates all 3**K faces of the coefficient box
+MAX_GAMMAS = 6
 MLE_PROB_FLOOR = 1e-12
 MLE_GAP_TOL = 1e-12
 MLE_MAX_STEPS = 50
@@ -61,8 +64,8 @@ class ProbeSet:
             raise ValueError("probe amplitudes must be finite")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if len(self.gammas) < 1:
-            raise ValueError("at least one gamma probe amplitude is required")
+        if not 1 <= len(self.gammas) <= MAX_GAMMAS:
+            raise ValueError(f"expected 1 to {MAX_GAMMAS} gamma probe amplitudes, got {len(self.gammas)}")
         if any(not g > 0 for g in self.gammas):
             raise ValueError("gamma amplitudes must be > 0")
         if len(set(self.gammas)) != len(self.gammas):
@@ -205,11 +208,16 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
 
     The design matrix is square and, for distinct positive gammas,
     nonsingular, so its exact solve is the zero-residual fit; inside the box
-    that is the answer.  Only a fit outside the box imports and runs BVLS
-    (``scipy.optimize.lsq_linear``), exact after finitely many steps."""
+    that is the answer.  Otherwise each face of the box (every coefficient
+    free or fixed at a bound) is solved for its free coefficients.  The fit
+    is strictly convex, so its minimizer is the feasible face solve of least
+    residual; the all-fixed faces are always feasible.  A non-finite
+    statistic raises ValueError."""
     f = np.asarray(f, dtype=float)
     if f.shape != (probes.k,):
         raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"series statistic must be finite, got {f}")
     bounds = np.array([series_bound(int(o)) for o in _orders(probes.k, parity)])
     mat = gamma_matrix(probes, parity)
     try:
@@ -218,14 +226,26 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
         exact = None
     if exact is not None and np.all(np.abs(exact) <= bounds):
         return PhiVector(exact, parity)
-    from scipy.optimize import lsq_linear
-
-    res = lsq_linear(mat, f, bounds=(-bounds, bounds), method="bvls", max_iter=_BVLS_MAX_ITER)
-    if res.status == 0:
-        raise ConvergenceError(
-            f"box-constrained series solve did not finish within {_BVLS_MAX_ITER} iterations"
-        )
-    return PhiVector(res.x, parity)
+    # faces are ranked by (|Ax - f|^2 - |f|^2) / (2 scale): dropping the
+    # constant keeps a large |f| from rounding their differences away, and
+    # the scale keeps the products finite
+    scale = max(1.0, float(np.max(np.abs(f))))
+    best, best_value = None, math.inf
+    for face in itertools.product((-1.0, 0.0, 1.0), repeat=probes.k):
+        x = np.array(face) * bounds
+        free = x == 0.0
+        if free.any():
+            try:
+                x[free] = np.linalg.lstsq(mat[:, free], f - mat @ x, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(np.abs(x[free]) > bounds[free]):
+                continue
+        fit = mat @ x
+        value = (fit / scale) @ (0.5 * fit - f)
+        if value < best_value:
+            best, best_value = x, value
+    return PhiVector(best, parity)
 
 
 def f_statistic(clicks: ClickTable, probes: ProbeSet, parity: int = 1) -> np.ndarray:

@@ -520,6 +520,10 @@ _OUT_OF_RANGE = [
     ),
     *((argv, {"shots": 0}, "shots") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
     *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
+    *(
+        (argv, {"gammas": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}, "1 to 6 gamma")
+        for argv in (_SIMULATE, _SINGLE, _SWEEP)
+    ),
     *((argv, {"c0sq_values": [1.5]}, "c0sq") for argv in (_FIG1B, _SWEEP)),
     *((_SINGLE, {"error_bars_sigma": v}, "error_bars_sigma") for v in (0.499, 0.6)),
 ]

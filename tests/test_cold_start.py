@@ -2,13 +2,15 @@
 
 Every CLI call is a fresh process, so the modules that ``import catproj.cli``
 loads are paid on every call.  scipy is imported only where it is used: the
-homodyne code (``scipy.special.erfc``) and the BVLS fallback of the series
-solve (``scipy.optimize.lsq_linear``).  Each case runs commands through
-``cli.main`` in a fresh interpreter and lists the scipy modules loaded after
-the import and after the commands.  The import also builds none of the
-cached displacement tables.
+homodyne code (``scipy.special.erfc``); everything else runs on numpy.  Each
+case runs commands through ``cli.main`` in a fresh interpreter and lists the
+scipy modules loaded after the import and after the commands.  The import
+also builds none of the cached displacement tables.  A static scan checks
+that every scipy import in the package is a ``scipy.special`` import made
+inside a function body.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 import catproj
+from catproj.serialize import write_click_table
+from catproj.tomography import ClickTable, ProbeSet
 
 PROBE = """
 import json, sys
@@ -75,9 +79,56 @@ def test_tomography_sweep_loads_no_scipy(tmp_path):
     assert modules == {"after_import": [], "after_commands": []}
 
 
+def test_an_out_of_box_series_fit_loads_no_scipy(tmp_path):
+    # these fig3 rates put the odd series outside its coefficient box, so the
+    # ingest runs the face-enumerating solve
+    probes = ProbeSet(0.499, (0.2, 0.3))
+    clicks = tmp_path / "clicks.csv"
+    rates = [0.6, 0.4, 0.95, 0.05, 0.05, 0.95]
+    write_click_table(clicks, ClickTable.from_rates(probes.amplitudes(), rates, 200_000), {}, 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"clicks": str(clicks)}))
+    argv = ["tomography", "--preset", "fig3", "--config", str(config), "--out", str(tmp_path / "detector.json")]
+    assert loaded_scipy([argv]) == {"after_import": [], "after_commands": []}
+
+
 def test_homodyne_sweep_loads_only_scipy_special(tmp_path):
     modules = loaded_scipy([["fidelity-sweep", "--preset", "fig1b", "--out", str(tmp_path / "sweep.csv")]])
     assert modules["after_import"] == []
     loaded = modules["after_commands"]
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))]
+
+
+def _scipy_imports(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(module, whether inside a function body) of each scipy import;
+    ``from scipy import x`` counts as an import of ``scipy.x``."""
+
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            yield from ((name, inside) for name in names if name.partition(".")[0] == "scipy")
+            yield from walk(child, inside)
+
+    return list(walk(tree, False))
+
+
+def test_every_scipy_import_is_scipy_special_inside_a_function():
+    # the BVLS import once sat in a branch that no preset reaches
+    sample = "import scipy.optimize\ndef f():\n    from scipy import special\n"
+    assert _scipy_imports(ast.parse(sample)) == [("scipy.optimize", False), ("scipy.special", True)]
+    importers = set()
+    for path in sorted(Path(catproj.__file__).resolve().parent.glob("*.py")):
+        for name, in_function in _scipy_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            assert name == "scipy.special" and in_function, f"{path.name} imports {name}"
+            importers.add(path.name)
+    # the two homodyne functions hold the only scipy imports
+    assert importers == {"fidelity.py", "povm.py"}

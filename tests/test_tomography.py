@@ -120,6 +120,9 @@ def test_probe_set_validation():
         ProbeSet(0.0, (0.2,))
     with pytest.raises(ValueError):
         ProbeSet(0.5, ())
+    ProbeSet(0.5, tuple(0.1 * (i + 1) for i in range(6)))
+    with pytest.raises(ValueError, match="1 to 6 gamma"):
+        ProbeSet(0.5, tuple(0.1 * (i + 1) for i in range(7)))
     with pytest.raises(ValueError):
         ProbeSet(0.5, (0.2, -0.3))
     with pytest.raises(ValueError):
@@ -238,6 +241,52 @@ def test_solve_phi_roundtrip():
             assert np.max(np.abs(grad[free]), initial=0.0) <= 1e-10
             assert np.all(grad[~free] * np.sign(x[~free]) <= 1e-10)
         assert 0 < np.count_nonzero(free) < x.size  # the last target is a mixed case
+
+
+def test_solve_phi_matches_scipy_bvls_outside_the_box():
+    # scipy's bounded-variable least squares as the oracle; its default
+    # max_iter (the number of variables) can stop short of the optimum
+    from scipy.optimize import lsq_linear
+
+    gen = np.random.default_rng(19)
+    seen = []
+    while len(seen) < 200:
+        k, parity = int(gen.integers(1, 7)), int(gen.integers(0, 2))
+        probes = ProbeSet(0.499, tuple(np.sort(gen.uniform(0.1, 1.0, k))))
+        mat = gamma_matrix(probes, parity)
+        bounds = np.array([series_bound(2 * j + parity) for j in range(k)])
+        f = mat @ (gen.uniform(-2.5, 2.5, k) * bounds) + gen.normal(0.0, 0.05, k)
+        if np.all(np.abs(np.linalg.solve(mat, f)) <= bounds):
+            continue  # an interior fit, the exact solve
+        x = solve_phi(f, probes, parity).values
+        ref = lsq_linear(mat, f, bounds=(-bounds, bounds), method="bvls", max_iter=100)
+        assert ref.status != 0
+        assert np.max(np.abs(x - ref.x)) <= 1e-12
+        residual, ref_residual = np.linalg.norm(mat @ x - f), np.linalg.norm(mat @ ref.x - f)
+        assert residual <= ref_residual * (1 + 1e-12)
+        seen.append((k, parity))
+    assert len(set(seen)) == 12
+
+
+def test_solve_phi_takes_the_vertex_a_huge_statistic_picks():
+    # at this |f| the fit's objective is -f.Ax to within rounding, least at
+    # the vertex sign(A^T f) * bounds; the residuals of all faces round to
+    # one value, so ranking the faces by residual picks the first face
+    probes = ProbeSet(0.499, (0.2, 0.3))
+    for parity, direction in ((1, [1.0, -1.0]), (0, [1.0, 2.0])):
+        mat = gamma_matrix(probes, parity)
+        bounds = np.array([series_bound(2 * j + parity) for j in range(2)])
+        for big in (1e20, 1e150, 1e300):
+            f = big * np.array(direction)
+            assert np.array_equal(solve_phi(f, probes, parity).values, np.sign(mat.T @ f) * bounds)
+
+
+def test_solve_phi_rejects_a_non_finite_statistic():
+    probes = ProbeSet(0.499, (0.2, 0.3))
+    for bad in (math.inf, -math.inf, math.nan):
+        for parity in (1, 0):
+            with pytest.raises(ValueError, match="finite"):
+                solve_phi(np.array([0.1, bad]), probes, parity)
 
 
 def test_solve_even_series_roundtrip():
