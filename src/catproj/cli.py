@@ -37,9 +37,9 @@ from .fidelity import (
     SweepGrid,
     _click_form,
     _contrast,
-    _optimized_reports,
     displaced_povm,
     fidelity,
+    optimize,
     sweep,
 )
 from .fock import ScsMeasurementSpec, TruncationDim, displacement_defect
@@ -324,9 +324,7 @@ def cmd_optimize(cfg: Config) -> int:
         detector = _detector(cfg)
         dim = TruncationDim(cfg["nmax"])
     with _stage("optimize"):
-        (report,) = _optimized_reports([spec], detector, dim)
-        if isinstance(report, Exception):
-            raise report
+        report = optimize(spec, detector, dim)
     values = {
         "alpha": spec.alpha,
         "c0sq": spec.c0**2,

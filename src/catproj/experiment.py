@@ -24,10 +24,11 @@ from .fock import (
     _unitarity_defect,
     as_dim,
     coherent_state,
+    displacement_operator,
     expect,
     scs_projectors,
 )
-from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _counting_povm, _displaced_counting
+from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _counting_povm
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
 
 DEFAULT_SHOTS = 200_000
@@ -35,6 +36,8 @@ DEFAULT_SHOTS = 200_000
 DRIVE_TO_SHIFT = 0.5
 RATE_TOL = 1e-9
 _SEED_LIMIT = 2**64
+# numpy's binomial draws take an int64 trial count
+_SHOTS_LIMIT = 2**63
 # the default displacement menu: its size, and the cutoff of its top amplitude's search
 SCHEDULE_LEVELS = 9
 SCHEDULE_DIM = TruncationDim(20)
@@ -51,8 +54,8 @@ class Campaign:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shots_per_probe, int) or self.shots_per_probe <= 0:
-            raise ValueError("shots_per_probe must be a positive integer")
+        if not isinstance(self.shots_per_probe, int) or not 0 < self.shots_per_probe < _SHOTS_LIMIT:
+            raise ValueError("shots_per_probe must be a positive integer below 2^63")
         schedule = tuple(complex(b) for b in self.displacement_schedule)
         if not schedule:
             raise ValueError("displacement schedule must not be empty")
@@ -122,7 +125,9 @@ def apparatus_povm(
 
         P0 = (1 - nu) * D(shift) L_eta[ P_omega0 ] D(shift)^dag
     """
-    return _displaced_counting(shift, dim, spec, detector.eta, detector.nu)
+    dim = as_dim(dim)
+    D = displacement_operator(shift, dim).entries
+    return _counting_povm(D, dim, scs_projectors(spec, dim), detector.eta, detector.nu)
 
 
 def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
@@ -168,7 +173,7 @@ def reconstruction_sweep(
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
     sqrt(eta), which undoes the loss channel exactly for coherent inputs.
     ``f_ideal`` is the lossless click fidelity at the same (quantized)
-    displacement, ``displaced_click_fidelity`` with the ideal detector.
+    displacement, ``_click_score`` with the ideal detector.
     Every point's D(shift) comes from one stack built for the whole sweep,
     and each point's D serves both its ``apparatus_povm`` (behind the
     displacement guard) and its ``f_ideal``, whose photon-number partition

@@ -44,10 +44,9 @@ grid terms are computed once per group, and each point costs a contrast
 combination over the grid plus its own refinement and Fock score.  The
 Fock scores of a group come from stacks built once for it: one D(beta)
 per point, shared by its f_dp and its ``verify`` check, and one homodyne
-interval operator per point.  Each public per-point function
-(``displaced_click_fidelity``, ``homodyne_fidelity``, ``displaced_povm``,
-``FidelityReport.verify``) builds its one matrix and calls the same kernel
-the group path calls on its slice.
+interval operator per point.  ``optimize`` is that path on a group of
+one spec; ``displaced_povm`` and ``FidelityReport.verify`` build their one
+D and call the same kernels the group path calls on its slice.
 """
 
 from __future__ import annotations
@@ -64,12 +63,14 @@ import numpy as np
 from .fock import (
     AMPLITUDE_CEILING,
     AMPLITUDE_STEP,
+    MIN_ALPHA,
     ScsMeasurementSpec,
     TruncationDim,
     _check_guard,
     _displacement_matrix,
     _unitarity_defect,
     as_dim,
+    cat_basis,
     displacement_operator,
     expect,
     max_guarded_amplitude,
@@ -219,13 +220,13 @@ def _shared_alpha(specs) -> float:
 
 
 def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
-    """The closed form of ``displaced_click_fidelity`` as a function of the
-    displacement b.  With the contrast of one spec (Python scalars, from
-    ``_contrast``) it is a function of one Python complex in
-    ``math``/``cmath`` arithmetic; with the contrasts of k specs stacked by
-    ``_grids`` it scores a two-dimensional array of b for all k at once,
-    returning shape (k, *b.shape).  No matrix is built; the ideal counter's
-    two routes are ``_ideal_point`` and ``_ideal_grid``.
+    """The closed form of the displaced-counting fidelity (``_click_score``)
+    as a function of the displacement b.  With the contrast of one spec
+    (Python scalars, from ``_contrast``) it is a function of one Python
+    complex in ``math``/``cmath`` arithmetic; with the contrasts of k specs
+    stacked by ``_grids`` it scores a two-dimensional array of b for all k
+    at once, returning shape (k, *b.shape).  No matrix is built; the ideal
+    counter's two routes are ``_ideal_point`` and ``_ideal_grid``.
 
     D(b)^dag |a_k> = f_k |gamma_k>, with gamma_k = a_k - b and
     f_k = e^{i Im(conj(b) a_k) - |gamma_k|^2 / 2}.  An ideal counter sums
@@ -347,11 +348,11 @@ def _ideal_grid(alpha: float, contrast, n_max: int):
 
 
 def _homodyne_form(alpha: float, contrast):
-    """The closed form of ``homodyne_fidelity`` as a function of threshold
-    and phase: of two floats in ``math`` arithmetic for the contrast of one
-    spec (scipy's ``erfc``, imported here, only for the complex argument),
-    else of broadcastable two-dimensional arrays for k stacked contrasts,
-    returning one grid per spec.
+    """The closed form of the homodyne fidelity (``_homodyne_score``) as a
+    function of threshold and phase: of two floats in ``math`` arithmetic
+    for the contrast of one spec (scipy's ``erfc``, imported here, only for
+    the complex argument), else of broadcastable two-dimensional arrays
+    for k stacked contrasts, returning one grid per spec.
 
     For coherent wavefunctions int_x^inf conj(psi_a) psi_b =
     1/2 erfc(x - s) exp(s^2 - (conj(a)^2 + b^2)/2 - (|a|^2 + |b|^2)/2) with
@@ -454,59 +455,18 @@ def _nelder_mead(fun, x0, maxiter: int):
     return (x, y), f, nfev
 
 
-def displaced_click_fidelity(
-    spec: ScsMeasurementSpec,
-    beta: complex,
-    detector: DetectorModel,
-    dim,
-) -> float:
-    """Fidelity of the displaced counting measurement at a fixed ``beta`` in
-    the truncated Fock model.
-
-    An ideal counter assigns each photon number to the target whose
-    displaced overlap dominates; a click detector weights the no-click
-    outcome by loss and dark counts, behind a displacement scaled by the
-    interference visibility.
-    """
-    dim = as_dim(dim)
-    D = _displacement_matrix(_shift(beta, detector), dim)
-    return _click_score(scs_projectors(spec, dim), D, detector)
-
-
 def _click_score(targets, D: np.ndarray, detector: DetectorModel) -> float:
-    """``displaced_click_fidelity`` from the spec's target vectors and a
-    prebuilt D at ``_shift(beta, detector)``."""
+    """Fidelity of the displaced counting measurement in the truncated Fock
+    model, from the spec's target vectors and a prebuilt D at
+    ``_shift(beta, detector)``: an ideal counter assigns each photon number
+    to the target whose displaced overlap dominates, and a click detector
+    weights the no-click outcome by loss and dark counts."""
     r0, r1 = _displaced_overlaps(targets, D)
     if detector.is_ideal:
         keep = r0 >= r1
         return float(0.5 * ((r0 * keep).sum() + 1.0 - (r1 * keep).sum()))
     weights = _outcome_weights(np.arange(r0.size) == 0, detector.eta)
     return float(0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights)))
-
-
-def optimize_displacement(
-    spec: ScsMeasurementSpec,
-    detector: DetectorModel,
-    dim,
-) -> tuple[complex, float]:
-    """Maximize the displaced-counting fidelity over complex ``beta``.
-
-    The coherent-state closed form searches (``_search_displacements``): a
-    coarse polar grid (amplitude step ``AMPLITUDE_STEP`` up to the largest
-    amplitude the truncation supports, phase step ``PHASE_STEP``) scored as
-    one array on the upper half plane only (the lower half is its mirror
-    image, see ``_mirrored_grids``), then ``_nelder_mead`` refinement in the
-    (Re, Im) plane on the scalar closed form; amplitudes outside the
-    supported disc are rejected by a penalty, and the refined point is only
-    accepted when it improves on the grid.  The Fock model scores the
-    result: the returned fidelity is ``displaced_click_fidelity`` at the
-    returned ``beta``.  Fully deterministic: grid ties within a few ulps go
-    to the first maximum in radius-major, phase-ascending order, over the
-    whole grid, mirrored half included.  The single-point library entry;
-    the sweep and the CLI batch the same search over a whole alpha group.
-    """
-    (beta,) = _search_displacements([spec], detector, dim)
-    return beta, displaced_click_fidelity(spec, beta, detector, dim)
 
 
 def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
@@ -555,22 +515,10 @@ def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
     return betas
 
 
-def homodyne_fidelity(
-    spec: ScsMeasurementSpec,
-    x_th: float,
-    lo_phase: float,
-    dim,
-) -> float:
-    """Fidelity of thresholded homodyne readout at fixed threshold and phase
-    in the truncated Fock model."""
-    dim = as_dim(dim)
-    E = quadrature_interval_operator(x_th, np.inf, dim)
-    return _homodyne_score(scs_projectors(spec, dim), E, lo_phase)
-
-
 def _homodyne_score(targets, E: np.ndarray, lo_phase: float) -> float:
-    """``homodyne_fidelity`` from the spec's target vectors and the prebuilt
-    interval operator E of [x_th, inf)."""
+    """Fidelity of thresholded homodyne readout at local-oscillator phase
+    ``lo_phase`` in the truncated Fock model, from the spec's target vectors
+    and the prebuilt interval operator E of [x_th, inf)."""
     t0, t1 = targets
     ramp = np.exp(-1j * lo_phase * np.arange(E.shape[-1]))
     w0 = ramp * t0.amps
@@ -578,24 +526,6 @@ def _homodyne_score(targets, E: np.ndarray, lo_phase: float) -> float:
     v0 = np.sum((w0.conj() @ E) * w0).real
     v1 = np.sum((w1.conj() @ E) * w1).real
     return float(0.5 * (v0 + 1.0 - v1))
-
-
-def optimize_homodyne(spec: ScsMeasurementSpec, dim) -> tuple[float, float, float]:
-    """Maximize the homodyne fidelity over threshold and local-oscillator phase.
-
-    The coherent-state closed form searches (``_search_homodynes``): a grid
-    over ``x_th`` in ``THRESHOLD_RANGE`` (step ``THRESHOLD_STEP``) times
-    sixty phases in [0, pi), scored as one array on the phases in
-    [0, pi/2] only (the rest is their mirror image, see
-    ``_mirrored_grids``), then clamped ``_nelder_mead`` refinement on the
-    scalar closed form.  Grid ties within a few ulps go to the first
-    maximum in threshold-major order over the whole grid.  The Fock
-    model scores the result.  Returns ``(x_th_opt, lo_phase_opt, f)`` with
-    ``f = homodyne_fidelity(spec, x_th_opt, lo_phase_opt, dim)``.  The
-    single-point library entry; the sweep and the CLI batch the same search.
-    """
-    ((x_opt, th_opt),) = _search_homodynes([spec])
-    return x_opt, th_opt, homodyne_fidelity(spec, x_opt, th_opt, dim)
 
 
 def _search_homodynes(specs) -> list[tuple[float, float]]:
@@ -719,8 +649,8 @@ class SweepGrid:
                 raise ValueError(f"{name} must be sorted ascending")
         if self.c0sq_values[0] < 0.0 or self.c0sq_values[-1] > 1.0:
             raise ValueError("c0sq_values must lie in [0, 1]")
-        if self.alpha_sq_values[0] <= 0.0:
-            raise ValueError("alpha_sq_values must be positive")
+        if not self.alpha_sq_values[0] >= MIN_ALPHA**2:
+            raise ValueError(f"alpha_sq_values must be at least MIN_ALPHA^2 = {MIN_ALPHA**2:g}")
 
     def __len__(self) -> int:
         return len(self.c0sq_values) * len(self.alpha_sq_values) * len(self.phi_values)
@@ -740,9 +670,12 @@ def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityRepo
     ``_check_report`` (the ``verify`` check) from the same D, f_hd from its
     E, both against target vectors built once.  A point whose score or check
     fails gets its exception in place of a report; a failed search is every
-    point's outcome."""
+    point's outcome.  The group's cat basis is built first (and cached for
+    the target vectors), so an amplitude the cutoff cannot hold fails before
+    any search runs on it."""
     dim = as_dim(dim)
     try:
+        cat_basis(specs[0].alpha, dim)
         betas = _search_displacements(specs, detector, dim)
         homodynes = _search_homodynes(specs)
         shifts = np.array([_shift(beta, detector) for beta in betas], dtype=complex)
@@ -770,6 +703,18 @@ def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityRepo
             outcome = exc
         outcomes.append(outcome)
     return outcomes
+
+
+def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
+    """The optimized report of one spec: ``_optimized_reports`` on a group
+    of one, so it is the report a sweep gives that point.  Both searches
+    (``_search_displacements``, ``_search_homodynes``) run on the closed
+    forms, the Fock model scores their points, and the report passes the
+    ``verify`` check.  Raises the exception the point failed with."""
+    (report,) = _optimized_reports([spec], detector, dim)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def sweep(
@@ -818,12 +763,9 @@ __all__ = [
     "THRESHOLD_STEP",
     "FidelityReport",
     "SweepGrid",
-    "displaced_click_fidelity",
     "displaced_povm",
     "fidelity",
-    "homodyne_fidelity",
-    "optimize_displacement",
-    "optimize_homodyne",
+    "optimize",
     "pnrd_fidelity",
     "quantize_to_schedule",
     "sweep",

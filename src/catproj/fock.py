@@ -30,6 +30,7 @@ __all__ = [
     "AMPLITUDE_STEP",
     "COHERENT_TAIL_TOL",
     "DISPLACEMENT_GUARD_TOL",
+    "MIN_ALPHA",
     "NORM_TOL",
     "CutoffTooSmallError",
     "DimensionMismatchError",
@@ -66,6 +67,11 @@ AMPLITUDE_CEILING = 2.5
 
 # Constructor tolerance on state normalization.
 NORM_TOL = 1e-9
+
+# Smallest cat amplitude: the closed forms the searches run on lose about
+# 5e-17 / alpha^2 to cancellation, 5e-9 at 1e-4 against the optimizer's
+# 1e-7 pin, and all of F by alpha = 1e-8.
+MIN_ALPHA = 1e-4
 
 
 class DimensionMismatchError(ValueError):
@@ -157,8 +163,8 @@ class ScsMeasurementSpec:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.alpha >= MIN_ALPHA:
+            raise ValueError(f"alpha must be at least MIN_ALPHA = {MIN_ALPHA:g}, got {self.alpha}")
         if self.c0 < 0 or self.c1 < 0:
             raise ValueError("c0 and c1 must be non-negative (sign goes into phi)")
         if abs(self.c0**2 + self.c1**2 - 1.0) > 1e-12:

@@ -29,11 +29,8 @@ import numpy as np
 
 from .fock import (
     FockOperator,
-    ScsMeasurementSpec,
     TruncationDim,
     as_dim,
-    displacement_operator,
-    scs_projectors,
     _logfact,
 )
 
@@ -45,8 +42,6 @@ __all__ = [
     "IDEAL_DETECTOR",
     "HomodyneSpec",
     "PovmPair",
-    "dp_povm",
-    "onoff_povm",
     "homodyne_povm",
     "hermite_functions",
     "quadrature_interval_operator",
@@ -199,53 +194,14 @@ def _outcome_weights(keep: np.ndarray, eta: float) -> np.ndarray:
 def _counting_povm(
     D: np.ndarray, dim: TruncationDim, targets=None, eta: float = 1.0, nu: float = 0.0
 ) -> PovmPair:
-    """``_displaced_counting`` from a prebuilt, guarded D: m is the
-    partition of the target vectors ``targets``, read off D, or the vacuum
-    alone when none are given."""
+    """Displace by a prebuilt, guarded D = D(beta), then count photons behind
+    loss eta and dark counts nu: pi0 = (1 - nu) D diag(B_eta m) D^dag,
+    pi1 = I - pi0.  m is the partition of the target vectors ``targets``,
+    read off the same D, or the vacuum alone (an on/off counter) if none."""
     keep = _partition(targets, D) if targets is not None else np.arange(dim.size) == 0
     pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
     pi0 = 0.5 * (pi0 + pi0.conj().T)
     return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
-
-
-def _displaced_counting(
-    beta: complex,
-    dim,
-    spec: ScsMeasurementSpec | None = None,
-    eta: float = 1.0,
-    nu: float = 0.0,
-) -> PovmPair:
-    """Displace by beta, then count photons behind loss eta and dark counts nu:
-    pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag, pi1 = I - pi0.
-
-    m is the partition of ``spec``, read off the same D(beta), or the vacuum
-    alone (an on/off counter) when no spec is given.
-    """
-    dim = as_dim(dim)
-    D = displacement_operator(beta, dim).entries
-    targets = scs_projectors(spec, dim) if spec is not None else None
-    return _counting_povm(D, dim, targets, eta, nu)
-
-
-def dp_povm(spec: ScsMeasurementSpec, beta: complex, dim) -> PovmPair:
-    """Displaced-photon-counting POVM: displace by beta, count photons,
-    and assign each photon-number outcome to the target vector whose
-    displaced overlap dominates.  Public for library callers that fix the
-    counter; ``fidelity.displaced_povm`` picks the model from a detector,
-    through the same ``_counting_povm``."""
-    return _displaced_counting(beta, dim, spec)
-
-
-def onoff_povm(beta: complex, model: DetectorModel, dim) -> PovmPair:
-    """Displaced on/off detection.
-
-    pi0 is the no-click element
-    (1-nu) D(V beta) [sum_n (1-eta)^n |n><n|] D(V beta)^dag,
-    pi1 the click element I - pi0.  With eta=1, nu=0, V=1 this is the
-    ideal displaced vacuum projector.  Public for library callers that fix
-    the counter, as ``dp_povm`` is.
-    """
-    return _displaced_counting(model.visibility * beta, dim, eta=model.eta, nu=model.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import (
+    MIN_ALPHA,
     FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
@@ -39,6 +40,9 @@ COMPLETENESS_TOL_2D = 1e-6
 EIGENVALUE_FLOOR_2D = 1e-9
 # the out-of-box series solve enumerates all 3**K faces of the coefficient box
 MAX_GAMMAS = 6
+# the series statistic divides by 2 exp(-gamma^2), which magnifies click
+# noise 1 / (2 e^-25) = 3.6e10 times at gamma = 5, and underflows to 0 past 27
+MAX_GAMMA = 5.0
 MLE_PROB_FLOOR = 1e-12
 MLE_GAP_TOL = 1e-12
 MLE_MAX_STEPS = 50
@@ -62,12 +66,12 @@ class ProbeSet:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if not all(math.isfinite(v) for v in (self.alpha, *self.gammas)):
             raise ValueError("probe amplitudes must be finite")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.alpha >= MIN_ALPHA:
+            raise ValueError(f"alpha must be at least MIN_ALPHA = {MIN_ALPHA:g}, got {self.alpha}")
         if not 1 <= len(self.gammas) <= MAX_GAMMAS:
             raise ValueError(f"expected 1 to {MAX_GAMMAS} gamma probe amplitudes, got {len(self.gammas)}")
-        if any(not g > 0 for g in self.gammas):
-            raise ValueError("gamma amplitudes must be > 0")
+        if any(not 0 < g <= MAX_GAMMA for g in self.gammas):
+            raise ValueError(f"gamma amplitudes must lie in (0, MAX_GAMMA = {MAX_GAMMA:g}]")
         if len(set(self.gammas)) != len(self.gammas):
             raise ValueError("gamma amplitudes must be distinct")
 

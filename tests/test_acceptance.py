@@ -16,14 +16,13 @@ from catproj.experiment import (
     reconstruction_sweep,
     simulate_counts,
 )
-from catproj.fidelity import SweepGrid, fidelity, optimize_displacement, sweep
+from catproj.fidelity import SweepGrid, displaced_povm, fidelity, optimize, sweep
 from catproj.fock import ScsMeasurementSpec, TruncationDim, coherent_state, expect
 from catproj.povm import (
     DetectorModel,
     IDEAL_DETECTOR,
     apply_loss,
     compensate_loss,
-    dp_povm,
     random_povm_pair,
 )
 from catproj.tomography import (
@@ -94,7 +93,7 @@ def test_undisplaced_fidelity_equals_dominant_weight():
     worst = 0.0
     for c0sq in grid(0.0, 1.0, 0.05):
         spec = ScsMeasurementSpec.from_c0sq(0.5, c0sq, 0.0)
-        f = fidelity(dp_povm(spec, 0j, dim), spec)
+        f = fidelity(displaced_povm(spec, 0j, IDEAL_DETECTOR, dim), spec)
         worst = max(worst, abs(f - max(c0sq, 1.0 - c0sq)))
     check(1, "undisplaced fidelity equals max(c0^2, c1^2)", worst <= 1e-9,
           f"21 points, max deviation {worst:.2e}", t0)
@@ -104,8 +103,8 @@ def test_parity_endpoint_reaches_unit_fidelity():
     t0 = time.perf_counter()
     dim = TruncationDim(20)
     spec = ScsMeasurementSpec.from_c0sq(0.5, 1.0, 0.0)
-    f = fidelity(dp_povm(spec, 0j, dim), spec)
-    beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, dim)
+    f = fidelity(displaced_povm(spec, 0j, IDEAL_DETECTOR, dim), spec)
+    beta = optimize(spec, IDEAL_DETECTOR, dim).beta_opt
     ok = abs(f - 1.0) <= 1e-10 and abs(beta) < 1e-3
     check(2, "even-weight endpoint is exact at zero displacement", ok,
           f"|f - 1| = {abs(f - 1.0):.2e}, |beta_opt| = {abs(beta):.2e}", t0)
@@ -141,7 +140,7 @@ def test_optimal_displacement_never_grows_with_weight():
 
 def test_noiseless_tomography_roundtrip():
     t0 = time.perf_counter()
-    truth = dp_povm(OPERATING_SPEC, 0.894j, DIM)
+    truth = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
     run = tomography_pipeline(exact_table(truth, probes), probes, DIM)
     fid = povm_pair_fidelity(project(truth), run.povm)
@@ -151,7 +150,7 @@ def test_noiseless_tomography_roundtrip():
 
 def test_sampled_tomography_roundtrip_across_seeds():
     t0 = time.perf_counter()
-    truth = dp_povm(OPERATING_SPEC, 0.894j, DIM)
+    truth = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     target = project(truth)
     fids = []

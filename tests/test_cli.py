@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import catproj
 from catproj import cli, fidelity, fock
 from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
-from catproj.fidelity import optimize_displacement
+from catproj.fidelity import optimize
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
 from catproj.serialize import config_digest, read_click_table, write_click_table
@@ -127,11 +127,9 @@ def test_optimize_prints_report(tmp_path, capsys):
     assert main(["optimize", "--config", path]) == 0
     text = capsys.readouterr().out
     payload = json.loads(text)
-    beta, f = optimize_displacement(
-        ScsMeasurementSpec.from_c0sq(0.5, 0.75, 0.0), IDEAL_DETECTOR, TruncationDim(14)
-    )
-    assert payload["f_dp"] == pytest.approx(f, abs=1e-9)
-    assert payload["beta_opt_re"] == pytest.approx(beta.real, abs=1e-6)
+    report = optimize(ScsMeasurementSpec.from_c0sq(0.5, 0.75, 0.0), IDEAL_DETECTOR, TruncationDim(14))
+    assert payload["f_dp"] == pytest.approx(report.f_dp, abs=1e-9)
+    assert payload["beta_opt_re"] == pytest.approx(report.beta_opt.real, abs=1e-6)
     assert payload["f_pn"] == 0.75
     assert payload["schema"] == "catproj/optimize 1.0"
     assert payload["config_sha256"] == config_digest(cfg)
@@ -164,9 +162,25 @@ def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "entry, stage", [({"alpha": 1e200}, "config"), ({"gammas": [0.2, 1e200]}, "simulate")]
-)
+def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, capsys, monkeypatch):
+    # the group's cat basis is built first: the searches used to run on
+    # alpha = 1e5 and print the homodyne form's warning ahead of the record
+    def never(*args, **kwargs):
+        raise AssertionError("a search ran on an amplitude the cutoff cannot hold")
+
+    monkeypatch.setattr(fidelity, "_search_displacements", never)
+    monkeypatch.setattr(fidelity, "_search_homodynes", never)
+    path = write_config(tmp_path, {"alpha": 1e5})
+    assert main(["optimize", "--config", path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "optimize", record
+    assert "100000.0" in record["message"] and "n_max=20" in record["message"]
+
+
+# a gamma of 1e200 is out of range, one config record in _OUT_OF_RANGE
+@pytest.mark.parametrize("entry, stage", [({"alpha": 1e200}, "config")])
 def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, entry, stage):
     path = write_config(tmp_path, entry)
     out = tmp_path / "never.csv"
@@ -299,17 +313,33 @@ def fig3_click_lines() -> tuple[str, ...]:
         return tuple(out.read_text().splitlines())
 
 
-def fig3_tomography(lines, tmp: Path) -> tuple[int, list[str], list[Path]]:
-    """Run ``tomography --preset fig3`` on a click table with these lines:
-    the exit code, the stderr lines and the files left in ``tmp``."""
+def fig3_tomography(lines, tmp: Path, **config) -> tuple[int, list[str], list[Path]]:
+    """Run ``tomography --preset fig3`` on a click table with these lines,
+    and any further ``config`` keys: the exit code, the stderr lines and the
+    files left in ``tmp``."""
     clicks = tmp / "clicks.csv"
     clicks.write_text("\n".join(lines) + "\n")
     cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"clicks": str(clicks)}))
+    cfg.write_text(json.dumps({"clicks": str(clicks), **config}))
     stderr = io.StringIO()
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         rc = main(["tomography", "--preset", "fig3", "--config", str(cfg), "--out", str(tmp / "out.json")])
     return rc, stderr.getvalue().splitlines(), sorted(tmp.iterdir())
+
+
+def test_tomography_ingest_rejects_a_far_gamma_probe(tmp_path):
+    # the series statistic divides the gamma_2 rows by 2 exp(-900), which
+    # underflows: this used to print numpy's warning, then a reconstruct record
+    lines = [
+        line.replace("_gamma2,0,0.3,", "_gamma2,0,30,").replace("_gamma2,0,-0.3,", "_gamma2,0,-30,")
+        for line in fig3_click_lines()
+    ]
+    assert sum("_gamma2,0,30," in line or "_gamma2,0,-30," in line for line in lines) == 2
+    rc, records, _ = fig3_tomography(lines, tmp_path, gammas=[0.2, 30.0])
+    assert rc == 1 and len(records) == 1, records
+    record = json.loads(records[0])
+    assert record["stage"] == "config" and "MAX_GAMMA" in record["message"], record
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_tomography_ingest_rejects_a_missing_probe_amplitude(tmp_path):
@@ -518,7 +548,10 @@ _OUT_OF_RANGE = [
         for argv in (_FIG1B, ["optimize"], _SIMULATE, _SINGLE, _SWEEP, ["selftest"])
         for key, v in (("eta", 2), ("visibility", 1.5), ("nu", 1))
     ),
-    *((argv, {"shots": 0}, "shots") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
+    *((argv, {"shots": v}, "shots") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (0, 2**63, 10**20)),
+    *((argv, {"alpha": 1e-300}, "MIN_ALPHA") for argv in (["optimize"], _SIMULATE, _SINGLE, _SWEEP)),
+    *((_FIG1B, {"alpha_sq_values": [v]}, "MIN_ALPHA") for v in (1e-300, 1e-9)),
+    *((argv, {"gammas": [0.2, v]}, "MAX_GAMMA") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (6.0, 1e200)),
     *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
     *(
         (argv, {"gammas": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}, "1 to 6 gamma")

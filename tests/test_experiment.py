@@ -14,7 +14,7 @@ from catproj.experiment import (
     reconstruction_sweep,
     simulate_counts,
 )
-from catproj.fidelity import displaced_povm, fidelity, optimize_displacement
+from catproj.fidelity import displaced_povm, fidelity, optimize
 from catproj.fock import (
     FockOperator,
     ScsMeasurementSpec,
@@ -56,6 +56,10 @@ def test_campaign_validation():
     assert camp.detector is IDEAL_DETECTOR
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, shots_per_probe=0)
+    assert Campaign(probes=PROBES, shots_per_probe=2**63 - 1).shots_per_probe == 2**63 - 1
+    for shots in (2**63, 10**20):  # numpy's binomial draws overflow an int64 count
+        with pytest.raises(ValueError, match="2\\^63"):
+            Campaign(probes=PROBES, shots_per_probe=shots)
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, displacement_schedule=())
     with pytest.raises(ValueError):
@@ -189,7 +193,7 @@ def test_default_displacement_schedule():
     radii = [abs(b) for b in menu]
     assert radii == sorted(radii)
     spec = ScsMeasurementSpec.from_c0sq(ALPHA, 0.5, 0.0)
-    beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, TruncationDim(20))
+    beta = optimize(spec, IDEAL_DETECTOR, TruncationDim(20)).beta_opt
     assert radii[-1] == pytest.approx(abs(beta), abs=1e-12)
     steps = np.diff(radii)
     assert np.max(np.abs(steps - steps[0])) < 1e-12
@@ -224,8 +228,7 @@ def test_reconstruction_sweep_deterministic_and_unquantized():
     # optimum of its point alone
     for point, c0sq in zip(a, weights):
         spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, 0.0)
-        beta, _ = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
-        assert point.displacement == beta
+        assert point.displacement == optimize(spec, IDEAL_DETECTOR, DIM).beta_opt
         assert point.c0sq == c0sq and point.phi == 0.0
     assert reconstruction_sweep(camp, [], 0.0) == []
 

@@ -19,29 +19,43 @@ from catproj.fidelity import (
     FidelityReport,
     SweepGrid,
     _click_form,
+    _click_score,
     _conjugated,
     _contrast,
     _first_maximum,
     _homodyne_form,
+    _homodyne_score,
     _nelder_mead,
     _grids,
     _mirrored_grids,
     _optimized_reports,
     _search_displacements,
     _search_homodynes,
+    _shift,
     _swapped,
-    displaced_click_fidelity,
     displaced_povm,
     fidelity,
-    homodyne_fidelity,
-    optimize_displacement,
-    optimize_homodyne,
+    optimize,
     pnrd_fidelity,
     quantize_to_schedule,
     sweep,
 )
-from catproj.fock import ScsMeasurementSpec, TruncationDim, max_guarded_amplitude
-from catproj.povm import IDEAL_DETECTOR, DetectorModel, PovmPair, dp_povm, onoff_povm
+from catproj.fock import (
+    MIN_ALPHA,
+    ScsMeasurementSpec,
+    TruncationDim,
+    _displacement_matrix,
+    displacement_operator,
+    max_guarded_amplitude,
+    scs_projectors,
+)
+from catproj.povm import (
+    IDEAL_DETECTOR,
+    DetectorModel,
+    PovmPair,
+    _counting_povm,
+    quadrature_interval_operator,
+)
 
 DIM = TruncationDim(20)
 LAB = DetectorModel(eta=0.689, nu=5.32e-5, visibility=0.998)
@@ -70,6 +84,17 @@ def homodyne_score(spec):
     return _homodyne_form(spec.alpha, _contrast(spec))
 
 
+def click_fock(spec, beta, det, dim):
+    """The Fock kernel that scores f_dp, on a D built for this one point
+    (no cutoff guard, so it also scores points beyond it)."""
+    return _click_score(scs_projectors(spec, dim), _displacement_matrix(_shift(beta, det), dim), det)
+
+
+def homodyne_fock(spec, x_th, lo_phase, dim):
+    """The Fock kernel that scores f_hd, on an E built for this one point."""
+    return _homodyne_score(scs_projectors(spec, dim), quadrature_interval_operator(x_th, np.inf, dim), lo_phase)
+
+
 def test_fidelity_trivial_pairs():
     spec = ScsMeasurementSpec(alpha=0.5, c0=1.0, c1=0.0)
     even = np.diag(np.arange(21) % 2 == 0).astype(complex)
@@ -92,54 +117,54 @@ def test_parity_limit_matches_population_max():
     # fidelity collapses to max(c0^2, c1^2)
     for c0sq in np.linspace(0.0, 1.0, 21):
         spec = spec_of(c0sq)
-        got = fidelity(dp_povm(spec, 0.0, DIM), spec)
+        got = fidelity(displaced_povm(spec, 0.0, IDEAL_DETECTOR, DIM), spec)
         assert abs(got - max(c0sq, 1.0 - c0sq)) < 1e-9, c0sq
 
 
 def test_optimizer_frozen_row():
     for c0sq, f_ref, b_ref in zip(ROW_C0SQ, ROW_F, ROW_BETA):
-        beta, f = optimize_displacement(spec_of(c0sq), IDEAL_DETECTOR, DIM)
-        assert f == pytest.approx(f_ref, abs=1e-7), c0sq
-        assert abs(beta) == pytest.approx(b_ref, abs=1e-4), c0sq
+        report = optimize(spec_of(c0sq), IDEAL_DETECTOR, DIM)
+        assert report.f_dp == pytest.approx(f_ref, abs=1e-7), c0sq
+        assert abs(report.beta_opt) == pytest.approx(b_ref, abs=1e-4), c0sq
 
 
 def test_optimizer_amplitude_decreases_with_weight():
-    betas = [optimize_displacement(spec_of(c), IDEAL_DETECTOR, DIM)[0] for c in (0.5, 0.9, 1.0)]
+    betas = [optimize(spec_of(c), IDEAL_DETECTOR, DIM).beta_opt for c in (0.5, 0.9, 1.0)]
     assert abs(betas[0]) > abs(betas[1]) > abs(betas[2])
     assert abs(betas[2]) < 1e-3
 
 
 def test_optimizer_beats_coarse_samples():
     spec = spec_of(0.65)
-    beta, f = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
+    f = optimize(spec, IDEAL_DETECTOR, DIM).f_dp
     rng = np.random.default_rng(11)
     for _ in range(25):
         b = rng.uniform(0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        assert f >= displaced_click_fidelity(spec, b, IDEAL_DETECTOR, DIM) - 1e-12
+        assert f >= click_fock(spec, b, IDEAL_DETECTOR, DIM) - 1e-12
 
 
 def test_optimizer_deterministic():
-    a = optimize_displacement(spec_of(0.7), IDEAL_DETECTOR, DIM)
-    b = optimize_displacement(spec_of(0.7), IDEAL_DETECTOR, DIM)
-    assert a[0] == b[0] and a[1] == b[1]
+    a = optimize(spec_of(0.7), IDEAL_DETECTOR, DIM)
+    b = optimize(spec_of(0.7), IDEAL_DETECTOR, DIM)
+    assert a.beta_opt == b.beta_opt and a.f_dp == b.f_dp
 
 
 def test_optimizer_mirror_below_half():
     # for c0^2 < 1/2 the roles of the two targets swap under parity, which
     # moves the optimal displacement to the negative real axis with the
     # same fidelity as the complementary weight
-    beta, f = optimize_displacement(spec_of(0.3), IDEAL_DETECTOR, DIM)
-    _, f_mirror = optimize_displacement(spec_of(0.7), IDEAL_DETECTOR, DIM)
-    assert beta.real < -0.5 and abs(beta.imag) < 1e-6
-    assert f == pytest.approx(f_mirror, abs=1e-9)
+    report = optimize(spec_of(0.3), IDEAL_DETECTOR, DIM)
+    mirror = optimize(spec_of(0.7), IDEAL_DETECTOR, DIM)
+    assert report.beta_opt.real < -0.5 and abs(report.beta_opt.imag) < 1e-6
+    assert report.f_dp == pytest.approx(mirror.f_dp, abs=1e-9)
 
 
 def test_click_model_matrix_route_agreement():
     det = DetectorModel(eta=0.689, nu=5.32e-5, visibility=0.998)
     spec = spec_of(0.75)
     for b in (0.0, 0.41, 0.3 - 0.55j):
-        direct = displaced_click_fidelity(spec, b, det, DIM)
-        assembled = fidelity(onoff_povm(b, det, DIM), spec)
+        direct = click_fock(spec, b, det, DIM)
+        assembled = fidelity(displaced_povm(spec, b, det, DIM), spec)
         assert direct == pytest.approx(assembled, abs=1e-12)
 
 
@@ -157,12 +182,12 @@ def test_closed_forms_match_the_fock_kernels():
                 for b in radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, radii.size)):
                     for name, det in (("ideal", IDEAL_DETECTOR), ("lab", LAB)):
                         closed = click_score(spec, det, dim.n_max)(complex(b))
-                        fock_value = displaced_click_fidelity(spec, b, det, dim)
+                        fock_value = click_fock(spec, b, det, dim)
                         worst[name] = max(worst[name], abs(closed - fock_value))
                 for x in np.concatenate([[-6.0, 6.0], rng.uniform(-6.0, 6.0, 3)]):
                     th = rng.uniform(0.0, math.pi)
                     closed = homodyne_score(spec)(float(x), float(th))
-                    fock_value = homodyne_fidelity(spec, x, th, dim)
+                    fock_value = homodyne_fock(spec, x, th, dim)
                     worst["homodyne"] = max(worst["homodyne"], abs(closed - fock_value))
     assert max(worst.values()) <= 1e-12, worst
 
@@ -400,13 +425,11 @@ def test_mirror_ties_go_to_the_first_grid_maximum():
     assert _first_maximum(vals) == 2
     vals[0, 2] = 0.96 - 1e-12
     assert _first_maximum(vals) == 3
-    beta, _ = optimize_displacement(spec_of(0.5), IDEAL_DETECTOR, DIM)
-    assert beta.real > 0.5
+    assert optimize(spec_of(0.5), IDEAL_DETECTOR, DIM).beta_opt.real > 0.5
     fig1d = PRESETS["fig1d"]
     c0sq = next(c for c in fig1d["c0sq_values"] if abs(c - 0.8) < 1e-9)
     alpha_sq = next(a for a in fig1d["alpha_sq_values"] if abs(a - 1.6) < 1e-9)
-    beta, _ = optimize_displacement(spec_of(c0sq, math.sqrt(alpha_sq)), IDEAL_DETECTOR, DIM)
-    assert beta.imag > 0.1
+    assert optimize(spec_of(c0sq, math.sqrt(alpha_sq)), IDEAL_DETECTOR, DIM).beta_opt.imag > 0.1
 
 
 def counting(monkeypatch, module, name, counts):
@@ -420,8 +443,8 @@ def counting(monkeypatch, module, name, counts):
 
 
 def test_optimizers_build_one_fock_operator_each(monkeypatch):
-    # the search runs on closed forms; only the final score builds an N x N
-    # matrix, so no matrix build may creep back into the objective
+    # the searches run on closed forms; only the final scores build an N x N
+    # matrix each, so no matrix build may creep back into the objective
     max_guarded_amplitude(DIM)  # the cached guard scan is set-up, not search
     counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
     counting(monkeypatch, fock, "_displacement_matrix", counts)
@@ -429,11 +452,9 @@ def test_optimizers_build_one_fock_operator_each(monkeypatch):
     counting(monkeypatch, fidelity_module, "quadrature_interval_operator", counts)
     spec = spec_of(0.8, 0.7, 0.3)
     for det in (IDEAL_DETECTOR, LAB):
-        optimize_displacement(spec, det, DIM)
-        assert counts == {"_displacement_matrix": 1, "quadrature_interval_operator": 0}
-        counts["_displacement_matrix"] = 0
-    optimize_homodyne(spec, DIM)
-    assert counts == {"_displacement_matrix": 0, "quadrature_interval_operator": 1}
+        optimize(spec, det, DIM)
+        assert counts == {"_displacement_matrix": 1, "quadrature_interval_operator": 1}
+        counts.update(dict.fromkeys(counts, 0))
 
 
 def test_search_returns_the_optimizers_displacement_without_a_fock_score(monkeypatch):
@@ -451,7 +472,7 @@ def test_search_returns_the_optimizers_displacement_without_a_fock_score(monkeyp
                 counting(patch, fidelity_module, "_displacement_matrix", counts)
                 betas = _search_displacements(specs, det, DIM)
             assert counts == {"_displacement_matrix": 0}
-            assert betas == [optimize_displacement(spec, det, DIM)[0] for spec in specs]
+            assert betas == [optimize(spec, det, DIM).beta_opt for spec in specs]
     assert _search_displacements([], IDEAL_DETECTOR, DIM) == []
 
 
@@ -463,7 +484,8 @@ def test_homodyne_search_returns_the_optimizers_point_without_a_fock_score(monke
             counting(patch, fidelity_module, "quadrature_interval_operator", counts)
             optima = _search_homodynes(specs)
         assert counts == {"quadrature_interval_operator": 0}
-        assert optima == [optimize_homodyne(spec, DIM)[:2] for spec in specs]
+        reports = [optimize(spec, IDEAL_DETECTOR, DIM) for spec in specs]
+        assert optima == [(report.x_th_opt, report.lo_phase_opt) for report in reports]
     assert _search_homodynes([]) == []
     with pytest.raises(ValueError, match="share one alpha"):
         _search_homodynes([spec_of(0.5, 0.3), spec_of(0.5, 0.4)])
@@ -472,18 +494,17 @@ def test_homodyne_search_returns_the_optimizers_point_without_a_fock_score(monke
 def test_optimizers_report_the_fock_value_at_their_point():
     for spec in (spec_of(0.8, 0.7, 0.3), spec_of(0.55, 1.2, 0.0)):
         for det in (IDEAL_DETECTOR, LAB):
-            beta, f = optimize_displacement(spec, det, DIM)
-            assert f == displaced_click_fidelity(spec, beta, det, DIM)
-        x, th, f = optimize_homodyne(spec, DIM)
-        assert f == homodyne_fidelity(spec, x, th, DIM)
+            report = optimize(spec, det, DIM)
+            assert report.f_dp == click_fock(spec, report.beta_opt, det, DIM)
+            assert report.f_hd == homodyne_fock(spec, report.x_th_opt, report.lo_phase_opt, DIM)
 
 
 def test_click_model_never_beats_ideal_counter():
     det = DetectorModel(eta=0.689)
     for c0sq in (0.5, 0.75, 1.0):
         spec = spec_of(c0sq)
-        _, f_real = optimize_displacement(spec, det, DIM)
-        _, f_ideal = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
+        f_real = optimize(spec, det, DIM).f_dp
+        f_ideal = optimize(spec, IDEAL_DETECTOR, DIM).f_dp
         assert f_real <= f_ideal + 1e-12
 
 
@@ -492,58 +513,59 @@ def test_displaced_povm_route_selection():
     lossy = DetectorModel(eta=0.9)
     ideal_pi0 = displaced_povm(spec, 0.2, IDEAL_DETECTOR, DIM).pi0.entries
     lossy_pi0 = displaced_povm(spec, 0.2, lossy, DIM).pi0.entries
-    assert np.array_equal(ideal_pi0, dp_povm(spec, 0.2, DIM).pi0.entries)
-    assert np.array_equal(lossy_pi0, onoff_povm(0.2, lossy, DIM).pi0.entries)
+    D = displacement_operator(0.2, DIM).entries
+    assert np.array_equal(ideal_pi0, _counting_povm(D, DIM, scs_projectors(spec, DIM)).pi0.entries)
+    assert np.array_equal(lossy_pi0, _counting_povm(D, DIM, eta=0.9).pi0.entries)
 
 
 def test_homodyne_optimum_half_weight():
-    x, th, f = optimize_homodyne(spec_of(0.5), DIM)
-    assert f == pytest.approx(0.929332, abs=1e-5)
-    assert abs(x) < 1e-3 and abs(th) < 1e-3
+    report = optimize(spec_of(0.5), IDEAL_DETECTOR, DIM)
+    assert report.f_hd == pytest.approx(0.929332, abs=1e-5)
+    assert abs(report.x_th_opt) < 1e-3 and abs(report.lo_phase_opt) < 1e-3
 
 
 def test_homodyne_small_signal_limit():
     # as alpha -> 0 the targets degenerate to (|0> +- |1>)/sqrt(2) and the
     # best threshold detector reaches 1/2 + 1/sqrt(2*pi), well above the
     # random-guess floor
-    _, _, f = optimize_homodyne(spec_of(0.5, alpha=1e-3), DIM)
+    f = optimize(spec_of(0.5, alpha=1e-3), IDEAL_DETECTOR, DIM).f_hd
     assert f == pytest.approx(0.5 + 1.0 / math.sqrt(2.0 * math.pi), abs=1e-4)
 
 
 def test_homodyne_mirrored_weights():
-    xa, tha, fa = optimize_homodyne(spec_of(0.3), DIM)
-    xb, thb, fb = optimize_homodyne(spec_of(0.7), DIM)
-    assert fa == pytest.approx(fb, abs=1e-9)
-    assert xa == pytest.approx(-xb, abs=1e-5)
-    assert 0.5 <= fa <= 1.0 + 1e-12
+    a = optimize(spec_of(0.3), IDEAL_DETECTOR, DIM)
+    b = optimize(spec_of(0.7), IDEAL_DETECTOR, DIM)
+    assert a.f_hd == pytest.approx(b.f_hd, abs=1e-9)
+    assert a.x_th_opt == pytest.approx(-b.x_th_opt, abs=1e-5)
+    assert 0.5 <= a.f_hd <= 1.0 + 1e-12
 
 
 def test_homodyne_fixed_point_evaluation():
     # threshold far to the left accepts everything for outcome 0
-    f = homodyne_fidelity(spec_of(0.8), -20.0, 0.0, DIM)
+    f = homodyne_fock(spec_of(0.8), -20.0, 0.0, DIM)
     assert f == pytest.approx(0.5, abs=1e-9)
 
 
 def test_phase_reparameterization_invariance():
     b = 0.3 + 0.1j
-    f1 = displaced_click_fidelity(spec_of(0.7, phi=0.4), b, IDEAL_DETECTOR, DIM)
-    f2 = displaced_click_fidelity(spec_of(0.7, phi=0.4 + 2 * math.pi), b, IDEAL_DETECTOR, DIM)
+    f1 = click_fock(spec_of(0.7, phi=0.4), b, IDEAL_DETECTOR, DIM)
+    f2 = click_fock(spec_of(0.7, phi=0.4 + 2 * math.pi), b, IDEAL_DETECTOR, DIM)
     assert abs(f1 - f2) < 1e-10
 
     # with c1 = 0 the relative phase multiplies nothing
-    f3 = displaced_click_fidelity(spec_of(1.0, phi=0.0), b, IDEAL_DETECTOR, DIM)
-    f4 = displaced_click_fidelity(spec_of(1.0, phi=1.1), b, IDEAL_DETECTOR, DIM)
+    f3 = click_fock(spec_of(1.0, phi=0.0), b, IDEAL_DETECTOR, DIM)
+    f4 = click_fock(spec_of(1.0, phi=1.1), b, IDEAL_DETECTOR, DIM)
     assert abs(f3 - f4) < 1e-10
 
     # conjugating the phase and the displacement together changes nothing
-    f5 = displaced_click_fidelity(spec_of(0.7, phi=-0.4), b.conjugate(), IDEAL_DETECTOR, DIM)
+    f5 = click_fock(spec_of(0.7, phi=-0.4), b.conjugate(), IDEAL_DETECTOR, DIM)
     assert abs(f1 - f5) < 1e-10
 
 
 def test_report_validation():
     spec = spec_of(0.75)
-    beta, f_dp = optimize_displacement(spec, IDEAL_DETECTOR, DIM)
-    x, th, f_hd = optimize_homodyne(spec, DIM)
+    opt = optimize(spec, IDEAL_DETECTOR, DIM)
+    beta, f_dp, x, th, f_hd = opt.beta_opt, opt.f_dp, opt.x_th_opt, opt.lo_phase_opt, opt.f_hd
     rep = FidelityReport(f_dp, f_hd, pnrd_fidelity(spec), beta, x, th, spec, IDEAL_DETECTOR)
     rep.verify(DIM)
 
@@ -554,7 +576,7 @@ def test_report_validation():
         FidelityReport(1.2, f_hd, 0.75, beta, x, th, spec, IDEAL_DETECTOR)
     # a displacement beyond the cutoff guard fails the check, whatever it scores
     for det in (IDEAL_DETECTOR, LAB):
-        far = FidelityReport(displaced_click_fidelity(spec, 1.15, det, DIM), f_hd, 0.75, 1.15, x, th, spec, det)
+        far = FidelityReport(click_fock(spec, 1.15, det, DIM), f_hd, 0.75, 1.15, x, th, spec, det)
         with pytest.raises(fock.CutoffTooSmallError, match="unitarity defect"):
             far.verify(DIM)
 
@@ -569,6 +591,10 @@ def test_sweep_grid_validation():
         SweepGrid((0.5,), (), (0.0,))  # empty axis
     with pytest.raises(ValueError):
         SweepGrid((0.5,), (0.0,), (0.0,))  # alpha^2 must be positive
+    SweepGrid((0.5,), (MIN_ALPHA**2,), (0.0,))
+    for tiny in (1e-300, 0.5 * MIN_ALPHA**2):  # below the closed forms' floor
+        with pytest.raises(ValueError, match="MIN_ALPHA"):
+            SweepGrid((0.5,), (tiny,), (0.0,))
 
 
 def test_sweep_batched_matches_per_amplitude():
@@ -593,24 +619,25 @@ def test_sweep_batches_each_alpha_as_its_points_alone(monkeypatch):
         assert len(reports) == len(grid) == 16
         for report, (c0sq, alpha_sq, phi) in zip(reports, grid.points()):
             spec = ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi)
-            (alone,) = _optimized_reports([spec], det, DIM)
+            alone = optimize(spec, det, DIM)
             for name in FidelityReport.__dataclass_fields__:
                 assert getattr(report, name) == getattr(alone, name), name
 
 
 def test_group_reports_are_the_public_per_point_values():
     # every field of a report scored from the group's D and E stacks equals
-    # the public single-point functions, exactly, and each report verifies
+    # ``optimize`` on that spec alone and the Fock kernels on one-point D and
+    # E builds, exactly, and each report verifies
     specs = [spec_of(c0sq, 0.9, phi) for c0sq, phi in ((0.0, 0.0), (0.3, 1.2), (0.5, 0.0), (0.85, 2.5), (1.0, 0.0))]
     for det in (IDEAL_DETECTOR, LAB):
         reports = _optimized_reports(specs, det, DIM)
         for spec, report in zip(specs, reports):
-            beta, f_dp = optimize_displacement(spec, det, DIM)
-            x, th, f_hd = optimize_homodyne(spec, DIM)
+            alone = optimize(spec, det, DIM)
+            for name in FidelityReport.__dataclass_fields__:
+                assert getattr(report, name) == getattr(alone, name), name
             assert report.spec == spec and report.detector == det
-            assert report.beta_opt == beta and report.x_th_opt == x and report.lo_phase_opt == th
-            assert report.f_dp == f_dp == displaced_click_fidelity(spec, beta, det, DIM)
-            assert report.f_hd == f_hd == homodyne_fidelity(spec, x, th, DIM)
+            assert report.f_dp == click_fock(spec, report.beta_opt, det, DIM)
+            assert report.f_hd == homodyne_fock(spec, report.x_th_opt, report.lo_phase_opt, DIM)
             assert report.f_pn == pnrd_fidelity(spec)
             report.verify(DIM)
 
@@ -654,7 +681,7 @@ def test_sweep_aggregates_point_failures(monkeypatch):
         assert all(str(exc) == "injected" for _, _, exc in errors)
         assert len(reports) == len(grid) - len(indices)
     # the point that passed beside a failing one equals the point optimized alone
-    assert reports[1] == _optimized_reports([spec_of(0.5, 1.0)], IDEAL_DETECTOR, DIM)[0]
+    assert reports[1] == optimize(spec_of(0.5, 1.0), IDEAL_DETECTOR, DIM)
 
 
 def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(monkeypatch):

@@ -12,6 +12,7 @@ from catproj.fock import (
     AMPLITUDE_STEP,
     COHERENT_TAIL_TOL,
     DISPLACEMENT_GUARD_TOL,
+    MIN_ALPHA,
     CutoffTooSmallError,
     DimensionMismatchError,
     FockOperator,
@@ -66,6 +67,10 @@ def test_scs_spec_validation():
         ScsMeasurementSpec(alpha=0.5, c0=-0.6, c1=0.8)
     with pytest.raises(ValueError):
         ScsMeasurementSpec(alpha=0.0, c0=1.0, c1=0.0)
+    ScsMeasurementSpec(alpha=MIN_ALPHA, c0=1.0, c1=0.0)
+    for tiny in (1e-300, 0.5 * MIN_ALPHA, math.nan):  # below the closed forms' floor
+        with pytest.raises(ValueError, match="MIN_ALPHA"):
+            ScsMeasurementSpec.from_c0sq(tiny, 0.5)
     # grid dust just above 1 must clamp instead of producing NaN
     spec = ScsMeasurementSpec.from_c0sq(0.5, 1.0 + 2e-16)
     assert spec.c0 == 1.0 and spec.c1 == 0.0

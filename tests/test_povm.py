@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, xlog1py, xlogy
 
+from catproj.fidelity import displaced_povm
 from catproj.fock import (
     CutoffTooSmallError,
     FockOperator,
@@ -20,18 +21,18 @@ from catproj.povm import (
     HomodyneSpec,
     PovmPair,
     _binomial_loss,
+    _counting_povm,
     apply_loss,
     compensate_loss,
-    dp_povm,
     hermite_functions,
     homodyne_povm,
-    onoff_povm,
     quadrature_interval_operator,
     random_povm_pair,
 )
 
 DIM = TruncationDim(20)
 SPEC_HALF = ScsMeasurementSpec.from_c0sq(0.5, 0.5)
+
 
 
 def test_detector_model_validation():
@@ -63,7 +64,7 @@ def test_povm_pair_checked_rejects_invalid():
 
 def test_dp_povm_parity_limit():
     spec = ScsMeasurementSpec(alpha=0.5, c0=1.0, c1=0.0)
-    pair = dp_povm(spec, 0.0, DIM)
+    pair = displaced_povm(spec, 0.0, IDEAL_DETECTOR, DIM)
     even = np.diag(np.arange(21) % 2 == 0).astype(complex)
     assert np.array_equal(pair.pi0.entries, even)
     assert np.array_equal(pair.pi1.entries, np.eye(21) - even)
@@ -72,7 +73,7 @@ def test_dp_povm_parity_limit():
 def test_dp_partition_tie_break():
     # at c0^2 = 1/2, phi = 0, beta = 0 every photon number ties, and ties
     # go to outcome 0, so pi0 is the identity
-    pair = dp_povm(SPEC_HALF, 0.0, DIM)
+    pair = displaced_povm(SPEC_HALF, 0.0, IDEAL_DETECTOR, DIM)
     assert np.array_equal(pair.pi0.entries, np.eye(21))
 
 
@@ -81,7 +82,7 @@ def test_dp_povm_completeness_and_bounds():
     for _ in range(5):
         spec = ScsMeasurementSpec.from_c0sq(0.5, rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
         beta = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        pair = dp_povm(spec, beta, DIM)
+        pair = displaced_povm(spec, beta, IDEAL_DETECTOR, DIM)
         res = pair.validate()
         assert res["completeness"] < 1e-9
         assert res["min_eigenvalue"] > -1e-9
@@ -90,33 +91,34 @@ def test_dp_povm_completeness_and_bounds():
 
 def test_dp_povm_guard_propagates():
     with pytest.raises(CutoffTooSmallError):
-        dp_povm(SPEC_HALF, 1.3, DIM)
+        displaced_povm(SPEC_HALF, 1.3, IDEAL_DETECTOR, DIM)
 
 
 def test_onoff_povm_examples():
-    pair = onoff_povm(0.0, IDEAL_DETECTOR, DIM)
+    # a click detector counts the vacuum alone as outcome 0, whatever the spec
+    pair = _counting_povm(displacement_operator(0.0, DIM).entries, DIM)
     vac = np.zeros((21, 21))
     vac[0, 0] = 1.0
     assert np.max(np.abs(pair.pi0.entries - vac)) < 1e-14
 
-    pair = onoff_povm(0.0, DetectorModel(eta=0.689), DIM)
+    pair = displaced_povm(SPEC_HALF, 0.0, DetectorModel(eta=0.689), DIM)
     assert pair.pi0.entries[1, 1].real == pytest.approx(0.311, abs=1e-12)
 
     nu = 5.32e-5
-    pair = onoff_povm(0.0, DetectorModel(nu=nu), DIM)
+    pair = displaced_povm(SPEC_HALF, 0.0, DetectorModel(nu=nu), DIM)
     assert pair.pi0.entries[0, 0].real == pytest.approx(1 - nu, abs=1e-15)
 
     # a blind counter (eta = 0) weighs every photon number as no-click, so
     # pi0 = (1 - nu) D D^dag, which is (1 - nu) I up to the truncation edge
     beta = 0.37 - 0.2j
-    pair = onoff_povm(beta, DetectorModel(eta=0.0, nu=nu), DIM)
+    pair = displaced_povm(SPEC_HALF, beta, DetectorModel(eta=0.0, nu=nu), DIM)
     d = displacement_operator(beta, DIM).entries
     assert np.max(np.abs(pair.pi0.entries - (1 - nu) * d @ d.conj().T)) < 1e-12
     assert np.max(np.abs(pair.pi0.entries[:10, :10] - (1 - nu) * np.eye(10))) < 1e-6
 
     # ideal displaced on/off is the displaced vacuum projector
     beta = 0.37 - 0.2j
-    pair = onoff_povm(beta, IDEAL_DETECTOR, DIM)
+    pair = _counting_povm(displacement_operator(beta, DIM).entries, DIM)
     d = displacement_operator(beta, DIM).entries[:, 0]
     assert np.max(np.abs(pair.pi0.entries - np.outer(d, d.conj()))) < 1e-12
 
@@ -124,8 +126,8 @@ def test_onoff_povm_examples():
 def test_onoff_povm_visibility_shrinks_displacement():
     beta = 0.8
     v = DetectorModel(visibility=0.5)
-    pair = onoff_povm(beta, v, DIM)
-    ref = onoff_povm(0.4, IDEAL_DETECTOR, DIM)
+    pair = displaced_povm(SPEC_HALF, beta, v, DIM)
+    ref = _counting_povm(displacement_operator(0.4, DIM).entries, DIM)
     assert np.max(np.abs(pair.pi0.entries - ref.pi0.entries)) < 1e-12
 
 
@@ -294,7 +296,7 @@ def test_compensate_loss_commutes_with_displacement():
     # compensating an ideal displaced on/off element recovers the vacuum
     # projector displaced by sqrt(eta) * b
     eta, beta = 0.689, 0.6
-    lossy = onoff_povm(beta, DetectorModel(eta=eta), DIM)
+    lossy = displaced_povm(SPEC_HALF, beta, DetectorModel(eta=eta), DIM)
     comp = compensate_loss(lossy, eta)
     d = displacement_operator(math.sqrt(eta) * beta, DIM).entries[:, 0]
     ref = np.outer(d, d.conj())

@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from catproj import tomography
+from catproj.fidelity import displaced_povm
 from catproj.fock import (
+    MIN_ALPHA,
     FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
@@ -16,8 +18,9 @@ from catproj.fock import (
     expect,
     scs_projectors,
 )
-from catproj.povm import PovmPair, _partition, apply_loss, dp_povm, random_povm_pair
+from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, apply_loss, random_povm_pair
 from catproj.tomography import (
+    MAX_GAMMA,
     MLE_PROB_FLOOR,
     ClickTable,
     PhiVector,
@@ -127,6 +130,13 @@ def test_probe_set_validation():
         ProbeSet(0.5, (0.2, -0.3))
     with pytest.raises(ValueError):
         ProbeSet(0.5, (0.2, 0.2))
+    ProbeSet(MIN_ALPHA, (0.2, MAX_GAMMA))
+    for alpha, gammas in ((1e-300, (0.2,)), (0.5 * MIN_ALPHA, (0.2,))):
+        with pytest.raises(ValueError, match="MIN_ALPHA"):
+            ProbeSet(alpha, gammas)
+    for far in (np.nextafter(MAX_GAMMA, 6.0), 6.0, 30.0, 1e200):
+        with pytest.raises(ValueError, match="MAX_GAMMA"):
+            ProbeSet(0.5, (0.2, far))
     for alpha, gammas in ((math.inf, (0.2,)), (math.nan, (0.2,)), (0.5, (0.2, math.inf))):
         with pytest.raises(ValueError, match="finite"):
             ProbeSet(alpha, gammas)
@@ -316,7 +326,7 @@ def test_f_statistic_symmetric_counts():
 
 
 def test_f_statistic_matches_series_from_matrix_elements():
-    pair = dp_povm(OPERATING_SPEC, 0.894j, DIM)
+    pair = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     table = exact_table(pair, probes)
     f = f_statistic(table, probes)
@@ -350,7 +360,7 @@ def test_imaginary_probe_expectation_parity_oracle():
 
 
 def test_synthesized_expectations_match_direct_oracles():
-    pair = dp_povm(OPERATING_SPEC, 0.894j, DIM)
+    pair = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
     run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
 
@@ -802,7 +812,7 @@ def test_povm_pair_fidelity_basics():
 
 
 def test_pipeline_noiseless_roundtrip():
-    pair = dp_povm(OPERATING_SPEC, 0.894j, DIM)
+    pair = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
     run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
     assert povm_pair_fidelity(project_pair(pair), run.povm) >= 0.999
