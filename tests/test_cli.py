@@ -21,7 +21,7 @@ from catproj.fidelity import optimize
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import IDEAL_DETECTOR
 from catproj.serialize import config_digest, read_click_table, write_click_table
-from catproj.tomography import ClickTable, ProbeSet
+from catproj.tomography import MAX_GAMMA, ClickTable, ProbeSet
 
 SIM_CONFIG = {
     "alpha": 0.499,
@@ -179,9 +179,14 @@ def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, caps
     assert "100000.0" in record["message"] and "n_max=20" in record["message"]
 
 
-# a gamma of 1e200 is out of range, one config record in _OUT_OF_RANGE
-@pytest.mark.parametrize("entry, stage", [({"alpha": 1e200}, "config")])
-def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, entry, stage):
+# a gamma of 1e200 is out of range, one config record in _OUT_OF_RANGE; the
+# largest gamma in range still overflows the fig3 cutoff at stage simulate
+@pytest.mark.parametrize(
+    "entry, stage, amplitude",
+    [({"alpha": 1e200}, "config", "1e+200"), ({"gammas": [0.2, MAX_GAMMA]}, "simulate", str(1j * MAX_GAMMA))],
+    ids=["entry0-config", "entry1-simulate"],
+)
+def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, entry, stage, amplitude):
     path = write_config(tmp_path, entry)
     out = tmp_path / "never.csv"
     assert main(["simulate", "--preset", "fig3", "--config", path, "--out", str(out)]) == 1
@@ -189,7 +194,7 @@ def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, e
     assert len(lines) == 1, lines
     record = json.loads(lines[0])
     assert record["error"] == "CutoffTooSmallError" and record["stage"] == stage
-    assert "1e+200" in record["message"]
+    assert amplitude in record["message"] and "n_max=" in record["message"]
     assert not out.exists()
 
 
