@@ -42,7 +42,7 @@ from .fidelity import (
     optimize,
     sweep,
 )
-from .fock import ScsMeasurementSpec, TruncationDim, displacement_defect
+from .fock import ScsMeasurementSpec, TruncationDim, cat_basis, displacement_defect
 from .povm import DetectorModel, random_povm_pair
 from .serialize import (
     atomic_write_text,
@@ -323,6 +323,7 @@ def cmd_optimize(cfg: Config) -> int:
         spec = _spec(cfg)
         detector = _detector(cfg)
         dim = TruncationDim(cfg["nmax"])
+        cat_basis(spec.alpha, dim)  # the cutoff must hold alpha; cached for the search
     with _stage("optimize"):
         report = optimize(spec, detector, dim)
     values = {
@@ -400,9 +401,12 @@ def _tomography_sweep(cfg: Config) -> int:
     with _stage("config"):
         dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
+        # alpha in range, then within the cutoff, before the default schedule searches it
+        alpha = _probes(cfg).alpha
+        cat_basis(alpha, dim)
         schedule = cfg["schedule"]
         if cfg["quantize"] and "schedule" not in cfg:
-            schedule = default_displacement_schedule(float(cfg["alpha"]))
+            schedule = default_displacement_schedule(alpha)
         campaign = _campaign(cfg, schedule)
         phis = [float(p) for p in cfg["phi_values"]]
         c0sq_values = list(cfg["c0sq_values"])
@@ -412,6 +416,7 @@ def _tomography_sweep(cfg: Config) -> int:
         for c0sq in c0sq_values:
             ScsMeasurementSpec.from_c0sq(campaign.probes.alpha, c0sq)
         campaign.point_seeds(len(c0sq_values))
+        campaign.compensated_probes()
     points = []
     with _stage("reconstruct"):
         for phi in phis:

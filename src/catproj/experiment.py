@@ -75,6 +75,13 @@ class Campaign:
             )
         return range(self.rng_seed, self.rng_seed + count)
 
+    def compensated_probes(self) -> ProbeSet:
+        """The probe set with every amplitude scaled by sqrt(eta): the
+        amplitudes that reach the counter, which undo the loss channel exactly
+        for coherent inputs."""
+        root_eta = math.sqrt(self.detector.eta)
+        return ProbeSet(root_eta * self.probes.alpha, tuple(root_eta * g for g in self.probes.gammas))
+
 
 def expected_rates(truth: PovmPair, probes: ProbeSet, dim) -> np.ndarray:
     """Exact outcome-0 probability for every probe state, in probe order."""
@@ -171,7 +178,7 @@ def reconstruction_sweep(
     shift, simulate clicks, reconstruct, and score against the target.
     ``f_raw`` interprets probes at their physical amplitudes;
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
-    sqrt(eta), which undoes the loss channel exactly for coherent inputs.
+    sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
     ``f_ideal`` is the lossless click fidelity at the same (quantized)
     displacement, ``_click_score`` with the ideal detector.
     Every point's D(shift) comes from one stack built for the whole sweep,
@@ -182,7 +189,7 @@ def reconstruction_sweep(
     """
     dim = as_dim(dim)
     alpha = campaign.probes.alpha
-    root_eta = math.sqrt(campaign.detector.eta)
+    comp_probes = campaign.compensated_probes()
     menu = [abs(b) for b in campaign.displacement_schedule]
     seeds = campaign.point_seeds(len(c0sq_values))
     specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
@@ -199,7 +206,6 @@ def reconstruction_sweep(
         clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
 
         raw = tomography_pipeline(clicks, campaign.probes, dim)
-        comp_probes = ProbeSet(root_eta * alpha, tuple(root_eta * g for g in campaign.probes.gammas))
         comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), comp_probes.amplitudes())
         comp = tomography_pipeline(comp_clicks, comp_probes, dim)
 

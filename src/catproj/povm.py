@@ -14,9 +14,6 @@ Every displaced-counting element, ideal or lossy, partition or on/off,
 shares one weight formula: pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag,
 where m marks the photon numbers counted as outcome 0 and B_eta is the
 binomial loss map (``_counting_povm``).
-
-Plus the pure-loss channel acting on POVM elements (adjoint/Heisenberg
-picture) and its inverse with a physicality repair.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ __all__ = [
     "homodyne_povm",
     "hermite_functions",
     "quadrature_interval_operator",
-    "apply_loss",
-    "compensate_loss",
     "random_povm_pair",
 ]
 
@@ -99,12 +94,11 @@ class HomodyneSpec:
 
 @dataclass(frozen=True, eq=False)
 class PovmPair:
-    """Two-outcome POVM (pi0, pi1) with optional constructor diagnostics."""
+    """Two-outcome POVM (pi0, pi1)."""
 
     dim: TruncationDim
     pi0: FockOperator
     pi1: FockOperator
-    diagnostics: dict | None = None
 
     def validate(self) -> dict:
         """Residuals of the pair invariants (completeness, hermiticity,
@@ -126,13 +120,13 @@ class PovmPair:
         return res
 
     @classmethod
-    def checked(cls, dim, pi0, pi1, diagnostics: dict | None = None) -> "PovmPair":
+    def checked(cls, dim, pi0, pi1) -> "PovmPair":
         dim = as_dim(dim)
         if not isinstance(pi0, FockOperator):
             pi0 = FockOperator(dim, pi0)
         if not isinstance(pi1, FockOperator):
             pi1 = FockOperator(dim, pi1)
-        pair = cls(dim, pi0, pi1, diagnostics)
+        pair = cls(dim, pi0, pi1)
         res = pair.validate()
         if res["completeness"] > COMPLETENESS_TOL:
             raise ValueError(f"POVM pair not complete: residual {res['completeness']:.3e}")
@@ -263,85 +257,6 @@ def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:
         E = E * np.outer(ph, ph.conj())
     pi1 = np.eye(dim.size) - E
     return PovmPair.checked(dim, E, pi1)
-
-
-# ---------------------------------------------------------------------------
-# pure-loss channel on POVM elements
-
-
-def _loss_diagonal_maps(eta: float, n_max: int) -> list[np.ndarray]:
-    """The loss adjoint sum_k A_k^dag pi A_k, with the binomial
-    photon-subtraction Kraus operators A_k|n> = sqrt(B[n, n-k]) |n-k>, acts
-    on each pair of matrix diagonals m - n = +-d on its own.  Returns, for
-    each d, the lower-triangular M_d with (Lambda^dag pi)[j+d, j] =
-    sum_i M_d[j, i] pi[i+d, i], and likewise above the diagonal:
-    M_d[j, i] = sqrt(B[j+d, i+d] B[j, i]), built from L in log space."""
-    L = _loss_log_map(float(eta), n_max)
-    N = n_max + 1
-    return [np.exp(0.5 * (L[d:, d:] + L[: N - d, : N - d])) for d in range(N)]
-
-
-def _loss_adjoint(pi: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
-    """Lambda^dag pi: one matrix-vector product per pair of diagonals."""
-    out = np.zeros(pi.shape, dtype=complex)
-    for d, M in enumerate(maps):
-        idx = np.arange(pi.shape[0] - d)
-        below, above = np.diagonal(pi, -d), np.diagonal(pi, d)
-        out[idx + d, idx], out[idx, idx + d] = (M @ np.stack([below, above], axis=1)).T
-    return out
-
-
-def apply_loss(p: PovmPair, eta: float) -> PovmPair:
-    """Map both POVM elements through the loss-channel adjoint.  The map is
-    unital, so completeness is preserved exactly.  Public for loss studies
-    on an assembled pair; the apparatus model folds loss into its weights."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    maps = _loss_diagonal_maps(eta, p.dim.n_max)
-    pi0 = _loss_adjoint(p.pi0.entries, maps)
-    pi1 = _loss_adjoint(p.pi1.entries, maps)
-    return PovmPair.checked(p.dim, pi0, pi1, p.diagnostics)
-
-
-def compensate_loss(p: PovmPair, eta: float) -> PovmPair:
-    """Inverse of apply_loss, followed by a physicality repair.
-
-    The inverse is computed diagonal-by-diagonal (each matrix diagonal
-    transforms under a lower-triangular map M_d, inverted with one solve).
-    The inverted pi0 is then clipped to eigenvalues in [0, 1] and pi1 is
-    recomputed as I - pi0 so the pair invariants hold; the pre-repair
-    spectral defects are recorded in diagnostics.  Public as the Fock-space
-    check of the probe rescaling that compensates loss in the sweep.
-    """
-    if not 0.1 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0.1, 1], got {eta}")
-    if eta == 1.0:
-        return PovmPair.checked(p.dim, p.pi0, p.pi1, p.diagnostics)
-    N = p.dim.size
-    pi0 = p.pi0.entries
-    out = np.zeros_like(pi0, dtype=complex)
-    max_cond = 0.0
-    for d, M in enumerate(_loss_diagonal_maps(eta, p.dim.n_max)):
-        max_cond = max(max_cond, float(np.linalg.cond(M)))
-        x = np.linalg.solve(M, np.diagonal(pi0, offset=-d))
-        idx = np.arange(N - d)
-        out[idx + d, idx] = x
-        if d > 0:
-            out[idx, idx + d] = np.conj(x)
-    if max_cond > 1e12:
-        raise ValueError(f"loss inversion ill-conditioned: condition number {max_cond:.3e}")
-    out = 0.5 * (out + out.conj().T)
-    w, U = np.linalg.eigh(out)
-    diag = {
-        "pre_repair_min_eigenvalue": float(w[0]),
-        "pre_repair_max_eigenvalue_excess": float(w[-1] - 1.0),
-        "max_diagonal_condition": max_cond,
-    }
-    wc = np.clip(w, 0.0, 1.0)
-    pi0c = (U * wc) @ U.conj().T
-    pi0c = 0.5 * (pi0c + pi0c.conj().T)
-    pi1c = np.eye(N) - pi0c
-    return PovmPair.checked(p.dim, pi0c, pi1c, diag)
 
 
 def random_povm_pair(dim, rng: np.random.Generator) -> PovmPair:

@@ -150,7 +150,7 @@ def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
     optimize_path = write_config(tmp_path, {"alpha": 2.6, "c0sq": 0.5, "nmax": 10}, "opt.json")
     for argv, stage in (
         (["fidelity-sweep", "--config", sweep_path, "--out", str(tmp_path / "x.csv")], "sweep"),
-        (["optimize", "--config", optimize_path], "optimize"),
+        (["optimize", "--config", optimize_path], "config"),
     ):
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -163,7 +163,7 @@ def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
 
 
 def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, capsys, monkeypatch):
-    # the group's cat basis is built first: the searches used to run on
+    # the cat basis is built at stage config: the searches used to run on
     # alpha = 1e5 and print the homodyne form's warning ahead of the record
     def never(*args, **kwargs):
         raise AssertionError("a search ran on an amplitude the cutoff cannot hold")
@@ -175,7 +175,7 @@ def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, caps
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     record = json.loads(lines[0])
-    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "optimize", record
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "config", record
     assert "100000.0" in record["message"] and "n_max=20" in record["message"]
 
 
@@ -556,6 +556,9 @@ _OUT_OF_RANGE = [
     *((argv, {"shots": v}, "shots") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (0, 2**63, 10**20)),
     *((argv, {"alpha": 1e-300}, "MIN_ALPHA") for argv in (["optimize"], _SIMULATE, _SINGLE, _SWEEP)),
     *((_FIG1B, {"alpha_sq_values": [v]}, "MIN_ALPHA") for v in (1e-300, 1e-9)),
+    # the loss-compensated probes sqrt(eta) * alpha fall below MIN_ALPHA
+    *((_SWEEP, entry, "MIN_ALPHA") for entry in ({"eta": 0}, {"eta": 1e-9}, {"alpha": 1e-4})),
+    *((argv, {"alpha": v}, "n_max=") for argv in (["optimize"], _SWEEP) for v in (1e3, 1e300)),
     *((argv, {"gammas": [0.2, v]}, "MAX_GAMMA") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (6.0, 1e200)),
     *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
     *(

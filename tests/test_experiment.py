@@ -27,10 +27,11 @@ from catproj.povm import (
     DetectorModel,
     PovmPair,
     _partition,
-    apply_loss,
     random_povm_pair,
 )
 from catproj.tomography import ProbeSet
+
+from oracles import apply_loss
 
 DIM = TruncationDim(24)
 ALPHA = 0.499

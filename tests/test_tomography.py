@@ -18,7 +18,7 @@ from catproj.fock import (
     expect,
     scs_projectors,
 )
-from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, apply_loss, random_povm_pair
+from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, random_povm_pair
 from catproj.tomography import (
     MAX_GAMMA,
     MLE_PROB_FLOOR,
@@ -41,6 +41,8 @@ from catproj.tomography import (
     solve_phi,
     tomography_pipeline,
 )
+
+from oracles import apply_loss
 
 DIM = TruncationDim(24)
 ALPHA = 0.499
