@@ -42,7 +42,15 @@ from .fidelity import (
     optimize,
     sweep,
 )
-from .fock import ScsMeasurementSpec, TruncationDim, cat_basis, displacement_defect
+from .fock import (
+    ScsMeasurementSpec,
+    TruncationDim,
+    _guarded_displacements,
+    cat_basis,
+    coherent_state,
+    displacement_defect,
+    max_guarded_amplitude,
+)
 from .povm import DetectorModel, random_povm_pair
 from .serialize import (
     atomic_write_text,
@@ -303,6 +311,10 @@ def cmd_fidelity_sweep(cfg: Config) -> int:
         grid = SweepGrid(tuple(cfg["c0sq_values"]), tuple(cfg["alpha_sq_values"]), tuple(cfg["phi_values"]))
         detector = _detector(cfg)
         dim = TruncationDim(cfg["nmax"])
+        # one failed point fails the command, so the cutoff must hold every
+        # alpha; coherent_state, not cat_basis, whose one-entry cache the sweep uses
+        for alpha_sq in grid.alpha_sq_values:
+            coherent_state(math.sqrt(alpha_sq), dim)
         out = _out_path(cfg)
     with _stage("sweep"), warnings.catch_warnings():
         # each failed point is also a library warning; the record below reports them
@@ -408,6 +420,13 @@ def _tomography_sweep(cfg: Config) -> int:
         if cfg["quantize"] and "schedule" not in cfg:
             schedule = default_displacement_schedule(alpha)
         campaign = _campaign(cfg, schedule)
+        if cfg["quantize"]:
+            # the guard the sweep applies to D at every menu level it may snap
+            # to; a level within max_guarded_amplitude, whose guard scan the
+            # searches already rely on, needs no matrix of its own
+            beyond = [abs(b) for b in campaign.displacement_schedule if abs(b) > max_guarded_amplitude(dim)]
+            if beyond:
+                _guarded_displacements(beyond, dim)
         phis = [float(p) for p in cfg["phi_values"]]
         c0sq_values = list(cfg["c0sq_values"])
         for name, values in (("c0sq_values", c0sq_values), ("phi_values", phis)):

@@ -19,9 +19,7 @@ from .fidelity import _click_score, _search_displacements, quantize_to_schedule
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
-    _check_guard,
-    _displacement_matrix,
-    _unitarity_defect,
+    _guarded_displacements,
     as_dim,
     coherent_state,
     displacement_operator,
@@ -181,9 +179,9 @@ def reconstruction_sweep(
     sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
     ``f_ideal`` is the lossless click fidelity at the same (quantized)
     displacement, ``_click_score`` with the ideal detector.
-    Every point's D(shift) comes from one stack built for the whole sweep,
-    and each point's D serves both its ``apparatus_povm`` (behind the
-    displacement guard) and its ``f_ideal``, whose photon-number partition
+    Every point's D(shift) comes from one stack built for the whole sweep
+    behind the displacement guard, and each point's D serves both its
+    ``apparatus_povm`` and its ``f_ideal``, whose photon-number partition
     is the apparatus partition.  Point ``i`` uses seed ``rng_seed + i``;
     seeds past 2^64 - 1 are rejected before any point is computed.
     """
@@ -196,11 +194,9 @@ def reconstruction_sweep(
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
     if quantize:
         betas = [quantize_to_schedule(beta, menu) for beta in betas]
-    Ds = _displacement_matrix(np.array(betas, dtype=complex), dim)
-    defects = _unitarity_defect(Ds, dim.n_max)
+    Ds = _guarded_displacements(betas, dim)
     out: list[ReconstructionPoint] = []
-    for seed, c0sq, spec, beta, D, defect in zip(seeds, c0sq_values, specs, betas, Ds, defects):
-        _check_guard(beta, defect, dim)
+    for seed, c0sq, spec, beta, D in zip(seeds, c0sq_values, specs, betas, Ds):
         targets = scs_projectors(spec, dim)
         truth = _counting_povm(D, dim, targets, campaign.detector.eta, campaign.detector.nu)
         clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))

@@ -369,6 +369,15 @@ def _check_guard(beta, defect, dim: TruncationDim) -> None:
         )
 
 
+def _guarded_displacements(betas, dim: TruncationDim) -> np.ndarray:
+    """The stack of D(beta) over a list of amplitudes, each behind the
+    displacement guard: the first beta whose defect fails it raises."""
+    Ds = _displacement_matrix(np.array(betas, dtype=complex), dim)
+    for beta, defect in zip(betas, _unitarity_defect(Ds, dim.n_max)):
+        _check_guard(beta, defect, dim)
+    return Ds
+
+
 def displacement_operator(beta: complex, dim) -> FockOperator:
     """Displacement D(beta) on the truncated basis.
 

@@ -718,8 +718,48 @@ def _require_probe_rows(clicks: ClickTable, probes: ProbeSet) -> None:
             raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
 
 
+def _assemble(
+    alpha: float, dim: TruncationDim, q: tuple[float, float], phi: PhiVector, psi: PhiVector
+) -> tuple[dict, ScsPovm]:
+    """The steps of a reconstruction that read the cat amplitude: the
+    synthesized probe expectations at ``alpha``, the probe states and the
+    MLE, from the measured rates ``q`` at +-alpha and the outcome-0 series
+    ``phi`` (odd) and ``psi`` (even), none of which depends on alpha."""
+    im_plus, im_plus_raw = imaginary_probe_expectation(phi, alpha, q, sign=+1)
+    im_minus, im_minus_raw = imaginary_probe_expectation(phi, alpha, q, sign=-1)
+    cat_plus, cat_plus_raw = even_cat_probe_expectation(psi, alpha, q)
+
+    coeffs = probe_coefficients(alpha, dim)
+    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
+    q_plus, q_minus = q
+    frequencies = np.array(
+        [
+            [q_plus, 1.0 - q_plus],
+            [q_minus, 1.0 - q_minus],
+            [im_plus, 1.0 - im_plus],
+            [cat_plus, 1.0 - cat_plus],
+        ]
+    )
+    expectations = {
+        "q_plus": q_plus,
+        "q_minus": q_minus,
+        "im_plus": im_plus,
+        "im_plus_raw": im_plus_raw,
+        "im_minus": im_minus,
+        "im_minus_raw": im_minus_raw,
+        "cat_plus": cat_plus,
+        "cat_plus_raw": cat_plus_raw,
+    }
+    return expectations, mle_reconstruct(rho, frequencies)
+
+
 def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> TomographyRun:
-    """Chain statistics -> series solves -> synthesized probes -> MLE."""
+    """Chain statistics -> series solves -> synthesized probes -> MLE.
+
+    The first two steps are the fit, which reads only the click rows (found
+    by amplitude) and the gammas: the rates q+- at the +-alpha rows, both
+    series statistics and the four box fits.  Only the assembly after them
+    (``_assemble``) reads alpha, so ``error_bars`` re-runs that alone."""
     dim = as_dim(dim)
     _require_probe_rows(clicks, probes)
 
@@ -731,27 +771,7 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
     phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
     psi = tuple(solve_phi(f, probes, 0) for f in f_even)
 
-    im_plus, im_plus_raw = imaginary_probe_expectation(
-        phi[0], probes.alpha, (q_plus, q_minus), sign=+1
-    )
-    im_minus, im_minus_raw = imaginary_probe_expectation(
-        phi[0], probes.alpha, (q_plus, q_minus), sign=-1
-    )
-    cat_plus, cat_plus_raw = even_cat_probe_expectation(
-        psi[0], probes.alpha, (q_plus, q_minus)
-    )
-
-    coeffs = probe_coefficients(probes.alpha, dim)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
-    frequencies = np.array(
-        [
-            [q_plus, 1.0 - q_plus],
-            [q_minus, 1.0 - q_minus],
-            [im_plus, 1.0 - im_plus],
-            [cat_plus, 1.0 - cat_plus],
-        ]
-    )
-    povm = mle_reconstruct(rho, frequencies)
+    expectations, povm = _assemble(probes.alpha, dim, (q_plus, q_minus), phi[0], psi[0])
     return TomographyRun(
         probes=probes,
         clicks=clicks,
@@ -760,27 +780,18 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
         f_even=f_even,
         phi=phi,
         psi=psi,
-        expectations={
-            "q_plus": q_plus,
-            "q_minus": q_minus,
-            "im_plus": im_plus,
-            "im_plus_raw": im_plus_raw,
-            "im_minus": im_minus,
-            "im_minus_raw": im_minus_raw,
-            "cat_plus": cat_plus,
-            "cat_plus_raw": cat_plus_raw,
-        },
+        expectations=expectations,
         povm=povm,
     )
 
 
 _REPORTED_SCALARS = (
-    ("pi0_00_re", lambda run: run.povm.pi0[0, 0].real),
-    ("pi0_01_re", lambda run: run.povm.pi0[0, 1].real),
-    ("pi0_01_im", lambda run: run.povm.pi0[0, 1].imag),
-    ("pi0_11_re", lambda run: run.povm.pi0[1, 1].real),
-    ("im_plus", lambda run: run.expectations["im_plus"]),
-    ("cat_plus", lambda run: run.expectations["cat_plus"]),
+    ("pi0_00_re", lambda exp, povm: povm.pi0[0, 0].real),
+    ("pi0_01_re", lambda exp, povm: povm.pi0[0, 1].real),
+    ("pi0_01_im", lambda exp, povm: povm.pi0[0, 1].imag),
+    ("pi0_11_re", lambda exp, povm: povm.pi0[1, 1].real),
+    ("im_plus", lambda exp, povm: exp["im_plus"]),
+    ("cat_plus", lambda exp, povm: exp["cat_plus"]),
 )
 
 
@@ -793,19 +804,22 @@ def _check_error_bar_width(alpha: float, alpha_sigma: float) -> None:
 def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     """Systematic-error envelopes from re-running at alpha +- sigma.
 
-    The click data are fixed; only the assumed probe amplitude moves.  Each
-    reported scalar gets a ``(lo, hi)`` interval over the three re-runs,
-    which by construction contains the central value.
+    The click data are fixed; only the assumed probe amplitude moves.  The
+    fit of ``run`` (q+-, the series statistics and their box fits) reads
+    no alpha, so each shifted run re-does only the alpha-dependent assembly
+    on it: the synthesized expectations, the probe states and the MLE.
+    Each reported scalar gets a ``(lo, hi)`` interval over the central and
+    the two shifted runs, which by construction contains the central value.
     """
     _check_error_bar_width(run.probes.alpha, alpha_sigma)
-    runs = [run]
+    q = (run.expectations["q_plus"], run.expectations["q_minus"])
+    runs = [(run.expectations, run.povm)]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)
-        clicks = run.clicks.relabeled(run.probes.amplitudes(), probes.amplitudes())
-        runs.append(tomography_pipeline(clicks, probes, run.dim))
+        runs.append(_assemble(probes.alpha, run.dim, q, run.phi[0], run.psi[0]))
     out = {}
     for name, extract in _REPORTED_SCALARS:
-        vals = [extract(r) for r in runs]
+        vals = [extract(*r) for r in runs]
         out[name] = (min(vals), max(vals))
     return out
 

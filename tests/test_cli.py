@@ -11,11 +11,11 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catproj
-from catproj import cli, fidelity, fock
+from catproj import cli, fidelity, fock, tomography
 from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize
 from catproj.fock import ScsMeasurementSpec, TruncationDim
@@ -144,12 +144,13 @@ def test_optimize_prints_report(tmp_path, capsys):
 
 def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
     # alpha^2 = 6.76 does not fit a 10-level truncation; the failure must be
-    # the one JSON record on stderr, with no library warning ahead of it
+    # the one JSON record on stderr, with no library warning ahead of it.
+    # Both commands check alpha against the cutoff at stage config
     sweep_cfg = {"c0sq_values": [0.75], "alpha_sq_values": [0.25, 6.76], "phi_values": [0.0], "nmax": 10}
     sweep_path = write_config(tmp_path, sweep_cfg)
     optimize_path = write_config(tmp_path, {"alpha": 2.6, "c0sq": 0.5, "nmax": 10}, "opt.json")
     for argv, stage in (
-        (["fidelity-sweep", "--config", sweep_path, "--out", str(tmp_path / "x.csv")], "sweep"),
+        (["fidelity-sweep", "--config", sweep_path, "--out", str(tmp_path / "x.csv")], "config"),
         (["optimize", "--config", optimize_path], "config"),
     ):
         assert main(argv) == 1
@@ -382,6 +383,26 @@ def test_error_bars_follow_ingested_rows_by_amplitude(tmp_path, order):
     assert reordered["error_bars"] == canonical["error_bars"]
 
 
+def test_tomography_with_error_bars_fits_the_clicks_once(tmp_path, monkeypatch):
+    # the statistics and the box fits read no alpha, so the envelopes at
+    # alpha -+ sigma reuse the central run's: one statistic per series and
+    # one fit per series and outcome, as a run without error bars makes
+    counts = {"f_statistic": 0, "solve_phi": 0}
+    for name in counts:
+        original = getattr(tomography, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tomography, name, counted)
+    out = tmp_path / "fig3.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["tomography", "--preset", "fig3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["error_bars"] is not None
+    assert counts == {"f_statistic": 2, "solve_phi": 4}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     token=st.sampled_from(["", "nan", "inf", "1e309", "-1", "abc", "0x10"]),
@@ -449,14 +470,14 @@ def test_tomography_sweep_mode(tmp_path, capsys):
 
 
 def test_tomography_sweep_guards_a_schedule_level_beyond_the_cutoff(tmp_path, capsys):
-    # the apparatus model builds the guarded displacement operator before
-    # any fidelity is scored, so an amplitude the cutoff cannot hold stops
-    # the sweep at stage reconstruct
+    # every menu level passes the guard the sweep applies to its D at stage
+    # config, so an amplitude the cutoff cannot hold stops the sweep before
+    # any point is searched or simulated
     path = write_config(tmp_path, {"schedule": [2.5], "c0sq_values": [0.5, 0.6]})
     out = tmp_path / "never.csv"
     assert main(["tomography", "--preset", "fig4", "--config", path, "--out", str(out)]) == 1
     record = last_error(capsys)
-    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "reconstruct"
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "config"
     assert "unitarity defect" in record["message"] and "n_max=24" in record["message"]
     assert not out.exists()
 
@@ -559,6 +580,9 @@ _OUT_OF_RANGE = [
     # the loss-compensated probes sqrt(eta) * alpha fall below MIN_ALPHA
     *((_SWEEP, entry, "MIN_ALPHA") for entry in ({"eta": 0}, {"eta": 1e-9}, {"alpha": 1e-4})),
     *((argv, {"alpha": v}, "n_max=") for argv in (["optimize"], _SWEEP) for v in (1e3, 1e300)),
+    *((_FIG1B, {"alpha_sq_values": [v]}, "n_max=20") for v in (40.0, 1e300)),
+    # a menu level beyond the guard; at n_max 12 the default menu's top level 0.771
+    *((_SWEEP, entry, "unitarity defect") for entry in ({"schedule": [1e300]}, {"schedule": [3.0]}, {"nmax": 12})),
     *((argv, {"gammas": [0.2, v]}, "MAX_GAMMA") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (6.0, 1e200)),
     *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
     *(
@@ -685,3 +709,66 @@ def test_every_bad_config_is_one_config_record(command, entry, base):
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["stage"] == "config"
+
+
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 1e-4, 1e3, 1e300]
+_EXTREME_INTS = [-1, 0, 1, 2**63, 2**64]
+# each command line with a one-point grid, which a drawn entry may replace,
+# so that a run the entry does not stop stays cheap
+_RUNS = [
+    (_FIG1B, {"c0sq_values": [0.5]}),
+    (["optimize"], {}),
+    (_SIMULATE, {}),
+    (_SINGLE, {}),
+    (_SWEEP, {"c0sq_values": [0.5]}),
+    (["selftest"], {}),
+]
+
+
+@st.composite
+def _extreme_runs(draw):
+    """A command line and its config, with one key the command reads set to
+    a well-typed extreme value."""
+    argv, base = draw(st.sampled_from(_RUNS))
+    key = draw(
+        st.sampled_from(
+            sorted(k for k, (want, _, readers) in _SCHEMA.items() if argv[0] in readers and want is not str)
+        )
+    )
+    want = _SCHEMA[key][0]
+    if want is list:
+        # sorted, as every grid axis must be
+        value = draw(st.lists(st.sampled_from(_EXTREME_FLOATS), max_size=7).map(sorted))
+    elif want is int:
+        value = draw(st.sampled_from(_EXTREME_INTS))
+    elif want is bool:
+        value = draw(st.booleans())
+    else:
+        value = draw(st.sampled_from(_EXTREME_FLOATS))
+    return argv, {**base, key: value}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run=_extreme_runs())
+@example(run=(_SWEEP, {"c0sq_values": [0.5], "schedule": [1e300]}))
+@example(run=(_FIG1B, {"c0sq_values": [0.5], "alpha_sq_values": [1e300]}))
+def test_an_extreme_value_passes_or_is_one_config_record(run):
+    # whatever the config alone decides fails at stage config; the selftest
+    # battery checks its own cutoff, so it may fail at its own stage.  The
+    # two examples used to fail at stages reconstruct and sweep
+    argv, cfg = run
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        left = sorted(Path(tmp).iterdir())
+    lines = stderr.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+        return
+    assert rc == 1 and len(lines) == 1, lines
+    assert left == [path]
+    stage = json.loads(lines[0])["stage"]
+    assert stage == "config" or argv == ["selftest"] and stage == "selftest", lines

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from catproj import tomography
+from catproj.experiment import Campaign, simulate_counts
 from catproj.fidelity import displaced_povm
 from catproj.fock import (
     MIN_ALPHA,
@@ -19,6 +20,7 @@ from catproj.fock import (
     scs_projectors,
 )
 from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, random_povm_pair
+from catproj.serialize import read_click_table, write_click_table
 from catproj.tomography import (
     MAX_GAMMA,
     MLE_PROB_FLOOR,
@@ -905,6 +907,52 @@ def test_error_bars():
         error_bars(run, -0.1)
     with pytest.raises(ValueError):
         error_bars(run, 0.6)
+
+
+def relabeled_error_bars(run, alpha_sigma: float) -> dict:
+    """The envelopes over three full pipelines: the central run, and the
+    clicks re-read at alpha -+ sigma and reconstructed from scratch."""
+    runs = [run]
+    for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
+        probes = ProbeSet(shifted, run.probes.gammas)
+        clicks = run.clicks.relabeled(run.probes.amplitudes(), probes.amplitudes())
+        runs.append(tomography_pipeline(clicks, probes, run.dim))
+    scalars = {
+        "pi0_00_re": lambda r: r.povm.pi0[0, 0].real,
+        "pi0_01_re": lambda r: r.povm.pi0[0, 1].real,
+        "pi0_01_im": lambda r: r.povm.pi0[0, 1].imag,
+        "pi0_11_re": lambda r: r.povm.pi0[1, 1].real,
+        "im_plus": lambda r: r.expectations["im_plus"],
+        "cat_plus": lambda r: r.expectations["cat_plus"],
+    }
+    return {name: (min(map(get, runs)), max(map(get, runs))) for name, get in scalars.items()}
+
+
+def test_error_bars_equal_three_full_pipelines(tmp_path):
+    # the fit reads no alpha, so re-assembling the central run's fit at
+    # alpha -+ sigma gives, bit for bit, what re-running it all gives
+    pair = experimental_pair()
+    probes = ProbeSet(ALPHA, (0.2, 0.3, 0.45))
+    tables = [
+        simulate_counts(pair, Campaign(probes, shots_per_probe=shots, rng_seed=seed))
+        for seed, shots in ((0, 200_000), (1, 2_000), (7, 50), (11, 200_000))
+    ]
+    # a boundary MLE, and a table ingested with its rows in another order
+    tables.append(ClickTable.from_rates(probes.amplitudes(), [1.0, 0.5, 0.7, 0.6, 0.75, 0.65, 0.3, 0.9], 1000.0))
+    order = [5, 2, 7, 0, 4, 1, 6, 3]
+    shuffled = ClickTable(
+        [tables[0].probe_amplitudes[i] for i in order],
+        tables[0].counts0[order],
+        tables[0].counts1[order],
+        tables[0].shots[order],
+    )
+    write_click_table(tmp_path / "clicks.csv", shuffled, {}, 0)
+    tables.append(read_click_table(tmp_path / "clicks.csv")[0])
+    assert tables[-1].probe_amplitudes != tables[0].probe_amplitudes
+    for table in tables:
+        run = tomography_pipeline(table, probes, DIM)
+        for sigma in (0.0, 1e-9, 0.011, 0.1, 0.45):
+            assert error_bars(run, sigma) == relabeled_error_bars(run, sigma)
 
 
 def test_povm_entry_bound_check():
