@@ -17,11 +17,11 @@ def main() -> None:
     campaign = Campaign(
         probes=ProbeSet(ALPHA, (0.2, 0.3)),
         detector=DetectorModel(eta=0.689, nu=5.32e-5, visibility=0.998),
-        displacement_schedule=default_displacement_schedule(ALPHA),
         rng_seed=7,
     )
     c0sq_values = [round(0.5 + 0.1 * k, 10) for k in range(6)]
-    points = reconstruction_sweep(campaign, c0sq_values, 0.0, TruncationDim(24))
+    menu = default_displacement_schedule(ALPHA)
+    points = reconstruction_sweep(campaign, c0sq_values, 0.0, TruncationDim(24), menu=menu)
 
     print("  c0^2   |beta|   f_ideal    f_raw   f_compensated")
     for p in points:

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 from . import __version__
 from .experiment import (
     Campaign,
+    _menu_levels,
     apparatus_povm,
     default_displacement_schedule,
     effective_displacement,
@@ -45,11 +45,9 @@ from .fidelity import (
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
-    _guarded_displacements,
     cat_basis,
     coherent_state,
     displacement_defect,
-    max_guarded_amplitude,
 )
 from .povm import DetectorModel, random_povm_pair
 from .serialize import (
@@ -75,8 +73,8 @@ from .tomography import (
     tomography_pipeline,
 )
 
-# the commands that read a key; tomography's single, sweep and ingesting
-# runs count as one command, which reads every key but alpha_sq_values
+# the commands that read a key; tomography's runs count as one command, which
+# reads every key but alpha_sq_values (and schedule, checked in cmd_tomography)
 _EVERY = frozenset({"fidelity-sweep", "optimize", "simulate", "tomography", "selftest"})
 _POINT = frozenset({"optimize", "simulate", "tomography"})
 _GRID = frozenset({"fidelity-sweep", "tomography"})
@@ -101,7 +99,7 @@ _SCHEMA: dict[str, tuple] = {
     "shots": (int, 200_000, _CLICKS),
     "seed": (int, 0, _GRID | _CLICKS),
     "nmax": (int, 20, _EVERY),
-    "schedule": (list, (0j,), _CLICKS),  # a quantized tomography sweep's default is computed
+    "schedule": (list, None, {"tomography"}),  # a quantized sweep's only; its default is computed
     "quantize": (bool, True, {"tomography"}),
     "clicks": (str, None, {"tomography", "selftest"}),
     "error_bars_sigma": ((int, float), 0.0, {"tomography"}),
@@ -272,13 +270,12 @@ def _spec(cfg: Config) -> ScsMeasurementSpec:
     return ScsMeasurementSpec.from_c0sq(float(cfg["alpha"]), float(cfg["c0sq"]), float(cfg["phi"]))
 
 
-def _campaign(cfg: Config, schedule) -> Campaign:
-    """Acquisition plan implied by a config, with the given displacement menu."""
+def _campaign(cfg: Config) -> Campaign:
+    """Acquisition plan implied by a config."""
     return Campaign(
         probes=_probes(cfg),
         shots_per_probe=cfg["shots"],
         detector=_detector(cfg),
-        displacement_schedule=tuple(complex(b) for b in schedule),
         rng_seed=cfg["seed"],
     )
 
@@ -288,7 +285,7 @@ def _truth_campaign(cfg: Config, dim: TruncationDim):
     detector = _detector(cfg)
     drive = float(cfg["drive_amplitude"]) * np.exp(1j * float(cfg["drive_phase"]))
     truth = apparatus_povm(_spec(cfg), effective_displacement(drive, detector), detector, dim)
-    return truth, _campaign(cfg, cfg["schedule"])
+    return truth, _campaign(cfg)
 
 
 def _meta(dim: TruncationDim) -> dict:
@@ -316,13 +313,8 @@ def cmd_fidelity_sweep(cfg: Config) -> int:
         for alpha_sq in grid.alpha_sq_values:
             coherent_state(math.sqrt(alpha_sq), dim)
         out = _out_path(cfg)
-    with _stage("sweep"), warnings.catch_warnings():
-        # each failed point is also a library warning; the record below reports them
-        warnings.simplefilter("ignore")
-        errors: list = []
-        reports = sweep(grid, detector, dim, errors=errors)
-        if errors:
-            raise RuntimeError(f"{len(errors)} grid points failed; first: {errors[0][2]}")
+    with _stage("sweep"):
+        reports = sweep(grid, detector, dim)
     with _stage("write"):
         write_sweep_csv(out, reports, _hashable(cfg), cfg["seed"], extra=_meta(dim))
     print(f"wrote {len(reports)} rows to {out}")
@@ -375,6 +367,8 @@ def cmd_simulate(cfg: Config) -> int:
 
 def cmd_tomography(cfg: Config) -> int:
     """Simulate or ingest clicks, reconstruct the POVM, write JSON/CSV."""
+    if cfg["schedule"] is not None and not (cfg["mode"] == "sweep" and cfg["quantize"]):
+        raise ConfigError("config key 'schedule' is read only by a quantized tomography sweep")
     if cfg["mode"] == "sweep":
         return _tomography_sweep(cfg)
     if cfg["mode"] != "single":
@@ -413,20 +407,13 @@ def _tomography_sweep(cfg: Config) -> int:
     with _stage("config"):
         dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
-        # alpha in range, then within the cutoff, before the default schedule searches it
-        alpha = _probes(cfg).alpha
-        cat_basis(alpha, dim)
-        schedule = cfg["schedule"]
-        if cfg["quantize"] and "schedule" not in cfg:
-            schedule = default_displacement_schedule(alpha)
-        campaign = _campaign(cfg, schedule)
+        # alpha in range, then within the cutoff, before the default menu searches it
+        campaign = _campaign(cfg)
+        cat_basis(campaign.probes.alpha, dim)
+        menu = None
         if cfg["quantize"]:
-            # the guard the sweep applies to D at every menu level it may snap
-            # to; a level within max_guarded_amplitude, whose guard scan the
-            # searches already rely on, needs no matrix of its own
-            beyond = [abs(b) for b in campaign.displacement_schedule if abs(b) > max_guarded_amplitude(dim)]
-            if beyond:
-                _guarded_displacements(beyond, dim)
+            menu = cfg["schedule"] if "schedule" in cfg else default_displacement_schedule(campaign.probes.alpha)
+            _menu_levels(menu, dim)  # the sweep's own check of its menu
         phis = [float(p) for p in cfg["phi_values"]]
         c0sq_values = list(cfg["c0sq_values"])
         for name, values in (("c0sq_values", c0sq_values), ("phi_values", phis)):
@@ -439,7 +426,7 @@ def _tomography_sweep(cfg: Config) -> int:
     points = []
     with _stage("reconstruct"):
         for phi in phis:
-            points.extend(reconstruction_sweep(campaign, c0sq_values, phi, dim, quantize=cfg["quantize"]))
+            points.extend(reconstruction_sweep(campaign, c0sq_values, phi, dim, menu))
     with _stage("write"):
         write_reconstruction_csv(out, points, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
     print(f"wrote {len(points)} reconstruction rows to {out}")

@@ -2,7 +2,7 @@
 
 Bridges the noiseless POVM models to the statistics an actual run would
 produce: a :class:`Campaign` fixes the probe set, shot budget, detector
-imperfections, displacement menu and RNG seed; :func:`simulate_counts`
+imperfections and RNG seed; :func:`simulate_counts`
 draws seeded binomial click tables from a truth POVM; and
 :func:`reconstruction_sweep` replays the full measure-and-reconstruct loop
 over a grid of target superpositions, with and without loss compensation.
@@ -24,6 +24,7 @@ from .fock import (
     coherent_state,
     displacement_operator,
     expect,
+    max_guarded_amplitude,
     scs_projectors,
 )
 from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _counting_povm
@@ -48,18 +49,11 @@ class Campaign:
     probes: ProbeSet
     shots_per_probe: int = DEFAULT_SHOTS
     detector: DetectorModel = IDEAL_DETECTOR
-    displacement_schedule: tuple[complex, ...] = (0j,)
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.shots_per_probe, int) or not 0 < self.shots_per_probe < _SHOTS_LIMIT:
             raise ValueError("shots_per_probe must be a positive integer below 2^63")
-        schedule = tuple(complex(b) for b in self.displacement_schedule)
-        if not schedule:
-            raise ValueError("displacement schedule must not be empty")
-        if not all(math.isfinite(b.real) and math.isfinite(b.imag) for b in schedule):
-            raise ValueError("displacement schedule entries must be finite")
-        object.__setattr__(self, "displacement_schedule", schedule)
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < _SEED_LIMIT:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
 
@@ -148,6 +142,19 @@ def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
     return tuple(complex(r, 0.0) for r in np.linspace(0.0, abs(beta), SCHEDULE_LEVELS))
 
 
+def _menu_levels(menu, dim: TruncationDim) -> list[float]:
+    """The amplitudes |b| of a displacement menu: at least one, all finite,
+    each past the guard of its D.  A level within ``max_guarded_amplitude``,
+    whose guard scan the searches already rely on, needs no D of its own."""
+    levels = [abs(complex(b)) for b in menu]
+    if not levels or not all(map(math.isfinite, levels)):
+        raise ValueError(f"displacement schedule must not be empty and must be finite, got {levels}")
+    beyond = [r for r in levels if r > max_guarded_amplitude(dim)]
+    if beyond:
+        _guarded_displacements(beyond, dim)
+    return levels
+
+
 @dataclass(frozen=True)
 class ReconstructionPoint:
     """One target superposition, measured and scored three ways."""
@@ -165,15 +172,16 @@ def reconstruction_sweep(
     c0sq_values,
     phi: float,
     dim=TruncationDim(24),
-    quantize: bool = True,
+    menu=None,
 ) -> list[ReconstructionPoint]:
     """Measure-and-reconstruct loop over a grid of target superpositions.
 
     For each ``c0^2``: find the ideal optimal displacement (all of them in
     one search pass, as they share the probe alpha; the search's own
-    fidelity is not computed), snap it to the campaign's amplitude menu
-    (unless ``quantize`` is off), build the imperfect-apparatus POVM at that
-    shift, simulate clicks, reconstruct, and score against the target.
+    fidelity is not computed), snap its modulus to the nearest level of
+    ``menu`` unless that is ``None`` (``_menu_levels`` checks it first),
+    build the imperfect-apparatus POVM at that shift, simulate clicks,
+    reconstruct, and score against the target.
     ``f_raw`` interprets probes at their physical amplitudes;
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
     sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
@@ -188,12 +196,12 @@ def reconstruction_sweep(
     dim = as_dim(dim)
     alpha = campaign.probes.alpha
     comp_probes = campaign.compensated_probes()
-    menu = [abs(b) for b in campaign.displacement_schedule]
+    levels = None if menu is None else _menu_levels(menu, dim)
     seeds = campaign.point_seeds(len(c0sq_values))
     specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
-    if quantize:
-        betas = [quantize_to_schedule(beta, menu) for beta in betas]
+    if levels is not None:
+        betas = [quantize_to_schedule(beta, levels) for beta in betas]
     Ds = _guarded_displacements(betas, dim)
     out: list[ReconstructionPoint] = []
     for seed, c0sq, spec, beta, D in zip(seeds, c0sq_values, specs, betas, Ds):

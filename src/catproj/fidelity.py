@@ -54,7 +54,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -660,49 +659,42 @@ class SweepGrid:
         return itertools.product(self.c0sq_values, self.alpha_sq_values, self.phi_values)
 
 
-def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport | Exception]:
-    """The outcome of optimizing all three strategies at every spec of a
+def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport]:
+    """The optimized reports of all three strategies at every spec of a
     list that shares one alpha.  Both closed-form searches run once for the
     whole list, and the Fock inputs are built once for it too: one stack of
     D at every point's ``_shift(beta, detector)`` with its unitarity
     defects, and one stack of interval operators at every point's
     threshold.  Each point then takes its slices: f_dp and its
     ``_check_report`` (the ``verify`` check) from the same D, f_hd from its
-    E, both against target vectors built once.  A point whose score or check
-    fails gets its exception in place of a report; a failed search is every
-    point's outcome.  The group's cat basis is built first (and cached for
-    the target vectors), so an amplitude the cutoff cannot hold fails before
-    any search runs on it."""
+    E, both against target vectors built once.  The first search, score or
+    check that fails raises.  The group's cat basis is built first (and
+    cached for the target vectors), so an amplitude the cutoff cannot hold
+    fails before any search runs on it."""
     dim = as_dim(dim)
-    try:
-        cat_basis(specs[0].alpha, dim)
-        betas = _search_displacements(specs, detector, dim)
-        homodynes = _search_homodynes(specs)
-        shifts = np.array([_shift(beta, detector) for beta in betas], dtype=complex)
-        Ds = _displacement_matrix(shifts, dim)
-        defects = _unitarity_defect(Ds, dim.n_max)
-        Es = quadrature_interval_operator(np.array([x_th for x_th, _ in homodynes]), np.inf, dim)
-    except Exception as exc:  # noqa: BLE001 - charged to every point of the group
-        return [exc] * len(specs)
-    outcomes: list[FidelityReport | Exception] = []
+    cat_basis(specs[0].alpha, dim)
+    betas = _search_displacements(specs, detector, dim)
+    homodynes = _search_homodynes(specs)
+    shifts = np.array([_shift(beta, detector) for beta in betas], dtype=complex)
+    Ds = _displacement_matrix(shifts, dim)
+    defects = _unitarity_defect(Ds, dim.n_max)
+    Es = quadrature_interval_operator(np.array([x_th for x_th, _ in homodynes]), np.inf, dim)
+    reports = []
     for spec, beta, (x_th, lo_phase), D, defect, E in zip(specs, betas, homodynes, Ds, defects, Es):
-        try:
-            targets = scs_projectors(spec, dim)
-            outcome = FidelityReport(
-                f_dp=_click_score(targets, D, detector),
-                f_hd=_homodyne_score(targets, E, lo_phase),
-                f_pn=pnrd_fidelity(spec),
-                beta_opt=beta,
-                x_th_opt=x_th,
-                lo_phase_opt=lo_phase,
-                spec=spec,
-                detector=detector,
-            )
-            _check_report(outcome, D, defect, targets, dim)
-        except Exception as exc:  # noqa: BLE001 - charged to this point alone
-            outcome = exc
-        outcomes.append(outcome)
-    return outcomes
+        targets = scs_projectors(spec, dim)
+        report = FidelityReport(
+            f_dp=_click_score(targets, D, detector),
+            f_hd=_homodyne_score(targets, E, lo_phase),
+            f_pn=pnrd_fidelity(spec),
+            beta_opt=beta,
+            x_th_opt=x_th,
+            lo_phase_opt=lo_phase,
+            spec=spec,
+            detector=detector,
+        )
+        _check_report(report, D, defect, targets, dim)
+        reports.append(report)
+    return reports
 
 
 def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
@@ -710,48 +702,29 @@ def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> Fidelity
     of one, so it is the report a sweep gives that point.  Both searches
     (``_search_displacements``, ``_search_homodynes``) run on the closed
     forms, the Fock model scores their points, and the report passes the
-    ``verify`` check.  Raises the exception the point failed with."""
+    ``verify`` check, or the first failure raises."""
     (report,) = _optimized_reports([spec], detector, dim)
-    if isinstance(report, Exception):
-        raise report
     return report
 
 
-def sweep(
-    grid: SweepGrid,
-    detector: DetectorModel = IDEAL_DETECTOR,
-    dim=20,
-    errors: list | None = None,
-) -> list[FidelityReport]:
+def sweep(grid: SweepGrid, detector: DetectorModel = IDEAL_DETECTOR, dim=20) -> list[FidelityReport]:
     """One optimized FidelityReport per grid point, in grid order.
 
     The points that share an alpha^2 are optimized in one pass
-    (``_optimized_reports``).  A failing point does not abort the sweep:
-    its exception is appended to ``errors`` (when given) as
-    ``(index, point, exception)`` and reported as a warning, and the point
-    is dropped from the output.
+    (``_optimized_reports``), in the order each alpha^2 first appears.  The
+    first point that fails raises its own exception, and the sweep returns
+    nothing: a landscape with holes in it is not a result.
     """
     dim = as_dim(dim)
-    points = list(grid.points())
-    specs = [ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in points]
+    specs = [ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in grid.points()]
     groups: dict[float, list[int]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.alpha, []).append(idx)
 
-    outcomes: dict[int, FidelityReport | Exception] = {}
+    reports: dict[int, FidelityReport] = {}
     for indices in groups.values():
-        outcomes.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
-
-    reports = []
-    for idx, point in enumerate(points):
-        outcome = outcomes[idx]
-        if isinstance(outcome, Exception):
-            if errors is not None:
-                errors.append((idx, point, outcome))
-            warnings.warn(f"sweep point {idx} {point} failed: {outcome}", stacklevel=2)
-        else:
-            reports.append(outcome)
-    return reports
+        reports.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
+    return [reports[idx] for idx in range(len(specs))]
 
 
 __all__ = [

@@ -192,10 +192,9 @@ def test_loss_compensation_inverts_and_helps():
         probes=ProbeSet(ALPHA, (0.2, 0.3)),
         shots_per_probe=200_000,
         detector=LAB,
-        displacement_schedule=default_displacement_schedule(ALPHA),
         rng_seed=7,
     )
-    points = reconstruction_sweep(campaign, grid(0.5, 1.0, 0.1), 0.0, DIM, quantize=True)
+    points = reconstruction_sweep(campaign, grid(0.5, 1.0, 0.1), 0.0, DIM, menu=default_displacement_schedule(ALPHA))
     gains = [p.f_compensated - p.f_raw for p in points]
     ok = worst <= 1e-6 and all(g > 0.0 for g in gains)
     check(9, "loss compensation round-trips and lifts every sweep point", ok,

@@ -163,6 +163,26 @@ def test_failed_point_writes_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_failed_sweep_point_is_its_own_sweep_record(tmp_path, monkeypatch):
+    # the point's own exception reaches the record; it used to be wrapped in
+    # a RuntimeError "1 grid points failed; first: injected"
+    check = fidelity._check_report
+
+    def picky(report, *args):
+        if round(report.spec.c0**2, 9) == 0.75:
+            raise ArithmeticError("injected")
+        check(report, *args)
+
+    monkeypatch.setattr(fidelity, "_check_report", picky)
+    path = write_config(tmp_path, {"c0sq_values": [0.5, 0.75]})
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main([*_FIG1B, "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    records = [json.loads(line) for line in stderr.getvalue().splitlines()]
+    assert records == [{"error": "ArithmeticError", "stage": "sweep", "message": "injected"}]
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
 def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, capsys, monkeypatch):
     # the cat basis is built at stage config: the searches used to run on
     # alpha = 1e5 and print the homodyne form's warning ahead of the record
@@ -425,6 +445,55 @@ def test_every_bad_click_cell_fails_at_ingest_or_not_at_all(token, row, column):
             assert Path(tmp, "out.json") not in files
 
 
+_GOLDEN_CLICKS = Path(__file__).parent / "golden" / "simulate-fig3" / "files" / "sim.csv"
+_COLUMN_ROW = "probe_label,re_amp,im_amp,outcome0_count,outcome1_count,shots"
+
+
+@st.composite
+def _mutated_click_files(draw):
+    """The lines of the golden fig3 click file with one mutation: a bad
+    field, a dropped or duplicated line, or extreme counts that still add up
+    to their shots, in one row or scaled in every row."""
+    lines = _GOLDEN_CLICKS.read_text().splitlines()
+    start = lines.index(_COLUMN_ROW) + 1
+    kind = draw(st.sampled_from(["field", "drop", "duplicate", "row-counts", "scaled-counts"]))
+    if kind == "field":
+        row = draw(st.integers(start - 1, len(lines) - 1))
+        cells = lines[row].split(",")
+        token = draw(st.sampled_from(["", "nan", "inf", "-inf", "1e309", "-1", "0.5", "1e3", "abc", "0x10", "1,2"]))
+        cells[draw(st.integers(0, len(cells) - 1))] = token
+        lines[row] = ",".join(cells)
+    elif kind == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif kind == "duplicate":
+        row = draw(st.integers(0, len(lines) - 1))
+        lines.insert(row, lines[row])
+    elif kind == "row-counts":
+        row = draw(st.integers(start, len(lines) - 1))
+        shots = draw(st.sampled_from([1, 2, 3, 10**6, 2**53, 2**63, 10**20, 10**300]))
+        count0 = draw(st.sampled_from([0, 1, shots // 2, shots - 1, shots]))
+        lines[row] = ",".join(lines[row].split(",")[:3] + [str(count0), str(shots - count0), str(shots)])
+    else:
+        scale = draw(st.sampled_from([10**3, 10**15, 10**100, 10**300]))
+        for row in range(start, len(lines)):
+            cells = lines[row].split(",")
+            lines[row] = ",".join(cells[:3] + [str(int(cell) * scale) for cell in cells[3:]])
+    return lines
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lines=_mutated_click_files())
+def test_a_mutated_click_file_passes_or_is_one_ingest_record(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, records, files = fig3_tomography(lines, Path(tmp))
+        if rc == 0:
+            assert records == [] and Path(tmp, "out.json") in files
+        else:
+            assert rc == 1 and len(records) == 1, records
+            assert json.loads(records[0])["stage"] == "ingest", records
+            assert Path(tmp, "out.json") not in files
+
+
 def test_tomography_series_solve_on_its_box_bounds(tmp_path, capsys):
     # valid click rates whose odd series sits on its box bounds; the
     # box-constrained solve used to spin through its iteration budget here
@@ -625,6 +694,30 @@ def test_a_key_the_command_never_reads_is_one_config_record(tmp_path, entry):
     record = json.loads(lines[0])
     assert record["stage"] == "config", record
     assert record["message"] == f"config key {next(iter(entry))!r} is not read by fidelity-sweep"
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (_SIMULATE, {"schedule": [1e300]}),
+        (_SINGLE, {"schedule": [1e300]}),
+        (["tomography", "--preset", "fig5"], {"schedule": [1e300]}),
+        (["tomography", "--preset", "fig5"], {"schedule": [], "quantize": False}),
+    ],
+    ids=["simulate", "single", "unquantized", "unquantized-empty"],
+)
+def test_a_schedule_outside_a_quantized_sweep_is_one_config_record(tmp_path, argv, entry):
+    # only a quantized tomography sweep reads the menu; each run used to exit
+    # 0 and hash the unused key, or fail on an empty menu it never reads
+    path = write_config(tmp_path, entry)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["stage"] == "config" and "config key 'schedule'" in record["message"], record
     assert list(tmp_path.iterdir()) == [Path(path)]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from catproj import experiment
 from catproj.experiment import (
     Campaign,
     ReconstructionPoint,
@@ -16,6 +17,7 @@ from catproj.experiment import (
 )
 from catproj.fidelity import displaced_povm, fidelity, optimize
 from catproj.fock import (
+    CutoffTooSmallError,
     FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
@@ -53,7 +55,6 @@ def lab_truth(dim=DIM) -> PovmPair:
 def test_campaign_validation():
     camp = Campaign(probes=PROBES)
     assert camp.shots_per_probe == 200_000
-    assert camp.displacement_schedule == (0j,)
     assert camp.detector is IDEAL_DETECTOR
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, shots_per_probe=0)
@@ -61,10 +62,6 @@ def test_campaign_validation():
     for shots in (2**63, 10**20):  # numpy's binomial draws overflow an int64 count
         with pytest.raises(ValueError, match="2\\^63"):
             Campaign(probes=PROBES, shots_per_probe=shots)
-    with pytest.raises(ValueError):
-        Campaign(probes=PROBES, displacement_schedule=())
-    with pytest.raises(ValueError):
-        Campaign(probes=PROBES, displacement_schedule=(0.1, math.inf))
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, rng_seed=-1)
     with pytest.raises(ValueError):
@@ -201,19 +198,15 @@ def test_default_displacement_schedule():
 
 
 def test_reconstruction_sweep_compensation_wins():
-    camp = Campaign(
-        probes=PROBES,
-        detector=LAB_DETECTOR,
-        displacement_schedule=default_displacement_schedule(),
-        rng_seed=7,
-    )
-    points = reconstruction_sweep(camp, np.arange(0.5, 1.0001, 0.1), 0.0)
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=7)
+    menu = default_displacement_schedule()
+    points = reconstruction_sweep(camp, np.arange(0.5, 1.0001, 0.1), 0.0, menu=menu)
     assert len(points) == 6
     for p in points:
         assert isinstance(p, ReconstructionPoint)
         assert p.f_compensated > p.f_raw
         assert p.f_ideal > p.f_raw
-        menu_gap = min(abs(abs(p.displacement) - abs(b)) for b in camp.displacement_schedule)
+        menu_gap = min(abs(abs(p.displacement) - abs(b)) for b in menu)
         assert menu_gap < 1e-12
     assert points[-1].c0sq == pytest.approx(1.0)
     assert points[-1].displacement == 0j  # parity endpoint needs no displacement
@@ -222,11 +215,11 @@ def test_reconstruction_sweep_compensation_wins():
 def test_reconstruction_sweep_deterministic_and_unquantized():
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     weights = [0.55, 0.7, 0.9]
-    a = reconstruction_sweep(camp, weights, 0.0, quantize=False)
-    b = reconstruction_sweep(camp, weights, 0.0, quantize=False)
+    a = reconstruction_sweep(camp, weights, 0.0)
+    b = reconstruction_sweep(camp, weights, 0.0)
     assert a == b
-    # the displacements of all points come from one optimizer pass, each the
-    # optimum of its point alone
+    # with no menu, the displacements of all points come from one optimizer
+    # pass, each the optimum of its point alone, none snapped to 0
     for point, c0sq in zip(a, weights):
         spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, 0.0)
         assert point.displacement == optimize(spec, IDEAL_DETECTOR, DIM).beta_opt
@@ -234,19 +227,34 @@ def test_reconstruction_sweep_deterministic_and_unquantized():
     assert reconstruction_sweep(camp, [], 0.0) == []
 
 
+@pytest.mark.parametrize(
+    "menu, error, fragment",
+    [
+        ((), ValueError, "schedule must not be empty"),
+        ([0.1, math.inf], ValueError, "must be finite"),
+        ([math.nan], ValueError, "must be finite"),
+        ([0.3, 2.5], CutoffTooSmallError, "unitarity defect"),
+    ],
+    ids=["empty", "inf", "nan", "beyond-cutoff"],
+)
+def test_reconstruction_sweep_rejects_a_bad_menu_before_the_search(monkeypatch, menu, error, fragment):
+    def never(*args, **kwargs):
+        raise AssertionError("a search ran with a bad menu")
+
+    monkeypatch.setattr(experiment, "_search_displacements", never)
+    with pytest.raises(error, match=fragment):
+        reconstruction_sweep(Campaign(probes=PROBES, detector=LAB_DETECTOR), [0.5, 0.7], 0.0, menu=menu)
+
+
 @pytest.mark.parametrize("quantize", [True, False])
 def test_reconstruction_sweep_scores_f_ideal_like_the_ideal_povm(quantize):
     # f_ideal comes from the click-fidelity kernel, not from an assembled
     # POVM; both use the same Fock model and photon-number partition
-    camp = Campaign(
-        probes=PROBES,
-        detector=LAB_DETECTOR,
-        displacement_schedule=default_displacement_schedule(),
-        rng_seed=11,
-    )
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=11)
+    menu = default_displacement_schedule() if quantize else None
     for phi in (0.0, 1.2):
         weights = [0.5, 0.65, 0.8, 1.0]
-        for point, c0sq in zip(reconstruction_sweep(camp, weights, phi, quantize=quantize), weights):
+        for point, c0sq in zip(reconstruction_sweep(camp, weights, phi, menu=menu), weights):
             spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, phi)
             pair = displaced_povm(spec, point.displacement, IDEAL_DETECTOR, DIM)
             assert abs(point.f_ideal - fidelity(pair, spec)) <= 1e-12

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -642,56 +643,18 @@ def test_group_reports_are_the_public_per_point_values():
             report.verify(DIM)
 
 
-def test_sweep_aggregates_point_failures(monkeypatch):
-    # alpha^2 = 6.76 exceeds what a 10-level truncation can hold, so those
-    # points must fail without taking down the rest of the sweep, each
-    # charged to its own grid index, in grid order
+def test_sweep_raises_the_first_point_failure(monkeypatch):
+    # one failed point fails the sweep with its own exception and no warning:
+    # alpha^2 = 6.76 exceeds what a 10-level truncation can hold
     grid = SweepGrid((0.5, 0.75), (0.25, 6.76), (0.0,))
-    errors = []
-    with pytest.warns(UserWarning, match="failed"):
-        reports = sweep(grid, IDEAL_DETECTOR, TruncationDim(10), errors=errors)
-    assert [(round(r.spec.c0**2, 9), round(r.spec.alpha**2, 9)) for r in reports] == [(0.5, 0.25), (0.75, 0.25)]
-    assert [(idx, point) for idx, point, _ in errors] == [(1, (0.5, 6.76, 0.0)), (3, (0.75, 6.76, 0.0))]
-    assert all(isinstance(exc, fock.CutoffTooSmallError) for _, _, exc in errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fock.CutoffTooSmallError):
+            sweep(grid, IDEAL_DETECTOR, TruncationDim(10))
 
-    # a failing alpha^2 between passing ones; one failing point in an
-    # alpha^2 whose other point passes; failures in two alpha^2 passes,
-    # listed in grid order, not in the order the passes ran
-    check = fidelity_module._check_report
-    failing = set()
-
-    def picky(report, *args):
-        if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) in failing:
-            raise ArithmeticError("injected")
-        check(report, *args)
-
-    monkeypatch.setattr(fidelity_module, "_check_report", picky)
-    grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
-    for bad, indices in (
-        ({(0.5, 1.0), (0.75, 1.0)}, [1, 4]),
-        ({(0.5, 1.6), (0.75, 1.0)}, [2, 4]),
-        ({(0.75, 1.0)}, [4]),
-    ):
-        failing.clear()
-        failing.update(bad)
-        errors = []
-        with pytest.warns(UserWarning, match="failed"):
-            reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
-        assert [idx for idx, _, _ in errors] == indices
-        assert all(str(exc) == "injected" for _, _, exc in errors)
-        assert len(reports) == len(grid) - len(indices)
-    # the point that passed beside a failing one equals the point optimized alone
-    assert reports[1] == optimize(spec_of(0.5, 1.0), IDEAL_DETECTOR, DIM)
-
-
-def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(monkeypatch):
-    # a point whose check fails is charged alone, in the same pass: the
-    # search runs once per alpha^2 group, the group's D and E stacks are
-    # built once (shared by each point's score and check), with no rerun of
-    # the failing group point by point
-    counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
-    for name in counts:
-        counting(monkeypatch, fidelity_module, name, counts)
+    # a failed check raises from its alpha^2 pass, and no later pass runs
+    counts = {"_search_displacements": 0}
+    counting(monkeypatch, fidelity_module, "_search_displacements", counts)
     check = fidelity_module._check_report
 
     def picky(report, *args):
@@ -701,28 +664,25 @@ def test_sweep_searches_each_alpha_once_and_charges_failures_to_their_points(mon
 
     monkeypatch.setattr(fidelity_module, "_check_report", picky)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
-    errors = []
-    with pytest.warns(UserWarning, match="failed"):
-        reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="^injected$"):
+            sweep(grid, IDEAL_DETECTOR, DIM)
+    assert counts == {"_search_displacements": 2}
+
+
+def test_sweep_searches_each_alpha_once(monkeypatch):
+    # the search runs once per alpha^2 group, and the group's D and E stacks
+    # are built once, shared by each point's score and check
+    counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
+    for name in counts:
+        counting(monkeypatch, fidelity_module, name, counts)
+    grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
+    reports = sweep(grid, IDEAL_DETECTOR, DIM)
     assert counts == {"_search_displacements": 3, "_displacement_matrix": 3, "quadrature_interval_operator": 3}
-    assert [(idx, str(exc)) for idx, _, exc in errors] == [(4, "injected")]
-    assert len(reports) == 5
-
-    # a search that fails for one alpha^2 is charged to that group's points only
-    monkeypatch.setattr(fidelity_module, "_check_report", check)
-    search = fidelity_module._search_homodynes
-
-    def failing_search(specs):
-        if round(specs[0].alpha ** 2, 9) == 1.6:
-            raise ArithmeticError("search failed")
-        return search(specs)
-
-    monkeypatch.setattr(fidelity_module, "_search_homodynes", failing_search)
-    errors = []
-    with pytest.warns(UserWarning, match="failed"):
-        reports = sweep(grid, IDEAL_DETECTOR, DIM, errors=errors)
-    assert [(idx, str(exc)) for idx, _, exc in errors] == [(2, "search failed"), (5, "search failed")]
-    assert [round(r.spec.alpha**2, 9) for r in reports] == [0.25, 1.0, 0.25, 1.0]
+    assert [(round(r.spec.c0**2, 9), round(r.spec.alpha**2, 9)) for r in reports] == [
+        (c0sq, alpha_sq) for c0sq, alpha_sq, _ in grid.points()
+    ]
 
 
 def test_quantize_to_schedule():
