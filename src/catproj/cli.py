@@ -4,10 +4,10 @@ Configuration is a flat JSON object; figure presets supply the published
 operating points as named defaults, a ``--config`` file overrides the
 preset, and command-line flags override both.  ``_SCHEMA`` is the one table
 of every key's accepted type, its default and the commands that read it; a
-``--config`` key that the command never reads is rejected, while preset
-keys and flags are not checked.  Each command builds every
-object it uses at stage ``config``, so a bad value, whatever its key and
-whatever the command, fails there.  Every failure is reported as a
+``--config`` key that the command (or kind of tomography run) never reads
+is rejected, while preset keys and flags are not checked.  Each command
+builds every object it uses at stage ``config``, so a bad value, whatever
+its key and whatever the command, fails there.  Every failure is reported as a
 one-line JSON record on stderr with a nonzero exit status.
 """
 
@@ -74,7 +74,7 @@ from .tomography import (
 )
 
 # the commands that read a key; tomography's runs count as one command, which
-# reads every key but alpha_sq_values (and schedule, checked in cmd_tomography)
+# reads every key but alpha_sq_values (each kind of run: _check_run_kind)
 _EVERY = frozenset({"fidelity-sweep", "optimize", "simulate", "tomography", "selftest"})
 _POINT = frozenset({"optimize", "simulate", "tomography"})
 _GRID = frozenset({"fidelity-sweep", "tomography"})
@@ -232,6 +232,19 @@ def validate_config(cfg: dict, command: str | None = None) -> dict:
     return cfg
 
 
+def _check_run_kind(keys, cfg: Config) -> None:
+    """Reject a config key that only the other kind of tomography run reads
+    (``schedule``: only a quantized sweep reads it)."""
+    if cfg["mode"] not in ("single", "sweep"):
+        raise ConfigError(f"mode must be 'single' or 'sweep', got {cfg['mode']!r}")
+    kind = "single run" if cfg["mode"] == "single" else "quantized sweep" if cfg["quantize"] else "sweep"
+    single = ("c0sq", "phi", "drive_amplitude", "drive_phase", "clicks", "error_bars_sigma")
+    unread = {"single run": ("c0sq_values", "phi_values", "quantize", "schedule"), "sweep": (*single, "schedule")}
+    for key in keys:
+        if key in unread.get(kind, single):  # a quantized sweep reads every sweep key
+            raise ConfigError(f"config key {key!r} is not read by a tomography {kind}")
+
+
 def resolve_config(args: argparse.Namespace) -> Config:
     cfg: dict = {}
     if args.preset:
@@ -245,6 +258,8 @@ def resolve_config(args: argparse.Namespace) -> Config:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         # preset keys are exempt: simulate and tomography share presets
         cfg.update(validate_config(loaded, args.command))
+        if args.command == "tomography":
+            _check_run_kind(loaded, Config(cfg))
     for key in ("seed", "nmax", "out"):
         value = getattr(args, key, None)
         if value is not None:
@@ -367,12 +382,8 @@ def cmd_simulate(cfg: Config) -> int:
 
 def cmd_tomography(cfg: Config) -> int:
     """Simulate or ingest clicks, reconstruct the POVM, write JSON/CSV."""
-    if cfg["schedule"] is not None and not (cfg["mode"] == "sweep" and cfg["quantize"]):
-        raise ConfigError("config key 'schedule' is read only by a quantized tomography sweep")
     if cfg["mode"] == "sweep":
         return _tomography_sweep(cfg)
-    if cfg["mode"] != "single":
-        raise ConfigError(f"mode must be 'single' or 'sweep', got {cfg['mode']!r}")
     with _stage("config"):
         dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fidelity import _click_score, _search_displacements, quantize_to_schedule
+from .fidelity import _click_score, _search_displacements, _targets, quantize_to_schedule
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
@@ -126,7 +126,7 @@ def apparatus_povm(
     """
     dim = as_dim(dim)
     D = displacement_operator(shift, dim).entries
-    return _counting_povm(D, dim, scs_projectors(spec, dim), detector.eta, detector.nu)
+    return _counting_povm(D, dim, [t.amps for t in scs_projectors(spec, dim)], detector.eta, detector.nu)
 
 
 def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
@@ -186,7 +186,7 @@ def reconstruction_sweep(
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
     sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
     ``f_ideal`` is the lossless click fidelity at the same (quantized)
-    displacement, ``_click_score`` with the ideal detector.
+    displacement, from one stacked ``_click_score`` call (ideal detector).
     Every point's D(shift) comes from one stack built for the whole sweep
     behind the displacement guard, and each point's D serves both its
     ``apparatus_povm`` and its ``f_ideal``, whose photon-number partition
@@ -203,10 +203,11 @@ def reconstruction_sweep(
     if levels is not None:
         betas = [quantize_to_schedule(beta, levels) for beta in betas]
     Ds = _guarded_displacements(betas, dim)
+    t0, t1 = _targets(specs, dim)
+    f_ideal = _click_score((t0, t1), Ds, IDEAL_DETECTOR)
     out: list[ReconstructionPoint] = []
-    for seed, c0sq, spec, beta, D in zip(seeds, c0sq_values, specs, betas, Ds):
-        targets = scs_projectors(spec, dim)
-        truth = _counting_povm(D, dim, targets, campaign.detector.eta, campaign.detector.nu)
+    for i, (seed, c0sq, spec, beta, D) in enumerate(zip(seeds, c0sq_values, specs, betas, Ds)):
+        truth = _counting_povm(D, dim, (t0[i], t1[i]), campaign.detector.eta, campaign.detector.nu)
         clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
 
         raw = tomography_pipeline(clicks, campaign.probes, dim)
@@ -218,7 +219,7 @@ def reconstruction_sweep(
                 c0sq=float(c0sq),
                 phi=float(phi),
                 displacement=beta,
-                f_ideal=_click_score(targets, D, IDEAL_DETECTOR),
+                f_ideal=float(f_ideal[i]),
                 f_raw=measurement_fidelity(raw.povm, spec),
                 f_compensated=measurement_fidelity(comp.povm, spec),
             )

@@ -39,14 +39,14 @@ order.
 
 Only a 2 x 2 contrast depends on the superposition weight and phase; the
 rest of each closed form depends on alpha alone.  A sweep therefore groups
-its points by alpha and optimizes each group in one pass: the alpha-only
+its points by alpha and searches each group in one pass: the alpha-only
 grid terms are computed once per group, and each point costs a contrast
-combination over the grid plus its own refinement and Fock score.  The
-Fock scores of a group come from stacks built once for it: one D(beta)
-per point, shared by its f_dp and its ``verify`` check, and one homodyne
-interval operator per point.  ``optimize`` is that path on a group of
-one spec; ``displaced_povm`` and ``FidelityReport.verify`` build their one
-D and call the same kernels the group path calls on its slice.
+combination over the grid plus its own refinement.  The Fock scores and
+checks of the whole call come from stacks built once for it: one D(beta)
+per point, shared by its f_dp and its ``verify`` check, one homodyne
+interval operator per point, and one eigenvalue call for the stack's
+POVMs.  Each row of a stack gets the bits it gets alone, so ``optimize``
+(one spec), ``displaced_povm`` and ``verify`` share the stacked kernels.
 """
 
 from __future__ import annotations
@@ -69,9 +69,7 @@ from .fock import (
     _displacement_matrix,
     _unitarity_defect,
     as_dim,
-    cat_basis,
     displacement_operator,
-    expect,
     max_guarded_amplitude,
     scs_projectors,
 )
@@ -79,8 +77,9 @@ from .povm import (
     IDEAL_DETECTOR,
     DetectorModel,
     PovmPair,
-    _counting_povm,
+    _counting_elements,
     _displaced_overlaps,
+    _failures,
     _outcome_weights,
     quadrature_interval_operator,
 )
@@ -97,24 +96,33 @@ REFINE_TOL = 1e-8
 
 REPORT_CONSISTENCY_TOL = 1e-10
 
-#: most specs one grid call scores at once
+#: most specs one grid call, or one Fock scoring and checking pass, holds at once
 _STACK = 32
 
 
 def fidelity(pair: PovmPair, spec: ScsMeasurementSpec) -> float:
     """Average of the two diagonal POVM matrix elements in the target basis."""
-    return _fidelity(pair, scs_projectors(spec, pair.dim))
+    (val,) = _povm_fidelities(pair.pi0.entries[None], pair.pi1.entries[None], _targets([spec], pair.dim))
+    return float(val)
 
 
-def _fidelity(pair: PovmPair, targets) -> float:
-    """``fidelity`` against prebuilt target vectors ``(t0, t1)``."""
-    t0, t1 = targets
-    val = 0.5 * (expect(pair.pi0, t0) + expect(pair.pi1, t1))
-    if abs(val.imag) > 1e-10:
-        raise ArithmeticError(
-            f"fidelity has a non-negligible imaginary part {val.imag:.3e}"
-        )
-    return float(val.real)
+def _targets(specs, dim: TruncationDim) -> tuple[np.ndarray, np.ndarray]:
+    """The target vectors ``(t0, t1)`` of a list of specs as (k, N) stacks."""
+    t0, t1 = np.empty((2, len(specs), dim.size), dtype=complex)
+    for i, spec in enumerate(specs):
+        t0[i], t1[i] = (t.amps for t in scs_projectors(spec, dim))
+    return t0, t1
+
+
+def _povm_fidelities(pi0: np.ndarray, pi1: np.ndarray, targets) -> np.ndarray:
+    """(<t0|pi0|t0> + <t1|pi1|t1>) / 2 for each row of element stacks (k, N, N)
+    and target stacks (k, N): the real part, once no imaginary part exceeds 1e-10."""
+    v0, v1 = ((t.conj()[..., None, :] @ (P @ t[..., None]))[..., 0, 0] for P, t in zip((pi0, pi1), targets))
+    val = 0.5 * (v0 + v1)
+    imag = val.imag[np.abs(val.imag) > 1e-10]
+    if imag.size:
+        raise ArithmeticError(f"fidelity has a non-negligible imaginary part {imag[0]:.3e}")
+    return val.real
 
 
 def pnrd_fidelity(spec: ScsMeasurementSpec) -> float:
@@ -131,7 +139,8 @@ def displaced_povm(spec: ScsMeasurementSpec, beta: complex, detector: DetectorMo
     """
     dim = as_dim(dim)
     D = displacement_operator(_shift(beta, detector), dim).entries
-    return _displaced_povm(D, scs_projectors(spec, dim), detector, dim)
+    (pi0,) = _displaced_elements(D[None], _targets([spec], dim), detector)
+    return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
 
 
 def _shift(beta: complex, detector: DetectorModel) -> complex:
@@ -140,12 +149,12 @@ def _shift(beta: complex, detector: DetectorModel) -> complex:
     return (1.0 if detector.is_ideal else detector.visibility) * complex(beta)
 
 
-def _displaced_povm(D: np.ndarray, targets, detector: DetectorModel, dim) -> PovmPair:
-    """``displaced_povm`` from a prebuilt, guarded D at ``_shift(beta,
-    detector)`` and the spec's target vectors."""
+def _displaced_elements(D: np.ndarray, targets, detector: DetectorModel) -> np.ndarray:
+    """The pi0 of ``displaced_povm`` for a stack of guarded D at ``_shift(beta,
+    detector)``: the targets' partition if ideal, else the lossy vacuum."""
     if detector.is_ideal:
-        return _counting_povm(D, dim, targets)
-    return _counting_povm(D, dim, eta=detector.eta, nu=detector.nu)
+        return _counting_elements(D, targets)
+    return _counting_elements(D, eta=detector.eta, nu=detector.nu)
 
 
 def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
@@ -454,18 +463,19 @@ def _nelder_mead(fun, x0, maxiter: int):
     return (x, y), f, nfev
 
 
-def _click_score(targets, D: np.ndarray, detector: DetectorModel) -> float:
+def _click_score(targets, D: np.ndarray, detector: DetectorModel) -> np.ndarray:
     """Fidelity of the displaced counting measurement in the truncated Fock
-    model, from the spec's target vectors and a prebuilt D at
+    model for each row of target stacks (k, N) and a D stack (k, N, N) at
     ``_shift(beta, detector)``: an ideal counter assigns each photon number
     to the target whose displaced overlap dominates, and a click detector
-    weights the no-click outcome by loss and dark counts."""
+    weights the no-click outcome by loss and dark counts (one dot product
+    per row: a (k, N) @ (N,) product would round differently with k)."""
     r0, r1 = _displaced_overlaps(targets, D)
     if detector.is_ideal:
         keep = r0 >= r1
-        return float(0.5 * ((r0 * keep).sum() + 1.0 - (r1 * keep).sum()))
-    weights = _outcome_weights(np.arange(r0.size) == 0, detector.eta)
-    return float(0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1) @ weights)))
+        return 0.5 * ((r0 * keep).sum(axis=-1) + 1.0 - (r1 * keep).sum(axis=-1))
+    weights = _outcome_weights(np.arange(r0.shape[-1]) == 0, detector.eta)
+    return 0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1)[..., None, :] @ weights)[..., 0])
 
 
 def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
@@ -514,17 +524,14 @@ def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
     return betas
 
 
-def _homodyne_score(targets, E: np.ndarray, lo_phase: float) -> float:
-    """Fidelity of thresholded homodyne readout at local-oscillator phase
-    ``lo_phase`` in the truncated Fock model, from the spec's target vectors
-    and the prebuilt interval operator E of [x_th, inf)."""
-    t0, t1 = targets
-    ramp = np.exp(-1j * lo_phase * np.arange(E.shape[-1]))
-    w0 = ramp * t0.amps
-    w1 = ramp * t1.amps
-    v0 = np.sum((w0.conj() @ E) * w0).real
-    v1 = np.sum((w1.conj() @ E) * w1).real
-    return float(0.5 * (v0 + 1.0 - v1))
+def _homodyne_score(targets, E: np.ndarray, lo_phase: np.ndarray) -> np.ndarray:
+    """Fidelity of thresholded homodyne readout in the truncated Fock model
+    for each row of the target stacks (k, N), a stack (k, N, N) of prebuilt
+    interval operators E of [x_th, inf) and the (k,) local-oscillator phases,
+    each row by its own products and sums, as for a row alone."""
+    ramp = np.exp(-1j * lo_phase[..., None] * np.arange(E.shape[-1]))
+    v0, v1 = (np.sum((np.conj(w)[..., None, :] @ E)[..., 0, :] * w, -1).real for w in (ramp * t for t in targets))
+    return 0.5 * (v0 + 1.0 - v1)
 
 
 def _search_homodynes(specs) -> list[tuple[float, float]]:
@@ -545,9 +552,6 @@ def _search_homodynes(specs) -> list[tuple[float, float]]:
     thetas = np.arange(n_thetas) * (math.pi / n_thetas)
     theta_cap = math.pi * (1.0 - 1e-12)
 
-    def clamp(x: float, theta: float) -> tuple[float, float]:
-        return min(max(x, lo), hi), min(max(theta, 0.0), theta_cap)
-
     def form(contrast):
         return _homodyne_form(alpha, contrast)
 
@@ -560,10 +564,12 @@ def _search_homodynes(specs) -> list[tuple[float, float]]:
         score = form(contrast)
 
         def negated(x: float, theta: float) -> float:
-            return -score(*clamp(x, theta))
+            # clamped by comparisons, not min/max calls: this runs at every step
+            x = lo if x < lo else hi if x > hi else x
+            return -score(x, 0.0 if theta < 0.0 else theta_cap if theta > theta_cap else theta)
 
         (x, th), f, _ = _nelder_mead(negated, best[1:], 400)
-        optima.append(clamp(x, th) if -f >= best[0] else best[1:])
+        optima.append((min(max(x, lo), hi), min(max(th, 0.0), theta_cap)) if -f >= best[0] else best[1:])
     return optima
 
 
@@ -608,22 +614,30 @@ class FidelityReport:
     def verify(self, dim) -> None:
         """Recompute f_dp from the assembled POVM at beta_opt and compare."""
         dim = as_dim(dim)
-        D = _displacement_matrix(_shift(self.beta_opt, self.detector), dim)
-        _check_report(self, D, _unitarity_defect(D, dim.n_max), scs_projectors(self.spec, dim), dim)
+        D = _displacement_matrix(_shift(self.beta_opt, self.detector), dim)[None]
+        _check_report([self], D, _targets([self.spec], dim), dim)
 
 
-def _check_report(report: FidelityReport, D: np.ndarray, defect, targets, dim: TruncationDim) -> None:
-    """``FidelityReport.verify`` from a prebuilt D at ``_shift(beta_opt,
-    detector)``, its unitarity defect and the spec's target vectors: the
-    displacement guard, the assembled POVM (checked by ``PovmPair.checked``)
-    and its fidelity, which must match f_dp within ``REPORT_CONSISTENCY_TOL``."""
-    _check_guard(_shift(report.beta_opt, report.detector), defect, dim)
-    ref = _fidelity(_displaced_povm(D, targets, report.detector, dim), targets)
-    if abs(ref - report.f_dp) > REPORT_CONSISTENCY_TOL:
-        raise ArithmeticError(
-            f"reported f_dp={report.f_dp!r} disagrees with the POVM value "
-            f"{ref!r} at beta_opt={report.beta_opt!r}"
-        )
+def _check_report(reports, D: np.ndarray, targets, dim: TruncationDim) -> None:
+    """``FidelityReport.verify`` of reports that share one detector, from
+    the stack of D at their ``_shift(beta_opt, detector)`` and their target
+    stacks.  Every D must pass the displacement guard, every assembled POVM
+    fidelity must be real (``_povm_fidelities``), and then each POVM must
+    pass the ``PovmPair.checked`` invariants (``_failures``) and match f_dp
+    within ``REPORT_CONSISTENCY_TOL``: the first report that fails raises."""
+    detector = reports[0].detector
+    for report, defect in zip(reports, _unitarity_defect(D, dim.n_max)):
+        _check_guard(_shift(report.beta_opt, detector), defect, dim)
+    pi0 = _displaced_elements(D, targets, detector)
+    pi1 = np.eye(dim.size) - pi0
+    for report, failure, ref in zip(reports, _failures(pi0, pi1), _povm_fidelities(pi0, pi1, targets)):
+        if failure is not None:
+            raise failure
+        if abs(ref - report.f_dp) > REPORT_CONSISTENCY_TOL:
+            raise ArithmeticError(
+                f"reported f_dp={report.f_dp!r} disagrees with the POVM value "
+                f"{ref!r} at beta_opt={report.beta_opt!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -660,45 +674,41 @@ class SweepGrid:
 
 
 def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport]:
-    """The optimized reports of all three strategies at every spec of a
-    list that shares one alpha.  Both closed-form searches run once for the
-    whole list, and the Fock inputs are built once for it too: one stack of
-    D at every point's ``_shift(beta, detector)`` with its unitarity
-    defects, and one stack of interval operators at every point's
-    threshold.  Each point then takes its slices: f_dp and its
-    ``_check_report`` (the ``verify`` check) from the same D, f_hd from its
-    E, both against target vectors built once.  The first search, score or
-    check that fails raises.  The group's cat basis is built first (and
-    cached for the target vectors), so an amplitude the cutoff cannot hold
-    fails before any search runs on it."""
+    """The optimized reports of all three strategies at every spec of a list,
+    in list order.  The target vectors come first, so an alpha the cutoff
+    cannot hold fails at its cat basis before any search.  The specs that
+    share an alpha are searched in one pass; then each stack of up to
+    ``_STACK`` points is scored and checked from one D build, shared by f_dp
+    and ``_check_report``, and one E build.  The first failure raises."""
     dim = as_dim(dim)
-    cat_basis(specs[0].alpha, dim)
-    betas = _search_displacements(specs, detector, dim)
-    homodynes = _search_homodynes(specs)
-    shifts = np.array([_shift(beta, detector) for beta in betas], dtype=complex)
-    Ds = _displacement_matrix(shifts, dim)
-    defects = _unitarity_defect(Ds, dim.n_max)
-    Es = quadrature_interval_operator(np.array([x_th for x_th, _ in homodynes]), np.inf, dim)
-    reports = []
-    for spec, beta, (x_th, lo_phase), D, defect, E in zip(specs, betas, homodynes, Ds, defects, Es):
-        targets = scs_projectors(spec, dim)
-        report = FidelityReport(
-            f_dp=_click_score(targets, D, detector),
-            f_hd=_homodyne_score(targets, E, lo_phase),
-            f_pn=pnrd_fidelity(spec),
-            beta_opt=beta,
-            x_th_opt=x_th,
-            lo_phase_opt=lo_phase,
-            spec=spec,
-            detector=detector,
-        )
-        _check_report(report, D, defect, targets, dim)
-        reports.append(report)
-    return reports
+    first: dict[float, int] = {}  # each alpha's group goes where the alpha first appears
+    order = sorted(range(len(specs)), key=lambda i: first.setdefault(specs[i].alpha, len(first)))
+    ordered = [specs[i] for i in order]
+    t0, t1 = _targets(ordered, dim)
+    betas, homodynes = [], []
+    for _, group in itertools.groupby(ordered, key=lambda spec: spec.alpha):
+        group = list(group)
+        betas += _search_displacements(group, detector, dim)
+        homodynes += _search_homodynes(group)
+    reports = {}
+    for start in range(0, len(specs), _STACK):
+        rows = slice(start, start + _STACK)
+        stack = t0[rows], t1[rows]
+        D = _displacement_matrix(np.array([_shift(beta, detector) for beta in betas[rows]]), dim)
+        x_th, lo_phase = np.array(homodynes[rows]).T
+        f_dp = _click_score(stack, D, detector)
+        f_hd = _homodyne_score(stack, quadrature_interval_operator(x_th, np.inf, dim), lo_phase)
+        scored = [
+            FidelityReport(float(dp), float(hd), pnrd_fidelity(spec), beta, x, phase, spec, detector)
+            for spec, beta, (x, phase), dp, hd in zip(ordered[rows], betas[rows], homodynes[rows], f_dp, f_hd)
+        ]
+        _check_report(scored, D, stack, dim)
+        reports.update(zip(order[rows], scored))
+    return [reports[i] for i in range(len(specs))]
 
 
 def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
-    """The optimized report of one spec: ``_optimized_reports`` on a group
+    """The optimized report of one spec: ``_optimized_reports`` on a list
     of one, so it is the report a sweep gives that point.  Both searches
     (``_search_displacements``, ``_search_homodynes``) run on the closed
     forms, the Fock model scores their points, and the report passes the
@@ -708,23 +718,13 @@ def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> Fidelity
 
 
 def sweep(grid: SweepGrid, detector: DetectorModel = IDEAL_DETECTOR, dim=20) -> list[FidelityReport]:
-    """One optimized FidelityReport per grid point, in grid order.
-
-    The points that share an alpha^2 are optimized in one pass
-    (``_optimized_reports``), in the order each alpha^2 first appears.  The
-    first point that fails raises its own exception, and the sweep returns
-    nothing: a landscape with holes in it is not a result.
+    """One optimized FidelityReport per grid point, in grid order, from
+    ``_optimized_reports`` on every point at once.  The first point that
+    fails raises its own exception, and the sweep returns nothing: a
+    landscape with holes in it is not a result.
     """
-    dim = as_dim(dim)
     specs = [ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in grid.points()]
-    groups: dict[float, list[int]] = {}
-    for idx, spec in enumerate(specs):
-        groups.setdefault(spec.alpha, []).append(idx)
-
-    reports: dict[int, FidelityReport] = {}
-    for indices in groups.values():
-        reports.update(zip(indices, _optimized_reports([specs[i] for i in indices], detector, dim)))
-    return [reports[idx] for idx in range(len(specs))]
+    return _optimized_reports(specs, detector, dim)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ truncated Fock basis:
 Every displaced-counting element, ideal or lossy, partition or on/off,
 shares one weight formula: pi0 = (1 - nu) D(beta) diag(B_eta m) D(beta)^dag,
 where m marks the photon numbers counted as outcome 0 and B_eta is the
-binomial loss map (``_counting_povm``).
+binomial loss map (``_counting_elements``).
 """
 
 from __future__ import annotations
@@ -103,21 +103,8 @@ class PovmPair:
     def validate(self) -> dict:
         """Residuals of the pair invariants (completeness, hermiticity,
         positivity floor, entry bound).  Small is good."""
-        p0, p1 = self.pi0.entries, self.pi1.entries
-        eye = np.eye(self.dim.size)
-        res = {
-            "completeness": float(np.max(np.abs(p0 + p1 - eye))),
-            "hermiticity": max(
-                float(np.max(np.abs(p0 - p0.conj().T))),
-                float(np.max(np.abs(p1 - p1.conj().T))),
-            ),
-            "min_eigenvalue": min(
-                float(np.linalg.eigvalsh(0.5 * (p0 + p0.conj().T))[0]),
-                float(np.linalg.eigvalsh(0.5 * (p1 + p1.conj().T))[0]),
-            ),
-            "max_entry": max(float(np.max(np.abs(p0))), float(np.max(np.abs(p1)))),
-        }
-        return res
+        res = _residuals(self.pi0.entries[None], self.pi1.entries[None])
+        return {name: float(values[0]) for name, values in res.items()}
 
     @classmethod
     def checked(cls, dim, pi0, pi1) -> "PovmPair":
@@ -127,22 +114,42 @@ class PovmPair:
         if not isinstance(pi1, FockOperator):
             pi1 = FockOperator(dim, pi1)
         pair = cls(dim, pi0, pi1)
-        res = pair.validate()
-        if res["completeness"] > COMPLETENESS_TOL:
-            raise ValueError(f"POVM pair not complete: residual {res['completeness']:.3e}")
-        if res["hermiticity"] > HERMITICITY_TOL:
-            raise ValueError(f"POVM element not Hermitian: residual {res['hermiticity']:.3e}")
-        if res["min_eigenvalue"] < -EIGENVALUE_FLOOR:
-            raise ValueError(f"POVM element not PSD: min eigenvalue {res['min_eigenvalue']:.3e}")
-        if res["max_entry"] > 1.0 + ENTRY_BOUND_TOL:
-            raise ValueError(f"POVM entry bound violated: max |theta| {res['max_entry']:.6f}")
+        (failure,) = _failures(pair.pi0.entries[None], pair.pi1.entries[None])
+        if failure is not None:
+            raise failure
         return pair
 
 
+def _residuals(pi0: np.ndarray, pi1: np.ndarray) -> dict:
+    """``PovmPair.validate`` of every pair of a stack (k, N, N), as (k,)
+    arrays: the spectra of all 2k elements come from one ``eigvalsh`` call."""
+    pairs = np.stack([pi0, pi1])
+    adjoint = pairs.conj().swapaxes(-1, -2)
+    return {
+        "completeness": np.max(np.abs(pi0 + pi1 - np.eye(pi0.shape[-1])), axis=(-2, -1)),
+        "hermiticity": np.max(np.abs(pairs - adjoint), axis=(0, -2, -1)),
+        "min_eigenvalue": np.min(np.linalg.eigvalsh(0.5 * (pairs + adjoint))[..., 0], axis=0),
+        "max_entry": np.max(np.abs(pairs), axis=(0, -2, -1)),
+    }
+
+
+def _failures(pi0: np.ndarray, pi1: np.ndarray) -> list:
+    """For every pair of a stack of elements, None or the ValueError of the
+    first invariant it breaks (``PovmPair.checked`` on a stack of one)."""
+    return [
+        ValueError(f"POVM pair not complete: residual {complete:.3e}") if complete > COMPLETENESS_TOL
+        else ValueError(f"POVM element not Hermitian: residual {hermitian:.3e}") if hermitian > HERMITICITY_TOL
+        else ValueError(f"POVM element not PSD: min eigenvalue {low:.3e}") if low < -EIGENVALUE_FLOOR
+        else ValueError(f"POVM entry bound violated: max |theta| {top:.6f}") if top > 1.0 + ENTRY_BOUND_TOL
+        else None
+        for complete, hermitian, low, top in zip(*_residuals(pi0, pi1).values())
+    ]
+
+
 def _displaced_overlaps(targets, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|<pi_j|D|n>|^2 of each target vector pi_j, for every photon number n."""
-    pi0, pi1 = targets
-    return np.abs(pi0.amps.conj() @ D) ** 2, np.abs(pi1.amps.conj() @ D) ** 2
+    """|<pi_j|D|n>|^2 of each target amplitude array pi_j (..., N), for every
+    photon number n, each row by its own (1, N) @ (N, N) product."""
+    return tuple(np.abs((t.conj()[..., None, :] @ D)[..., 0, :]) ** 2 for t in targets)
 
 
 def _partition(targets, D: np.ndarray) -> np.ndarray:
@@ -181,20 +188,23 @@ def _binomial_loss(eta: float, n_max: int) -> np.ndarray:
 
 def _outcome_weights(keep: np.ndarray, eta: float) -> np.ndarray:
     """w = B_eta m: the probability that n photons arriving at a counter of
-    efficiency eta give a photon number in the outcome-0 set ``keep``."""
-    return _binomial_loss(float(eta), keep.size - 1) @ keep
+    efficiency eta give a photon number in the outcome-0 set ``keep`` (one
+    mask, or a stack of them, each its own matrix-vector product)."""
+    return (_binomial_loss(float(eta), keep.shape[-1] - 1) @ keep[..., None])[..., 0]
 
 
-def _counting_povm(
-    D: np.ndarray, dim: TruncationDim, targets=None, eta: float = 1.0, nu: float = 0.0
-) -> PovmPair:
-    """Displace by a prebuilt, guarded D = D(beta), then count photons behind
-    loss eta and dark counts nu: pi0 = (1 - nu) D diag(B_eta m) D^dag,
-    pi1 = I - pi0.  m is the partition of the target vectors ``targets``,
-    read off the same D, or the vacuum alone (an on/off counter) if none."""
-    keep = _partition(targets, D) if targets is not None else np.arange(dim.size) == 0
-    pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)) @ D.conj().T)
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
+def _counting_elements(D: np.ndarray, targets=None, eta: float = 1.0, nu: float = 0.0) -> np.ndarray:
+    """pi0 = (1 - nu) D diag(B_eta m) D^dag for a guarded D = D(beta) or a stack:
+    displace, then count photons behind loss eta and dark counts nu.  m is the
+    partition of the target amplitude arrays read off the same D, or the vacuum."""
+    keep = _partition(targets, D) if targets is not None else np.arange(D.shape[-1]) == 0
+    pi0 = (1.0 - nu) * ((D * _outcome_weights(keep, eta)[..., None, :]) @ D.conj().swapaxes(-1, -2))
+    return 0.5 * (pi0 + pi0.conj().swapaxes(-1, -2))
+
+
+def _counting_povm(D: np.ndarray, dim: TruncationDim, targets=None, eta: float = 1.0, nu: float = 0.0) -> PovmPair:
+    """The checked pair (pi0, I - pi0) of ``_counting_elements`` for one D."""
+    pi0 = _counting_elements(D, targets, eta, nu)
     return PovmPair.checked(dim, pi0, np.eye(dim.size) - pi0)
 
 

@@ -168,10 +168,11 @@ def test_a_failed_sweep_point_is_its_own_sweep_record(tmp_path, monkeypatch):
     # a RuntimeError "1 grid points failed; first: injected"
     check = fidelity._check_report
 
-    def picky(report, *args):
-        if round(report.spec.c0**2, 9) == 0.75:
-            raise ArithmeticError("injected")
-        check(report, *args)
+    def picky(reports, *args):
+        check(reports, *args)
+        for report in reports:
+            if round(report.spec.c0**2, 9) == 0.75:
+                raise ArithmeticError("injected")
 
     monkeypatch.setattr(fidelity, "_check_report", picky)
     path = write_config(tmp_path, {"c0sq_values": [0.5, 0.75]})
@@ -718,6 +719,46 @@ def test_a_schedule_outside_a_quantized_sweep_is_one_config_record(tmp_path, arg
     assert len(lines) == 1, lines
     record = json.loads(lines[0])
     assert record["stage"] == "config" and "config key 'schedule'" in record["message"], record
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+_OTHER_RUN_KIND = [
+    *(
+        (_SWEEP, {key: value, "c0sq_values": [0.5]}, "quantized sweep")
+        for key, value in (
+            ("c0sq", 0.5),
+            ("phi", 0.1),
+            ("drive_amplitude", 1e300),
+            ("drive_phase", 0.0),
+            ("clicks", "nonexistent.csv"),
+            ("error_bars_sigma", 0.01),
+        )
+    ),
+    *(
+        (_SINGLE, {key: value}, "single run")
+        for key, value in (("c0sq_values", [0.5]), ("phi_values", [0.0]), ("quantize", False))
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, entry, kind",
+    _OTHER_RUN_KIND,
+    ids=["-".join(argv[::2]) + "-" + next(iter(entry)) for argv, entry, _ in _OTHER_RUN_KIND],
+)
+def test_a_key_only_the_other_tomography_run_reads_is_one_config_record(tmp_path, argv, entry, kind):
+    # each run used to exit 0 and hash the ignored key into its output (a
+    # sweep given clicks simulated instead of ingesting them)
+    path = write_config(tmp_path, entry)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    key = next(iter(entry))
+    assert record["stage"] == "config", record
+    assert record["message"] == f"config key {key!r} is not read by a tomography {kind}", record
     assert list(tmp_path.iterdir()) == [Path(path)]
 
 

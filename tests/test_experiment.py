@@ -163,7 +163,7 @@ def test_apparatus_povm_composition():
     got = apparatus_povm(OPERATING_SPEC, shift, LAB_DETECTOR, DIM)
 
     dmat = displacement_operator(shift, DIM).entries
-    mask = _partition(scs_projectors(OPERATING_SPEC, DIM), dmat)
+    mask = _partition([t.amps for t in scs_projectors(OPERATING_SPEC, DIM)], dmat)
     proj = np.diag(mask.astype(complex))
     base = PovmPair.checked(DIM, proj, np.eye(DIM.size) - proj)
     lossy = apply_loss(base, LAB_DETECTOR.eta)

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from catproj import fidelity as fidelity_module
@@ -32,8 +34,10 @@ from catproj.fidelity import (
     _optimized_reports,
     _search_displacements,
     _search_homodynes,
+    _check_report,
     _shift,
     _swapped,
+    _targets,
     displaced_povm,
     fidelity,
     optimize,
@@ -86,14 +90,18 @@ def homodyne_score(spec):
 
 
 def click_fock(spec, beta, det, dim):
-    """The Fock kernel that scores f_dp, on a D built for this one point
-    (no cutoff guard, so it also scores points beyond it)."""
-    return _click_score(scs_projectors(spec, dim), _displacement_matrix(_shift(beta, det), dim), det)
+    """The Fock kernel that scores f_dp, on a stack of one D built for this
+    one point (no cutoff guard, so it also scores points beyond it)."""
+    (f,) = _click_score(_targets([spec], dim), _displacement_matrix(_shift(beta, det), dim)[None], det)
+    return float(f)
 
 
 def homodyne_fock(spec, x_th, lo_phase, dim):
-    """The Fock kernel that scores f_hd, on an E built for this one point."""
-    return _homodyne_score(scs_projectors(spec, dim), quadrature_interval_operator(x_th, np.inf, dim), lo_phase)
+    """The Fock kernel that scores f_hd, on a stack of one E built for this
+    one point."""
+    E = quadrature_interval_operator(np.array([x_th]), np.inf, dim)
+    (f,) = _homodyne_score(_targets([spec], dim), E, np.array([lo_phase]))
+    return float(f)
 
 
 def test_fidelity_trivial_pairs():
@@ -515,7 +523,7 @@ def test_displaced_povm_route_selection():
     ideal_pi0 = displaced_povm(spec, 0.2, IDEAL_DETECTOR, DIM).pi0.entries
     lossy_pi0 = displaced_povm(spec, 0.2, lossy, DIM).pi0.entries
     D = displacement_operator(0.2, DIM).entries
-    assert np.array_equal(ideal_pi0, _counting_povm(D, DIM, scs_projectors(spec, DIM)).pi0.entries)
+    assert np.array_equal(ideal_pi0, _counting_povm(D, DIM, [t.amps for t in scs_projectors(spec, DIM)]).pi0.entries)
     assert np.array_equal(lossy_pi0, _counting_povm(D, DIM, eta=0.9).pi0.entries)
 
 
@@ -643,6 +651,81 @@ def test_group_reports_are_the_public_per_point_values():
             report.verify(DIM)
 
 
+def test_stack_chunks_may_split_alpha_groups(monkeypatch):
+    # at two points per stack, the six points of three alpha^2 groups are
+    # scored in three stacks that cut across the groups; each report still
+    # equals the point optimized on its own
+    monkeypatch.setattr(fidelity_module, "_STACK", 2)
+    counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
+    for name in counts:
+        counting(monkeypatch, fidelity_module, name, counts)
+    grid = SweepGrid((0.2, 0.65), (0.3, 1.1, 1.9), (0.7,))
+    for det in (IDEAL_DETECTOR, LAB):
+        reports = sweep(grid, det, DIM)
+        for report, (c0sq, alpha_sq, phi) in zip(reports, grid.points(), strict=True):
+            alone = optimize(ScsMeasurementSpec.from_c0sq(math.sqrt(alpha_sq), c0sq, phi), det, DIM)
+            for name in FidelityReport.__dataclass_fields__:
+                assert getattr(report, name) == getattr(alone, name), name
+    assert counts == {"_displacement_matrix": 2 * 3 + 12, "quadrature_interval_operator": 2 * 3 + 12}
+
+
+def check_outcome(reports, D, targets):
+    """None if ``_check_report`` passes on the stack, else the type and
+    message of what it raises."""
+    try:
+        _check_report(reports, D, targets, DIM)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return None
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),  # c0^2
+        st.floats(0.05, 2.3),  # alpha^2
+        st.floats(0.0, 2.0 * math.pi),  # phi
+        # beta inside the guard, which the check applies to every row first
+        st.complex_numbers(max_magnitude=max_guarded_amplitude(DIM)),
+        st.floats(-6.0, 6.0),  # x_th
+        st.floats(0.0, math.pi),  # lo_phase
+        st.sampled_from([0.0, 0.0, 1e-9]),  # an f_dp offset the check must catch
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS, lab=st.booleans())
+def test_a_row_scores_the_same_in_any_stack(rows, lab):
+    # f_dp, f_hd and the check of each row of a stack are those of the row
+    # scored alone, on its own one-point D and E, bit for bit; the stack's
+    # check raises what its first failing row raises alone
+    det = LAB if lab else IDEAL_DETECTOR
+    specs = [spec_of(c0sq, math.sqrt(alpha_sq), phi) for c0sq, alpha_sq, phi, *_ in rows]
+    betas = [beta for *_, beta, _, _, _ in rows]
+    x_th = np.array([row[4] for row in rows])
+    lo_phase = np.array([row[5] for row in rows])
+    targets = _targets(specs, DIM)
+    D = _displacement_matrix(np.array([_shift(beta, det) for beta in betas]), DIM)
+    f_dp = _click_score(targets, D, det)
+    f_hd = _homodyne_score(targets, quadrature_interval_operator(x_th, np.inf, DIM), lo_phase)
+    reports, alone = [], []
+    for i, (spec, beta, row) in enumerate(zip(specs, betas, rows)):
+        one = _targets([spec], DIM)
+        D_one = _displacement_matrix(_shift(beta, det), DIM)[None]
+        E_one = quadrature_interval_operator(x_th[i : i + 1], np.inf, DIM)
+        assert _click_score(one, D_one, det)[0] == f_dp[i]
+        assert _homodyne_score(one, E_one, lo_phase[i : i + 1])[0] == f_hd[i]
+        offset = row[6] if f_dp[i] < 0.5 else -row[6]
+        report = FidelityReport(
+            float(f_dp[i]) + offset, float(f_hd[i]), pnrd_fidelity(spec), beta, row[4], row[5], spec, det
+        )
+        reports.append(report)
+        alone.append(check_outcome([report], D_one, one))
+    assert check_outcome(reports, D, targets) == next((o for o in alone if o is not None), None)
+
+
 def test_sweep_raises_the_first_point_failure(monkeypatch):
     # one failed point fails the sweep with its own exception and no warning:
     # alpha^2 = 6.76 exceeds what a 10-level truncation can hold
@@ -652,15 +735,17 @@ def test_sweep_raises_the_first_point_failure(monkeypatch):
         with pytest.raises(fock.CutoffTooSmallError):
             sweep(grid, IDEAL_DETECTOR, TruncationDim(10))
 
-    # a failed check raises from its alpha^2 pass, and no later pass runs
+    # a failed check raises from the call's stacked check, which runs once
+    # every alpha^2 pass has searched its points
     counts = {"_search_displacements": 0}
     counting(monkeypatch, fidelity_module, "_search_displacements", counts)
     check = fidelity_module._check_report
 
-    def picky(report, *args):
-        if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
-            raise ArithmeticError("injected")
-        check(report, *args)
+    def picky(reports, *args):
+        check(reports, *args)
+        for report in reports:
+            if (round(report.spec.c0**2, 9), round(report.spec.alpha**2, 9)) == (0.75, 1.0):
+                raise ArithmeticError("injected")
 
     monkeypatch.setattr(fidelity_module, "_check_report", picky)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
@@ -668,18 +753,18 @@ def test_sweep_raises_the_first_point_failure(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match="^injected$"):
             sweep(grid, IDEAL_DETECTOR, DIM)
-    assert counts == {"_search_displacements": 2}
+    assert counts == {"_search_displacements": 3}
 
 
-def test_sweep_searches_each_alpha_once(monkeypatch):
-    # the search runs once per alpha^2 group, and the group's D and E stacks
-    # are built once, shared by each point's score and check
+def test_sweep_searches_each_alpha_once_and_builds_each_stack_once(monkeypatch):
+    # the search runs once per alpha^2 group, and the call's D and E stacks
+    # are built once, shared by every point's score and the stacked check
     counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
     for name in counts:
         counting(monkeypatch, fidelity_module, name, counts)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
     reports = sweep(grid, IDEAL_DETECTOR, DIM)
-    assert counts == {"_search_displacements": 3, "_displacement_matrix": 3, "quadrature_interval_operator": 3}
+    assert counts == {"_search_displacements": 3, "_displacement_matrix": 1, "quadrature_interval_operator": 1}
     assert [(round(r.spec.c0**2, 9), round(r.spec.alpha**2, 9)) for r in reports] == [
         (c0sq, alpha_sq) for c0sq, alpha_sq, _ in grid.points()
     ]

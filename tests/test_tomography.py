@@ -63,7 +63,7 @@ def experimental_pair(dim=DIM) -> PovmPair:
     drive, vis, eta, nu = 0.894, 0.998, 0.689, 5.32e-5
     shift = 0.5 * drive * vis * 1j
     dmat = displacement_operator(shift, dim).entries
-    proj = np.diag(_partition(scs_projectors(OPERATING_SPEC, dim), dmat).astype(complex))
+    proj = np.diag(_partition([t.amps for t in scs_projectors(OPERATING_SPEC, dim)], dmat).astype(complex))
     base = PovmPair.checked(dim, proj, np.eye(dim.size) - proj)
     lossy = apply_loss(base, eta)
     pi0 = (1.0 - nu) * (dmat @ lossy.pi0.entries @ dmat.conj().T)
