@@ -15,9 +15,9 @@ from catproj.experiment import (
     effective_displacement,
     simulate_counts,
 )
-from catproj.fock import ScsMeasurementSpec, TruncationDim
+from catproj.fock import ScsMeasurementSpec, TruncationDim, scs_basis_project
 from catproj.povm import DetectorModel
-from catproj.tomography import ProbeSet, error_bars, scs_basis_project, tomography_pipeline
+from catproj.tomography import ProbeSet, error_bars, tomography_pipeline
 
 ALPHA = 0.499
 DIM = TruncationDim(24)
@@ -32,11 +32,11 @@ def main() -> None:
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     campaign = Campaign(probes=probes, detector=detector, rng_seed=7)
     clicks = simulate_counts(truth, campaign)
-    run = tomography_pipeline(clicks, probes, DIM)
+    run = tomography_pipeline(clicks, probes)
 
     with np.printoptions(precision=3, suppress=True):
         print("modeled truth, cat-basis projection:")
-        print(scs_basis_project(truth.pi0, ALPHA, DIM))
+        print(scs_basis_project(truth.pi0, ALPHA))
         print("\nreconstruction from sampled clicks:")
         print(run.povm.pi0)
     diag = run.povm.diagnostics

@@ -48,8 +48,9 @@ from .fock import (
     cat_basis,
     coherent_state,
     displacement_defect,
+    scs_basis_project,
 )
-from .povm import DetectorModel, random_povm_pair
+from .povm import DetectorModel, povm_entry_bound_check, random_povm_pair
 from .serialize import (
     atomic_write_text,
     format_float,
@@ -67,9 +68,7 @@ from .tomography import (
     _check_error_bar_width,
     _require_probe_rows,
     error_bars,
-    povm_entry_bound_check,
     povm_pair_fidelity,
-    scs_basis_project,
     tomography_pipeline,
 )
 
@@ -402,10 +401,10 @@ def cmd_tomography(cfg: Config) -> int:
         with _stage("simulate"):
             table = simulate_counts(truth, campaign)
     with _stage("reconstruct"):
-        run = tomography_pipeline(table, probes, dim)
+        run = tomography_pipeline(table, probes)
         bars = error_bars(run, sigma) if sigma > 0.0 else None
     with _stage("write"):
-        write_tomography_json(out, run, _hashable(cfg), cfg["seed"], bars, clicks_sha256)
+        write_tomography_json(out, run, dim, _hashable(cfg), cfg["seed"], bars, clicks_sha256)
     pi0 = run.povm.pi0
     print(
         f"reconstructed pi0 diag=({format_float(pi0[0, 0].real)}, "
@@ -473,11 +472,9 @@ def _selftest_checks(dim: TruncationDim):
     shift = effective_displacement(0.894j, lab)
     truth = apparatus_povm(spec, shift, lab, dim)
     probes = ProbeSet(0.499, (0.2, 0.3))
-    table = ClickTable.from_rates(probes.amplitudes(), expected_rates(truth, probes, dim), 1.0)
-    run = tomography_pipeline(table, probes, dim)
-    projected = ScsPovm(
-        scs_basis_project(truth.pi0, 0.499, dim), scs_basis_project(truth.pi1, 0.499, dim)
-    )
+    table = ClickTable.from_rates(probes.amplitudes(), expected_rates(truth, probes), 1.0)
+    run = tomography_pipeline(table, probes)
+    projected = ScsPovm(scs_basis_project(truth.pi0, 0.499), scs_basis_project(truth.pi1, 0.499))
     roundtrip = 1.0 - povm_pair_fidelity(projected, run.povm)
 
     return [

@@ -75,13 +75,11 @@ class Campaign:
         return ProbeSet(root_eta * self.probes.alpha, tuple(root_eta * g for g in self.probes.gammas))
 
 
-def expected_rates(truth: PovmPair, probes: ProbeSet, dim) -> np.ndarray:
-    """Exact outcome-0 probability for every probe state, in probe order."""
-    dim = as_dim(dim)
-    if dim.size != truth.dim.size:
-        raise ValueError(f"dim {dim.size} does not match the truth POVM ({truth.dim.size})")
+def expected_rates(truth: PovmPair, probes: ProbeSet) -> np.ndarray:
+    """Exact outcome-0 probability for every probe state, in probe order, on
+    the truth POVM's own cutoff."""
     return np.array(
-        [expect(truth.pi0, coherent_state(a, dim)).real for a in probes.amplitudes()]
+        [expect(truth.pi0, coherent_state(a, truth.dim)).real for a in probes.amplitudes()]
     )
 
 
@@ -92,7 +90,7 @@ def simulate_counts(truth: PovmPair, campaign: Campaign) -> ClickTable:
     64-bit pair ``(rng_seed, probe_index)``, so tables are bit-for-bit
     reproducible and probes can be generated in any order or in parallel.
     """
-    rates = expected_rates(truth, campaign.probes, truth.dim)
+    rates = expected_rates(truth, campaign.probes)
     counts0 = np.empty(rates.size)
     for i, rate in enumerate(rates):
         if not -RATE_TOL <= rate <= 1.0 + RATE_TOL:
@@ -181,7 +179,8 @@ def reconstruction_sweep(
     fidelity is not computed), snap its modulus to the nearest level of
     ``menu`` unless that is ``None`` (``_menu_levels`` checks it first),
     build the imperfect-apparatus POVM at that shift, simulate clicks,
-    reconstruct, and score against the target.
+    reconstruct, and score against the target.  ``dim`` is the cutoff of
+    the search and of the apparatus model; the 2x2 reconstructions take none.
     ``f_raw`` interprets probes at their physical amplitudes;
     ``f_compensated`` re-reads the same clicks with amplitudes scaled by
     sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
@@ -210,9 +209,9 @@ def reconstruction_sweep(
         truth = _counting_povm(D, dim, (t0[i], t1[i]), campaign.detector.eta, campaign.detector.nu)
         clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
 
-        raw = tomography_pipeline(clicks, campaign.probes, dim)
+        raw = tomography_pipeline(clicks, campaign.probes)
         comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), comp_probes.amplitudes())
-        comp = tomography_pipeline(comp_clicks, comp_probes, dim)
+        comp = tomography_pipeline(comp_clicks, comp_probes)
 
         out.append(
             ReconstructionPoint(

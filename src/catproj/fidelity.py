@@ -65,10 +65,9 @@ from .fock import (
     MIN_ALPHA,
     ScsMeasurementSpec,
     TruncationDim,
-    _check_guard,
-    _displacement_matrix,
-    _unitarity_defect,
+    _guarded_displacements,
     as_dim,
+    cat_norm_squares,
     displacement_operator,
     max_guarded_amplitude,
     scs_projectors,
@@ -162,16 +161,16 @@ def _contrast(spec: ScsMeasurementSpec) -> tuple[float, float, complex]:
     S[k, l] = conj(C_0k) C_0l - conj(C_1k) C_1l, where t_j = sum_k C[j, k] |a_k>
     writes the target vectors as sums of two untruncated coherent states,
     a = (alpha, -alpha), the cat vectors normalized by
-    N_pm^2 = 2 (1 +- exp(-2 alpha^2)).
+    N_pm^2 = 2 (1 +- exp(-2 alpha^2)) (``cat_norm_squares``).
 
     For any outcome-0 element P with M_kl = <a_k|P|a_l>, <t0|P|t0> -
     <t1|P|t1> = sum_kl S_kl M_kl = S_00 M_00 + S_11 M_11 + Re(2 S_01 M_01), so
     a fidelity F = (1 + <t0|P|t0> - <t1|P|t1>) / 2 needs only the 2 x 2
     coherent-state matrix elements of P, which do not depend on c0 or phi.
     """
-    x = 2.0 * spec.alpha**2
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0 + 2.0 * math.exp(-x))
-    minus = np.array([1.0, -1.0]) / math.sqrt(-2.0 * math.expm1(-x))
+    nplus_sq, nminus_sq = cat_norm_squares(spec.alpha)
+    plus = np.array([1.0, 1.0]) / math.sqrt(nplus_sq)
+    minus = np.array([1.0, -1.0]) / math.sqrt(nminus_sq)
     u = spec.c1 * complex(math.cos(spec.phi), math.sin(spec.phi))
     C = np.array([spec.c0 * plus + u * minus, u.conjugate() * plus - spec.c0 * minus])
     S = C[0].conj()[:, None] * C[0] - C[1].conj()[:, None] * C[1]
@@ -614,20 +613,18 @@ class FidelityReport:
     def verify(self, dim) -> None:
         """Recompute f_dp from the assembled POVM at beta_opt and compare."""
         dim = as_dim(dim)
-        D = _displacement_matrix(_shift(self.beta_opt, self.detector), dim)[None]
+        D = _guarded_displacements([_shift(self.beta_opt, self.detector)], dim)
         _check_report([self], D, _targets([self.spec], dim), dim)
 
 
 def _check_report(reports, D: np.ndarray, targets, dim: TruncationDim) -> None:
     """``FidelityReport.verify`` of reports that share one detector, from
-    the stack of D at their ``_shift(beta_opt, detector)`` and their target
-    stacks.  Every D must pass the displacement guard, every assembled POVM
-    fidelity must be real (``_povm_fidelities``), and then each POVM must
-    pass the ``PovmPair.checked`` invariants (``_failures``) and match f_dp
-    within ``REPORT_CONSISTENCY_TOL``: the first report that fails raises."""
+    the guarded stack of D at their ``_shift(beta_opt, detector)``
+    (``_guarded_displacements``) and their target stacks.  Every assembled
+    POVM fidelity must be real (``_povm_fidelities``), and then each POVM
+    must pass the ``PovmPair.checked`` invariants (``_failures``) and match
+    f_dp within ``REPORT_CONSISTENCY_TOL``: the first report that fails raises."""
     detector = reports[0].detector
-    for report, defect in zip(reports, _unitarity_defect(D, dim.n_max)):
-        _check_guard(_shift(report.beta_opt, detector), defect, dim)
     pi0 = _displaced_elements(D, targets, detector)
     pi1 = np.eye(dim.size) - pi0
     for report, failure, ref in zip(reports, _failures(pi0, pi1), _povm_fidelities(pi0, pi1, targets)):
@@ -694,7 +691,7 @@ def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityRepo
     for start in range(0, len(specs), _STACK):
         rows = slice(start, start + _STACK)
         stack = t0[rows], t1[rows]
-        D = _displacement_matrix(np.array([_shift(beta, detector) for beta in betas[rows]]), dim)
+        D = _guarded_displacements([_shift(beta, detector) for beta in betas[rows]], dim)
         x_th, lo_phase = np.array(homodynes[rows]).T
         f_dp = _click_score(stack, D, detector)
         f_hd = _homodyne_score(stack, quadrature_interval_operator(x_th, np.inf, dim), lo_phase)

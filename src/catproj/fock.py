@@ -41,7 +41,8 @@ __all__ = [
     "as_dim",
     "coherent_state",
     "cat_basis",
-    "cat_norm_factors",
+    "cat_norm_squares",
+    "scs_basis_project",
     "scs_projectors",
     "displacement_operator",
     "displacement_defect",
@@ -256,15 +257,12 @@ def cat_basis(alpha: float, dim) -> tuple[StateVector, StateVector]:
     return StateVector(dim, plus), StateVector(dim, minus)
 
 
-def cat_norm_factors(alpha: float, dim) -> tuple[float, float]:
-    """Normalization factors (N+, N-) of the truncated cat vectors.
-
-    N_pm^2 = 2 (1 +- Re<alpha|-alpha>) evaluated with the truncated,
-    renormalized coherent vectors.
-    """
-    dim = as_dim(dim)
-    ov = inner(coherent_state(alpha, dim), coherent_state(-alpha, dim)).real
-    return math.sqrt(2.0 * (1.0 + ov)), math.sqrt(2.0 * (1.0 - ov))
+def cat_norm_squares(alpha: float) -> tuple[float, float]:
+    """Squared norms (N+^2, N-^2) = 2 (1 +- e^{-2 alpha^2}) of the untruncated
+    cat vectors |alpha> +- |-alpha>; N-^2 through ``expm1``, which keeps its
+    digits at small alpha, where 1 - e^{-2 alpha^2} cancels."""
+    x = 2.0 * alpha**2
+    return 2.0 + 2.0 * math.exp(-x), -2.0 * math.expm1(-x)
 
 
 def scs_projectors(spec: ScsMeasurementSpec, dim) -> tuple[StateVector, StateVector]:
@@ -278,6 +276,14 @@ def scs_projectors(spec: ScsMeasurementSpec, dim) -> tuple[StateVector, StateVec
     pi0 = spec.c0 * plus.amps + spec.c1 * np.exp(1j * spec.phi) * minus.amps
     pi1 = spec.c1 * np.exp(-1j * spec.phi) * plus.amps - spec.c0 * minus.amps
     return StateVector(dim, pi0), StateVector(dim, pi1)
+
+
+def scs_basis_project(op: FockOperator, alpha: float) -> np.ndarray:
+    """2x2 block <C_k| op |C_l> of a Fock-space operator in the cat basis
+    of its own cutoff."""
+    plus, minus = cat_basis(alpha, op.dim)
+    basis = np.stack([plus.amps, minus.amps])
+    return basis.conj() @ op.entries @ basis.T
 
 
 @lru_cache(maxsize=None)
@@ -358,23 +364,18 @@ def displacement_defect(beta: complex, dim) -> float:
     return float(_unitarity_defect(_displacement_matrix(beta, dim), dim.n_max))
 
 
-def _check_guard(beta, defect, dim: TruncationDim) -> None:
-    """The displacement cutoff guard: raise CutoffTooSmallError when the
-    unitarity defect of D(beta) exceeds DISPLACEMENT_GUARD_TOL."""
-    if not defect <= DISPLACEMENT_GUARD_TOL:  # also rejects NaN
-        raise CutoffTooSmallError(
-            f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
-            f"(n_max//2)^2 guard block at n_max={dim.n_max} "
-            f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
-        )
-
-
 def _guarded_displacements(betas, dim: TruncationDim) -> np.ndarray:
     """The stack of D(beta) over a list of amplitudes, each behind the
-    displacement guard: the first beta whose defect fails it raises."""
+    displacement guard: the first beta whose unitarity defect exceeds
+    DISPLACEMENT_GUARD_TOL raises CutoffTooSmallError."""
     Ds = _displacement_matrix(np.array(betas, dtype=complex), dim)
     for beta, defect in zip(betas, _unitarity_defect(Ds, dim.n_max)):
-        _check_guard(beta, defect, dim)
+        if not defect <= DISPLACEMENT_GUARD_TOL:  # also rejects NaN
+            raise CutoffTooSmallError(
+                f"displacement {beta!r} has unitarity defect {defect:.3e} on the "
+                f"(n_max//2)^2 guard block at n_max={dim.n_max} "
+                f"(tolerance {DISPLACEMENT_GUARD_TOL:.0e})"
+            )
     return Ds
 
 
@@ -386,8 +387,7 @@ def displacement_operator(beta: complex, dim) -> FockOperator:
     too tight for this amplitude.
     """
     dim = as_dim(dim)
-    D = _displacement_matrix(beta, dim)
-    _check_guard(beta, float(_unitarity_defect(D, dim.n_max)), dim)
+    (D,) = _guarded_displacements([beta], dim)
     return FockOperator(dim, D)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "PovmPair",
     "homodyne_povm",
     "hermite_functions",
+    "povm_entry_bound_check",
     "quadrature_interval_operator",
     "random_povm_pair",
 ]
@@ -144,6 +145,27 @@ def _failures(pi0: np.ndarray, pi1: np.ndarray) -> list:
         else None
         for complete, hermitian, low, top in zip(*_residuals(pi0, pi1).values())
     ]
+
+
+def povm_entry_bound_check(op: FockOperator) -> tuple[bool, float]:
+    """Check |<m| op |n>| <= 1 for every entry of a POVM element.
+
+    Also exercises the eigen-decomposition route: with op = sum_i l_i
+    |u_i><u_i|, the triangle inequality gives the majorant
+    sum_i l_i |u_i[m]| |u_i[n]| >= |<m|op|n>|, which is itself bounded by
+    sqrt(<m|op|m><n|op|n>) <= 1 via Cauchy-Schwarz whenever the eigenvalues
+    lie in [0, 1].
+    """
+    entries = op.entries
+    max_theta = float(np.max(np.abs(entries)))
+    evals, vecs = np.linalg.eigh(0.5 * (entries + entries.conj().T))
+    weights = np.clip(evals, 0.0, None)
+    mags = np.abs(vecs)
+    majorant = (mags * weights) @ mags.T
+    if max_theta > float(majorant.max()) + 1e-9:
+        raise ArithmeticError("entry magnitude exceeded its eigenvector majorant")
+    ok = max_theta <= 1.0 + ENTRY_BOUND_TOL and float(evals.min()) >= -ENTRY_BOUND_TOL
+    return ok, max_theta
 
 
 def _displaced_overlaps(targets, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

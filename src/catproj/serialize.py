@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fock import TruncationDim
 from .tomography import ClickTable, TomographyRun
 
 SCHEMA_MAJOR = 1
@@ -220,18 +221,20 @@ def _rounded(value):
 
 def tomography_payload(
     run: TomographyRun,
+    dim: TruncationDim,
     config: dict,
     seed: int,
     bars: dict | None = None,
     clicks_sha256: str | None = None,
 ) -> dict:
-    """JSON-ready dictionary for a tomography result.  ``clicks_sha256``, the
-    digest of an ingested click file, is written when given."""
+    """JSON-ready dictionary for a tomography result at the configured cutoff
+    ``dim``.  ``clicks_sha256``, the digest of an ingested click file, is
+    written when given."""
     payload = {
         "schema": f"{TOMOGRAPHY_SCHEMA} {SCHEMA_MAJOR}.{SCHEMA_MINOR}",
         "config_sha256": config_digest(config),
         "seed": seed,
-        "dim": run.dim.size,
+        "dim": dim.size,
         "alpha": run.probes.alpha,
         "gammas": list(run.probes.gammas),
         "f_odd": run.f_odd,
@@ -260,12 +263,13 @@ def optimize_payload(values: dict, config: dict) -> dict:
 def write_tomography_json(
     path,
     run: TomographyRun,
+    dim: TruncationDim,
     config: dict,
     seed: int,
     bars: dict | None = None,
     clicks_sha256: str | None = None,
 ) -> None:
-    payload = tomography_payload(run, config, seed, bars, clicks_sha256)
+    payload = tomography_payload(run, dim, config, seed, bars, clicks_sha256)
     text = json.dumps(payload, sort_keys=True, indent=2)
     atomic_write_text(path, text + "\n")
 

@@ -16,7 +16,8 @@ The 2x2 pair is then reconstructed from four informationally complete probe
 states, closed form first: the linear inversion of the four rates is the
 likelihood maximum whenever it is physical.  Only an optimum on the boundary
 of 0 <= pi0 <= I runs an iteration, a log-det barrier Newton solve whose
-result is certified by a duality gap.
+result is certified by a duality gap.  No step takes a photon-number
+cutoff: the probes enter through the exact cat norms ``cat_norm_squares``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import (
-    MIN_ALPHA,
-    FockOperator,
-    ScsMeasurementSpec,
-    TruncationDim,
-    as_dim,
-    cat_norm_factors,
-)
+from .fock import MIN_ALPHA, ScsMeasurementSpec, cat_norm_squares
 
 COMPLETENESS_TOL_2D = 1e-6
 EIGENVALUE_FLOOR_2D = 1e-9
@@ -46,7 +40,6 @@ MAX_GAMMA = 5.0
 MLE_PROB_FLOOR = 1e-12
 MLE_GAP_TOL = 1e-12
 MLE_MAX_STEPS = 50
-ENTRY_BOUND_TOL = 1e-9
 
 _AMPLITUDE_MATCH_TOL = 1e-9
 
@@ -314,7 +307,7 @@ def even_cat_probe_expectation(
     signs = (-1.0) ** np.arange(psi.size)
     powers = alpha ** (2 * np.arange(psi.size))
     cross = math.exp(-alpha * alpha) * float((signs * powers) @ psi)
-    nplus_sq = 2.0 * (1.0 + math.exp(-2.0 * alpha * alpha))
+    nplus_sq, _ = cat_norm_squares(alpha)
     raw = (q_plus + q_minus + 2.0 * cross) / nplus_sq
     return min(max(raw, 0.0), 1.0), raw
 
@@ -360,15 +353,15 @@ class ScsPovm:
                 raise ValueError(f"{name} has eigenvalue {low:g} below the floor")
 
 
-def probe_coefficients(alpha: float, dim) -> np.ndarray:
+def probe_coefficients(alpha: float) -> np.ndarray:
     """The four reconstruction probes as coefficient vectors in {|C+>, |C->}.
 
     Rows: |+alpha>, |-alpha>, (|alpha> + i|-alpha>)/sqrt(2), |C+>, using
-    |+-alpha> = (Nplus |C+> +- Nminus |C->) / 2.
+    |+-alpha> = (Nplus |C+> +- Nminus |C->) / 2 with the untruncated norms.
     """
-    nplus, nminus = cat_norm_factors(alpha, dim)
-    a = 0.5 * nplus
-    b = 0.5 * nminus
+    nplus_sq, nminus_sq = cat_norm_squares(alpha)
+    a = 0.5 * math.sqrt(nplus_sq)
+    b = 0.5 * math.sqrt(nminus_sq)
     s = 1.0 / math.sqrt(2.0)
     return np.array(
         [
@@ -626,37 +619,6 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     return ScsPovm(*elements, diagnostics=diagnostics)
 
 
-def scs_basis_project(op: FockOperator, alpha: float, dim) -> np.ndarray:
-    """2x2 block <C_k| op |C_l> of a Fock-space operator in the cat basis."""
-    from .fock import cat_basis  # local import to keep module init light
-
-    dim = as_dim(dim)
-    plus, minus = cat_basis(alpha, dim)
-    basis = np.stack([plus.amps, minus.amps])
-    return basis.conj() @ op.entries @ basis.T
-
-
-def povm_entry_bound_check(op: FockOperator) -> tuple[bool, float]:
-    """Check |<m| op |n>| <= 1 for every entry of a POVM element.
-
-    Also exercises the eigen-decomposition route: with op = sum_i l_i
-    |u_i><u_i|, the triangle inequality gives the majorant
-    sum_i l_i |u_i[m]| |u_i[n]| >= |<m|op|n>|, which is itself bounded by
-    sqrt(<m|op|m><n|op|n>) <= 1 via Cauchy-Schwarz whenever the eigenvalues
-    lie in [0, 1].
-    """
-    entries = op.entries
-    max_theta = float(np.max(np.abs(entries)))
-    evals, vecs = np.linalg.eigh(0.5 * (entries + entries.conj().T))
-    weights = np.clip(evals, 0.0, None)
-    mags = np.abs(vecs)
-    majorant = (mags * weights) @ mags.T
-    if max_theta > float(majorant.max()) + 1e-9:
-        raise ArithmeticError("entry magnitude exceeded its eigenvector majorant")
-    ok = max_theta <= 1.0 + ENTRY_BOUND_TOL and float(evals.min()) >= -ENTRY_BOUND_TOL
-    return ok, max_theta
-
-
 def measurement_fidelity(povm: ScsPovm, spec: ScsMeasurementSpec) -> float:
     """Two-term average fidelity of a 2x2 pair against the target vectors."""
     t0 = np.array([spec.c0, spec.c1 * np.exp(1j * spec.phi)])
@@ -694,7 +656,6 @@ class TomographyRun:
 
     probes: ProbeSet
     clicks: ClickTable
-    dim: TruncationDim
     f_odd: np.ndarray
     f_even: np.ndarray
     phi: tuple[PhiVector, PhiVector]
@@ -718,9 +679,7 @@ def _require_probe_rows(clicks: ClickTable, probes: ProbeSet) -> None:
             raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
 
 
-def _assemble(
-    alpha: float, dim: TruncationDim, q: tuple[float, float], phi: PhiVector, psi: PhiVector
-) -> tuple[dict, ScsPovm]:
+def _assemble(alpha: float, q: tuple[float, float], phi: PhiVector, psi: PhiVector) -> tuple[dict, ScsPovm]:
     """The steps of a reconstruction that read the cat amplitude: the
     synthesized probe expectations at ``alpha``, the probe states and the
     MLE, from the measured rates ``q`` at +-alpha and the outcome-0 series
@@ -729,7 +688,7 @@ def _assemble(
     im_minus, im_minus_raw = imaginary_probe_expectation(phi, alpha, q, sign=-1)
     cat_plus, cat_plus_raw = even_cat_probe_expectation(psi, alpha, q)
 
-    coeffs = probe_coefficients(alpha, dim)
+    coeffs = probe_coefficients(alpha)
     rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
     q_plus, q_minus = q
     frequencies = np.array(
@@ -753,14 +712,14 @@ def _assemble(
     return expectations, mle_reconstruct(rho, frequencies)
 
 
-def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> TomographyRun:
+def tomography_pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
     """Chain statistics -> series solves -> synthesized probes -> MLE.
 
     The first two steps are the fit, which reads only the click rows (found
     by amplitude) and the gammas: the rates q+- at the +-alpha rows, both
     series statistics and the four box fits.  Only the assembly after them
-    (``_assemble``) reads alpha, so ``error_bars`` re-runs that alone."""
-    dim = as_dim(dim)
+    (``_assemble``) reads alpha, so ``error_bars`` re-runs that alone.  No
+    step reads a Fock cutoff: a run needs only its clicks and probes."""
     _require_probe_rows(clicks, probes)
 
     r0, _ = clicks.rates()
@@ -771,11 +730,10 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet, dim) -> Tomography
     phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
     psi = tuple(solve_phi(f, probes, 0) for f in f_even)
 
-    expectations, povm = _assemble(probes.alpha, dim, (q_plus, q_minus), phi[0], psi[0])
+    expectations, povm = _assemble(probes.alpha, (q_plus, q_minus), phi[0], psi[0])
     return TomographyRun(
         probes=probes,
         clicks=clicks,
-        dim=dim,
         f_odd=f_odd,
         f_even=f_even,
         phi=phi,
@@ -807,16 +765,17 @@ def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     The click data are fixed; only the assumed probe amplitude moves.  The
     fit of ``run`` (q+-, the series statistics and their box fits) reads
     no alpha, so each shifted run re-does only the alpha-dependent assembly
-    on it: the synthesized expectations, the probe states and the MLE.
-    Each reported scalar gets a ``(lo, hi)`` interval over the central and
-    the two shifted runs, which by construction contains the central value.
+    on it: the synthesized expectations, the probe states and the MLE, all
+    in the 2x2 cat basis with no Fock cutoff.  Each reported scalar gets a
+    ``(lo, hi)`` interval over the central and the two shifted runs, which
+    by construction contains the central value.
     """
     _check_error_bar_width(run.probes.alpha, alpha_sigma)
     q = (run.expectations["q_plus"], run.expectations["q_minus"])
     runs = [(run.expectations, run.povm)]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)
-        runs.append(_assemble(probes.alpha, run.dim, q, run.phi[0], run.psi[0]))
+        runs.append(_assemble(probes.alpha, q, run.phi[0], run.psi[0]))
     out = {}
     for name, extract in _REPORTED_SCALARS:
         vals = [extract(*r) for r in runs]
@@ -838,10 +797,8 @@ __all__ = [
     "imaginary_probe_expectation",
     "measurement_fidelity",
     "mle_reconstruct",
-    "povm_entry_bound_check",
     "povm_pair_fidelity",
     "probe_coefficients",
-    "scs_basis_project",
     "series_bound",
     "solve_phi",
     "tomography_pipeline",

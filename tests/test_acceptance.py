@@ -17,10 +17,11 @@ from catproj.experiment import (
     simulate_counts,
 )
 from catproj.fidelity import SweepGrid, displaced_povm, fidelity, optimize, sweep
-from catproj.fock import ScsMeasurementSpec, TruncationDim, coherent_state, expect
+from catproj.fock import ScsMeasurementSpec, TruncationDim, coherent_state, expect, scs_basis_project
 from catproj.povm import (
     DetectorModel,
     IDEAL_DETECTOR,
+    povm_entry_bound_check,
     random_povm_pair,
 )
 from catproj.tomography import (
@@ -30,9 +31,7 @@ from catproj.tomography import (
     ScsPovm,
     imaginary_probe_expectation,
     series_bound,
-    povm_entry_bound_check,
     povm_pair_fidelity,
-    scs_basis_project,
     tomography_pipeline,
 )
 
@@ -66,8 +65,8 @@ def exact_table(pair, probes: ProbeSet) -> ClickTable:
 
 def project(pair) -> ScsPovm:
     return ScsPovm(
-        scs_basis_project(pair.pi0, ALPHA, pair.dim),
-        scs_basis_project(pair.pi1, ALPHA, pair.dim),
+        scs_basis_project(pair.pi0, ALPHA),
+        scs_basis_project(pair.pi1, ALPHA),
     )
 
 
@@ -142,7 +141,7 @@ def test_noiseless_tomography_roundtrip():
     t0 = time.perf_counter()
     truth = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
-    run = tomography_pipeline(exact_table(truth, probes), probes, DIM)
+    run = tomography_pipeline(exact_table(truth, probes), probes)
     fid = povm_pair_fidelity(project(truth), run.povm)
     check(6, "noiseless roundtrip fidelity >= 0.999", fid >= 0.999,
           f"fidelity {fid:.9f}", t0)
@@ -156,7 +155,7 @@ def test_sampled_tomography_roundtrip_across_seeds():
     fids = []
     for seed in range(100):
         campaign = Campaign(probes=probes, shots_per_probe=200_000, rng_seed=seed)
-        run = tomography_pipeline(simulate_counts(truth, campaign), probes, DIM)
+        run = tomography_pipeline(simulate_counts(truth, campaign), probes)
         fids.append(povm_pair_fidelity(target, run.povm))
     passing = sum(f >= 0.99 for f in fids)
     check(7, "sampled roundtrip fidelity >= 0.99 for 95/100 seeds",
@@ -169,7 +168,7 @@ def test_lab_replica_matches_reference_entries():
     truth = apparatus_povm(OPERATING_SPEC, shift, LAB, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     campaign = Campaign(probes=probes, shots_per_probe=200_000, detector=LAB, rng_seed=7)
-    run = tomography_pipeline(simulate_counts(truth, campaign), probes, DIM)
+    run = tomography_pipeline(simulate_counts(truth, campaign), probes)
     dev = float(np.max(np.abs(run.povm.pi0 - REFERENCE)))
     check(8, "lab replica entries within 0.05 of the reference", dev <= 0.05,
           f"max entry deviation {dev:.4f}", t0)

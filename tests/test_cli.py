@@ -495,6 +495,23 @@ def test_a_mutated_click_file_passes_or_is_one_ingest_record(lines):
             assert Path(tmp, "out.json") not in files
 
 
+def test_an_ingesting_tomography_run_needs_no_cutoff(tmp_path, capsys):
+    # the 2x2 reconstruction builds no Fock vector, so a cutoff that cannot
+    # hold alpha = 0.499 (tail mass 2.1e-3 at n_max = 2) reconstructs the
+    # golden fig3 clicks exactly as n_max = 24 does
+    path = write_config(tmp_path, {"clicks": str(_GOLDEN_CLICKS)})
+    payloads = {}
+    for nmax in (2, 24):
+        out = tmp_path / f"nmax{nmax}.json"
+        argv = ["tomography", "--preset", "fig3", "--config", path, "--nmax", str(nmax), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        payloads[nmax] = json.loads(out.read_text())
+    assert payloads[2]["error_bars"] is not None
+    for key in ("povm", "phi", "psi", "expectations", "error_bars"):
+        assert payloads[2][key] == payloads[24][key], key
+
+
 def test_tomography_series_solve_on_its_box_bounds(tmp_path, capsys):
     # valid click rates whose odd series sits on its box bounds; the
     # box-constrained solve used to spin through its iteration budget here
@@ -616,7 +633,6 @@ def test_out_of_range_settings_fail_at_config(tmp_path, capsys, monkeypatch):
         raise AssertionError("a displacement matrix was built")
 
     monkeypatch.setattr(fock, "_displacement_matrix", no_matrices)
-    monkeypatch.setattr(fidelity, "_displacement_matrix", no_matrices)
     for nmax in (0, NMAX_CEILING + 1, 1000):
         assert main(["optimize", "--nmax", str(nmax)]) == 1
         record = last_error(capsys)

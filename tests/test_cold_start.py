@@ -132,3 +132,33 @@ def test_every_scipy_import_is_scipy_special_inside_a_function():
             importers.add(path.name)
     # the two homodyne functions hold the only scipy imports
     assert importers == {"fidelity.py", "povm.py"}
+
+
+def _fock_and_povm_imports(tree: ast.Module) -> dict[str, set]:
+    """The names each import from ``fock`` or ``povm``, relative or absolute,
+    binds anywhere in a module, keyed by the module imported from;
+    ``from . import fock`` binds ``*``."""
+    found = {"fock": set(), "povm": set()}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        names = [alias.name for alias in node.names]
+        if node.module is None and node.level == 1:
+            for name in found.keys() & set(names):
+                found[name].add("*")
+        else:
+            module = (node.module or "").removeprefix("catproj.")
+            if module in found and (node.level == 1 or node.module.startswith("catproj.")):
+                found[module].update(names)
+    return found
+
+
+def test_tomography_imports_no_fock_space_machinery():
+    # the 2x2 reconstruction takes no cutoff: from fock it needs the cat
+    # amplitude floor, the spec type and the closed-form cat norms, and
+    # from povm nothing
+    sample = "from .fock import a\ndef f():\n    from .povm import b\nfrom catproj.fock import c\nfrom . import povm\n"
+    assert _fock_and_povm_imports(ast.parse(sample)) == {"fock": {"a", "c"}, "povm": {"b", "*"}}
+    path = Path(catproj.__file__).resolve().parent / "tomography.py"
+    found = _fock_and_povm_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == {"fock": {"MIN_ALPHA", "ScsMeasurementSpec", "cat_norm_squares"}, "povm": set()}

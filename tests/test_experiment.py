@@ -75,7 +75,7 @@ def test_expected_rates_closed_forms():
     vac = np.zeros((DIM.size, DIM.size), dtype=complex)
     vac[0, 0] = 1.0
     truth = PovmPair.checked(DIM, vac, np.eye(DIM.size) - vac)
-    rates = expected_rates(truth, PROBES, DIM)
+    rates = expected_rates(truth, PROBES)
     # |<0|i gamma>|^2 = exp(-gamma^2), and the vacuum projector cannot tell
     # +i gamma from -i gamma
     assert rates[2] == pytest.approx(math.exp(-0.04), abs=1e-12)
@@ -86,11 +86,8 @@ def test_expected_rates_closed_forms():
     rng = np.random.default_rng(11)
     for _ in range(10):
         pair = random_povm_pair(DIM, rng)
-        r = expected_rates(pair, PROBES, DIM)
+        r = expected_rates(pair, PROBES)
         assert np.all(r > -1e-12) and np.all(r < 1 + 1e-12)
-
-    with pytest.raises(ValueError):
-        expected_rates(truth, PROBES, TruncationDim(20))
 
 
 def test_simulate_counts_identity_truth():
@@ -111,7 +108,7 @@ def test_simulate_counts_unbiased_coin():
 def test_simulate_counts_matches_exact_rates():
     truth = lab_truth()
     table = simulate_counts(truth, Campaign(probes=PROBES, rng_seed=7))
-    p = expected_rates(truth, PROBES, DIM)
+    p = expected_rates(truth, PROBES)
     sigma = np.sqrt(p * (1 - p) / 200_000)
     assert np.all(np.abs(table.counts0 / table.shots - p) < 3 * sigma)
 
@@ -143,7 +140,7 @@ def test_simulate_counts_rejects_invalid_truth():
 
 def test_simulated_counts_are_statistically_sound():
     truth = lab_truth()
-    p = expected_rates(truth, PROBES, DIM)
+    p = expected_rates(truth, PROBES)
     shots = 200_000
     total = 0.0
     for seed in range(100):

@@ -457,7 +457,6 @@ def test_optimizers_build_one_fock_operator_each(monkeypatch):
     max_guarded_amplitude(DIM)  # the cached guard scan is set-up, not search
     counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
     counting(monkeypatch, fock, "_displacement_matrix", counts)
-    counting(monkeypatch, fidelity_module, "_displacement_matrix", counts)
     counting(monkeypatch, fidelity_module, "quadrature_interval_operator", counts)
     spec = spec_of(0.8, 0.7, 0.3)
     for det in (IDEAL_DETECTOR, LAB):
@@ -478,7 +477,7 @@ def test_search_returns_the_optimizers_displacement_without_a_fock_score(monkeyp
         for specs in cases.values():
             counts = {"_displacement_matrix": 0}
             with monkeypatch.context() as patch:
-                counting(patch, fidelity_module, "_displacement_matrix", counts)
+                counting(patch, fock, "_displacement_matrix", counts)
                 betas = _search_displacements(specs, det, DIM)
             assert counts == {"_displacement_matrix": 0}
             assert betas == [optimize(spec, det, DIM).beta_opt for spec in specs]
@@ -657,8 +656,8 @@ def test_stack_chunks_may_split_alpha_groups(monkeypatch):
     # equals the point optimized on its own
     monkeypatch.setattr(fidelity_module, "_STACK", 2)
     counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
-    for name in counts:
-        counting(monkeypatch, fidelity_module, name, counts)
+    counting(monkeypatch, fock, "_displacement_matrix", counts)
+    counting(monkeypatch, fidelity_module, "quadrature_interval_operator", counts)
     grid = SweepGrid((0.2, 0.65), (0.3, 1.1, 1.9), (0.7,))
     for det in (IDEAL_DETECTOR, LAB):
         reports = sweep(grid, det, DIM)
@@ -684,7 +683,7 @@ _ROWS = st.lists(
         st.floats(0.0, 1.0),  # c0^2
         st.floats(0.05, 2.3),  # alpha^2
         st.floats(0.0, 2.0 * math.pi),  # phi
-        # beta inside the guard, which the check applies to every row first
+        # beta inside the guard, which the stack builder applies to every row
         st.complex_numbers(max_magnitude=max_guarded_amplitude(DIM)),
         st.floats(-6.0, 6.0),  # x_th
         st.floats(0.0, math.pi),  # lo_phase
@@ -760,8 +759,9 @@ def test_sweep_searches_each_alpha_once_and_builds_each_stack_once(monkeypatch):
     # the search runs once per alpha^2 group, and the call's D and E stacks
     # are built once, shared by every point's score and the stacked check
     counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
-    for name in counts:
+    for name in ("_search_displacements", "quadrature_interval_operator"):
         counting(monkeypatch, fidelity_module, name, counts)
+    counting(monkeypatch, fock, "_displacement_matrix", counts)
     grid = SweepGrid((0.5, 0.75), (0.25, 1.0, 1.6), (0.0,))
     reports = sweep(grid, IDEAL_DETECTOR, DIM)
     assert counts == {"_search_displacements": 3, "_displacement_matrix": 1, "quadrature_interval_operator": 1}

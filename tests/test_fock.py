@@ -22,7 +22,7 @@ from catproj.fock import (
     _displacement_matrix,
     _logfact,
     cat_basis,
-    cat_norm_factors,
+    cat_norm_squares,
     coherent_state,
     displacement_defect,
     displacement_operator,
@@ -170,11 +170,13 @@ def test_cat_basis_is_shared_read_only():
     assert cat_basis(0.7, DIM20)[0] is not plus
 
 
-def test_cat_norm_factors_closed_form():
+def test_cat_norm_squares_closed_form():
+    # oracle: the truncated route, 2 (1 +- Re<alpha|-alpha>) from the n_max = 20 vectors
     for alpha in (0.3, 0.499, 0.5, 1.0):
-        np_, nm = cat_norm_factors(alpha, DIM20)
-        assert abs(np_**2 - 2 * (1 + math.exp(-2 * alpha**2))) < 1e-9
-        assert abs(nm**2 - 2 * (1 - math.exp(-2 * alpha**2))) < 1e-9
+        overlap = inner(coherent_state(alpha, DIM20), coherent_state(-alpha, DIM20)).real
+        plus_sq, minus_sq = cat_norm_squares(alpha)
+        assert abs(plus_sq - 2 * (1 + overlap)) < 1e-9
+        assert abs(minus_sq - 2 * (1 - overlap)) < 1e-9
 
 
 def test_scs_projectors_structure():

@@ -165,10 +165,10 @@ def test_reconstruction_csv_layout(tmp_path):
 
 def test_tomography_json_roundtrip(tmp_path):
     table = sample_table()
-    run = tomography_pipeline(table, PROBES, DIM)
+    run = tomography_pipeline(table, PROBES)
     bars = error_bars(run, 0.011)
     path = tmp_path / "tomo.json"
-    write_tomography_json(path, run, CONFIG, seed=11, bars=bars)
+    write_tomography_json(path, run, DIM, CONFIG, seed=11, bars=bars)
     payload = read_tomography_json(path)
 
     assert payload["config_sha256"] == config_digest(CONFIG)
@@ -184,7 +184,7 @@ def test_tomography_json_roundtrip(tmp_path):
 
     # byte-identical re-write
     other = tmp_path / "tomo2.json"
-    write_tomography_json(other, run, CONFIG, seed=11, bars=bars)
+    write_tomography_json(other, run, DIM, CONFIG, seed=11, bars=bars)
     assert other.read_bytes() == path.read_bytes()
 
     # tampered major version is rejected
@@ -214,7 +214,7 @@ def test_tomography_reader_rejects_malformed_payloads(tmp_path, text, problem):
 
 def test_tomography_payload_rounds_floats():
     table = sample_table()
-    run = tomography_pipeline(table, PROBES, DIM)
-    payload = tomography_payload(run, CONFIG, seed=11)
+    run = tomography_pipeline(table, PROBES)
+    payload = tomography_payload(run, DIM, CONFIG, seed=11)
     val = payload["expectations"]["im_plus"]
     assert val == float(format_float(val))

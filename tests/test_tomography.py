@@ -17,9 +17,10 @@ from catproj.fock import (
     coherent_state,
     displacement_operator,
     expect,
+    scs_basis_project,
     scs_projectors,
 )
-from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, random_povm_pair
+from catproj.povm import IDEAL_DETECTOR, PovmPair, _partition, povm_entry_bound_check, random_povm_pair
 from catproj.serialize import read_click_table, write_click_table
 from catproj.tomography import (
     MAX_GAMMA,
@@ -35,10 +36,8 @@ from catproj.tomography import (
     imaginary_probe_expectation,
     measurement_fidelity,
     mle_reconstruct,
-    povm_entry_bound_check,
     povm_pair_fidelity,
     probe_coefficients,
-    scs_basis_project,
     series_bound,
     solve_phi,
     tomography_pipeline,
@@ -78,8 +77,8 @@ def parity_pair(dim=DIM) -> PovmPair:
 
 def project_pair(pair: PovmPair) -> ScsPovm:
     return ScsPovm(
-        scs_basis_project(pair.pi0, ALPHA, pair.dim),
-        scs_basis_project(pair.pi1, ALPHA, pair.dim),
+        scs_basis_project(pair.pi0, ALPHA),
+        scs_basis_project(pair.pi1, ALPHA),
     )
 
 
@@ -115,7 +114,7 @@ def true_even_coefficients(entries: np.ndarray, count: int) -> np.ndarray:
 
 def probe_states(alpha: float) -> np.ndarray:
     """The four reconstruction probes as density matrices in the cat basis."""
-    coeffs = probe_coefficients(alpha, DIM)
+    coeffs = probe_coefficients(alpha)
     return np.einsum("ik,il->ikl", coeffs, coeffs.conj())
 
 
@@ -357,7 +356,7 @@ def test_imaginary_probe_expectation_diagonal_case():
 def test_imaginary_probe_expectation_parity_oracle():
     pair = parity_pair()
     probes = ProbeSet(ALPHA, (0.2, 0.3))
-    run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
+    run = tomography_pipeline(exact_table(pair, probes), probes)
     probe = (coherent_state(ALPHA, DIM).amps + 1j * coherent_state(-ALPHA, DIM).amps) / math.sqrt(2)
     direct = (probe.conj() @ pair.pi0.entries @ probe).real
     assert abs(run.expectations["im_plus"] - direct) < 1e-8
@@ -366,7 +365,7 @@ def test_imaginary_probe_expectation_parity_oracle():
 def test_synthesized_expectations_match_direct_oracles():
     pair = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
-    run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
+    run = tomography_pipeline(exact_table(pair, probes), probes)
 
     probe_plus = (coherent_state(ALPHA, DIM).amps + 1j * coherent_state(-ALPHA, DIM).amps) / math.sqrt(2)
     probe_minus = (coherent_state(ALPHA, DIM).amps - 1j * coherent_state(-ALPHA, DIM).amps) / math.sqrt(2)
@@ -402,10 +401,18 @@ def test_even_cat_probe_expectation_formula():
 
 
 def test_probe_coefficients_are_normalized():
-    coeffs = probe_coefficients(ALPHA, DIM)
+    coeffs = probe_coefficients(ALPHA)
     norms = np.linalg.norm(coeffs, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert coeffs[3, 0] == 1.0 and coeffs[3, 1] == 0.0
+
+
+def test_probe_coefficients_keep_their_digits_at_min_alpha():
+    # |<C-|alpha>|^2 = N-^2 / 4 = (1 - e^{-2 alpha^2}) / 2, which a truncated
+    # 1 - <alpha|-alpha> loses to cancellation (3.9e-9 relative at MIN_ALPHA)
+    odd_weight = abs(probe_coefficients(MIN_ALPHA)[0, 1]) ** 2
+    exact = -math.expm1(-2.0 * MIN_ALPHA**2) / 2.0
+    assert odd_weight == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_mle_forward_model_oracle():
@@ -783,14 +790,14 @@ def test_closed_form_pair_fidelity_matches_the_eigen_route():
 
 def test_scs_basis_project_identity_and_parity():
     for alpha in (0.1, 0.3, 0.499, 0.7, 1.0):
-        m = scs_basis_project(FockOperator(DIM, np.eye(DIM.size)), alpha, DIM)
+        m = scs_basis_project(FockOperator(DIM, np.eye(DIM.size)), alpha)
         assert np.max(np.abs(m - np.eye(2))) < 1e-10, alpha
-    par = scs_basis_project(parity_pair().pi0, ALPHA, DIM)
+    par = scs_basis_project(parity_pair().pi0, ALPHA)
     assert np.max(np.abs(par - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_scs_basis_project_operating_point():
-    m = scs_basis_project(experimental_pair().pi0, ALPHA, DIM)
+    m = scs_basis_project(experimental_pair().pi0, ALPHA)
     assert np.max(np.abs(m - REFERENCE)) < 0.05
 
 
@@ -818,7 +825,7 @@ def test_povm_pair_fidelity_basics():
 def test_pipeline_noiseless_roundtrip():
     pair = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5, 0.6))
-    run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
+    run = tomography_pipeline(exact_table(pair, probes), probes)
     assert povm_pair_fidelity(project_pair(pair), run.povm) >= 0.999
     assert run.povm.diagnostics["converged"]
     assert set(run.expectations) >= {"q_plus", "q_minus", "im_plus", "cat_plus"}
@@ -834,8 +841,8 @@ def test_pipeline_count_scaling_invariance():
             probes.amplitudes(), table.counts0 * factor, table.counts1 * factor, table.shots * factor
         )
 
-    base = tomography_pipeline(scaled(1000.0), probes, DIM)
-    doubled = tomography_pipeline(scaled(2000.0), probes, DIM)
+    base = tomography_pipeline(scaled(1000.0), probes)
+    doubled = tomography_pipeline(scaled(2000.0), probes)
     assert np.array_equal(base.povm.pi0, doubled.povm.pi0)
     assert base.expectations == doubled.expectations
 
@@ -844,10 +851,9 @@ def test_pipeline_probe_count_stability():
     # adding gamma rows shifts the synthesized even channel by its series
     # tail (~alpha^4) but barely moves the channels fixed by the odd series
     pair = experimental_pair()
-    run2 = tomography_pipeline(exact_table(pair, ProbeSet(ALPHA, (0.2, 0.3))),
-                               ProbeSet(ALPHA, (0.2, 0.3)), DIM)
+    run2 = tomography_pipeline(exact_table(pair, ProbeSet(ALPHA, (0.2, 0.3))), ProbeSet(ALPHA, (0.2, 0.3)))
     probes4 = ProbeSet(ALPHA, (0.2, 0.3, 0.4, 0.5))
-    run4 = tomography_pipeline(exact_table(pair, probes4), probes4, DIM)
+    run4 = tomography_pipeline(exact_table(pair, probes4), probes4)
     assert abs(run2.povm.pi0[0, 1] - run4.povm.pi0[0, 1]) < 5e-3
     assert abs(run2.expectations["im_plus"] - run4.expectations["im_plus"]) < 5e-3
     assert np.max(np.abs(run2.povm.pi0 - run4.povm.pi0)) < 5e-2
@@ -867,10 +873,10 @@ def test_two_by_two_work_calls_no_lapack_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", guarded(np.linalg.eigh))
     probes = ProbeSet(ALPHA, (0.2, 0.3))
-    interior = tomography_pipeline(exact_table(experimental_pair(), probes), probes, DIM)
+    interior = tomography_pipeline(exact_table(experimental_pair(), probes), probes)
     assert interior.povm.diagnostics["iterations"] == 0
     rates = [1.0, 0.5, 0.7, 0.6, 0.75, 0.65]
-    boundary = tomography_pipeline(ClickTable.from_rates(probes.amplitudes(), rates, 1000.0), probes, DIM)
+    boundary = tomography_pipeline(ClickTable.from_rates(probes.amplitudes(), rates, 1000.0), probes)
     assert boundary.povm.diagnostics["iterations"] > 0
     assert error_bars(interior, 0.011)["pi0_11_re"][0] < interior.povm.pi0[1, 1].real
     assert 0.0 < povm_pair_fidelity(interior.povm, boundary.povm) < 1.0
@@ -880,13 +886,13 @@ def test_pipeline_rejects_missing_rows():
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     table = ClickTable.from_rates((ALPHA, -ALPHA, 0.2j, -0.2j), [0.5] * 4, 10)
     with pytest.raises(ValueError):
-        tomography_pipeline(table, probes, DIM)
+        tomography_pipeline(table, probes)
 
 
 def test_error_bars():
     pair = experimental_pair()
     probes = ProbeSet(ALPHA, (0.2, 0.3))
-    run = tomography_pipeline(exact_table(pair, probes), probes, DIM)
+    run = tomography_pipeline(exact_table(pair, probes), probes)
 
     flat = error_bars(run, 0.0)
     assert all(hi == lo for lo, hi in flat.values())
@@ -916,7 +922,7 @@ def relabeled_error_bars(run, alpha_sigma: float) -> dict:
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(shifted, run.probes.gammas)
         clicks = run.clicks.relabeled(run.probes.amplitudes(), probes.amplitudes())
-        runs.append(tomography_pipeline(clicks, probes, run.dim))
+        runs.append(tomography_pipeline(clicks, probes))
     scalars = {
         "pi0_00_re": lambda r: r.povm.pi0[0, 0].real,
         "pi0_01_re": lambda r: r.povm.pi0[0, 1].real,
@@ -950,7 +956,7 @@ def test_error_bars_equal_three_full_pipelines(tmp_path):
     tables.append(read_click_table(tmp_path / "clicks.csv")[0])
     assert tables[-1].probe_amplitudes != tables[0].probe_amplitudes
     for table in tables:
-        run = tomography_pipeline(table, probes, DIM)
+        run = tomography_pipeline(table, probes)
         for sigma in (0.0, 1e-9, 0.011, 0.1, 0.45):
             assert error_bars(run, sigma) == relabeled_error_bars(run, sigma)
 
