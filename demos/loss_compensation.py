@@ -5,7 +5,7 @@ target superposition weights, reconstructs each detector twice -- once at
 the physical probe amplitudes and once with the probes rescaled to undo the
 known loss -- and prints both fidelity columns next to the lossless ideal.
 """
-from catproj.experiment import Campaign, default_displacement_schedule, reconstruction_sweep
+from catproj.experiment import Campaign, ReconstructionPlan, default_displacement_schedule, reconstruction_sweep
 from catproj.fock import TruncationDim
 from catproj.povm import DetectorModel
 from catproj.tomography import ProbeSet
@@ -21,7 +21,7 @@ def main() -> None:
     )
     c0sq_values = [round(0.5 + 0.1 * k, 10) for k in range(6)]
     menu = default_displacement_schedule(ALPHA)
-    points = reconstruction_sweep(campaign, c0sq_values, 0.0, TruncationDim(24), menu=menu)
+    points = reconstruction_sweep(ReconstructionPlan(campaign, c0sq_values, [0.0], TruncationDim(24), menu))
 
     print("  c0^2   |beta|   f_ideal    f_raw   f_compensated")
     for p in points:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .experiment import (
     Campaign,
-    _menu_levels,
+    ReconstructionPlan,
     apparatus_povm,
     default_displacement_schedule,
     effective_displacement,
@@ -423,20 +423,9 @@ def _tomography_sweep(cfg: Config) -> int:
         menu = None
         if cfg["quantize"]:
             menu = cfg["schedule"] if "schedule" in cfg else default_displacement_schedule(campaign.probes.alpha)
-            _menu_levels(menu, dim)  # the sweep's own check of its menu
-        phis = [float(p) for p in cfg["phi_values"]]
-        c0sq_values = list(cfg["c0sq_values"])
-        for name, values in (("c0sq_values", c0sq_values), ("phi_values", phis)):
-            if not values:
-                raise ConfigError(f"{name} must not be empty")
-        for c0sq in c0sq_values:
-            ScsMeasurementSpec.from_c0sq(campaign.probes.alpha, c0sq)
-        campaign.point_seeds(len(c0sq_values))
-        campaign.compensated_probes()
-    points = []
+        plan = ReconstructionPlan(campaign, cfg["c0sq_values"], cfg["phi_values"], dim, menu)
     with _stage("reconstruct"):
-        for phi in phis:
-            points.extend(reconstruction_sweep(campaign, c0sq_values, phi, dim, menu))
+        points = reconstruction_sweep(plan)
     with _stage("write"):
         write_reconstruction_csv(out, points, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
     print(f"wrote {len(points)} reconstruction rows to {out}")

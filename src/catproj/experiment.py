@@ -3,19 +3,21 @@
 Bridges the noiseless POVM models to the statistics an actual run would
 produce: a :class:`Campaign` fixes the probe set, shot budget, detector
 imperfections and RNG seed; :func:`simulate_counts`
-draws seeded binomial click tables from a truth POVM; and
-:func:`reconstruction_sweep` replays the full measure-and-reconstruct loop
-over a grid of target superpositions, with and without loss compensation.
+draws seeded binomial click tables from a truth POVM; a
+:class:`ReconstructionPlan` checks a (phi, c0^2) grid of target
+superpositions once; and ``reconstruction_sweep(plan)`` replays the full
+measure-and-reconstruct loop over it, with and without loss compensation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fidelity import _click_score, _search_displacements, _targets, quantize_to_schedule
+from .fidelity import _STACK, _click_score, _search_displacements, _targets, quantize_to_schedule
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
@@ -56,16 +58,6 @@ class Campaign:
             raise ValueError("shots_per_probe must be a positive integer below 2^63")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < _SEED_LIMIT:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
-
-    def point_seeds(self, count: int) -> range:
-        """Seeds ``rng_seed + i`` of a ``count``-point sweep, checked up front
-        so a sweep never runs out of 64-bit seeds partway through."""
-        if self.rng_seed + count > _SEED_LIMIT:
-            raise ValueError(
-                f"a {count}-point sweep from rng_seed {self.rng_seed} needs seeds "
-                "beyond the 64-bit range"
-            )
-        return range(self.rng_seed, self.rng_seed + count)
 
     def compensated_probes(self) -> ProbeSet:
         """The probe set with every amplitude scaled by sqrt(eta): the
@@ -165,62 +157,76 @@ class ReconstructionPoint:
     f_compensated: float
 
 
-def reconstruction_sweep(
-    campaign: Campaign,
-    c0sq_values,
-    phi: float,
-    dim=TruncationDim(24),
-    menu=None,
-) -> list[ReconstructionPoint]:
-    """Measure-and-reconstruct loop over a grid of target superpositions.
+@dataclass(frozen=True)
+class ReconstructionPlan:
+    """A measure-and-reconstruct sweep over the (phi, c0^2) grid, checked once.
 
-    For each ``c0^2``: find the ideal optimal displacement (all of them in
-    one search pass, as they share the probe alpha; the search's own
-    fidelity is not computed), snap its modulus to the nearest level of
-    ``menu`` unless that is ``None`` (``_menu_levels`` checks it first),
-    build the imperfect-apparatus POVM at that shift, simulate clicks,
-    reconstruct, and score against the target.  ``dim`` is the cutoff of
-    the search and of the apparatus model; the 2x2 reconstructions take none.
-    ``f_raw`` interprets probes at their physical amplitudes;
-    ``f_compensated`` re-reads the same clicks with amplitudes scaled by
-    sqrt(eta) (``Campaign.compensated_probes``, built once for the sweep).
-    ``f_ideal`` is the lossless click fidelity at the same (quantized)
-    displacement, from one stacked ``_click_score`` call (ideal detector).
-    Every point's D(shift) comes from one stack built for the whole sweep
-    behind the displacement guard, and each point's D serves both its
-    ``apparatus_povm`` and its ``f_ideal``, whose photon-number partition
-    is the apparatus partition.  Point ``i`` uses seed ``rng_seed + i``;
-    seeds past 2^64 - 1 are rejected before any point is computed.
+    Row ``r`` runs phi-major (every c0^2 at the first phi, then at the next)
+    and draws its clicks with seed ``rng_seed + r``.  The constructor runs
+    every check, in this order: both lists non-empty, ``from_c0sq`` for
+    every row, ``_menu_levels`` unless ``menu`` is ``None``, the seed range
+    of the whole grid, and ``Campaign.compensated_probes``.  ``dim`` is the
+    cutoff of the search and of the apparatus model.
     """
-    dim = as_dim(dim)
-    alpha = campaign.probes.alpha
-    comp_probes = campaign.compensated_probes()
-    levels = None if menu is None else _menu_levels(menu, dim)
-    seeds = campaign.point_seeds(len(c0sq_values))
-    specs = [ScsMeasurementSpec.from_c0sq(alpha, float(c0sq), phi) for c0sq in c0sq_values]
+
+    campaign: Campaign
+    c0sq_values: tuple
+    phi_values: tuple
+    dim: TruncationDim
+    menu: tuple | None = None
+    # derived, in row order: (phi, c0^2), spec and seed; the menu's levels
+    rows: tuple = field(init=False, repr=False, compare=False)
+    specs: tuple = field(init=False, repr=False, compare=False)
+    seeds: range = field(init=False, repr=False, compare=False)
+    levels: list | None = field(init=False, repr=False, compare=False)
+    compensated: ProbeSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        c0sqs, phis = tuple(map(float, self.c0sq_values)), tuple(map(float, self.phi_values))
+        for name, values in (("c0sq_values", c0sqs), ("phi_values", phis)):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+        dim, alpha, seed = as_dim(self.dim), self.campaign.probes.alpha, self.campaign.rng_seed
+        rows = tuple(itertools.product(phis, c0sqs))
+        specs = tuple(ScsMeasurementSpec.from_c0sq(alpha, c0sq, phi) for phi, c0sq in rows)
+        levels = None if self.menu is None else _menu_levels(self.menu, dim)
+        if seed + len(rows) > _SEED_LIMIT:
+            raise ValueError(f"a {len(rows)}-row sweep from rng_seed {seed} passes the 64-bit seed range")
+        derived = dict(c0sq_values=c0sqs, phi_values=phis, dim=dim, rows=rows, specs=specs, levels=levels)
+        derived.update(seeds=range(seed, seed + len(rows)), compensated=self.campaign.compensated_probes())
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
+    """The measure-and-reconstruct loop over every row of a plan, in row order.
+
+    One search pass finds every row's ideal optimal displacement (the rows
+    share alpha), snapped to the nearest menu level if the plan has a menu.
+    Each stack of up to ``_STACK`` rows gets one guarded D(shift) build, and
+    each D serves both its row's apparatus POVM and its ``f_ideal``, the
+    lossless click fidelity from one stacked ``_click_score`` call.  Each
+    row's clicks are reconstructed twice: ``f_raw`` at the physical probe
+    amplitudes, ``f_compensated`` at the amplitudes scaled by sqrt(eta).
+    """
+    campaign, dim, specs, detector = plan.campaign, plan.dim, plan.specs, plan.campaign.detector
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
-    if levels is not None:
-        betas = [quantize_to_schedule(beta, levels) for beta in betas]
-    Ds = _guarded_displacements(betas, dim)
-    t0, t1 = _targets(specs, dim)
-    f_ideal = _click_score((t0, t1), Ds, IDEAL_DETECTOR)
+    if plan.levels is not None:
+        betas = [quantize_to_schedule(beta, plan.levels) for beta in betas]
     out: list[ReconstructionPoint] = []
-    for i, (seed, c0sq, spec, beta, D) in enumerate(zip(seeds, c0sq_values, specs, betas, Ds)):
-        truth = _counting_povm(D, dim, (t0[i], t1[i]), campaign.detector.eta, campaign.detector.nu)
-        clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
-
-        raw = tomography_pipeline(clicks, campaign.probes)
-        comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), comp_probes.amplitudes())
-        comp = tomography_pipeline(comp_clicks, comp_probes)
-
-        out.append(
-            ReconstructionPoint(
-                c0sq=float(c0sq),
-                phi=float(phi),
-                displacement=beta,
-                f_ideal=float(f_ideal[i]),
-                f_raw=measurement_fidelity(raw.povm, spec),
-                f_compensated=measurement_fidelity(comp.povm, spec),
-            )
-        )
+    for start in range(0, len(specs), _STACK):
+        rows = slice(start, start + _STACK)
+        Ds = _guarded_displacements(betas[rows], dim)
+        t0, t1 = _targets(specs[rows], dim)
+        f_ideal = _click_score((t0, t1), Ds, IDEAL_DETECTOR)
+        for (phi, c0sq), spec, beta, seed, D, a, b, f in zip(
+            plan.rows[rows], specs[rows], betas[rows], plan.seeds[rows], Ds, t0, t1, f_ideal
+        ):
+            truth = _counting_povm(D, dim, (a, b), detector.eta, detector.nu)
+            clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
+            raw = tomography_pipeline(clicks, campaign.probes)
+            comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), plan.compensated.amplitudes())
+            comp = tomography_pipeline(comp_clicks, plan.compensated)
+            fids = (measurement_fidelity(run.povm, spec) for run in (raw, comp))
+            out.append(ReconstructionPoint(c0sq, phi, beta, float(f), *fids))
     return out

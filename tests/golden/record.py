@@ -13,6 +13,10 @@ Rewrite every golden file (from the repository root)::
 
     PYTHONPATH=src python tests/golden/record.py
 
+or only the named cases, on the numpy and platform of ``environment.json``::
+
+    PYTHONPATH=src python tests/golden/record.py tomography-fig5
+
 A change that moves results re-records in the same change and lists the
 moves that ``tests/test_golden.py`` reports.
 """
@@ -26,6 +30,7 @@ import math
 import os
 import platform
 import shutil
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -197,8 +202,17 @@ def describe_mismatch(name: str, want: bytes, got: bytes) -> str:
     return "\n".join(lines)
 
 
-def record() -> None:
-    for case in CASES:
+def record(cases=None) -> None:
+    """Rewrite the golden files of ``cases`` (every case if ``None``).  An
+    unknown case id, or a partial re-record on another environment than the
+    recorded one, is an error before any file is written."""
+    unknown = sorted(set(cases or ()) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case {', '.join(unknown)}; choose from {', '.join(CASES)}")
+    env = GOLDEN / "environment.json"
+    if cases and json.loads(env.read_text()) != environment():
+        raise SystemExit(f"the golden files were recorded on {env.read_text()}; re-record every case here")
+    for case in cases or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             got = run_case(case, Path(tmp))
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
@@ -207,8 +221,8 @@ def record() -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
         print(f"recorded {case}: exit {got['exit_code'].decode().strip()}, {len(got) - 3} file(s)")
-    (GOLDEN / "environment.json").write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+    env.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

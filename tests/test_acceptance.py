@@ -10,6 +10,7 @@ import numpy as np
 from catproj.cli import main
 from catproj.experiment import (
     Campaign,
+    ReconstructionPlan,
     apparatus_povm,
     default_displacement_schedule,
     effective_displacement,
@@ -193,7 +194,8 @@ def test_loss_compensation_inverts_and_helps():
         detector=LAB,
         rng_seed=7,
     )
-    points = reconstruction_sweep(campaign, grid(0.5, 1.0, 0.1), 0.0, DIM, menu=default_displacement_schedule(ALPHA))
+    plan = ReconstructionPlan(campaign, grid(0.5, 1.0, 0.1), [0.0], DIM, default_displacement_schedule(ALPHA))
+    points = reconstruction_sweep(plan)
     gains = [p.f_compensated - p.f_raw for p in points]
     ok = worst <= 1e-6 and all(g > 0.0 for g in gains)
     check(9, "loss compensation round-trips and lifts every sweep point", ok,

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catproj
-from catproj import cli, fidelity, fock, tomography
+from catproj import cli, experiment, fidelity, fock, tomography
 from catproj.cli import _SCHEMA, COMMANDS, NMAX_CEILING, PRESETS, main, resolve_config, validate_config
 from catproj.fidelity import optimize
 from catproj.fock import ScsMeasurementSpec, TruncationDim
@@ -545,7 +545,7 @@ def test_tomography_sweep_mode(tmp_path, capsys):
         for cell in row[4:]:
             assert 0.0 <= float(cell) <= 1.0
 
-    # point i is seeded with seed + i: a sweep that would run past the
+    # row r is seeded with seed + r: a sweep that would run past the
     # 64-bit seed range fails before any point is computed
     capsys.readouterr()
     late = tmp_path / "late.csv"
@@ -554,6 +554,37 @@ def test_tomography_sweep_mode(tmp_path, capsys):
     assert record["stage"] == "config"
     assert "64-bit" in record["message"]
     assert not late.exists()
+
+
+def test_tomography_sweep_checks_its_grid_once(tmp_path, monkeypatch):
+    # the plan is the one place that checks each row's spec and the menu, at
+    # stage config; the sweep it runs checks neither again
+    specs, menus = [], []
+    from_c0sq = ScsMeasurementSpec.from_c0sq.__func__
+    menu_levels = experiment._menu_levels
+
+    def counted_spec(cls, *args):
+        specs.append(args)
+        return from_c0sq(cls, *args)
+
+    def counted_menu(*args):
+        menus.append(args)
+        return menu_levels(*args)
+
+    monkeypatch.setattr(ScsMeasurementSpec, "from_c0sq", classmethod(counted_spec))
+    monkeypatch.setattr(experiment, "_menu_levels", counted_menu)
+    cfg = {
+        **{k: v for k, v in SIM_CONFIG.items() if k not in ("c0sq", "phi", "drive_amplitude", "drive_phase")},
+        "mode": "sweep",
+        "c0sq_values": [0.6, 1.0],
+        "phi_values": [0.0, 0.4],
+        "schedule": [0.0, 0.5],
+    }
+    path = write_config(tmp_path, cfg)
+    with redirect_stdout(io.StringIO()):
+        assert main(["tomography", "--config", path, "--out", str(tmp_path / "recon.csv")]) == 0
+    assert sorted(specs) == sorted((0.499, c, p) for c in (0.6, 1.0) for p in (0.0, 0.4))
+    assert len(menus) == 1
 
 
 def test_tomography_sweep_guards_a_schedule_level_beyond_the_cutoff(tmp_path, capsys):
@@ -676,6 +707,8 @@ _OUT_OF_RANGE = [
         for argv in (_SIMULATE, _SINGLE, _SWEEP)
     ),
     *((argv, {"c0sq_values": [1.5]}, "c0sq") for argv in (_FIG1B, _SWEEP)),
+    # 11 c0sq rows at each of 2 phi: the 22 rows' seeds pass 2^64 - 1
+    (_SWEEP, {"seed": 2**64 - 11, "phi_values": [0.0, 0.1]}, "64-bit"),
     *((_SINGLE, {"error_bars_sigma": v}, "error_bars_sigma") for v in (0.499, 0.6)),
 ]
 

@@ -7,6 +7,7 @@ from scipy import stats
 from catproj import experiment
 from catproj.experiment import (
     Campaign,
+    ReconstructionPlan,
     ReconstructionPoint,
     apparatus_povm,
     default_displacement_schedule,
@@ -66,9 +67,15 @@ def test_campaign_validation():
         Campaign(probes=PROBES, rng_seed=-1)
     with pytest.raises(ValueError):
         Campaign(probes=PROBES, rng_seed=2**64)
-    assert Campaign(probes=PROBES, rng_seed=2**64 - 2).point_seeds(2) == range(2**64 - 2, 2**64)
+
+
+def test_plan_checks_the_seeds_of_the_whole_grid():
+    # rows run phi-major, and row r draws with rng_seed + r: a 2-row grid
+    # from 2^64 - 2 ends on the last 64-bit seed, and from 2^64 - 1 passes it
+    plan = ReconstructionPlan(Campaign(probes=PROBES, rng_seed=2**64 - 2), [0.5], [0.0, 1.0], DIM)
+    assert plan.seeds == range(2**64 - 2, 2**64)
     with pytest.raises(ValueError, match="64-bit"):
-        Campaign(probes=PROBES, rng_seed=2**64 - 1).point_seeds(2)
+        ReconstructionPlan(Campaign(probes=PROBES, rng_seed=2**64 - 1), [0.5], [0.0, 1.0], DIM)
 
 
 def test_expected_rates_closed_forms():
@@ -197,7 +204,7 @@ def test_default_displacement_schedule():
 def test_reconstruction_sweep_compensation_wins():
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=7)
     menu = default_displacement_schedule()
-    points = reconstruction_sweep(camp, np.arange(0.5, 1.0001, 0.1), 0.0, menu=menu)
+    points = reconstruction_sweep(ReconstructionPlan(camp, np.arange(0.5, 1.0001, 0.1), [0.0], DIM, menu))
     assert len(points) == 6
     for p in points:
         assert isinstance(p, ReconstructionPoint)
@@ -212,8 +219,8 @@ def test_reconstruction_sweep_compensation_wins():
 def test_reconstruction_sweep_deterministic_and_unquantized():
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     weights = [0.55, 0.7, 0.9]
-    a = reconstruction_sweep(camp, weights, 0.0)
-    b = reconstruction_sweep(camp, weights, 0.0)
+    a = reconstruction_sweep(ReconstructionPlan(camp, weights, [0.0], DIM))
+    b = reconstruction_sweep(ReconstructionPlan(camp, weights, [0.0], DIM))
     assert a == b
     # with no menu, the displacements of all points come from one optimizer
     # pass, each the optimum of its point alone, none snapped to 0
@@ -221,7 +228,45 @@ def test_reconstruction_sweep_deterministic_and_unquantized():
         spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, 0.0)
         assert point.displacement == optimize(spec, IDEAL_DETECTOR, DIM).beta_opt
         assert point.c0sq == c0sq and point.phi == 0.0
-    assert reconstruction_sweep(camp, [], 0.0) == []
+    for c0sq_values, phi_values in (([], [0.0]), (weights, [])):
+        with pytest.raises(ValueError, match="must not be empty"):
+            ReconstructionPlan(camp, c0sq_values, phi_values, DIM)
+
+
+def _spy(monkeypatch, name, record):
+    real = getattr(experiment, name)
+
+    def spy(*args):
+        record(*args)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, name, spy)
+
+
+def test_every_row_of_a_sweep_draws_its_own_seed(monkeypatch):
+    # row r, in phi-major output order, draws with rng_seed + r, so no two
+    # rows share a click stream
+    seeds = []
+    _spy(monkeypatch, "simulate_counts", lambda truth, campaign: seeds.append(campaign.rng_seed))
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
+    assert [(p.phi, p.c0sq) for p in points] == [(phi, c) for phi in (0.0, 1.2) for c in (0.55, 0.7, 0.9)]
+    assert seeds == list(range(5, 11))
+
+
+@pytest.mark.parametrize("stack", [None, 4])
+def test_a_sweep_searches_once_and_builds_d_in_stacks(monkeypatch, stack):
+    # every row shares alpha: one search pass over the whole grid, and one D
+    # build per stack of at most _STACK rows
+    searches, stacks = [], []
+    _spy(monkeypatch, "_search_displacements", lambda specs, detector, dim: searches.append(len(specs)))
+    _spy(monkeypatch, "_guarded_displacements", lambda betas, dim: stacks.append(len(betas)))
+    if stack is not None:
+        monkeypatch.setattr(experiment, "_STACK", stack)
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
+    assert len(points) == 6 and searches == [6]
+    assert stacks == ([6] if stack is None else [4, 2])
 
 
 @pytest.mark.parametrize(
@@ -240,7 +285,7 @@ def test_reconstruction_sweep_rejects_a_bad_menu_before_the_search(monkeypatch, 
 
     monkeypatch.setattr(experiment, "_search_displacements", never)
     with pytest.raises(error, match=fragment):
-        reconstruction_sweep(Campaign(probes=PROBES, detector=LAB_DETECTOR), [0.5, 0.7], 0.0, menu=menu)
+        ReconstructionPlan(Campaign(probes=PROBES, detector=LAB_DETECTOR), [0.5, 0.7], [0.0], DIM, menu)
 
 
 @pytest.mark.parametrize("quantize", [True, False])
@@ -249,9 +294,9 @@ def test_reconstruction_sweep_scores_f_ideal_like_the_ideal_povm(quantize):
     # POVM; both use the same Fock model and photon-number partition
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=11)
     menu = default_displacement_schedule() if quantize else None
-    for phi in (0.0, 1.2):
-        weights = [0.5, 0.65, 0.8, 1.0]
-        for point, c0sq in zip(reconstruction_sweep(camp, weights, phi, menu=menu), weights):
-            spec = ScsMeasurementSpec.from_c0sq(ALPHA, c0sq, phi)
-            pair = displaced_povm(spec, point.displacement, IDEAL_DETECTOR, DIM)
-            assert abs(point.f_ideal - fidelity(pair, spec)) <= 1e-12
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.5, 0.65, 0.8, 1.0], [0.0, 1.2], DIM, menu))
+    assert len(points) == 8
+    for point in points:
+        spec = ScsMeasurementSpec.from_c0sq(ALPHA, point.c0sq, point.phi)
+        pair = displaced_povm(spec, point.displacement, IDEAL_DETECTOR, DIM)
+        assert abs(point.f_ideal - fidelity(pair, spec)) <= 1e-12

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from golden.record import CASES, GOLDEN, describe_mismatch, environment, recorded, run_case
+from golden.record import CASES, GOLDEN, describe_mismatch, environment, record, recorded, run_case
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -26,3 +26,10 @@ def test_preset_run_matches_its_golden_files(case, tmp_path):
         now = environment()
         where = "the same numpy and platform" if then == now else f"recorded on {then}, running on {now}"
         pytest.fail(f"{case} moved ({where}):\n" + "\n".join(problems), pytrace=False)
+
+
+def test_an_unknown_case_id_records_nothing():
+    before = {case: recorded(case) for case in CASES}
+    with pytest.raises(SystemExit, match="unknown golden case no-such-case"):
+        record(["tomography-fig5", "no-such-case"])
+    assert {case: recorded(case) for case in CASES} == before
