@@ -27,11 +27,12 @@ from .experiment import (
     Campaign,
     ReconstructionPlan,
     apparatus_povm,
+    apparatus_rates,
     default_displacement_schedule,
+    draw_counts,
     effective_displacement,
     expected_rates,
     reconstruction_sweep,
-    simulate_counts,
 )
 from .fidelity import (
     SweepGrid,
@@ -295,11 +296,14 @@ def _campaign(cfg: Config) -> Campaign:
 
 
 def _truth_campaign(cfg: Config, dim: TruncationDim):
-    """Apparatus POVM plus acquisition plan implied by a config."""
+    """The apparatus's closed-form probe rates plus the acquisition plan
+    implied by a config; the guarded D(shift), the targets and the cutoff of
+    every probe amplitude are checked on the way."""
     detector = _detector(cfg)
     drive = float(cfg["drive_amplitude"]) * np.exp(1j * float(cfg["drive_phase"]))
-    truth = apparatus_povm(_spec(cfg), effective_displacement(drive, detector), detector, dim)
-    return truth, _campaign(cfg)
+    campaign = _campaign(cfg)
+    rates = apparatus_rates(_spec(cfg), effective_displacement(drive, detector), detector, dim, campaign.probes)
+    return rates, campaign
 
 
 def _meta(dim: TruncationDim) -> dict:
@@ -370,9 +374,9 @@ def cmd_simulate(cfg: Config) -> int:
     with _stage("config"):
         dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
-        truth, campaign = _truth_campaign(cfg, dim)
+        rates, campaign = _truth_campaign(cfg, dim)
     with _stage("simulate"):
-        table = simulate_counts(truth, campaign)
+        table = draw_counts(rates, campaign)
     with _stage("write"):
         write_click_table(out, table, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
     print(f"wrote {len(table.probe_amplitudes)} probe rows to {out}")
@@ -390,7 +394,7 @@ def cmd_tomography(cfg: Config) -> int:
         sigma = float(cfg["error_bars_sigma"])
         _check_error_bar_width(probes.alpha, sigma)
         if cfg["clicks"] is None:
-            truth, campaign = _truth_campaign(cfg, dim)
+            rates, campaign = _truth_campaign(cfg, dim)
     clicks_sha256 = None
     if cfg["clicks"] is not None:
         with _stage("ingest"):
@@ -399,7 +403,7 @@ def cmd_tomography(cfg: Config) -> int:
             clicks_sha256 = clicks_meta["sha256"]
     else:
         with _stage("simulate"):
-            table = simulate_counts(truth, campaign)
+            table = draw_counts(rates, campaign)
     with _stage("reconstruct"):
         run = tomography_pipeline(table, probes)
         bars = error_bars(run, sigma) if sigma > 0.0 else None

@@ -2,8 +2,10 @@
 
 Bridges the noiseless POVM models to the statistics an actual run would
 produce: a :class:`Campaign` fixes the probe set, shot budget, detector
-imperfections and RNG seed; :func:`simulate_counts`
-draws seeded binomial click tables from a truth POVM; a
+imperfections and RNG seed; :func:`draw_counts` draws seeded binomial click
+tables from a vector of outcome-0 probe rates, which :func:`apparatus_rates`
+gives in closed form for the lab apparatus, with no Fock POVM built, and
+:func:`simulate_counts` reads off any truth POVM; a
 :class:`ReconstructionPlan` checks a (phi, c0^2) grid of target
 superpositions once; and ``reconstruction_sweep(plan)`` replays the full
 measure-and-reconstruct loop over it, with and without loss compensation.
@@ -21,7 +23,9 @@ from .fidelity import _STACK, _click_score, _search_displacements, _targets, qua
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
+    _coherent_magnitudes,
     _guarded_displacements,
+    _logfact,
     as_dim,
     coherent_state,
     displacement_operator,
@@ -29,7 +33,15 @@ from .fock import (
     max_guarded_amplitude,
     scs_projectors,
 )
-from .povm import IDEAL_DETECTOR, DetectorModel, PovmPair, _counting_povm
+from .povm import (
+    EIGENVALUE_FLOOR,
+    IDEAL_DETECTOR,
+    DetectorModel,
+    PovmPair,
+    _counting_povm,
+    _outcome_weights,
+    _partition,
+)
 from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
 
 DEFAULT_SHOTS = 200_000
@@ -75,23 +87,30 @@ def expected_rates(truth: PovmPair, probes: ProbeSet) -> np.ndarray:
     )
 
 
-def simulate_counts(truth: PovmPair, campaign: Campaign) -> ClickTable:
-    """Draw a seeded binomial click table from a truth POVM.
+def draw_counts(rates, campaign: Campaign) -> ClickTable:
+    """Draw a seeded binomial click table from the outcome-0 rate of every
+    probe, in probe order.
 
     Each probe gets its own counter-based generator keyed by the unsigned
     64-bit pair ``(rng_seed, probe_index)``, so tables are bit-for-bit
     reproducible and probes can be generated in any order or in parallel.
+    A rate outside [0, 1] by more than ``RATE_TOL`` raises ValueError.
     """
-    rates = expected_rates(truth, campaign.probes)
-    counts0 = np.empty(rates.size)
+    counts0 = np.empty(len(rates))
     for i, rate in enumerate(rates):
         if not -RATE_TOL <= rate <= 1.0 + RATE_TOL:
             raise ValueError(f"probe {i} has outcome probability {rate!r} outside [0, 1]")
         key = np.array([campaign.rng_seed, i], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         counts0[i] = rng.binomial(campaign.shots_per_probe, min(max(rate, 0.0), 1.0))
-    shots = np.full(rates.size, float(campaign.shots_per_probe))
+    shots = np.full(len(rates), float(campaign.shots_per_probe))
     return ClickTable(campaign.probes.amplitudes(), counts0, shots - counts0, shots)
+
+
+def simulate_counts(truth: PovmPair, campaign: Campaign) -> ClickTable:
+    """Draw a seeded binomial click table from a truth POVM: ``draw_counts``
+    at its ``expected_rates``."""
+    return draw_counts(expected_rates(truth, campaign.probes), campaign)
 
 
 def effective_displacement(drive: complex, detector: DetectorModel) -> complex:
@@ -117,6 +136,56 @@ def apparatus_povm(
     dim = as_dim(dim)
     D = displacement_operator(shift, dim).entries
     return _counting_povm(D, dim, [t.amps for t in scs_projectors(spec, dim)], detector.eta, detector.nu)
+
+
+def _check_probe_cutoff(probes: ProbeSet, dim: TruncationDim) -> None:
+    """Raise CutoffTooSmallError, as ``coherent_state`` would, unless the
+    cutoff holds every probe amplitude."""
+    for amplitude in probes.amplitudes():
+        _coherent_magnitudes(amplitude, dim)
+
+
+def _apparatus_spectrum(targets, D: np.ndarray, detector: DetectorModel) -> np.ndarray:
+    """The spectrum s = (1 - nu) B_eta m of the lab's outcome-0 element
+    P0 = D diag(s) D^dag (``povm._counting_elements``) for a guarded D or a
+    stack, with m the partition of the target amplitude arrays read off the
+    same D.
+
+    Invariant: the weights w = B_eta m are chances, so w in [0, 1] and
+    1 - nu in (0, 1] give 0 <= P0 <= I.  That holds up to rounding only:
+    the rows of B_eta sum to 1 within a few ulps, so w is checked against
+    the POVM floor ``EIGENVALUE_FLOOR`` that ``PovmPair.checked`` applies,
+    and a w beyond it raises ValueError."""
+    w = _outcome_weights(_partition(targets, D), detector.eta)
+    low, high = float(w.min()), float(w.max())
+    if not (low >= -EIGENVALUE_FLOOR and high <= 1.0 + EIGENVALUE_FLOOR):
+        raise ValueError(f"counting weights span [{low!r}, {high!r}], outside [0, 1]")
+    return (1.0 - detector.nu) * w
+
+
+def _probe_rates(amplitudes, shift: complex, spectrum: np.ndarray) -> np.ndarray:
+    """The outcome-0 rate <g|D diag(s) D^dag|g> of every coherent probe g, in
+    closed form: D(shift)^dag |g> is |g - shift> up to a phase, so the rate is
+    sum_{n <= n_max} s_n e^{-lam} lam^n / n! with lam = |g - shift|^2, and
+    exactly s_0 at lam = 0."""
+    lam = np.abs(np.asarray(amplitudes, dtype=complex) - shift)[:, None] ** 2
+    n = np.arange(spectrum.size)
+    hit = lam > 0.0
+    log_lam = np.log(np.where(hit, lam, 1.0))
+    poisson = np.where(hit, np.exp(n * log_lam - lam - _logfact(spectrum.size - 1)), n == 0)
+    return poisson @ spectrum
+
+
+def apparatus_rates(spec: ScsMeasurementSpec, shift: complex, detector: DetectorModel, dim, probes: ProbeSet):
+    """The outcome-0 rate of ``apparatus_povm`` at every probe of a set, in
+    probe order and in closed form (``_probe_rates``), with the guarded
+    D(shift), the targets and the cutoff of every probe amplitude checked
+    first.  No Fock POVM is built."""
+    dim = as_dim(dim)
+    _check_probe_cutoff(probes, dim)
+    D = displacement_operator(shift, dim).entries
+    spectrum = _apparatus_spectrum([t.amps for t in scs_projectors(spec, dim)], D, detector)
+    return _probe_rates(probes.amplitudes(), shift, spectrum)
 
 
 def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
@@ -165,8 +234,9 @@ class ReconstructionPlan:
     and draws its clicks with seed ``rng_seed + r``.  The constructor runs
     every check, in this order: both lists non-empty, ``from_c0sq`` for
     every row, ``_menu_levels`` unless ``menu`` is ``None``, the seed range
-    of the whole grid, and ``Campaign.compensated_probes``.  ``dim`` is the
-    cutoff of the search and of the apparatus model.
+    of the whole grid, ``Campaign.compensated_probes``, and the cutoff of
+    every probe amplitude.  ``dim`` is the cutoff of the search and of the
+    apparatus model.
     """
 
     campaign: Campaign
@@ -196,6 +266,7 @@ class ReconstructionPlan:
         derived.update(seeds=range(seed, seed + len(rows)), compensated=self.campaign.compensated_probes())
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        _check_probe_cutoff(self.campaign.probes, dim)
 
 
 def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
@@ -204,12 +275,14 @@ def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
     One search pass finds every row's ideal optimal displacement (the rows
     share alpha), snapped to the nearest menu level if the plan has a menu.
     Each stack of up to ``_STACK`` rows gets one guarded D(shift) build, and
-    each D serves both its row's apparatus POVM and its ``f_ideal``, the
+    each D serves both its row's apparatus spectrum, from which the clicks
+    are drawn at the closed-form probe rates, and its ``f_ideal``, the
     lossless click fidelity from one stacked ``_click_score`` call.  Each
     row's clicks are reconstructed twice: ``f_raw`` at the physical probe
     amplitudes, ``f_compensated`` at the amplitudes scaled by sqrt(eta).
     """
     campaign, dim, specs, detector = plan.campaign, plan.dim, plan.specs, plan.campaign.detector
+    amplitudes = campaign.probes.amplitudes()
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
     if plan.levels is not None:
         betas = [quantize_to_schedule(beta, plan.levels) for beta in betas]
@@ -217,15 +290,15 @@ def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
     for start in range(0, len(specs), _STACK):
         rows = slice(start, start + _STACK)
         Ds = _guarded_displacements(betas[rows], dim)
-        t0, t1 = _targets(specs[rows], dim)
-        f_ideal = _click_score((t0, t1), Ds, IDEAL_DETECTOR)
-        for (phi, c0sq), spec, beta, seed, D, a, b, f in zip(
-            plan.rows[rows], specs[rows], betas[rows], plan.seeds[rows], Ds, t0, t1, f_ideal
+        targets = _targets(specs[rows], dim)
+        f_ideal = _click_score(targets, Ds, IDEAL_DETECTOR)
+        spectra = _apparatus_spectrum(targets, Ds, detector)
+        for (phi, c0sq), spec, beta, seed, spectrum, f in zip(
+            plan.rows[rows], specs[rows], betas[rows], plan.seeds[rows], spectra, f_ideal
         ):
-            truth = _counting_povm(D, dim, (a, b), detector.eta, detector.nu)
-            clicks = simulate_counts(truth, replace(campaign, rng_seed=seed))
+            clicks = draw_counts(_probe_rates(amplitudes, beta, spectrum), replace(campaign, rng_seed=seed))
             raw = tomography_pipeline(clicks, campaign.probes)
-            comp_clicks = clicks.relabeled(campaign.probes.amplitudes(), plan.compensated.amplitudes())
+            comp_clicks = clicks.relabeled(amplitudes, plan.compensated.amplitudes())
             comp = tomography_pipeline(comp_clicks, plan.compensated)
             fids = (measurement_fidelity(run.povm, spec) for run in (raw, comp))
             out.append(ReconstructionPoint(c0sq, phi, beta, float(f), *fids))

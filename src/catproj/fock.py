@@ -193,35 +193,39 @@ def _logfact(n_max: int) -> np.ndarray:
     return lf
 
 
-def coherent_state(alpha: complex, dim) -> StateVector:
-    """Truncated coherent state |alpha>, renormalized on the cutoff basis.
+def _coherent_magnitudes(alpha: complex, dim: TruncationDim) -> np.ndarray:
+    """|<n|alpha>| = e^{-|alpha|^2/2} |alpha|^n / sqrt(n!) for n <= n_max.
 
     Rejects a non-finite amplitude, and one whose photon-number tail beyond
     n_max, 1 - sum_{n <= n_max} e^{-|alpha|^2} |alpha|^{2n}/n! (the upper
     Poisson tail, DLMF 8.4.10), exceeds COHERENT_TAIL_TOL.
     """
-    dim = as_dim(dim)
     if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
-    amps = np.zeros(dim.size, dtype=complex)
+    n = np.arange(dim.size)
     if alpha == 0:
-        amps[0] = 1.0
+        return (n == 0).astype(float)
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:  # |alpha|^2 beyond the float range: no mass within any cutoff
+        tail = 1.0
     else:
-        n = np.arange(dim.size)
-        try:
-            lam = abs(alpha) ** 2
-        except OverflowError:  # |alpha|^2 beyond the float range: no mass within any cutoff
-            tail = 1.0
-        else:
-            mag = np.exp(n * math.log(abs(alpha)) - 0.5 * lam - 0.5 * _logfact(dim.n_max))
-            tail = 1.0 - float(mag @ mag)
-        if not tail <= COHERENT_TAIL_TOL:
-            raise CutoffTooSmallError(
-                f"coherent amplitude {alpha!r} leaves tail mass {tail:.3e} above "
-                f"n_max={dim.n_max} (tolerance {COHERENT_TAIL_TOL:.0e})"
-            )
-        amps = mag * np.exp(1j * n * np.angle(alpha))
-        amps /= np.linalg.norm(amps)
+        mag = np.exp(n * math.log(abs(alpha)) - 0.5 * lam - 0.5 * _logfact(dim.n_max))
+        tail = 1.0 - float(mag @ mag)
+    if not tail <= COHERENT_TAIL_TOL:
+        raise CutoffTooSmallError(
+            f"coherent amplitude {alpha!r} leaves tail mass {tail:.3e} above "
+            f"n_max={dim.n_max} (tolerance {COHERENT_TAIL_TOL:.0e})"
+        )
+    return mag
+
+
+def coherent_state(alpha: complex, dim) -> StateVector:
+    """Truncated coherent state |alpha>, renormalized on the cutoff basis,
+    behind the checks of ``_coherent_magnitudes``."""
+    dim = as_dim(dim)
+    amps = _coherent_magnitudes(alpha, dim) * np.exp(1j * np.arange(dim.size) * np.angle(alpha))
+    amps /= np.linalg.norm(amps)
     return StateVector(dim, amps)
 
 

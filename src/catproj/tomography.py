@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,17 @@ class ConvergenceError(RuntimeError):
     """A solver exhausted its iteration budget or could not certify its result."""
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ProbeSet:
-    """Coherent probe amplitudes: the cat amplitude and the |+-i*gamma> list."""
+    """Coherent probe amplitudes: the cat amplitude and the |+-i*gamma> list.
+
+    The constants of the reconstructions from these probes (``series`` and
+    ``states``) are derived once per probe set, on first use."""
 
     alpha: float
     gammas: tuple
@@ -71,6 +80,23 @@ class ProbeSet:
     @property
     def k(self) -> int:
         return len(self.gammas)
+
+    @cached_property
+    def series(self) -> tuple:
+        """``series[parity]``: the series fit's design matrix (``gamma_matrix``)
+        and the ``series_bound`` of each of its coefficients."""
+        out = []
+        for parity in (0, 1):
+            bounds = np.array([series_bound(int(o)) for o in _orders(self.k, parity)])
+            out.append((_frozen(gamma_matrix(self, parity)), _frozen(bounds)))
+        return tuple(out)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The (4, 2, 2) density matrices of the four reconstruction probe
+        states (``probe_coefficients``), checked by ``_checked_states``."""
+        coeffs = probe_coefficients(self.alpha)
+        return _frozen(_checked_states(np.einsum("ik,il->ikl", coeffs, coeffs.conj())))
 
     def amplitudes(self) -> tuple:
         """Probe amplitudes in canonical row order: +a, -a, +ig_1, -ig_1, ..."""
@@ -169,22 +195,29 @@ def series_bound(order: int) -> float:
 @dataclass(frozen=True)
 class PhiVector:
     """Series coefficients of one outcome: [F_1, F_3, ..., F_{2K-1}] for the
-    odd series (``parity`` 1) or [F_0, F_2, ..., F_{2K-2}] for the even one."""
+    odd series (``parity`` 1) or [F_0, F_2, ..., F_{2K-2}] for the even one.
+    ``bounds``, when given, are the ``series_bound`` of those orders, as a
+    ``ProbeSet`` holds them."""
 
     values: np.ndarray
     parity: int = 1
+    bounds: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, bounds) -> None:
         vals = np.asarray(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("expected a non-empty 1-D coefficient vector")
-        for order, v in zip(_orders(vals.size, self.parity), vals):
-            bound = series_bound(int(order))
+        orders = _orders(vals.size, self.parity)
+        if bounds is None:
+            bounds = [series_bound(int(order)) for order in orders]
+        elif len(bounds) != vals.size:
+            raise ValueError(f"expected {vals.size} coefficient bounds, got {len(bounds)}")
+        for order, v, bound in zip(orders, vals, bounds):
             if abs(v) > bound + 1e-9:
                 raise ValueError(
-                    f"coefficient of order {order} is {v!r}, beyond its bound {bound!r}"
+                    f"coefficient of order {order} is {v!r}, beyond its bound {float(bound)!r}"
                 )
 
     def __len__(self) -> int:
@@ -215,14 +248,14 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
         raise ValueError(f"expected {probes.k} statistics, got shape {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError(f"series statistic must be finite, got {f}")
-    bounds = np.array([series_bound(int(o)) for o in _orders(probes.k, parity)])
-    mat = gamma_matrix(probes, parity)
+    _orders(probes.k, parity)  # rejects a parity other than 0 or 1
+    mat, bounds = probes.series[parity]
     try:
         exact = np.linalg.solve(mat, f)
     except np.linalg.LinAlgError:
         exact = None
     if exact is not None and np.all(np.abs(exact) <= bounds):
-        return PhiVector(exact, parity)
+        return PhiVector(exact, parity, bounds)
     # faces are ranked by (|Ax - f|^2 - |f|^2) / (2 scale): dropping the
     # constant keeps a large |f| from rounding their differences away, and
     # the scale keeps the products finite
@@ -242,7 +275,7 @@ def solve_phi(f: np.ndarray, probes: ProbeSet, parity: int = 1) -> PhiVector:
         value = (fit / scale) @ (0.5 * fit - f)
         if value < best_value:
             best, best_value = x, value
-    return PhiVector(best, parity)
+    return PhiVector(best, parity, bounds)
 
 
 def f_statistic(clicks: ClickTable, probes: ProbeSet, parity: int = 1) -> np.ndarray:
@@ -562,13 +595,33 @@ def _barrier_newton(rho: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, dict
     return pi0, {"iterations": steps, "converged": True, "final_delta": delta, "duality_gap": gap}
 
 
+def _checked_states(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as complex, once it is an (n, 2, 2) stack of finite density
+    matrices: Hermitian within 1e-9, unit trace, positive semidefinite."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (2, 2):
+        raise ValueError("probe_states must be a stack of 2x2 density matrices")
+    if not np.isfinite(rho).all():
+        raise ValueError("probe states must be finite")
+    for i, r in enumerate(rho):
+        if max(abs(r[0, 1] - r[1, 0].conjugate()), abs(r[0, 0].imag), abs(r[1, 1].imag)) > 1e-9:
+            raise ValueError(f"probe {i} is not Hermitian")
+        if abs(np.trace(r) - 1.0) > 1e-9:
+            raise ValueError(f"probe {i} does not have unit trace")
+        if _eigvals_2x2(r)[0] < -1e-9:
+            raise ValueError(f"probe {i} is not positive semidefinite")
+    return rho
+
+
 def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
     """Maximum-likelihood reconstruction of a binary 2x2 POVM.
 
     ``probe_states`` is an (n, 2, 2) stack of density matrices (Hermitian
     within 1e-9, unit trace, positive semidefinite), and
     ``frequencies`` an (n, 2) row-stochastic matrix of observed outcome
-    rates.
+    rates.  Both are checked; a reconstruction from a ``ProbeSet`` hands
+    its pre-checked ``states`` to the core, ``_mle``, which checks only the
+    frequencies.
 
     Closed form first: four probes fix the four real parameters of pi0, and
     when the linear inversion of the frequencies has its spectrum in [0, 1]
@@ -583,23 +636,19 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     ``duality_gap`` bounds how far the log-likelihood lies below the
     maximum.  A gap above ``MLE_GAP_TOL`` raises ConvergenceError.
     """
-    rho = np.asarray(probe_states, dtype=complex)
+    return _mle(_checked_states(probe_states), frequencies)
+
+
+def _mle(rho: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
+    """``mle_reconstruct`` on a stack of states that ``_checked_states`` has
+    passed; the frequencies are checked here."""
     freq = np.asarray(frequencies, dtype=float)
-    if rho.ndim != 3 or rho.shape[1:] != (2, 2):
-        raise ValueError("probe_states must be a stack of 2x2 density matrices")
     if freq.shape != (rho.shape[0], 2):
         raise ValueError("frequencies must be (n_probes, 2)")
-    if not (np.isfinite(freq).all() and np.isfinite(rho).all()):
-        raise ValueError("probe states and frequencies must be finite")
+    if not np.isfinite(freq).all():
+        raise ValueError("frequencies must be finite")
     if np.any(freq < -1e-12) or np.max(np.abs(freq.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("frequency rows must be non-negative and sum to 1")
-    for i, r in enumerate(rho):
-        if max(abs(r[0, 1] - r[1, 0].conjugate()), abs(r[0, 0].imag), abs(r[1, 1].imag)) > 1e-9:
-            raise ValueError(f"probe {i} is not Hermitian")
-        if abs(np.trace(r) - 1.0) > 1e-9:
-            raise ValueError(f"probe {i} does not have unit trace")
-        if _eigvals_2x2(r)[0] < -1e-9:
-            raise ValueError(f"probe {i} is not positive semidefinite")
 
     def log_likelihood(elements) -> float:
         p = np.stack([np.einsum("ikl,lk->i", rho, pi).real for pi in elements], axis=1)
@@ -679,17 +728,16 @@ def _require_probe_rows(clicks: ClickTable, probes: ProbeSet) -> None:
             raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
 
 
-def _assemble(alpha: float, q: tuple[float, float], phi: PhiVector, psi: PhiVector) -> tuple[dict, ScsPovm]:
+def _assemble(probes: ProbeSet, q: tuple[float, float], phi: PhiVector, psi: PhiVector) -> tuple[dict, ScsPovm]:
     """The steps of a reconstruction that read the cat amplitude: the
-    synthesized probe expectations at ``alpha``, the probe states and the
-    MLE, from the measured rates ``q`` at +-alpha and the outcome-0 series
-    ``phi`` (odd) and ``psi`` (even), none of which depends on alpha."""
+    synthesized probe expectations at the probes' alpha and the MLE on their
+    probe states, from the measured rates ``q`` at +-alpha and the outcome-0
+    series ``phi`` (odd) and ``psi`` (even), none of which depends on alpha."""
+    alpha = probes.alpha
     im_plus, im_plus_raw = imaginary_probe_expectation(phi, alpha, q, sign=+1)
     im_minus, im_minus_raw = imaginary_probe_expectation(phi, alpha, q, sign=-1)
     cat_plus, cat_plus_raw = even_cat_probe_expectation(psi, alpha, q)
 
-    coeffs = probe_coefficients(alpha)
-    rho = np.einsum("ik,il->ikl", coeffs, coeffs.conj())
     q_plus, q_minus = q
     frequencies = np.array(
         [
@@ -709,7 +757,7 @@ def _assemble(alpha: float, q: tuple[float, float], phi: PhiVector, psi: PhiVect
         "cat_plus": cat_plus,
         "cat_plus_raw": cat_plus_raw,
     }
-    return expectations, mle_reconstruct(rho, frequencies)
+    return expectations, _mle(probes.states, frequencies)
 
 
 def tomography_pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
@@ -730,7 +778,7 @@ def tomography_pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
     phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
     psi = tuple(solve_phi(f, probes, 0) for f in f_even)
 
-    expectations, povm = _assemble(probes.alpha, (q_plus, q_minus), phi[0], psi[0])
+    expectations, povm = _assemble(probes, (q_plus, q_minus), phi[0], psi[0])
     return TomographyRun(
         probes=probes,
         clicks=clicks,
@@ -774,8 +822,7 @@ def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     q = (run.expectations["q_plus"], run.expectations["q_minus"])
     runs = [(run.expectations, run.povm)]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
-        probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)
-        runs.append(_assemble(probes.alpha, q, run.phi[0], run.psi[0]))
+        runs.append(_assemble(ProbeSet(alpha=shifted, gammas=run.probes.gammas), q, run.phi[0], run.psi[0]))
     out = {}
     for name, extract in _REPORTED_SCALARS:
         vals = [extract(*r) for r in runs]

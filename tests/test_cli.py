@@ -202,20 +202,34 @@ def test_an_amplitude_beyond_the_cutoff_fails_before_the_searches(tmp_path, caps
 
 
 # a gamma of 1e200 is out of range, one config record in _OUT_OF_RANGE; the
-# largest gamma in range still overflows the fig3 cutoff at stage simulate
+# largest gamma in range still overflows the fig3 cutoff, which every run
+# that simulates clicks checks at stage config (the sweep used to fail at
+# stage reconstruct, after its search, and simulate at stage simulate)
+_GAMMA_OVERFLOW = {"gammas": [0.2, MAX_GAMMA]}
+
+
 @pytest.mark.parametrize(
-    "entry, stage, amplitude",
-    [({"alpha": 1e200}, "config", "1e+200"), ({"gammas": [0.2, MAX_GAMMA]}, "simulate", str(1j * MAX_GAMMA))],
-    ids=["entry0-config", "entry1-simulate"],
+    "argv, entry, amplitude",
+    [
+        (["simulate", "--preset", "fig3"], {"alpha": 1e200}, "1e+200"),
+        (["simulate", "--preset", "fig3"], _GAMMA_OVERFLOW, str(1j * MAX_GAMMA)),
+        (["tomography", "--preset", "fig3"], _GAMMA_OVERFLOW, str(1j * MAX_GAMMA)),
+        (
+            ["tomography", "--preset", "fig4"],
+            {**_GAMMA_OVERFLOW, "c0sq_values": [0.5], "phi_values": [0.0]},
+            str(1j * MAX_GAMMA),
+        ),
+    ],
+    ids=["entry0-config", "entry1-config", "single-config", "sweep-config"],
 )
-def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, entry, stage, amplitude):
+def test_an_overflowing_probe_amplitude_is_one_cutoff_record(tmp_path, capsys, argv, entry, amplitude):
     path = write_config(tmp_path, entry)
     out = tmp_path / "never.csv"
-    assert main(["simulate", "--preset", "fig3", "--config", path, "--out", str(out)]) == 1
+    assert main([*argv, "--config", path, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     record = json.loads(lines[0])
-    assert record["error"] == "CutoffTooSmallError" and record["stage"] == stage
+    assert record["error"] == "CutoffTooSmallError" and record["stage"] == "config"
     assert amplitude in record["message"] and "n_max=" in record["message"]
     assert not out.exists()
 
@@ -288,13 +302,13 @@ def test_tomography_ingest_matches_simulation_path(tmp_path, capsys):
 
 
 def test_tomography_ingest_builds_no_apparatus(tmp_path, monkeypatch):
-    # an ingesting run reads its clicks; the apparatus POVM and the campaign
+    # an ingesting run reads its clicks; the apparatus rates and the campaign
     # of the simulating path are built only when the run simulates
     def never(*args, **kwargs):
         raise AssertionError("an ingesting run built simulation inputs")
 
     (tmp_path / "clicks.csv").write_text("\n".join(fig3_click_lines()) + "\n")
-    monkeypatch.setattr(cli, "apparatus_povm", never)
+    monkeypatch.setattr(cli, "apparatus_rates", never)
     monkeypatch.setattr(cli, "Campaign", never)
     path = write_config(tmp_path, {"clicks": str(tmp_path / "clicks.csv")})
     out = tmp_path / "out.json"
@@ -585,6 +599,30 @@ def test_tomography_sweep_checks_its_grid_once(tmp_path, monkeypatch):
         assert main(["tomography", "--config", path, "--out", str(tmp_path / "recon.csv")]) == 0
     assert sorted(specs) == sorted((0.499, c, p) for c in (0.6, 1.0) for p in (0.0, 0.4))
     assert len(menus) == 1
+
+
+def test_tomography_sweep_derives_probe_constants_once_per_probe_set_and_call(tmp_path, monkeypatch):
+    # each call builds its raw and its compensated probe set, and each set
+    # derives its series matrices (one per parity) and probe states once for
+    # all rows; a second identical call in the same process derives them
+    # again, so no cache carries them from one call to the next
+    counts = {"probe_coefficients": 0, "gamma_matrix": 0}
+    for name in counts:
+        real = getattr(tomography, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tomography, name, counted)
+    path = write_config(tmp_path, {"c0sq_values": [0.6, 0.8, 1.0], "phi_values": [0.0, 0.4], "schedule": [0.0, 0.5]})
+    per_call = []
+    for _ in range(2):
+        before = dict(counts)
+        with redirect_stdout(io.StringIO()):
+            assert main(["tomography", "--preset", "fig4", "--config", path, "--out", str(tmp_path / "r.csv")]) == 0
+        per_call.append({name: counts[name] - before[name] for name in counts})
+    assert per_call == [{"probe_coefficients": 2, "gamma_matrix": 4}] * 2
 
 
 def test_tomography_sweep_guards_a_schedule_level_beyond_the_cutoff(tmp_path, capsys):

@@ -1,15 +1,20 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from catproj import experiment
+from catproj import experiment, fock
 from catproj.experiment import (
     Campaign,
     ReconstructionPlan,
     ReconstructionPoint,
+    _apparatus_spectrum,
     apparatus_povm,
+    apparatus_rates,
     default_displacement_schedule,
     effective_displacement,
     expected_rates,
@@ -22,13 +27,17 @@ from catproj.fock import (
     FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
+    cat_basis,
     displacement_operator,
+    max_guarded_amplitude,
     scs_projectors,
 )
 from catproj.povm import (
+    EIGENVALUE_FLOOR,
     IDEAL_DETECTOR,
     DetectorModel,
     PovmPair,
+    _outcome_weights,
     _partition,
     random_povm_pair,
 )
@@ -188,6 +197,72 @@ def test_apparatus_povm_ideal_limit():
     assert np.max(np.abs(got.pi0.entries - ref.pi0.entries)) < 1e-10
 
 
+_UNIT = st.floats(0.0, 1.0)
+_DETECTORS = st.one_of(
+    st.just(IDEAL_DETECTOR),
+    st.builds(DetectorModel, eta=_UNIT, nu=st.floats(0.0, 0.99), visibility=_UNIT),
+)
+
+
+@st.composite
+def _apparatus_cases(draw):
+    """A cutoff, a spec, a detector, a guarded shift and a probe set whose
+    amplitudes (alpha, gammas and their distance to the shift) sit deep
+    inside the cutoff, where truncating either route costs below 1e-15."""
+    dim = TruncationDim(draw(st.integers(20, 30)))
+    alpha = draw(st.floats(0.1, 0.8))
+    spec = ScsMeasurementSpec.from_c0sq(alpha, draw(_UNIT), draw(st.floats(0.0, 2 * math.pi)))
+    radius = draw(st.floats(0.0, max_guarded_amplitude(dim)))
+    shift = cmath.rect(radius, draw(st.floats(0.0, 2 * math.pi)))
+    gammas = draw(st.lists(st.floats(0.01, 0.8), min_size=1, max_size=6, unique=True))
+    return dim, spec, draw(_DETECTORS), shift, ProbeSet(alpha, gammas)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_apparatus_cases())
+def test_apparatus_rates_match_the_fock_truth(case):
+    # D(s)^dag |g> is |g - s> up to a phase: the closed form reads each rate
+    # off a Poisson weight, where expected_rates assembles the N x N truth
+    dim, spec, detector, shift, probes = case
+    closed = apparatus_rates(spec, shift, detector, dim, probes)
+    fock_route = expected_rates(apparatus_povm(spec, shift, detector, dim), probes)
+    assert np.max(np.abs(closed - fock_route)) <= 1e-14
+
+
+@pytest.mark.parametrize("detector", [IDEAL_DETECTOR, LAB_DETECTOR], ids=["ideal", "lab"])
+def test_a_probe_at_the_shift_reads_the_vacuum_weight(detector):
+    # lambda = |g - s|^2 = 0 leaves only n = 0: the rate is (1 - nu) w_0
+    # exactly, with no log(0) warning (which this suite turns into an error)
+    shift = complex(ALPHA)
+    rates = apparatus_rates(OPERATING_SPEC, shift, detector, DIM, PROBES)
+    D = displacement_operator(shift, DIM).entries
+    keep = _partition([t.amps for t in scs_projectors(OPERATING_SPEC, DIM)], D)
+    assert rates[0] == (1.0 - detector.nu) * _outcome_weights(keep, detector.eta)[0]
+
+
+# the extreme floats of the CLI property test that lie in [0, 1]
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    eta=st.one_of(_UNIT, st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-9, 1e-4, 1.0])),
+    keep=st.lists(st.booleans(), min_size=2, max_size=101),
+)
+@example(eta=0.5, keep=[True] * 25)
+def test_counting_weights_are_chances_within_the_povm_floor(eta, keep):
+    # the rows of B_eta sum to 1 within a few ulps only (1 + 5.8e-15 at
+    # eta = 0.5, n_max = 24): 0 <= w <= 1 holds within the POVM floor
+    w = _outcome_weights(np.array(keep), eta)
+    assert np.all(w >= -EIGENVALUE_FLOOR) and np.all(w <= 1.0 + EIGENVALUE_FLOOR)
+
+
+def test_a_counting_weight_beyond_the_floor_is_rejected(monkeypatch):
+    D = displacement_operator(0.3, DIM).entries
+    targets = [t.amps for t in scs_projectors(OPERATING_SPEC, DIM)]
+    assert np.all(_apparatus_spectrum(targets, D, LAB_DETECTOR) <= 1.0)
+    monkeypatch.setattr(experiment, "_outcome_weights", lambda keep, eta: np.full(keep.shape, 1.0 + 1e-6))
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        _apparatus_spectrum(targets, D, LAB_DETECTOR)
+
+
 def test_default_displacement_schedule():
     menu = default_displacement_schedule()
     assert len(menu) == 9
@@ -233,25 +308,49 @@ def test_reconstruction_sweep_deterministic_and_unquantized():
             ReconstructionPlan(camp, c0sq_values, phi_values, DIM)
 
 
-def _spy(monkeypatch, name, record):
-    real = getattr(experiment, name)
+def _spy(monkeypatch, name, record, module=experiment):
+    real = getattr(module, name)
 
     def spy(*args):
         record(*args)
         return real(*args)
 
-    monkeypatch.setattr(experiment, name, spy)
+    monkeypatch.setattr(module, name, spy)
 
 
 def test_every_row_of_a_sweep_draws_its_own_seed(monkeypatch):
     # row r, in phi-major output order, draws with rng_seed + r, so no two
     # rows share a click stream
     seeds = []
-    _spy(monkeypatch, "simulate_counts", lambda truth, campaign: seeds.append(campaign.rng_seed))
+    _spy(monkeypatch, "draw_counts", lambda rates, campaign: seeds.append(campaign.rng_seed))
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
     assert [(p.phi, p.c0sq) for p in points] == [(phi, c) for phi in (0.0, 1.2) for c in (0.55, 0.7, 0.9)]
     assert seeds == list(range(5, 11))
+
+
+def test_a_sweep_builds_no_fock_truth(monkeypatch):
+    # every row draws its clicks from the closed-form probe rates: no truth
+    # POVM, and no coherent state per probe (the cat basis is warm, as the
+    # search of any sweep leaves it)
+    calls = []
+    _spy(monkeypatch, "_counting_povm", lambda *args: calls.append("_counting_povm"))
+    _spy(monkeypatch, "coherent_state", lambda *args: calls.append("coherent_state"))
+    _spy(monkeypatch, "coherent_state", lambda *args: calls.append("coherent_state"), module=fock)
+    cat_basis(ALPHA, DIM)
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
+    assert len(points) == 6 and calls == []
+
+
+def test_a_plan_checks_the_cutoff_of_every_probe_before_the_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a search ran with a probe beyond the cutoff")
+
+    monkeypatch.setattr(experiment, "_search_displacements", never)
+    camp = Campaign(probes=ProbeSet(ALPHA, (0.2, 5.0)), detector=LAB_DETECTOR)
+    with pytest.raises(CutoffTooSmallError, match="5j.*n_max=24"):
+        ReconstructionPlan(camp, [0.5], [0.0], DIM)
 
 
 @pytest.mark.parametrize("stack", [None, 4])

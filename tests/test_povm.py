@@ -8,11 +8,9 @@ from scipy.special import erfc, xlog1py, xlogy
 from catproj.fidelity import displaced_povm
 from catproj.fock import (
     CutoffTooSmallError,
-    FockOperator,
     ScsMeasurementSpec,
     TruncationDim,
     _logfact,
-    coherent_state,
     displacement_operator,
 )
 from catproj.povm import (

@@ -212,6 +212,20 @@ def test_series_bounds():
             series_bound(bad)
 
 
+def test_probe_set_derives_its_reconstruction_constants_once():
+    # the series tables and probe states a reconstruction reads are the
+    # public functions' own arrays, read-only, derived once per probe set
+    ps = ProbeSet(0.499, (0.2, 0.3, 0.5))
+    for parity in (0, 1):
+        mat, bounds = ps.series[parity]
+        assert np.array_equal(mat, gamma_matrix(ps, parity))
+        assert bounds.tolist() == [series_bound(2 * j + parity) for j in range(3)]
+        assert not (mat.flags.writeable or bounds.flags.writeable)
+    assert np.array_equal(ps.states, probe_states(0.499)) and not ps.states.flags.writeable
+    assert ps.series is ps.series and ps.states is ps.states
+    assert ps == ProbeSet(0.499, (0.2, 0.3, 0.5))  # derived constants take no part in equality
+
+
 def test_phi_vector_enforces_bounds():
     for parity, inside, beyond in ((1, [0.9, -1.5], [0.5, 2.0]), (0, [0.9, -2.4], [0.5, 2.5])):
         assert PhiVector(inside, parity).parity == parity
@@ -221,6 +235,12 @@ def test_phi_vector_enforces_bounds():
             PhiVector(beyond, parity)
     with pytest.raises(ValueError, match="parity"):
         PhiVector([0.5], 2)
+    # the bounds a probe set holds are checked as series_bound's are
+    _, odd_bounds = ProbeSet(0.5, (0.2, 0.3)).series[1]
+    with pytest.raises(ValueError, match="beyond its bound 1.0$"):
+        PhiVector([1.1, 0.0], 1, odd_bounds)
+    with pytest.raises(ValueError, match="2 coefficient bounds, got 1"):
+        PhiVector([0.5, 0.5], 1, odd_bounds[:1])
     # the true coefficients of physical elements pass the check in both series
     rng = np.random.default_rng(22)
     for _ in range(20):
