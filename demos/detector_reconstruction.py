@@ -12,8 +12,9 @@ import numpy as np
 from catproj.experiment import (
     Campaign,
     apparatus_povm,
+    draw_counts,
     effective_displacement,
-    simulate_counts,
+    expected_rates,
 )
 from catproj.fock import ScsMeasurementSpec, TruncationDim, scs_basis_project
 from catproj.povm import DetectorModel
@@ -31,7 +32,7 @@ def main() -> None:
 
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     campaign = Campaign(probes=probes, detector=detector, rng_seed=7)
-    clicks = simulate_counts(truth, campaign)
+    clicks = draw_counts(expected_rates(truth, probes), campaign)
     run = tomography_pipeline(clicks, probes)
 
     with np.printoptions(precision=3, suppress=True):

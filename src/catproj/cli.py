@@ -67,7 +67,7 @@ from .tomography import (
     ProbeSet,
     ScsPovm,
     _check_error_bar_width,
-    _require_probe_rows,
+    _match_probe_rows,
     error_bars,
     povm_pair_fidelity,
     tomography_pipeline,
@@ -399,7 +399,7 @@ def cmd_tomography(cfg: Config) -> int:
     if cfg["clicks"] is not None:
         with _stage("ingest"):
             table, clicks_meta = read_click_table(cfg["clicks"])
-            _require_probe_rows(table, probes)
+            table = _match_probe_rows(table, probes)
             clicks_sha256 = clicks_meta["sha256"]
     else:
         with _stage("simulate"):

@@ -5,10 +5,11 @@ produce: a :class:`Campaign` fixes the probe set, shot budget, detector
 imperfections and RNG seed; :func:`draw_counts` draws seeded binomial click
 tables from a vector of outcome-0 probe rates, which :func:`apparatus_rates`
 gives in closed form for the lab apparatus, with no Fock POVM built, and
-:func:`simulate_counts` reads off any truth POVM; a
+:func:`expected_rates` reads off any truth POVM; a
 :class:`ReconstructionPlan` checks a (phi, c0^2) grid of target
 superpositions once; and ``reconstruction_sweep(plan)`` replays the full
-measure-and-reconstruct loop over it, with and without loss compensation.
+measure-and-reconstruct loop over it, reading each row's clicks at the
+physical probe amplitudes and at the loss-compensated ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fidelity import _STACK, _click_score, _search_displacements, _targets, quantize_to_schedule
+from .fidelity import _STACK, _click_score, _search_displacements, _targets
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
@@ -42,7 +43,7 @@ from .povm import (
     _outcome_weights,
     _partition,
 )
-from .tomography import ClickTable, ProbeSet, measurement_fidelity, tomography_pipeline
+from .tomography import ClickTable, ProbeSet, _pipeline, measurement_fidelity
 
 DEFAULT_SHOTS = 200_000
 # interferometric drive amplitude -> induced coherent shift on the signal mode
@@ -107,12 +108,6 @@ def draw_counts(rates, campaign: Campaign) -> ClickTable:
     return ClickTable(campaign.probes.amplitudes(), counts0, shots - counts0, shots)
 
 
-def simulate_counts(truth: PovmPair, campaign: Campaign) -> ClickTable:
-    """Draw a seeded binomial click table from a truth POVM: ``draw_counts``
-    at its ``expected_rates``."""
-    return draw_counts(expected_rates(truth, campaign.probes), campaign)
-
-
 def effective_displacement(drive: complex, detector: DetectorModel) -> complex:
     """Coherent shift produced by a given interferometric drive amplitude."""
     return DRIVE_TO_SHIFT * detector.visibility * complex(drive)
@@ -138,10 +133,10 @@ def apparatus_povm(
     return _counting_povm(D, dim, [t.amps for t in scs_projectors(spec, dim)], detector.eta, detector.nu)
 
 
-def _check_probe_cutoff(probes: ProbeSet, dim: TruncationDim) -> None:
+def _check_probe_cutoff(amplitudes, dim: TruncationDim) -> None:
     """Raise CutoffTooSmallError, as ``coherent_state`` would, unless the
-    cutoff holds every probe amplitude."""
-    for amplitude in probes.amplitudes():
+    cutoff holds every amplitude, in order."""
+    for amplitude in amplitudes:
         _coherent_magnitudes(amplitude, dim)
 
 
@@ -178,14 +173,15 @@ def _probe_rates(amplitudes, shift: complex, spectrum: np.ndarray) -> np.ndarray
 
 def apparatus_rates(spec: ScsMeasurementSpec, shift: complex, detector: DetectorModel, dim, probes: ProbeSet):
     """The outcome-0 rate of ``apparatus_povm`` at every probe of a set, in
-    probe order and in closed form (``_probe_rates``), with the guarded
-    D(shift), the targets and the cutoff of every probe amplitude checked
-    first.  No Fock POVM is built."""
-    dim = as_dim(dim)
-    _check_probe_cutoff(probes, dim)
+    probe order and in closed form (``_probe_rates``), with the cutoff of
+    every probe amplitude g and of every g - shift, whose Poisson tail the
+    closed form drops, the guarded D(shift) and the targets checked first.
+    No Fock POVM is built."""
+    dim, amplitudes = as_dim(dim), probes.amplitudes()
+    _check_probe_cutoff([*amplitudes, *(g - shift for g in amplitudes)], dim)
     D = displacement_operator(shift, dim).entries
     spectrum = _apparatus_spectrum([t.amps for t in scs_projectors(spec, dim)], D, detector)
-    return _probe_rates(probes.amplitudes(), shift, spectrum)
+    return _probe_rates(amplitudes, shift, spectrum)
 
 
 def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
@@ -214,6 +210,15 @@ def _menu_levels(menu, dim: TruncationDim) -> list[float]:
     return levels
 
 
+def _snap(beta: complex, levels) -> complex:
+    """``beta`` with its modulus snapped to the nearest menu level (the lower
+    one on a tie) and its phase kept: an experiment that can prepare only a
+    finite menu of local-oscillator amplitudes."""
+    r = abs(beta)
+    nearest = min(levels, key=lambda v: (abs(v - r), v))
+    return complex(nearest, 0.0) if r == 0.0 else nearest * (beta / r)
+
+
 @dataclass(frozen=True)
 class ReconstructionPoint:
     """One target superposition, measured and scored three ways."""
@@ -235,8 +240,10 @@ class ReconstructionPlan:
     every check, in this order: both lists non-empty, ``from_c0sq`` for
     every row, ``_menu_levels`` unless ``menu`` is ``None``, the seed range
     of the whole grid, ``Campaign.compensated_probes``, and the cutoff of
-    every probe amplitude.  ``dim`` is the cutoff of the search and of the
-    apparatus model.
+    every probe amplitude g and of |g| + R, which bounds every |g - shift|
+    that the closed-form rates read: R is ``max_guarded_amplitude``, the
+    search's bound on |shift|, or the top menu level if that is larger.
+    ``dim`` is the cutoff of the search and of the apparatus model.
     """
 
     campaign: Campaign
@@ -266,7 +273,9 @@ class ReconstructionPlan:
         derived.update(seeds=range(seed, seed + len(rows)), compensated=self.campaign.compensated_probes())
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        _check_probe_cutoff(self.campaign.probes, dim)
+        reach = max([max_guarded_amplitude(dim), *(levels or ())])
+        amplitudes = self.campaign.probes.amplitudes()
+        _check_probe_cutoff([*amplitudes, *(abs(g) + reach for g in amplitudes)], dim)
 
 
 def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
@@ -278,14 +287,15 @@ def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
     each D serves both its row's apparatus spectrum, from which the clicks
     are drawn at the closed-form probe rates, and its ``f_ideal``, the
     lossless click fidelity from one stacked ``_click_score`` call.  Each
-    row's clicks are reconstructed twice: ``f_raw`` at the physical probe
-    amplitudes, ``f_compensated`` at the amplitudes scaled by sqrt(eta).
+    row's one click table, drawn in probe order, is reconstructed twice,
+    read by position: ``f_raw`` at the physical probe amplitudes,
+    ``f_compensated`` at the amplitudes scaled by sqrt(eta).
     """
     campaign, dim, specs, detector = plan.campaign, plan.dim, plan.specs, plan.campaign.detector
     amplitudes = campaign.probes.amplitudes()
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
     if plan.levels is not None:
-        betas = [quantize_to_schedule(beta, plan.levels) for beta in betas]
+        betas = [_snap(beta, plan.levels) for beta in betas]
     out: list[ReconstructionPoint] = []
     for start in range(0, len(specs), _STACK):
         rows = slice(start, start + _STACK)
@@ -297,9 +307,7 @@ def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
             plan.rows[rows], specs[rows], betas[rows], plan.seeds[rows], spectra, f_ideal
         ):
             clicks = draw_counts(_probe_rates(amplitudes, beta, spectrum), replace(campaign, rng_seed=seed))
-            raw = tomography_pipeline(clicks, campaign.probes)
-            comp_clicks = clicks.relabeled(amplitudes, plan.compensated.amplitudes())
-            comp = tomography_pipeline(comp_clicks, plan.compensated)
-            fids = (measurement_fidelity(run.povm, spec) for run in (raw, comp))
+            runs = (_pipeline(clicks, probes) for probes in (campaign.probes, plan.compensated))
+            fids = (measurement_fidelity(run.povm, spec) for run in runs)
             out.append(ReconstructionPoint(c0sq, phi, beta, float(f), *fids))
     return out

@@ -572,25 +572,6 @@ def _search_homodynes(specs) -> list[tuple[float, float]]:
     return optima
 
 
-def quantize_to_schedule(beta: complex, levels) -> complex:
-    """Snap the displacement amplitude to the nearest entry of a level list.
-
-    The phase is preserved; only the modulus is quantized.  Mirrors running
-    an experiment that can only prepare a finite menu of local-oscillator
-    amplitudes.
-    """
-    levels = sorted(float(v) for v in levels)
-    if not levels:
-        raise ValueError("schedule must contain at least one amplitude")
-    if levels[0] < 0.0:
-        raise ValueError("schedule amplitudes must be non-negative")
-    r = abs(beta)
-    nearest = min(levels, key=lambda v: (abs(v - r), v))
-    if r == 0.0:
-        return complex(nearest, 0.0)
-    return nearest * (beta / r)
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Optimized fidelities of the three measurement strategies at one spec."""
@@ -737,6 +718,5 @@ __all__ = [
     "fidelity",
     "optimize",
     "pnrd_fidelity",
-    "quantize_to_schedule",
     "sweep",
 ]

@@ -1,8 +1,9 @@
 """Reconstruction of a binary measurement in the 2-D cat-state basis.
 
 The outcome statistics of coherent probes ``|+alpha>``, ``|-alpha>`` and
-``|+-i*gamma_k>`` determine the POVM restricted to span{|C+>, |C->}.  The
-imaginary-probe rows enter through two polynomial series in the probe
+``|+-i*gamma_k>`` determine the POVM restricted to span{|C+>, |C->}.  A
+click table's rows are matched to the probes once, by amplitude, and read
+by position after that.  The imaginary-probe rows enter through two polynomial series in the probe
 amplitude: the odd coefficients (antisymmetric combination of the ``+-i``
 rates) recover the imaginary parts of the Fock off-diagonals, while the even
 coefficients (symmetric combination) recover the real parts needed to
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -109,8 +110,9 @@ class ProbeSet:
 
 @dataclass(frozen=True)
 class ClickTable:
-    """Per-probe outcome counts, one row per probe amplitude in any order:
-    readers find a row by amplitude (``row_index``), not by position.
+    """Per-probe outcome counts, one row per probe amplitude in any order.
+    A reconstruction matches the rows to its probes once, by amplitude
+    (``_match_probe_rows``), and reads them by position after that.
 
     Counts are stored as floats so that exact-probability tables (rates
     times a nominal shot number) can flow through the same code path as
@@ -155,19 +157,6 @@ class ClickTable:
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         return self.counts0 / self.shots, self.counts1 / self.shots
-
-    def relabeled(self, old_amps, new_amps) -> "ClickTable":
-        """The same clicks read at other probe amplitudes: the row at
-        ``old_amps[j]`` (found by ``row_index``, in whatever order the table
-        holds it) becomes row ``j``, at ``new_amps[j]``."""
-        rows = [self.row_index(a) for a in old_amps]
-        return replace(
-            self,
-            probe_amplitudes=tuple(new_amps),
-            counts0=self.counts0[rows],
-            counts1=self.counts1[rows],
-            shots=self.shots[rows],
-        )
 
     def row_index(self, amplitude: complex) -> int:
         for i, a in enumerate(self.probe_amplitudes):
@@ -282,17 +271,20 @@ def f_statistic(clicks: ClickTable, probes: ProbeSet, parity: int = 1) -> np.nda
     """Probe statistic of one series, shape (2, K): one row per outcome.
 
     f_k = (rate at +i*gamma_k -+ rate at -i*gamma_k) / (2 exp(-gamma_k^2)),
-    the difference for the odd series and the sum for the even one.
+    the difference for the odd series and the sum for the even one.  The
+    rows are matched to the probes first (``_match_probe_rows``).
     """
     _orders(probes.k, parity)  # rejects a parity other than 0 or 1
-    sign = -1.0 if parity else 1.0
-    rates = np.stack(clicks.rates())
-    out = np.empty((2, probes.k))
-    for k, g in enumerate(probes.gammas):
-        ip = clicks.row_index(complex(0.0, g))
-        im = clicks.row_index(complex(0.0, -g))
-        out[:, k] = (rates[:, ip] + sign * rates[:, im]) / (2.0 * math.exp(-g * g))
-    return out
+    return _statistics(np.stack(_match_probe_rows(clicks, probes).rates()), probes)[parity]
+
+
+def _statistics(rates: np.ndarray, probes: ProbeSet) -> np.ndarray:
+    """Both series statistics (``f_statistic``), indexed by parity, from
+    the (2, 2 + 2K) outcome rates of a table in probe order: the rates at
+    +i*gamma_k are columns 2, 4, ... and those at -i*gamma_k columns 3, 5, ..."""
+    scale = np.array([2.0 * math.exp(-g * g) for g in probes.gammas])
+    signs = np.array([1.0, -1.0])[:, None, None]
+    return (rates[:, 2::2] + signs * rates[:, 3::2]) / scale
 
 
 def imaginary_probe_expectation(
@@ -713,19 +705,26 @@ class TomographyRun:
     povm: ScsPovm
 
 
-def _require_probe_rows(clicks: ClickTable, probes: ProbeSet) -> None:
-    """Raise ``ValueError`` unless the table has one row per probe amplitude."""
+def _match_probe_rows(clicks: ClickTable, probes: ProbeSet) -> ClickTable:
+    """The table with its rows in ``probes.amplitudes()`` order, each found
+    by amplitude (``row_index``), or the table itself when they already are.
+    Raises ``ValueError`` unless the table has one row per probe amplitude."""
     expected = probes.amplitudes()
     if len(clicks.probe_amplitudes) != len(expected):
         raise ValueError(
             f"click table has {len(clicks.probe_amplitudes)} rows, "
             f"probe set requires {len(expected)}"
         )
+    rows = []
     for amp in expected:
         try:
-            clicks.row_index(amp)
+            rows.append(clicks.row_index(amp))
         except KeyError:
             raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
+    if rows == list(range(len(rows))):
+        return clicks
+    amps = tuple(clicks.probe_amplitudes[i] for i in rows)
+    return ClickTable(amps, clicks.counts0[rows], clicks.counts1[rows], clicks.shots[rows])
 
 
 def _assemble(probes: ProbeSet, q: tuple[float, float], phi: PhiVector, psi: PhiVector) -> tuple[dict, ScsPovm]:
@@ -763,18 +762,25 @@ def _assemble(probes: ProbeSet, q: tuple[float, float], phi: PhiVector, psi: Phi
 def tomography_pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
     """Chain statistics -> series solves -> synthesized probes -> MLE.
 
-    The first two steps are the fit, which reads only the click rows (found
-    by amplitude) and the gammas: the rates q+- at the +-alpha rows, both
-    series statistics and the four box fits.  Only the assembly after them
-    (``_assemble``) reads alpha, so ``error_bars`` re-runs that alone.  No
-    step reads a Fock cutoff: a run needs only its clicks and probes."""
-    _require_probe_rows(clicks, probes)
+    The rows are matched to the probes once (``_match_probe_rows``), and the
+    run (``_pipeline``) holds the matched table.  The first two steps are
+    the fit, which reads only the click rows and the gammas: the rates q+-
+    at the +-alpha rows, both series statistics and the four box fits.
+    Only the assembly after them (``_assemble``) reads alpha, so
+    ``error_bars`` re-runs that alone.  No step reads a Fock cutoff: a run
+    needs only its clicks and probes."""
+    return _pipeline(_match_probe_rows(clicks, probes), probes)
 
-    r0, _ = clicks.rates()
-    q_plus = float(r0[clicks.row_index(complex(probes.alpha))])
-    q_minus = float(r0[clicks.row_index(complex(-probes.alpha))])
 
-    f_odd, f_even = f_statistic(clicks, probes, 1), f_statistic(clicks, probes, 0)
+def _pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
+    """``tomography_pipeline`` on a table in probe order, read by position:
+    row i holds the clicks at ``probes.amplitudes()[i]``, whatever amplitude
+    the table labels it with, so the same clicks can be read at other probe
+    amplitudes (loss compensation)."""
+    rates = np.stack(clicks.rates())
+    q_plus, q_minus = float(rates[0, 0]), float(rates[0, 1])
+
+    f_even, f_odd = _statistics(rates, probes)
     phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
     psi = tuple(solve_phi(f, probes, 0) for f in f_even)
 

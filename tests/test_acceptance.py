@@ -13,9 +13,10 @@ from catproj.experiment import (
     ReconstructionPlan,
     apparatus_povm,
     default_displacement_schedule,
+    draw_counts,
     effective_displacement,
+    expected_rates,
     reconstruction_sweep,
-    simulate_counts,
 )
 from catproj.fidelity import SweepGrid, displaced_povm, fidelity, optimize, sweep
 from catproj.fock import ScsMeasurementSpec, TruncationDim, coherent_state, expect, scs_basis_project
@@ -153,10 +154,11 @@ def test_sampled_tomography_roundtrip_across_seeds():
     truth = displaced_povm(OPERATING_SPEC, 0.894j, IDEAL_DETECTOR, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     target = project(truth)
+    rates = expected_rates(truth, probes)
     fids = []
     for seed in range(100):
         campaign = Campaign(probes=probes, shots_per_probe=200_000, rng_seed=seed)
-        run = tomography_pipeline(simulate_counts(truth, campaign), probes)
+        run = tomography_pipeline(draw_counts(rates, campaign), probes)
         fids.append(povm_pair_fidelity(target, run.povm))
     passing = sum(f >= 0.99 for f in fids)
     check(7, "sampled roundtrip fidelity >= 0.99 for 95/100 seeds",
@@ -169,7 +171,7 @@ def test_lab_replica_matches_reference_entries():
     truth = apparatus_povm(OPERATING_SPEC, shift, LAB, DIM)
     probes = ProbeSet(ALPHA, (0.2, 0.3))
     campaign = Campaign(probes=probes, shots_per_probe=200_000, detector=LAB, rng_seed=7)
-    run = tomography_pipeline(simulate_counts(truth, campaign), probes)
+    run = tomography_pipeline(draw_counts(expected_rates(truth, probes), campaign), probes)
     dev = float(np.max(np.abs(run.povm.pi0 - REFERENCE)))
     check(8, "lab replica entries within 0.05 of the reference", dev <= 0.05,
           f"max entry deviation {dev:.4f}", t0)

@@ -422,20 +422,25 @@ def test_tomography_with_error_bars_fits_the_clicks_once(tmp_path, monkeypatch):
     # the statistics and the box fits read no alpha, so the envelopes at
     # alpha -+ sigma reuse the central run's: one statistic per series and
     # one fit per series and outcome, as a run without error bars makes
-    counts = {"f_statistic": 0, "solve_phi": 0}
-    for name in counts:
-        original = getattr(tomography, name)
+    counts = {"statistics": 0, "fits": 0}
+    statistics, solve_phi = tomography._statistics, tomography.solve_phi
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_statistics(*args):
+        stack = statistics(*args)
+        counts["statistics"] += len(stack)  # one statistic per series
+        return stack
 
-        monkeypatch.setattr(tomography, name, counted)
+    def counted_fit(*args):
+        counts["fits"] += 1
+        return solve_phi(*args)
+
+    monkeypatch.setattr(tomography, "_statistics", counted_statistics)
+    monkeypatch.setattr(tomography, "solve_phi", counted_fit)
     out = tmp_path / "fig3.json"
     with redirect_stdout(io.StringIO()):
         assert main(["tomography", "--preset", "fig3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["error_bars"] is not None
-    assert counts == {"f_statistic": 2, "solve_phi": 4}
+    assert counts == {"statistics": 2, "fits": 4}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -162,3 +162,32 @@ def test_tomography_imports_no_fock_space_machinery():
     path = Path(catproj.__file__).resolve().parent / "tomography.py"
     found = _fock_and_povm_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert found == {"fock": {"MIN_ALPHA", "ScsMeasurementSpec", "cat_norm_squares"}, "povm": set()}
+
+
+def _row_index_callers(tree: ast.Module) -> set:
+    """The innermost function around each ``.row_index(...)`` call, or
+    ``None`` for a call outside any function."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr == "row_index":
+                    yield function
+            yield from walk(child, function)
+
+    return set(walk(tree, None))
+
+
+def test_one_function_matches_click_rows_to_probes():
+    # a reconstruction matches the rows of a click table to its probes once,
+    # by amplitude, and reads them by position after that
+    sample = "def f(t):\n    def g():\n        t.row_index(1)\n    return t.row_index(0)\nx = t.row_index(2)\n"
+    assert _row_index_callers(ast.parse(sample)) == {"f", "g", None}
+    callers = set()
+    for path in sorted(Path(catproj.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.name, name) for name in _row_index_callers(tree)}
+    assert callers == {("tomography.py", "_match_probe_rows")}

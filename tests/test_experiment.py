@@ -16,13 +16,14 @@ from catproj.experiment import (
     apparatus_povm,
     apparatus_rates,
     default_displacement_schedule,
+    draw_counts,
     effective_displacement,
     expected_rates,
     reconstruction_sweep,
-    simulate_counts,
 )
 from catproj.fidelity import displaced_povm, fidelity, optimize
 from catproj.fock import (
+    COHERENT_TAIL_TOL,
     CutoffTooSmallError,
     FockOperator,
     ScsMeasurementSpec,
@@ -41,7 +42,7 @@ from catproj.povm import (
     _partition,
     random_povm_pair,
 )
-from catproj.tomography import ProbeSet
+from catproj.tomography import ClickTable, ProbeSet
 
 from oracles import apply_loss
 
@@ -106,61 +107,60 @@ def test_expected_rates_closed_forms():
         assert np.all(r > -1e-12) and np.all(r < 1 + 1e-12)
 
 
-def test_simulate_counts_identity_truth():
+def test_draw_counts_identity_truth():
     eye = np.eye(DIM.size, dtype=complex)
     truth = PovmPair.checked(DIM, eye, np.zeros_like(eye))
-    table = simulate_counts(truth, Campaign(probes=PROBES, shots_per_probe=500))
+    table = draw_counts(expected_rates(truth, PROBES), Campaign(probes=PROBES, shots_per_probe=500))
     assert np.all(table.counts0 == 500.0)
     assert np.all(table.counts1 == 0.0)
 
 
-def test_simulate_counts_unbiased_coin():
-    table = simulate_counts(half_identity_pair(), Campaign(probes=PROBES, rng_seed=3))
+def test_draw_counts_unbiased_coin():
+    table = draw_counts(expected_rates(half_identity_pair(), PROBES), Campaign(probes=PROBES, rng_seed=3))
     frac = table.counts0 / table.shots
     sigma = math.sqrt(0.25 / 200_000)
     assert np.all(np.abs(frac - 0.5) < 5 * sigma)
 
 
-def test_simulate_counts_matches_exact_rates():
+def test_draw_counts_matches_exact_rates():
     truth = lab_truth()
-    table = simulate_counts(truth, Campaign(probes=PROBES, rng_seed=7))
     p = expected_rates(truth, PROBES)
+    table = draw_counts(p, Campaign(probes=PROBES, rng_seed=7))
     sigma = np.sqrt(p * (1 - p) / 200_000)
     assert np.all(np.abs(table.counts0 / table.shots - p) < 3 * sigma)
 
 
-def test_simulate_counts_deterministic():
+def test_draw_counts_deterministic():
+    rates = expected_rates(half_identity_pair(), PROBES)
     camp = Campaign(probes=PROBES, rng_seed=42)
-    a = simulate_counts(half_identity_pair(), camp)
-    b = simulate_counts(half_identity_pair(), camp)
+    a = draw_counts(rates, camp)
+    b = draw_counts(rates, camp)
     assert np.array_equal(a.counts0, b.counts0)
-    other = simulate_counts(
-        half_identity_pair(), Campaign(probes=PROBES, rng_seed=43)
-    )
+    other = draw_counts(rates, Campaign(probes=PROBES, rng_seed=43))
     assert not np.array_equal(a.counts0, other.counts0)
     # seeds at and above 2^63 key the stream as unsigned 64-bit integers,
     # not as rounded floats, so neighbouring large seeds stay distinct
     high = [
-        simulate_counts(half_identity_pair(), Campaign(probes=PROBES, rng_seed=seed)).counts0
+        draw_counts(rates, Campaign(probes=PROBES, rng_seed=seed)).counts0
         for seed in (2**63, 2**63 + 1000)
     ]
     assert not np.array_equal(*high)
 
 
-def test_simulate_counts_rejects_invalid_truth():
+def test_draw_counts_rejects_invalid_truth():
     eye = np.eye(DIM.size, dtype=complex)
     bogus = PovmPair(DIM, FockOperator(DIM, 1.5 * eye), FockOperator(DIM, -0.5 * eye))
     with pytest.raises(ValueError, match="outside"):
-        simulate_counts(bogus, Campaign(probes=PROBES))
+        draw_counts(expected_rates(bogus, PROBES), Campaign(probes=PROBES))
 
 
-def test_simulated_counts_are_statistically_sound():
+def test_drawn_counts_are_statistically_sound():
     truth = lab_truth()
     p = expected_rates(truth, PROBES)
     shots = 200_000
     total = 0.0
     for seed in range(100):
-        table = simulate_counts(truth, Campaign(probes=PROBES, rng_seed=seed))
+        table = draw_counts(p, Campaign(probes=PROBES, rng_seed=seed))
         total += float(np.sum((table.counts0 - shots * p) ** 2 / (shots * p * (1 - p))))
     tail = stats.chi2.sf(total, df=100 * len(p))
     assert 1e-6 < tail < 1 - 1e-6
@@ -205,16 +205,18 @@ _DETECTORS = st.one_of(
 
 
 @st.composite
-def _apparatus_cases(draw):
-    """A cutoff, a spec, a detector, a guarded shift and a probe set whose
-    amplitudes (alpha, gammas and their distance to the shift) sit deep
-    inside the cutoff, where truncating either route costs below 1e-15."""
-    dim = TruncationDim(draw(st.integers(20, 30)))
-    alpha = draw(st.floats(0.1, 0.8))
+def _apparatus_cases(draw, smallest_n_max=20, top=0.8):
+    """A cutoff of at least ``smallest_n_max`` (up to 30), a spec, a
+    detector, a guarded shift and a probe set with amplitudes up to ``top``.
+    By default every amplitude (alpha, gammas and their distance to the
+    shift) sits deep inside the cutoff, where truncating either route costs
+    below 1e-15."""
+    dim = TruncationDim(draw(st.integers(smallest_n_max, 30)))
+    alpha = draw(st.floats(0.1, top))
     spec = ScsMeasurementSpec.from_c0sq(alpha, draw(_UNIT), draw(st.floats(0.0, 2 * math.pi)))
     radius = draw(st.floats(0.0, max_guarded_amplitude(dim)))
     shift = cmath.rect(radius, draw(st.floats(0.0, 2 * math.pi)))
-    gammas = draw(st.lists(st.floats(0.01, 0.8), min_size=1, max_size=6, unique=True))
+    gammas = draw(st.lists(st.floats(0.01, top), min_size=1, max_size=6, unique=True))
     return dim, spec, draw(_DETECTORS), shift, ProbeSet(alpha, gammas)
 
 
@@ -227,6 +229,21 @@ def test_apparatus_rates_match_the_fock_truth(case):
     closed = apparatus_rates(spec, shift, detector, dim, probes)
     fock_route = expected_rates(apparatus_povm(spec, shift, detector, dim), probes)
     assert np.max(np.abs(closed - fock_route)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_apparatus_cases(smallest_n_max=6, top=2.2))
+@example(case=(TruncationDim(14), OPERATING_SPEC, IDEAL_DETECTOR, -0.81j, ProbeSet(ALPHA, (1.46,))))
+def test_accepted_apparatus_rates_hold_the_fock_truth_at_the_cutoff_edge(case):
+    # the closed form sums the Poisson weights of |g - shift| up to n_max, so
+    # the cutoff must hold every g - shift, not only every probe g
+    dim, spec, detector, shift, probes = case
+    try:
+        closed = apparatus_rates(spec, shift, detector, dim, probes)
+    except CutoffTooSmallError:
+        return
+    fock_route = expected_rates(apparatus_povm(spec, shift, detector, dim), probes)
+    assert np.max(np.abs(closed - fock_route)) <= COHERENT_TAIL_TOL
 
 
 @pytest.mark.parametrize("detector", [IDEAL_DETECTOR, LAB_DETECTOR], ids=["ideal", "lab"])
@@ -343,6 +360,22 @@ def test_a_sweep_builds_no_fock_truth(monkeypatch):
     assert len(points) == 6 and calls == []
 
 
+
+def test_a_sweep_row_builds_one_click_table(monkeypatch):
+    # the raw and the loss-compensated reconstruction both read the row's
+    # drawn table by position: no second table relabels its rows
+    built = []
+    check = ClickTable.__post_init__
+
+    def counted(table):
+        built.append(table.probe_amplitudes)
+        check(table)
+
+    monkeypatch.setattr(ClickTable, "__post_init__", counted)
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
+    assert len(points) == 6 and built == [PROBES.amplitudes()] * 6
+
 def test_a_plan_checks_the_cutoff_of_every_probe_before_the_search(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a search ran with a probe beyond the cutoff")
@@ -367,6 +400,15 @@ def test_a_sweep_searches_once_and_builds_d_in_stacks(monkeypatch, stack):
     assert len(points) == 6 and searches == [6]
     assert stacks == ([6] if stack is None else [4, 2])
 
+
+
+def test_snap_keeps_the_phase_and_takes_the_lower_level_on_a_tie():
+    levels = [0.5, 0.1, 0.3]  # a menu's levels come in menu order, unsorted
+    assert experiment._snap(0.29, levels) == pytest.approx(0.3)
+    assert experiment._snap(0.5, [0.75, 0.25]) == 0.25
+    q = experiment._snap(0.4j, levels)
+    assert abs(q) == pytest.approx(0.5) and q.real == pytest.approx(0.0)
+    assert experiment._snap(0.0, levels) == 0.1
 
 @pytest.mark.parametrize(
     "menu, error, fragment",

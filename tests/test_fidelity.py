@@ -42,7 +42,6 @@ from catproj.fidelity import (
     fidelity,
     optimize,
     pnrd_fidelity,
-    quantize_to_schedule,
     sweep,
 )
 from catproj.fock import (
@@ -769,15 +768,3 @@ def test_sweep_searches_each_alpha_once_and_builds_each_stack_once(monkeypatch):
         (c0sq, alpha_sq) for c0sq, alpha_sq, _ in grid.points()
     ]
 
-
-def test_quantize_to_schedule():
-    levels = [0.1, 0.3, 0.5]
-    assert quantize_to_schedule(0.29, levels) == pytest.approx(0.3)
-    assert quantize_to_schedule(0.5, [0.25, 0.75]) == pytest.approx(0.25)  # tie -> lower
-    q = quantize_to_schedule(0.4j, levels)
-    assert abs(q) == pytest.approx(0.5) and q.real == pytest.approx(0.0)
-    assert quantize_to_schedule(0.0, levels) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        quantize_to_schedule(0.2, [])
-    with pytest.raises(ValueError):
-        quantize_to_schedule(0.2, [-0.1, 0.3])

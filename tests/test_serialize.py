@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from catproj.experiment import Campaign, ReconstructionPoint, apparatus_povm, simulate_counts
+from catproj.experiment import Campaign, ReconstructionPoint, apparatus_povm, draw_counts, expected_rates
 from catproj.fidelity import SweepGrid, sweep
 from catproj.fock import ScsMeasurementSpec, TruncationDim
 from catproj.povm import DetectorModel
@@ -37,7 +37,7 @@ def sample_table():
     truth = apparatus_povm(
         ScsMeasurementSpec.from_c0sq(ALPHA, 0.5, math.pi / 2), 0.446106j, det, DIM
     )
-    return simulate_counts(truth, Campaign(probes=PROBES, shots_per_probe=5000, rng_seed=11))
+    return draw_counts(expected_rates(truth, PROBES), Campaign(probes=PROBES, shots_per_probe=5000, rng_seed=11))
 
 
 def test_format_float():

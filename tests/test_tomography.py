@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from catproj import tomography
-from catproj.experiment import Campaign, simulate_counts
+from catproj.experiment import Campaign, draw_counts, expected_rates
 from catproj.fidelity import displaced_povm
 from catproj.fock import (
     MIN_ALPHA,
@@ -173,15 +173,25 @@ def test_click_table_validation():
     with pytest.raises(ValueError, match="empty"):
         ClickTable((), [], [], [])
 
-    # relabeling finds rows by amplitude and re-validates the table it builds
-    moved = table.relabeled([-0.5, 0.5], [-0.6, 0.6])
-    assert moved.probe_amplitudes == (-0.6, 0.6)
-    assert np.array_equal(moved.counts0, table.counts0[::-1])
-    assert np.array_equal(moved.rates()[0], r0[::-1])
-    with pytest.raises(KeyError):
-        table.relabeled([0.3j], [0.3j])
-    with pytest.raises(ValueError):
-        table.relabeled([0.5, -0.5], [0.5])
+
+def test_match_probe_rows_reorders_by_amplitude_once():
+    # the table itself when its rows are in probe order; otherwise a
+    # re-validated table in probe order, each row found by amplitude
+    probes = ProbeSet(0.5, (0.3,))
+    table = ClickTable.from_rates(probes.amplitudes(), [0.25, 0.5, 0.6, 0.7], 200)
+    assert tomography._match_probe_rows(table, probes) is table
+    order = [2, 0, 3, 1]
+    shuffled = ClickTable(
+        [table.probe_amplitudes[i] for i in order], table.counts0[order], table.counts1[order], table.shots[order]
+    )
+    matched = tomography._match_probe_rows(shuffled, probes)
+    assert matched.probe_amplitudes == table.probe_amplitudes
+    for name in ("counts0", "counts1", "shots"):
+        assert np.array_equal(getattr(matched, name), getattr(table, name)), name
+    with pytest.raises(ValueError, match=r"no row at probe amplitude -0\.3j"):
+        tomography._match_probe_rows(ClickTable.from_rates((0.5, -0.5, 0.3j, 0.4j), [0.5] * 4, 10), probes)
+    with pytest.raises(ValueError, match="has 2 rows, probe set requires 4"):
+        tomography._match_probe_rows(ClickTable.from_rates((0.5, -0.5), [0.5] * 2, 10), probes)
 
 
 def test_gamma_matrix_examples():
@@ -936,12 +946,14 @@ def test_error_bars():
 
 
 def relabeled_error_bars(run, alpha_sigma: float) -> dict:
-    """The envelopes over three full pipelines: the central run, and the
-    clicks re-read at alpha -+ sigma and reconstructed from scratch."""
+    """The envelopes over three full pipelines: the central run, and its
+    clicks, whose rows the run holds in probe order, relabeled row by row
+    with the probe amplitudes at alpha -+ sigma and reconstructed from
+    scratch."""
     runs = [run]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
         probes = ProbeSet(shifted, run.probes.gammas)
-        clicks = run.clicks.relabeled(run.probes.amplitudes(), probes.amplitudes())
+        clicks = ClickTable(probes.amplitudes(), run.clicks.counts0, run.clicks.counts1, run.clicks.shots)
         runs.append(tomography_pipeline(clicks, probes))
     scalars = {
         "pi0_00_re": lambda r: r.povm.pi0[0, 0].real,
@@ -959,8 +971,9 @@ def test_error_bars_equal_three_full_pipelines(tmp_path):
     # alpha -+ sigma gives, bit for bit, what re-running it all gives
     pair = experimental_pair()
     probes = ProbeSet(ALPHA, (0.2, 0.3, 0.45))
+    rates = expected_rates(pair, probes)
     tables = [
-        simulate_counts(pair, Campaign(probes, shots_per_probe=shots, rng_seed=seed))
+        draw_counts(rates, Campaign(probes, shots_per_probe=shots, rng_seed=seed))
         for seed, shots in ((0, 200_000), (1, 2_000), (7, 50), (11, 200_000))
     ]
     # a boundary MLE, and a table ingested with its rows in another order
