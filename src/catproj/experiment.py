@@ -8,8 +8,8 @@ gives in closed form for the lab apparatus, with no Fock POVM built, and
 :func:`expected_rates` reads off any truth POVM; a
 :class:`ReconstructionPlan` checks a (phi, c0^2) grid of target
 superpositions once; and ``reconstruction_sweep(plan)`` replays the full
-measure-and-reconstruct loop over it, reading each row's clicks at the
-physical probe amplitudes and at the loss-compensated ones.
+measure-and-reconstruct loop over it, reconstructing all rows' clicks as one
+stack at the physical probe amplitudes and one at the loss-compensated ones.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .povm import (
     _outcome_weights,
     _partition,
 )
-from .tomography import ClickTable, ProbeSet, _pipeline, measurement_fidelity
+from .tomography import ClickTable, ProbeSet, _reconstruct, measurement_fidelity
 
 DEFAULT_SHOTS = 200_000
 # interferometric drive amplitude -> induced coherent shift on the signal mode
@@ -92,17 +93,20 @@ def draw_counts(rates, campaign: Campaign) -> ClickTable:
     """Draw a seeded binomial click table from the outcome-0 rate of every
     probe, in probe order.
 
-    Each probe gets its own counter-based generator keyed by the unsigned
+    Each probe gets its own counter-based stream keyed by the unsigned
     64-bit pair ``(rng_seed, probe_index)``, so tables are bit-for-bit
     reproducible and probes can be generated in any order or in parallel.
+    One Philox serves the table, reset before each probe to a new one's state.
     A rate outside [0, 1] by more than ``RATE_TOL`` raises ValueError.
     """
+    bits = np.random.Philox(key=np.array([campaign.rng_seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bits), bits.state
     counts0 = np.empty(len(rates))
     for i, rate in enumerate(rates):
         if not -RATE_TOL <= rate <= 1.0 + RATE_TOL:
             raise ValueError(f"probe {i} has outcome probability {rate!r} outside [0, 1]")
-        key = np.array([campaign.rng_seed, i], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        fresh["state"]["key"][1] = i
+        bits.state = fresh
         counts0[i] = rng.binomial(campaign.shots_per_probe, min(max(rate, 0.0), 1.0))
     shots = np.full(len(rates), float(campaign.shots_per_probe))
     return ClickTable(campaign.probes.amplitudes(), counts0, shots - counts0, shots)
@@ -184,6 +188,7 @@ def apparatus_rates(spec: ScsMeasurementSpec, shift: complex, detector: Detector
     return _probe_rates(amplitudes, shift, spectrum)
 
 
+@lru_cache(maxsize=16)  # a per-alpha constant, searched once per process
 def default_displacement_schedule(alpha: float = 0.499) -> tuple[complex, ...]:
     """Evenly spaced amplitude menu covering the optimizer's range.
 
@@ -286,28 +291,29 @@ def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
     Each stack of up to ``_STACK`` rows gets one guarded D(shift) build, and
     each D serves both its row's apparatus spectrum, from which the clicks
     are drawn at the closed-form probe rates, and its ``f_ideal``, the
-    lossless click fidelity from one stacked ``_click_score`` call.  Each
-    row's one click table, drawn in probe order, is reconstructed twice,
-    read by position: ``f_raw`` at the physical probe amplitudes,
-    ``f_compensated`` at the amplitudes scaled by sqrt(eta).
+    lossless click fidelity from one stacked ``_click_score`` call.  The
+    rows' click tables, each drawn in probe order, are then reconstructed
+    as one stack twice, read by position (``tomography._reconstruct``):
+    ``f_raw`` at the physical probe amplitudes, ``f_compensated`` at the
+    amplitudes scaled by sqrt(eta).
     """
     campaign, dim, specs, detector = plan.campaign, plan.dim, plan.specs, plan.campaign.detector
     amplitudes = campaign.probes.amplitudes()
     betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
     if plan.levels is not None:
         betas = [_snap(beta, plan.levels) for beta in betas]
-    out: list[ReconstructionPoint] = []
+    f_ideal, rates = [], []
     for start in range(0, len(specs), _STACK):
         rows = slice(start, start + _STACK)
         Ds = _guarded_displacements(betas[rows], dim)
         targets = _targets(specs[rows], dim)
-        f_ideal = _click_score(targets, Ds, IDEAL_DETECTOR)
+        f_ideal.extend(_click_score(targets, Ds, IDEAL_DETECTOR))
         spectra = _apparatus_spectrum(targets, Ds, detector)
-        for (phi, c0sq), spec, beta, seed, spectrum, f in zip(
-            plan.rows[rows], specs[rows], betas[rows], plan.seeds[rows], spectra, f_ideal
-        ):
+        for beta, seed, spectrum in zip(betas[rows], plan.seeds[rows], spectra):
             clicks = draw_counts(_probe_rates(amplitudes, beta, spectrum), replace(campaign, rng_seed=seed))
-            runs = (_pipeline(clicks, probes) for probes in (campaign.probes, plan.compensated))
-            fids = (measurement_fidelity(run.povm, spec) for run in runs)
-            out.append(ReconstructionPoint(c0sq, phi, beta, float(f), *fids))
-    return out
+            rates.append(clicks.rates())
+    raw, compensated = (_reconstruct(np.array(rates), probes) for probes in (campaign.probes, plan.compensated))
+    return [
+        ReconstructionPoint(c0sq, phi, beta, float(f), *(measurement_fidelity(povm, spec) for povm in pair))
+        for (phi, c0sq), spec, beta, f, *pair in zip(plan.rows, specs, betas, f_ideal, raw, compensated)
+    ]

@@ -3,20 +3,22 @@
 The outcome statistics of coherent probes ``|+alpha>``, ``|-alpha>`` and
 ``|+-i*gamma_k>`` determine the POVM restricted to span{|C+>, |C->}.  A
 click table's rows are matched to the probes once, by amplitude, and read
-by position after that.  The imaginary-probe rows enter through two polynomial series in the probe
-amplitude: the odd coefficients (antisymmetric combination of the ``+-i``
-rates) recover the imaginary parts of the Fock off-diagonals, while the even
-coefficients (symmetric combination) recover the real parts needed to
-synthesize an even-cat probe.  One routine per step serves both series,
-selected by ``parity``; each series is fitted inside the box that the entry
-bound on POVM elements puts on its coefficients, by an exact solve when the
-fit lies inside the box and otherwise by the reduced solves of the box's 3^K
+by position after that; a sweep reconstructs the tables of all its rows
+as one stack, and a single run is a stack of one.  The imaginary-probe
+rows enter through two polynomial series in the probe amplitude: the odd
+coefficients (antisymmetric combination of the ``+-i`` rates) recover the
+imaginary parts of the Fock off-diagonals, while the even coefficients
+(symmetric combination) recover the real parts needed to synthesize an
+even-cat probe.  One routine per step serves both series, selected by
+``parity``; each series is fitted inside the box that the entry bound on
+POVM elements puts on its coefficients, by one stacked exact solve for the
+fits inside the box and otherwise by the reduced solves of the box's 3^K
 faces, of which the least-residual feasible one is the fit (Lawson & Hanson,
-Solving Least Squares Problems, 1974).
-The 2x2 pair is then reconstructed from four informationally complete probe
-states, closed form first: the linear inversion of the four rates is the
-likelihood maximum whenever it is physical.  Only an optimum on the boundary
-of 0 <= pi0 <= I runs an iteration, a log-det barrier Newton solve whose
+Solving Least Squares Problems, 1974).  The 2x2 pair is then reconstructed
+from four informationally complete probe states, closed form first: the
+linear inversion of the four rates, one stacked solve, is the likelihood
+maximum whenever it is physical.  Only an optimum on the boundary of
+0 <= pi0 <= I runs an iteration, a log-det barrier Newton solve whose
 result is certified by a duality gap.  No step takes a photon-number
 cutoff: the probes enter through the exact cat norms ``cat_norm_squares``.
 """
@@ -127,9 +129,7 @@ class ClickTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probe_amplitudes", tuple(complex(a) for a in self.probe_amplitudes))
         for name in ("counts0", "counts1", "shots"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=float)))
         n = len(self.probe_amplitudes)
         if n == 0:
             raise ValueError("click table is empty: it has no probe rows")
@@ -193,8 +193,7 @@ class PhiVector:
     bounds: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, bounds) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
+        vals = _frozen(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("expected a non-empty 1-D coefficient vector")
@@ -279,12 +278,26 @@ def f_statistic(clicks: ClickTable, probes: ProbeSet, parity: int = 1) -> np.nda
 
 
 def _statistics(rates: np.ndarray, probes: ProbeSet) -> np.ndarray:
-    """Both series statistics (``f_statistic``), indexed by parity, from
-    the (2, 2 + 2K) outcome rates of a table in probe order: the rates at
+    """Both series statistics (``f_statistic``), indexed by parity first, from
+    the (..., 2, 2 + 2K) outcome rates of tables in probe order: the rates at
     +i*gamma_k are columns 2, 4, ... and those at -i*gamma_k columns 3, 5, ..."""
     scale = np.array([2.0 * math.exp(-g * g) for g in probes.gammas])
-    signs = np.array([1.0, -1.0])[:, None, None]
-    return (rates[:, 2::2] + signs * rates[:, 3::2]) / scale
+    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * rates.ndim)
+    return (rates[..., 2::2] + signs * rates[..., 3::2]) / scale
+
+
+def _series_fits(f: np.ndarray, probes: ProbeSet, parity: int) -> np.ndarray:
+    """``solve_phi``'s coefficients for every row of an (m, K) statistic
+    stack: one stacked exact solve, which keeps each row's bits (a (K, m)
+    right-hand side would not), and ``solve_phi`` for the rows outside the box."""
+    mat, bounds = probes.series[parity]
+    try:
+        fits = np.linalg.solve(np.broadcast_to(mat, f.shape + (probes.k,)), f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        fits = np.full(f.shape, np.nan)
+    for i in np.flatnonzero(~np.all(np.abs(fits) <= bounds, axis=1)):
+        fits[i] = solve_phi(f[i], probes, parity).values
+    return fits
 
 
 def imaginary_probe_expectation(
@@ -367,8 +380,7 @@ class ScsPovm:
                 raise ValueError(f"{name} must be 2x2, got shape {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
         comp = np.max(np.abs(self.pi0 + self.pi1 - np.eye(2)))
         if not comp <= COMPLETENESS_TOL_2D:
             raise ValueError(f"elements do not sum to identity (residual {comp:g})")
@@ -388,15 +400,7 @@ def probe_coefficients(alpha: float) -> np.ndarray:
     a = 0.5 * math.sqrt(nplus_sq)
     b = 0.5 * math.sqrt(nminus_sq)
     s = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            [a, b],
-            [a, -b],
-            [a * (1.0 + 1.0j) * s, b * (1.0 - 1.0j) * s],
-            [1.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    return np.array([[a, b], [a, -b], [a * (1.0 + 1.0j) * s, b * (1.0 - 1.0j) * s], [1.0, 0.0]], dtype=complex)
 
 
 def _design(rho: np.ndarray) -> np.ndarray:
@@ -412,17 +416,21 @@ def _design(rho: np.ndarray) -> np.ndarray:
 
 
 def _linear_inversion(rho: np.ndarray, freq: np.ndarray) -> np.ndarray | None:
-    """The pi0 whose pair (pi0, I - pi0) reproduces every frequency row, or
-    None when the probes do not fix one (a number of probes other than four,
-    or a singular design)."""
+    """The pi0 whose pair (pi0, I - pi0) reproduces every frequency row, for
+    an (n, 2) frequency table or a stack of them, or None when the probes do
+    not fix one (a number of probes other than four, or a singular design).
+    A stack makes one stacked 4 x 4 solve, which keeps each table's bits."""
     if rho.shape[0] != 4:
         return None
+    p = freq[..., 0] / freq.sum(axis=-1)
     try:
-        a, b, re_c, im_c = np.linalg.solve(_design(rho), freq[:, 0] / freq.sum(axis=1))
+        x = np.linalg.solve(np.broadcast_to(_design(rho), p.shape + (4,)), p[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return None
-    c = complex(re_c, im_c)
-    return np.array([[a, c], [c.conjugate(), b]])
+    pi0 = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+    pi0.real[...] = x[..., [[0, 2], [2, 1]]]  # [[a, Re c], [Re c, b]]
+    pi0.imag[..., 0, 1], pi0.imag[..., 1, 0] = x[..., 3], -x[..., 3]
+    return pi0
 
 
 def _newton_system(rows, x: tuple, mu: float) -> tuple[tuple, tuple, float]:
@@ -611,9 +619,8 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     ``probe_states`` is an (n, 2, 2) stack of density matrices (Hermitian
     within 1e-9, unit trace, positive semidefinite), and
     ``frequencies`` an (n, 2) row-stochastic matrix of observed outcome
-    rates.  Both are checked; a reconstruction from a ``ProbeSet`` hands
-    its pre-checked ``states`` to the core, ``_mle``, which checks only the
-    frequencies.
+    rates.  Both are checked; this is ``_mle_stack`` on a stack of one
+    table, which a reconstruction calls with its probe set's checked states.
 
     Closed form first: four probes fix the four real parameters of pi0, and
     when the linear inversion of the frequencies has its spectrum in [0, 1]
@@ -628,36 +635,37 @@ def mle_reconstruct(probe_states: np.ndarray, frequencies: np.ndarray) -> ScsPov
     ``duality_gap`` bounds how far the log-likelihood lies below the
     maximum.  A gap above ``MLE_GAP_TOL`` raises ConvergenceError.
     """
-    return _mle(_checked_states(probe_states), frequencies)
+    rho, freq = _checked_states(probe_states), np.asarray(frequencies, dtype=float)
+    return _mle_stack(rho, freq[None], likelihood=True)[0]
 
 
-def _mle(rho: np.ndarray, frequencies: np.ndarray) -> ScsPovm:
-    """``mle_reconstruct`` on a stack of states that ``_checked_states`` has
-    passed; the frequencies are checked here."""
-    freq = np.asarray(frequencies, dtype=float)
-    if freq.shape != (rho.shape[0], 2):
+def _mle_stack(rho: np.ndarray, freq: np.ndarray, likelihood: bool = False) -> list[ScsPovm]:
+    """``mle_reconstruct`` for every table of an (r, n, 2) frequency stack,
+    against n states that ``_checked_states`` has passed; the frequencies
+    are checked here.  One stacked solve makes every linear inversion, and
+    only the tables whose optimum lies on the boundary run
+    ``_barrier_newton``.  The log-likelihood is reported on request."""
+    if freq.shape[1:] != (rho.shape[0], 2):
         raise ValueError("frequencies must be (n_probes, 2)")
     if not np.isfinite(freq).all():
         raise ValueError("frequencies must be finite")
-    if np.any(freq < -1e-12) or np.max(np.abs(freq.sum(axis=1) - 1.0)) > 1e-9:
+    if np.any(freq < -1e-12) or np.max(np.abs(freq.sum(axis=-1) - 1.0)) > 1e-9:
         raise ValueError("frequency rows must be non-negative and sum to 1")
-
-    def log_likelihood(elements) -> float:
-        p = np.stack([np.einsum("ikl,lk->i", rho, pi).real for pi in elements], axis=1)
-        return float(np.sum(freq * np.log(np.maximum(p, MLE_PROB_FLOOR))))
-
-    pi0 = _linear_inversion(rho, freq)
-    if pi0 is not None:
-        low, high = _eigvals_2x2(pi0)
-        if not (low >= 0.0 and high <= 1.0):
-            pi0 = None
-    if pi0 is None:
-        pi0, diagnostics = _barrier_newton(rho, freq)
-    else:
-        diagnostics = {"iterations": 0, "converged": True, "final_delta": 0.0}
-    elements = (pi0, np.eye(2) - pi0)
-    diagnostics["log_likelihood"] = log_likelihood(elements)
-    return ScsPovm(*elements, diagnostics=diagnostics)
+    inversions = _linear_inversion(rho, freq)
+    povms = []
+    for i, table in enumerate(freq):
+        # without an inversion (the probes do not fix pi0) there is no spectrum to accept
+        low, high = (math.nan, math.nan) if inversions is None else _eigvals_2x2(inversions[i])
+        if low >= 0.0 and high <= 1.0:
+            pi0, diagnostics = inversions[i], {"iterations": 0, "converged": True, "final_delta": 0.0}
+        else:
+            pi0, diagnostics = _barrier_newton(rho, table)
+        elements = (pi0, np.eye(2) - pi0)
+        if likelihood:
+            p = np.stack([np.einsum("ikl,lk->i", rho, pi).real for pi in elements], axis=1)
+            diagnostics["log_likelihood"] = float(np.sum(table * np.log(np.maximum(p, MLE_PROB_FLOOR))))
+        povms.append(ScsPovm(*elements, diagnostics=diagnostics))
+    return povms
 
 
 def measurement_fidelity(povm: ScsPovm, spec: ScsMeasurementSpec) -> float:
@@ -711,10 +719,7 @@ def _match_probe_rows(clicks: ClickTable, probes: ProbeSet) -> ClickTable:
     Raises ``ValueError`` unless the table has one row per probe amplitude."""
     expected = probes.amplitudes()
     if len(clicks.probe_amplitudes) != len(expected):
-        raise ValueError(
-            f"click table has {len(clicks.probe_amplitudes)} rows, "
-            f"probe set requires {len(expected)}"
-        )
+        raise ValueError(f"click table has {len(clicks.probe_amplitudes)} rows, probe set requires {len(expected)}")
     rows = []
     for amp in expected:
         try:
@@ -727,74 +732,61 @@ def _match_probe_rows(clicks: ClickTable, probes: ProbeSet) -> ClickTable:
     return ClickTable(amps, clicks.counts0[rows], clicks.counts1[rows], clicks.shots[rows])
 
 
-def _assemble(probes: ProbeSet, q: tuple[float, float], phi: PhiVector, psi: PhiVector) -> tuple[dict, ScsPovm]:
-    """The steps of a reconstruction that read the cat amplitude: the
-    synthesized probe expectations at the probes' alpha and the MLE on their
-    probe states, from the measured rates ``q`` at +-alpha and the outcome-0
-    series ``phi`` (odd) and ``psi`` (even), none of which depends on alpha."""
-    alpha = probes.alpha
-    im_plus, im_plus_raw = imaginary_probe_expectation(phi, alpha, q, sign=+1)
-    im_minus, im_minus_raw = imaginary_probe_expectation(phi, alpha, q, sign=-1)
-    cat_plus, cat_plus_raw = even_cat_probe_expectation(psi, alpha, q)
+def _fit(rates: np.ndarray, probes: ProbeSet, outcomes: int) -> tuple[np.ndarray, list]:
+    """The fit of an (r, 2, 2 + 2K) stack of outcome rates in probe order,
+    which reads no alpha: both series statistics, and the box fits of the
+    first ``outcomes`` outcomes, one ``_series_fits`` per parity, each
+    indexed by parity, table and outcome."""
+    stats = _statistics(rates, probes)
+    fits = []
+    for parity in (0, 1):
+        f, bounds = stats[parity, :, :outcomes], probes.series[parity][1]
+        values = _series_fits(f.reshape(-1, probes.k), probes, parity).reshape(f.shape)
+        fits.append([tuple(PhiVector(v, parity, bounds) for v in table) for table in values])
+    return stats, fits
 
-    q_plus, q_minus = q
-    frequencies = np.array(
-        [
-            [q_plus, 1.0 - q_plus],
-            [q_minus, 1.0 - q_minus],
-            [im_plus, 1.0 - im_plus],
-            [cat_plus, 1.0 - cat_plus],
-        ]
-    )
-    expectations = {
-        "q_plus": q_plus,
-        "q_minus": q_minus,
-        "im_plus": im_plus,
-        "im_plus_raw": im_plus_raw,
-        "im_minus": im_minus,
-        "im_minus_raw": im_minus_raw,
-        "cat_plus": cat_plus,
-        "cat_plus_raw": cat_plus_raw,
-    }
-    return expectations, _mle(probes.states, frequencies)
+
+def _assemble(probes: ProbeSet, q, phi, psi, likelihood: bool = False) -> tuple[list[dict], list[ScsPovm]]:
+    """The steps that read alpha, for every table of a stack: the
+    synthesized probe expectations and the likelihood fit on the four probe
+    states (``_mle_stack``), from the rates ``q`` at +-alpha and the
+    outcome-0 series ``phi`` (odd) and ``psi`` (even) of each table."""
+    alpha, expectations, frequencies = probes.alpha, [], []
+    for q_pair, odd, even in zip(q, phi, psi):
+        im_plus, im_plus_raw = imaginary_probe_expectation(odd, alpha, q_pair, sign=+1)
+        im_minus, im_minus_raw = imaginary_probe_expectation(odd, alpha, q_pair, sign=-1)
+        cat_plus, cat_plus_raw = even_cat_probe_expectation(even, alpha, q_pair)
+        q_plus, q_minus = q_pair
+        expectations.append(dict(
+            q_plus=q_plus, q_minus=q_minus, im_plus=im_plus, im_plus_raw=im_plus_raw,
+            im_minus=im_minus, im_minus_raw=im_minus_raw, cat_plus=cat_plus, cat_plus_raw=cat_plus_raw,
+        ))
+        frequencies.append([[p, 1.0 - p] for p in (q_plus, q_minus, im_plus, cat_plus)])
+    return expectations, _mle_stack(probes.states, np.array(frequencies), likelihood)
+
+
+def _reconstruct(rates: np.ndarray, probes: ProbeSet) -> list[ScsPovm]:
+    """The pair of every table of an (r, 2, 2 + 2K) stack of outcome rates,
+    whose row i holds the clicks at ``probes.amplitudes()[i]``, so the same
+    clicks can be read at other probe amplitudes (loss compensation).  A
+    sweep reads the pairs alone: only outcome 0 is fitted, and no
+    log-likelihood or ``TomographyRun`` is built."""
+    _, (psi, phi) = _fit(rates, probes, 1)
+    return _assemble(probes, rates[:, 0, :2].tolist(), [t[0] for t in phi], [t[0] for t in psi])[1]
 
 
 def tomography_pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
-    """Chain statistics -> series solves -> synthesized probes -> MLE.
-
-    The rows are matched to the probes once (``_match_probe_rows``), and the
-    run (``_pipeline``) holds the matched table.  The first two steps are
-    the fit, which reads only the click rows and the gammas: the rates q+-
-    at the +-alpha rows, both series statistics and the four box fits.
-    Only the assembly after them (``_assemble``) reads alpha, so
-    ``error_bars`` re-runs that alone.  No step reads a Fock cutoff: a run
-    needs only its clicks and probes."""
-    return _pipeline(_match_probe_rows(clicks, probes), probes)
-
-
-def _pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
-    """``tomography_pipeline`` on a table in probe order, read by position:
-    row i holds the clicks at ``probes.amplitudes()[i]``, whatever amplitude
-    the table labels it with, so the same clicks can be read at other probe
-    amplitudes (loss compensation)."""
-    rates = np.stack(clicks.rates())
-    q_plus, q_minus = float(rates[0, 0]), float(rates[0, 1])
-
-    f_even, f_odd = _statistics(rates, probes)
-    phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
-    psi = tuple(solve_phi(f, probes, 0) for f in f_even)
-
-    expectations, povm = _assemble(probes, (q_plus, q_minus), phi[0], psi[0])
-    return TomographyRun(
-        probes=probes,
-        clicks=clicks,
-        f_odd=f_odd,
-        f_even=f_even,
-        phi=phi,
-        psi=psi,
-        expectations=expectations,
-        povm=povm,
-    )
+    """Chain statistics -> series solves -> synthesized probes -> MLE, on a
+    stack of one table matched to the probes once (``_match_probe_rows``),
+    which the run holds.  The fit (``_fit``: q+-, both series statistics and
+    the box fits of both outcomes) reads no alpha, so ``error_bars`` re-runs
+    only the assembly (``_assemble``).  No step reads a Fock cutoff."""
+    clicks = _match_probe_rows(clicks, probes)
+    rates = np.stack(clicks.rates())[None]
+    (f_even, f_odd), (psi, phi) = _fit(rates, probes, 2)
+    q = rates[:, 0, :2].tolist()
+    (expectations,), (povm,) = _assemble(probes, q, [phi[0][0]], [psi[0][0]], likelihood=True)
+    return TomographyRun(probes, clicks, f_odd[0], f_even[0], phi[0], psi[0], expectations, povm)
 
 
 _REPORTED_SCALARS = (
@@ -828,7 +820,9 @@ def error_bars(run: TomographyRun, alpha_sigma: float) -> dict:
     q = (run.expectations["q_plus"], run.expectations["q_minus"])
     runs = [(run.expectations, run.povm)]
     for shifted in (run.probes.alpha - alpha_sigma, run.probes.alpha + alpha_sigma):
-        runs.append(_assemble(ProbeSet(alpha=shifted, gammas=run.probes.gammas), q, run.phi[0], run.psi[0]))
+        probes = ProbeSet(alpha=shifted, gammas=run.probes.gammas)
+        (expectations,), (povm,) = _assemble(probes, [q], [run.phi[0]], [run.psi[0]])
+        runs.append((expectations, povm))
     out = {}
     for name, extract in _REPORTED_SCALARS:
         vals = [extract(*r) for r in runs]

@@ -1,9 +1,10 @@
-"""The pure-loss channel on POVM elements, in Fock space: test oracles.
+"""Test oracles: second implementations that the package is checked against.
 
-The detector models fold loss into their outcome weights
-(``povm._outcome_weights``), and the tomography sweep undoes it by
-re-reading the clicks at probe amplitudes scaled by sqrt(eta).  These
-functions model the same channel a second way, on assembled operators:
+The pure-loss channel on POVM elements, in Fock space.  The detector models
+fold loss into their outcome weights (``povm._outcome_weights``), and the
+tomography sweep undoes it by re-reading the clicks at probe amplitudes
+scaled by sqrt(eta).  These functions model the same channel a second way,
+on assembled operators:
 
 * ``apply_loss`` maps a pair through the loss-channel adjoint (the
   Heisenberg picture).  The tests check it against the Kraus sum, and
@@ -15,13 +16,34 @@ functions model the same channel a second way, on assembled operators:
 
 Both read the log-space loss map L from ``povm._loss_log_map``, the one
 the apparatus model's weights are built from.
+
+The reconstruction and the click draws, one table and one probe at a time:
+
+* ``pipeline`` reconstructs one click table step by step, with one
+  ``solve_phi`` per series and outcome and a likelihood fit of its own
+  (``mle``), where the package reconstructs stacks of tables.
+* ``fresh_philox_counts`` draws each probe's clicks from a new Philox
+  generator keyed by ``(rng_seed, probe_index)``, where ``draw_counts``
+  resets one generator per table.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from catproj import tomography
 from catproj.povm import PovmPair, _loss_log_map
+from catproj.tomography import (
+    ClickTable,
+    ProbeSet,
+    ScsPovm,
+    TomographyRun,
+    even_cat_probe_expectation,
+    imaginary_probe_expectation,
+    solve_phi,
+)
 
 
 def _loss_diagonal_maps(eta: float, n_max: int) -> list[np.ndarray]:
@@ -97,3 +119,64 @@ def compensate_loss(p: PovmPair, eta: float) -> tuple[PovmPair, dict]:
     pi0c = 0.5 * (pi0c + pi0c.conj().T)
     pi1c = np.eye(N) - pi0c
     return PovmPair.checked(p.dim, pi0c, pi1c), diag
+
+
+def mle(rho: np.ndarray, freq: np.ndarray) -> ScsPovm:
+    """The likelihood fit of one (4, 2) frequency table, with its own 4 x 4
+    solve: the linear inversion when its spectrum lies in [0, 1], else
+    ``tomography._barrier_newton``; the log-likelihood in ``diagnostics``."""
+    pi0, diagnostics = None, {"iterations": 0, "converged": True, "final_delta": 0.0}
+    try:
+        a, b, re_c, im_c = np.linalg.solve(tomography._design(rho), freq[:, 0] / freq.sum(axis=1))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        c = complex(re_c, im_c)
+        pi0 = np.array([[a, c], [c.conjugate(), b]])
+        low, high = tomography._eigvals_2x2(pi0)
+        if not (low >= 0.0 and high <= 1.0):
+            pi0 = None
+    if pi0 is None:
+        pi0, diagnostics = tomography._barrier_newton(rho, freq)
+    elements = (pi0, np.eye(2) - pi0)
+    p = np.stack([np.einsum("ikl,lk->i", rho, pi).real for pi in elements], axis=1)
+    diagnostics["log_likelihood"] = float(np.sum(freq * np.log(np.maximum(p, tomography.MLE_PROB_FLOOR))))
+    return ScsPovm(*elements, diagnostics=diagnostics)
+
+
+def pipeline(clicks: ClickTable, probes: ProbeSet) -> TomographyRun:
+    """One table in probe order reconstructed on its own, read by position:
+    both series statistics, one ``solve_phi`` per series and outcome, the
+    synthesized expectations of the outcome-0 series and ``mle``."""
+    rates = np.stack(clicks.rates())
+    q = float(rates[0, 0]), float(rates[0, 1])
+    scale = np.array([2.0 * math.exp(-g * g) for g in probes.gammas])
+    f_odd = (rates[:, 2::2] + -1.0 * rates[:, 3::2]) / scale
+    f_even = (rates[:, 2::2] + 1.0 * rates[:, 3::2]) / scale
+    phi = tuple(solve_phi(f, probes, 1) for f in f_odd)
+    psi = tuple(solve_phi(f, probes, 0) for f in f_even)
+    im_plus, im_plus_raw = imaginary_probe_expectation(phi[0], probes.alpha, q, sign=+1)
+    im_minus, im_minus_raw = imaginary_probe_expectation(phi[0], probes.alpha, q, sign=-1)
+    cat_plus, cat_plus_raw = even_cat_probe_expectation(psi[0], probes.alpha, q)
+    expectations = {
+        "q_plus": q[0],
+        "q_minus": q[1],
+        "im_plus": im_plus,
+        "im_plus_raw": im_plus_raw,
+        "im_minus": im_minus,
+        "im_minus_raw": im_minus_raw,
+        "cat_plus": cat_plus,
+        "cat_plus_raw": cat_plus_raw,
+    }
+    freq = np.array([[p, 1.0 - p] for p in (q[0], q[1], im_plus, cat_plus)])
+    return TomographyRun(probes, clicks, f_odd, f_even, phi, psi, expectations, mle(probes.states, freq))
+
+
+def fresh_philox_counts(rates, shots: int, rng_seed: int) -> np.ndarray:
+    """Outcome-0 counts with a new Philox generator per probe, keyed by the
+    unsigned 64-bit pair ``(rng_seed, probe_index)``."""
+    counts = []
+    for i, rate in enumerate(rates):
+        key = np.array([rng_seed, i], dtype=np.uint64)
+        counts.append(np.random.Generator(np.random.Philox(key=key)).binomial(shots, min(max(rate, 0.0), 1.0)))
+    return np.array(counts, dtype=float)

@@ -423,19 +423,19 @@ def test_tomography_with_error_bars_fits_the_clicks_once(tmp_path, monkeypatch):
     # alpha -+ sigma reuse the central run's: one statistic per series and
     # one fit per series and outcome, as a run without error bars makes
     counts = {"statistics": 0, "fits": 0}
-    statistics, solve_phi = tomography._statistics, tomography.solve_phi
+    statistics, series_fits = tomography._statistics, tomography._series_fits
 
     def counted_statistics(*args):
         stack = statistics(*args)
         counts["statistics"] += len(stack)  # one statistic per series
         return stack
 
-    def counted_fit(*args):
-        counts["fits"] += 1
-        return solve_phi(*args)
+    def counted_fits(f, *args):
+        counts["fits"] += len(f)  # one row per outcome
+        return series_fits(f, *args)
 
     monkeypatch.setattr(tomography, "_statistics", counted_statistics)
-    monkeypatch.setattr(tomography, "solve_phi", counted_fit)
+    monkeypatch.setattr(tomography, "_series_fits", counted_fits)
     out = tmp_path / "fig3.json"
     with redirect_stdout(io.StringIO()):
         assert main(["tomography", "--preset", "fig3", "--out", str(out)]) == 0

@@ -164,30 +164,47 @@ def test_tomography_imports_no_fock_space_machinery():
     assert found == {"fock": {"MIN_ALPHA", "ScsMeasurementSpec", "cat_norm_squares"}, "povm": set()}
 
 
-def _row_index_callers(tree: ast.Module) -> set:
-    """The innermost function around each ``.row_index(...)`` call, or
-    ``None`` for a call outside any function."""
+def _callers(tree: ast.Module, name: str) -> set:
+    """The innermost function around each call of ``name``, as a method
+    (``x.name(...)``) or a plain name (``name(...)``), or ``None`` for a
+    call outside any function."""
 
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                if child.func.attr == "row_index":
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                     yield function
             yield from walk(child, function)
 
     return set(walk(tree, None))
 
 
+def _package_callers(name: str) -> set:
+    callers = set()
+    for path in sorted(Path(catproj.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.name, function) for function in _callers(tree, name)}
+    return callers
+
+
 def test_one_function_matches_click_rows_to_probes():
     # a reconstruction matches the rows of a click table to its probes once,
     # by amplitude, and reads them by position after that
     sample = "def f(t):\n    def g():\n        t.row_index(1)\n    return t.row_index(0)\nx = t.row_index(2)\n"
-    assert _row_index_callers(ast.parse(sample)) == {"f", "g", None}
-    callers = set()
-    for path in sorted(Path(catproj.__file__).resolve().parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        callers |= {(path.name, name) for name in _row_index_callers(tree)}
-    assert callers == {("tomography.py", "_match_probe_rows")}
+    assert _callers(ast.parse(sample), "row_index") == {"f", "g", None}
+    assert _package_callers("row_index") == {("tomography.py", "_match_probe_rows")}
+
+
+def test_one_function_runs_each_reconstruction_solver():
+    # a single run and a sweep share one stacked reconstruction: each solver
+    # has one caller, which hands it a whole stack or only the rows that
+    # need it (fits outside their box, optima on the boundary)
+    sample = "def f():\n    solve_phi(1)\n    m.solve_phi(2)\ndef g():\n    return [solve_phi]\n"
+    assert _callers(ast.parse(sample), "solve_phi") == {"f"}
+    assert _package_callers("solve_phi") == {("tomography.py", "_series_fits")}
+    assert _package_callers("_linear_inversion") == {("tomography.py", "_mle_stack")}
+    assert _package_callers("_barrier_newton") == {("tomography.py", "_mle_stack")}

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from catproj import experiment, fock
+from catproj import experiment, fock, tomography
 from catproj.experiment import (
+    RATE_TOL,
     Campaign,
     ReconstructionPlan,
     ReconstructionPoint,
@@ -42,8 +43,9 @@ from catproj.povm import (
     _partition,
     random_povm_pair,
 )
-from catproj.tomography import ClickTable, ProbeSet
+from catproj.tomography import ClickTable, ProbeSet, measurement_fidelity
 
+import oracles
 from oracles import apply_loss
 
 DIM = TruncationDim(24)
@@ -145,6 +147,26 @@ def test_draw_counts_deterministic():
         for seed in (2**63, 2**63 + 1000)
     ]
     assert not np.array_equal(*high)
+
+
+@st.composite
+def _probe_rates_and_campaign(draw):
+    k = draw(st.integers(1, 6))
+    rates = draw(st.lists(st.floats(-RATE_TOL, 1.0 + RATE_TOL), min_size=2 + 2 * k, max_size=2 + 2 * k))
+    probes = ProbeSet(ALPHA, tuple(0.1 * (i + 1) for i in range(k)))
+    campaign = Campaign(probes, shots_per_probe=draw(st.integers(1, 10**9)), rng_seed=draw(st.integers(0, 2**64 - 1)))
+    return rates, campaign
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_probe_rates_and_campaign())
+@example(case=([0.0, 1.0, 0.5, -RATE_TOL], Campaign(ProbeSet(ALPHA, (0.2,)), 1, rng_seed=2**64 - 1)))
+def test_draw_counts_matches_a_new_philox_per_probe(case):
+    # one generator per table, reset before each probe, draws what a new
+    # generator keyed by (rng_seed, probe_index) draws
+    rates, campaign = case
+    want = oracles.fresh_philox_counts(rates, campaign.shots_per_probe, campaign.rng_seed)
+    assert np.array_equal(draw_counts(rates, campaign).counts0, want)
 
 
 def test_draw_counts_rejects_invalid_truth():
@@ -348,13 +370,13 @@ def test_every_row_of_a_sweep_draws_its_own_seed(monkeypatch):
 
 def test_a_sweep_builds_no_fock_truth(monkeypatch):
     # every row draws its clicks from the closed-form probe rates: no truth
-    # POVM, and no coherent state per probe (the cat basis is warm, as the
-    # search of any sweep leaves it)
+    # POVM, and no coherent state per probe (the cat basis is warmed first,
+    # as the search of any sweep leaves it)
+    cat_basis(ALPHA, DIM)
     calls = []
     _spy(monkeypatch, "_counting_povm", lambda *args: calls.append("_counting_povm"))
     _spy(monkeypatch, "coherent_state", lambda *args: calls.append("coherent_state"))
     _spy(monkeypatch, "coherent_state", lambda *args: calls.append("coherent_state"), module=fock)
-    cat_basis(ALPHA, DIM)
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
     assert len(points) == 6 and calls == []
@@ -375,6 +397,63 @@ def test_a_sweep_row_builds_one_click_table(monkeypatch):
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
     assert len(points) == 6 and built == [PROBES.amplitudes()] * 6
+
+def sweep_against_the_oracle(plan: ReconstructionPlan) -> dict:
+    """Run a sweep and check each row's f_raw and f_compensated, bit for bit,
+    against ``oracles.pipeline`` on the table that row drew.  Returns how
+    many out-of-box series fits (``solve_phi`` calls) and boundary
+    likelihood fits (``_barrier_newton`` calls) the sweep made."""
+    tables, calls = [], {"solve_phi": [], "_barrier_newton": []}
+    real = experiment.draw_counts
+
+    def drawn(rates, campaign):
+        tables.append(real(rates, campaign))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "draw_counts", drawn)
+        for name, log in calls.items():
+            _spy(mp, name, lambda *args, log=log: log.append(args), module=tomography)
+        points = reconstruction_sweep(plan)
+    for point, spec, table in zip(points, plan.specs, tables, strict=True):
+        for probes, got in ((plan.campaign.probes, point.f_raw), (plan.compensated, point.f_compensated)):
+            assert got == measurement_fidelity(oracles.pipeline(table, probes).povm, spec)
+    return {name: len(log) for name, log in calls.items()}
+
+
+def test_a_sweep_reaches_out_of_box_fits_and_boundary_rows_like_the_oracle():
+    # 100 shots put series fits outside their box, and c0^2 = 1 puts the
+    # likelihood optimum on the boundary
+    camp = Campaign(probes=PROBES, shots_per_probe=100, detector=LAB_DETECTOR, rng_seed=3)
+    counts = sweep_against_the_oracle(ReconstructionPlan(camp, [0.6, 0.9, 1.0], [0.0, 1.0], DIM))
+    assert counts["solve_phi"] > 0 and counts["_barrier_newton"] > 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    shots=st.sampled_from([20, 100, 1_000, 200_000]),
+    seed=st.integers(0, 2**40),
+    c0sqs=st.lists(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]), min_size=1, max_size=4),
+    phis=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=2),
+    quantize=st.booleans(),
+)
+def test_every_sweep_row_reconstructs_as_its_table_does_alone(shots, seed, c0sqs, phis, quantize):
+    camp = Campaign(probes=PROBES, shots_per_probe=shots, detector=LAB_DETECTOR, rng_seed=seed)
+    menu = default_displacement_schedule(ALPHA) if quantize else None
+    sweep_against_the_oracle(ReconstructionPlan(camp, c0sqs, phis, DIM, menu))
+
+
+@pytest.mark.parametrize("phis", [[0.0, 1.2], [0.0, 0.4, 0.8, 1.2]], ids=["6-rows", "12-rows"])
+def test_a_sweep_fits_each_series_in_one_stacked_solve_per_probe_set(monkeypatch, phis):
+    # the rows' tables are reconstructed as one stack per probe set (raw and
+    # compensated), each fitting every row's outcome-0 series of one parity
+    # in one stacked call, however many rows the sweep has
+    fits = []
+    _spy(monkeypatch, "_series_fits", lambda f, probes, parity: fits.append((len(f), parity)), module=tomography)
+    camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
+    points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], phis, DIM))
+    assert fits == [(len(points), 0), (len(points), 1)] * 2
+
 
 def test_a_plan_checks_the_cutoff_of_every_probe_before_the_search(monkeypatch):
     def never(*args, **kwargs):

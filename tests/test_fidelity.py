@@ -654,6 +654,7 @@ def test_stack_chunks_may_split_alpha_groups(monkeypatch):
     # scored in three stacks that cut across the groups; each report still
     # equals the point optimized on its own
     monkeypatch.setattr(fidelity_module, "_STACK", 2)
+    max_guarded_amplitude(DIM)  # the cached guard scan is set-up, not search
     counts = {"_displacement_matrix": 0, "quadrature_interval_operator": 0}
     counting(monkeypatch, fock, "_displacement_matrix", counts)
     counting(monkeypatch, fidelity_module, "quadrature_interval_operator", counts)
@@ -757,6 +758,7 @@ def test_sweep_raises_the_first_point_failure(monkeypatch):
 def test_sweep_searches_each_alpha_once_and_builds_each_stack_once(monkeypatch):
     # the search runs once per alpha^2 group, and the call's D and E stacks
     # are built once, shared by every point's score and the stacked check
+    max_guarded_amplitude(DIM)  # the cached guard scan is set-up, not search
     counts = {"_search_displacements": 0, "_displacement_matrix": 0, "quadrature_interval_operator": 0}
     for name in ("_search_displacements", "quadrature_interval_operator"):
         counting(monkeypatch, fidelity_module, name, counts)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from catproj import tomography
@@ -43,6 +43,7 @@ from catproj.tomography import (
     tomography_pipeline,
 )
 
+import oracles
 from oracles import apply_loss
 
 DIM = TruncationDim(24)
@@ -917,6 +918,84 @@ def test_pipeline_rejects_missing_rows():
     table = ClickTable.from_rates((ALPHA, -ALPHA, 0.2j, -0.2j), [0.5] * 4, 10)
     with pytest.raises(ValueError):
         tomography_pipeline(table, probes)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def click_stacks(draw):
+    """A probe set and 1 to 8 tables of it, with rates anywhere in [0, 1]
+    at 20 to 200,000 shots: many series fits fall outside their box and
+    many likelihood optima on the boundary."""
+    k = draw(st.integers(1, 4))
+    gammas = draw(st.lists(st.floats(0.05, 1.5), min_size=k, max_size=k, unique=True))
+    probes = ProbeSet(draw(st.floats(0.2, 1.0)), tuple(gammas))
+    rows = st.lists(st.floats(0.0, 1.0), min_size=2 + 2 * k, max_size=2 + 2 * k)
+    shots = st.sampled_from([20.0, 1_000.0, 200_000.0])
+    tables = draw(st.lists(st.tuples(rows, shots), min_size=1, max_size=8))
+    return probes, [ClickTable.from_rates(probes.amplitudes(), r, n) for r, n in tables]
+
+
+# a boundary likelihood optimum, an odd series outside its box, an interior fit
+EXAMPLE_STACK = (
+    ProbeSet(ALPHA, (0.2, 0.3)),
+    [
+        ClickTable.from_rates(ProbeSet(ALPHA, (0.2, 0.3)).amplitudes(), rates, 1000.0)
+        for rates in ([1.0, 0.5, 0.7, 0.6, 0.75, 0.65], [0.6, 0.4, 0.95, 0.05, 0.05, 0.95], [0.6] * 6)
+    ],
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=click_stacks())
+@example(case=EXAMPLE_STACK)
+def test_a_stacked_reconstruction_gives_each_table_its_own_bits(case):
+    # the stacked series solves and 4 x 4 inversions of a sweep keep, for
+    # every table, the bits of the table reconstructed alone
+    probes, tables = case
+    povms = tomography._reconstruct(np.array([t.rates() for t in tables]), probes)
+    for table, povm in zip(tables, povms, strict=True):
+        want = oracles.pipeline(table, probes).povm
+        assert same_bits(povm.pi0, want.pi0) and same_bits(povm.pi1, want.pi1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=click_stacks())
+@example(case=EXAMPLE_STACK)
+def test_a_single_run_is_the_oracle_pipeline_bit_for_bit(case):
+    # a single run, a stack of one, fits both outcomes and reports what the
+    # one-table oracle reports, down to the log-likelihood
+    probes, tables = case
+    for table in tables:
+        run, want = tomography_pipeline(table, probes), oracles.pipeline(table, probes)
+        assert same_bits(run.f_odd, want.f_odd) and same_bits(run.f_even, want.f_even)
+        for got, fit in zip(run.phi + run.psi, want.phi + want.psi, strict=True):
+            assert got.parity == fit.parity and same_bits(got.values, fit.values)
+        assert list(run.expectations) == list(want.expectations)
+        assert same_bits(list(run.expectations.values()), list(want.expectations.values()))
+        assert same_bits(run.povm.pi0, want.povm.pi0) and same_bits(run.povm.pi1, want.povm.pi1)
+        assert run.povm.diagnostics == want.povm.diagnostics
+        assert list(run.povm.diagnostics) == list(want.povm.diagnostics)
+
+
+def test_the_example_stack_reaches_both_fallbacks(monkeypatch):
+    # the explicit example of the two tests above runs one face search and
+    # one boundary likelihood fit
+    calls = []
+    for name in ("solve_phi", "_barrier_newton"):
+        real = getattr(tomography, name)
+
+        def spy(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tomography, name, spy)
+    probes, tables = EXAMPLE_STACK
+    assert len(tomography._reconstruct(np.array([t.rates() for t in tables]), probes)) == 3
+    assert sorted(calls) == ["_barrier_newton", "solve_phi"]
 
 
 def test_error_bars():
