@@ -7,8 +7,9 @@ of every key's accepted type, its default and the commands that read it; a
 ``--config`` key that the command (or kind of tomography run) never reads
 is rejected, while preset keys and flags are not checked.  Each command
 builds every object it uses at stage ``config``, so a bad value, whatever
-its key and whatever the command, fails there.  Every failure is reported as a
-one-line JSON record on stderr with a nonzero exit status.
+its key and whatever the command, fails there; a search plan checks every
+alpha against the cutoff.  Every failure is reported as a one-line JSON
+record on stderr with a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -35,19 +36,17 @@ from .experiment import (
     reconstruction_sweep,
 )
 from .fidelity import (
+    SearchPlan,
     SweepGrid,
     _click_form,
     _contrast,
     displaced_povm,
     fidelity,
-    optimize,
-    sweep,
+    optimized_reports,
 )
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
-    cat_basis,
-    coherent_state,
     displacement_defect,
     scs_basis_project,
 )
@@ -324,17 +323,12 @@ def cmd_fidelity_sweep(cfg: Config) -> int:
     """Optimize the three strategies over a parameter grid, write CSV."""
     with _stage("config"):
         grid = SweepGrid(tuple(cfg["c0sq_values"]), tuple(cfg["alpha_sq_values"]), tuple(cfg["phi_values"]))
-        detector = _detector(cfg)
-        dim = TruncationDim(cfg["nmax"])
-        # one failed point fails the command, so the cutoff must hold every
-        # alpha; coherent_state, not cat_basis, whose one-entry cache the sweep uses
-        for alpha_sq in grid.alpha_sq_values:
-            coherent_state(math.sqrt(alpha_sq), dim)
+        plan = SearchPlan(grid.specs(), _detector(cfg), TruncationDim(cfg["nmax"]))
         out = _out_path(cfg)
     with _stage("sweep"):
-        reports = sweep(grid, detector, dim)
+        reports = optimized_reports(plan)
     with _stage("write"):
-        write_sweep_csv(out, reports, _hashable(cfg), cfg["seed"], extra=_meta(dim))
+        write_sweep_csv(out, reports, _hashable(cfg), cfg["seed"], extra=_meta(plan.dim))
     print(f"wrote {len(reports)} rows to {out}")
     return 0
 
@@ -343,11 +337,9 @@ def cmd_optimize(cfg: Config) -> int:
     """Single-point optimization report (JSON)."""
     with _stage("config"):
         spec = _spec(cfg)
-        detector = _detector(cfg)
-        dim = TruncationDim(cfg["nmax"])
-        cat_basis(spec.alpha, dim)  # the cutoff must hold alpha; cached for the search
+        plan = SearchPlan((spec,), _detector(cfg), TruncationDim(cfg["nmax"]))
     with _stage("optimize"):
-        report = optimize(spec, detector, dim)
+        (report,) = optimized_reports(plan)
     values = {
         "alpha": spec.alpha,
         "c0sq": spec.c0**2,
@@ -421,17 +413,12 @@ def _tomography_sweep(cfg: Config) -> int:
     with _stage("config"):
         dim = TruncationDim(cfg["nmax"])
         out = _out_path(cfg)
-        # alpha in range, then within the cutoff, before the default menu searches it
-        campaign = _campaign(cfg)
-        cat_basis(campaign.probes.alpha, dim)
-        menu = None
-        if cfg["quantize"]:
-            menu = cfg["schedule"] if "schedule" in cfg else default_displacement_schedule(campaign.probes.alpha)
-        plan = ReconstructionPlan(campaign, cfg["c0sq_values"], cfg["phi_values"], dim, menu)
+        menu = cfg.get("schedule", default_displacement_schedule) if cfg["quantize"] else None
+        plan = ReconstructionPlan(_campaign(cfg), cfg["c0sq_values"], cfg["phi_values"], dim, menu)
     with _stage("reconstruct"):
         points = reconstruction_sweep(plan)
     with _stage("write"):
-        write_reconstruction_csv(out, points, _hashable(cfg), campaign.rng_seed, extra=_meta(dim))
+        write_reconstruction_csv(out, points, _hashable(cfg), cfg["seed"], extra=_meta(dim))
     print(f"wrote {len(points)} reconstruction rows to {out}")
     return 0
 

@@ -17,16 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .fidelity import _STACK, _click_score, _search_displacements, _targets
+from .fidelity import SearchPlan, _search_displacements
 from .fock import (
     ScsMeasurementSpec,
     TruncationDim,
     _coherent_magnitudes,
-    _guarded_displacements,
     _logfact,
     as_dim,
     coherent_state,
@@ -209,9 +208,9 @@ def _menu_levels(menu, dim: TruncationDim) -> list[float]:
     levels = [abs(complex(b)) for b in menu]
     if not levels or not all(map(math.isfinite, levels)):
         raise ValueError(f"displacement schedule must not be empty and must be finite, got {levels}")
-    beyond = [r for r in levels if r > max_guarded_amplitude(dim)]
-    if beyond:
-        _guarded_displacements(beyond, dim)
+    for r in levels:
+        if r > max_guarded_amplitude(dim):
+            displacement_operator(r, dim)
     return levels
 
 
@@ -241,24 +240,26 @@ class ReconstructionPlan:
     """A measure-and-reconstruct sweep over the (phi, c0^2) grid, checked once.
 
     Row ``r`` runs phi-major (every c0^2 at the first phi, then at the next)
-    and draws its clicks with seed ``rng_seed + r``.  The constructor runs
-    every check, in this order: both lists non-empty, ``from_c0sq`` for
-    every row, ``_menu_levels`` unless ``menu`` is ``None``, the seed range
-    of the whole grid, ``Campaign.compensated_probes``, and the cutoff of
-    every probe amplitude g and of |g| + R, which bounds every |g - shift|
-    that the closed-form rates read: R is ``max_guarded_amplitude``, the
-    search's bound on |shift|, or the top menu level if that is larger.
-    ``dim`` is the cutoff of the search and of the apparatus model.
+    and draws its clicks with seed ``rng_seed + r``.  ``menu`` is ``None``,
+    a list of displacement levels, or a function of alpha that gives them
+    (``default_displacement_schedule``).  The constructor runs every check,
+    in this order: both lists non-empty, ``from_c0sq`` for every row, the
+    rows' ideal-detector ``SearchPlan``, ``_menu_levels`` unless ``menu`` is
+    ``None``, the seed range of the whole grid, ``compensated_probes``, and
+    the cutoff of every probe amplitude g and of |g| + R, which bounds every
+    |g - shift| that the closed-form rates read: R is the search's guard
+    radius or the top menu level if that is larger.  ``dim`` is the cutoff
+    of the search and of the apparatus model.
     """
 
     campaign: Campaign
     c0sq_values: tuple
     phi_values: tuple
     dim: TruncationDim
-    menu: tuple | None = None
-    # derived, in row order: (phi, c0^2), spec and seed; the menu's levels
+    menu: object = None
+    # derived, in row order: (phi, c0^2), the search plan of the rows' specs and the seeds; the menu's levels
     rows: tuple = field(init=False, repr=False, compare=False)
-    specs: tuple = field(init=False, repr=False, compare=False)
+    search: SearchPlan = field(init=False, repr=False, compare=False)
     seeds: range = field(init=False, repr=False, compare=False)
     levels: list | None = field(init=False, repr=False, compare=False)
     compensated: ProbeSet = field(init=False, repr=False, compare=False)
@@ -270,15 +271,16 @@ class ReconstructionPlan:
                 raise ValueError(f"{name} must not be empty")
         dim, alpha, seed = as_dim(self.dim), self.campaign.probes.alpha, self.campaign.rng_seed
         rows = tuple(itertools.product(phis, c0sqs))
-        specs = tuple(ScsMeasurementSpec.from_c0sq(alpha, c0sq, phi) for phi, c0sq in rows)
-        levels = None if self.menu is None else _menu_levels(self.menu, dim)
+        search = SearchPlan([ScsMeasurementSpec.from_c0sq(alpha, c0sq, phi) for phi, c0sq in rows], IDEAL_DETECTOR, dim)
+        menu = self.menu(alpha) if callable(self.menu) else self.menu
+        levels = None if menu is None else _menu_levels(menu, dim)
         if seed + len(rows) > _SEED_LIMIT:
             raise ValueError(f"a {len(rows)}-row sweep from rng_seed {seed} passes the 64-bit seed range")
-        derived = dict(c0sq_values=c0sqs, phi_values=phis, dim=dim, rows=rows, specs=specs, levels=levels)
+        derived = dict(c0sq_values=c0sqs, phi_values=phis, dim=dim, rows=rows, search=search, levels=levels)
         derived.update(seeds=range(seed, seed + len(rows)), compensated=self.campaign.compensated_probes())
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        reach = max([max_guarded_amplitude(dim), *(levels or ())])
+        reach = max([search.r_max, *(levels or ())])
         amplitudes = self.campaign.probes.amplitudes()
         _check_probe_cutoff([*amplitudes, *(abs(g) + reach for g in amplitudes)], dim)
 
@@ -286,34 +288,26 @@ class ReconstructionPlan:
 def reconstruction_sweep(plan: ReconstructionPlan) -> list[ReconstructionPoint]:
     """The measure-and-reconstruct loop over every row of a plan, in row order.
 
-    One search pass finds every row's ideal optimal displacement (the rows
-    share alpha), snapped to the nearest menu level if the plan has a menu.
-    Each stack of up to ``_STACK`` rows gets one guarded D(shift) build, and
-    each D serves both its row's apparatus spectrum, from which the clicks
-    are drawn at the closed-form probe rates, and its ``f_ideal``, the
-    lossless click fidelity from one stacked ``_click_score`` call.  The
-    rows' click tables, each drawn in probe order, are then reconstructed
-    as one stack twice, read by position (``tomography._reconstruct``):
-    ``f_raw`` at the physical probe amplitudes, ``f_compensated`` at the
-    amplitudes scaled by sqrt(eta).
+    The search plan's stacks give every row's ideal optimal displacement,
+    snapped to the nearest menu level if the plan has a menu, and each stack
+    one guarded D(shift) and the rows' ``f_ideal``.  The same D gives each
+    row's apparatus spectrum, whose closed-form probe rates the clicks are
+    drawn at.  The click tables are then reconstructed as one stack twice,
+    by position (``tomography._reconstruct``): ``f_raw`` at the physical
+    probe amplitudes, ``f_compensated`` at those scaled by sqrt(eta).
     """
-    campaign, dim, specs, detector = plan.campaign, plan.dim, plan.specs, plan.campaign.detector
+    campaign, detector = plan.campaign, plan.campaign.detector
     amplitudes = campaign.probes.amplitudes()
-    betas = _search_displacements(specs, IDEAL_DETECTOR, dim)
-    if plan.levels is not None:
-        betas = [_snap(beta, plan.levels) for beta in betas]
-    f_ideal, rates = [], []
-    for start in range(0, len(specs), _STACK):
-        rows = slice(start, start + _STACK)
-        Ds = _guarded_displacements(betas[rows], dim)
-        targets = _targets(specs[rows], dim)
-        f_ideal.extend(_click_score(targets, Ds, IDEAL_DETECTOR))
-        spectra = _apparatus_spectrum(targets, Ds, detector)
-        for beta, seed, spectrum in zip(betas[rows], plan.seeds[rows], spectra):
+    snap = None if plan.levels is None else partial(_snap, levels=plan.levels)
+    betas, f_ideal, rates = [], [], []
+    for rows, stack_betas, D, targets, f in plan.search.stacks(snap):
+        betas += stack_betas
+        f_ideal.extend(f)
+        for beta, seed, spectrum in zip(stack_betas, plan.seeds[rows], _apparatus_spectrum(targets, D, detector)):
             clicks = draw_counts(_probe_rates(amplitudes, beta, spectrum), replace(campaign, rng_seed=seed))
             rates.append(clicks.rates())
     raw, compensated = (_reconstruct(np.array(rates), probes) for probes in (campaign.probes, plan.compensated))
     return [
         ReconstructionPoint(c0sq, phi, beta, float(f), *(measurement_fidelity(povm, spec) for povm in pair))
-        for (phi, c0sq), spec, beta, f, *pair in zip(plan.rows, specs, betas, f_ideal, raw, compensated)
+        for (phi, c0sq), spec, beta, f, *pair in zip(plan.rows, plan.search.specs, betas, f_ideal, raw, compensated)
     ]

@@ -14,39 +14,24 @@ threshold/phase.
 
 Every target vector is a two-term sum u|alpha> + v|-alpha>, and
 D(beta)^dag |a> = e^{i Im(beta* a)} |a - beta>, so every fidelity the
-optimizers search has a closed form in coherent-state overlaps.  The closed
-form searches, with no N x N matrix per evaluation: the grids score whole
-arrays at once, every temporary the size of the grid (the ideal counter's
-running products in four real buffers updated in place, each spec's
-photon-number term one product of its contrast row with them), and an
+optimizers search has a closed form in coherent-state overlaps, which
+needs no N x N matrix: the grids score whole arrays at once, and an
 in-repo two-variable Nelder-Mead refines the grid's best point on the same
-closed form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock model
-scores the point each search returns, so every reported number is the Fock
-model's.
-
-Both grids are scored on half their points.  Conjugating b conjugates the
-cross term of the displacement forms, so F(conj b; S) = F(b; S') with 2 S_01
-conjugated in S'; the polar grid scores phases in [0, pi] only.  Moving the
-homodyne phase to pi - theta swaps the two real ``erfc`` terms, so
-F(x, pi - theta; S) = F(x, theta; S') with S_00 and S_11 swapped in S'; the
-homodyne grid scores phases in [0, pi/2] only.  Each spec is scored next to
-its partner S', and the rest of its grid is the partner's half, mirrored.
-Both identities are exact, so a mirrored entry differs from the directly
-scored one by rounding only: it is the form at a point a few ulps of phase
-away, within a few ulps of the value.  The first maximum is taken on the
-whole grid in its usual order, so ties still go to the first point in grid
-order.
+closed form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock
+model scores the point each search returns, so every reported number is
+the Fock model's.
 
 Only a 2 x 2 contrast depends on the superposition weight and phase; the
-rest of each closed form depends on alpha alone.  A sweep therefore groups
-its points by alpha and searches each group in one pass: the alpha-only
-grid terms are computed once per group, and each point costs a contrast
-combination over the grid plus its own refinement.  The Fock scores and
-checks of the whole call come from stacks built once for it: one D(beta)
-per point, shared by its f_dp and its ``verify`` check, one homodyne
-interval operator per point, and one eigenvalue call for the stack's
-POVMs.  Each row of a stack gets the bits it gets alone, so ``optimize``
-(one spec), ``displaced_povm`` and ``verify`` share the stacked kernels.
+rest of each closed form depends on alpha alone, so the specs that share
+an alpha are searched in one pass.  A ``SearchPlan`` holds the specs of
+one call, grouped by alpha, and checks them against the cutoff once, when
+it is built.  Its ``stacks`` are the one search-and-score route, shared
+with the tomography sweep (``experiment.reconstruction_sweep``): the
+displacement search, then one D(beta) per point for its f_dp and its
+``verify`` check.  ``optimized_reports`` adds the homodyne search, one
+interval operator per point and one eigenvalue call per stack.  Each row
+of a stack gets the bits it gets alone, so ``optimize`` (a plan of one
+spec), ``displaced_povm`` and ``verify`` share the stacked kernels.
 """
 
 from __future__ import annotations
@@ -54,8 +39,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -197,7 +182,9 @@ def _mirrored_grids(form, contrasts, mirror, n: int, *half):
     column j beyond ``half`` of a contrast's grid is column n - j of its
     partner's.  Each contrast goes into the stack next to its partner, so
     the alpha-only terms are computed on half the points, and the full grid
-    comes back in the order a direct call on all n columns gives."""
+    comes back in the order a direct call on all n columns gives.  The
+    mirror identities are exact, so a mirrored entry differs from a directly
+    scored one by rounding only."""
     grids = _grids(form, list(itertools.chain.from_iterable((c, mirror(c)) for c in contrasts)), *half)
     for own, partner in zip(grids, grids):
         yield np.concatenate([own, partner[..., n - own.shape[-1] : 0 : -1]], axis=-1)
@@ -627,11 +614,9 @@ class SweepGrid:
     phi_values: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c0sq_values", tuple(float(v) for v in self.c0sq_values))
-        object.__setattr__(self, "alpha_sq_values", tuple(float(v) for v in self.alpha_sq_values))
-        object.__setattr__(self, "phi_values", tuple(float(v) for v in self.phi_values))
         for name in ("c0sq_values", "alpha_sq_values", "phi_values"):
-            vals = getattr(self, name)
+            vals = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"{name} must not be empty")
             if any(not math.isfinite(v) for v in vals):
@@ -650,59 +635,90 @@ class SweepGrid:
         """Grid points in row-major (c0sq, alpha_sq, phi) order."""
         return itertools.product(self.c0sq_values, self.alpha_sq_values, self.phi_values)
 
+    def specs(self) -> tuple:
+        """The spec of every grid point, in ``points`` order."""
+        return tuple(ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in self.points())
 
-def _optimized_reports(specs, detector: DetectorModel, dim) -> list[FidelityReport]:
-    """The optimized reports of all three strategies at every spec of a list,
-    in list order.  The target vectors come first, so an alpha the cutoff
-    cannot hold fails at its cat basis before any search.  The specs that
-    share an alpha are searched in one pass; then each stack of up to
-    ``_STACK`` points is scored and checked from one D build, shared by f_dp
-    and ``_check_report``, and one E build.  The first failure raises."""
-    dim = as_dim(dim)
-    first: dict[float, int] = {}  # each alpha's group goes where the alpha first appears
-    order = sorted(range(len(specs)), key=lambda i: first.setdefault(specs[i].alpha, len(first)))
-    ordered = [specs[i] for i in order]
-    t0, t1 = _targets(ordered, dim)
-    betas, homodynes = [], []
-    for _, group in itertools.groupby(ordered, key=lambda spec: spec.alpha):
-        group = list(group)
-        betas += _search_displacements(group, detector, dim)
-        homodynes += _search_homodynes(group)
-    reports = {}
-    for start in range(0, len(specs), _STACK):
-        rows = slice(start, start + _STACK)
-        stack = t0[rows], t1[rows]
-        D = _guarded_displacements([_shift(beta, detector) for beta in betas[rows]], dim)
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """The specs of one search-and-score call at one cutoff for one detector,
+    checked once: the constructor builds the (t0, t1) ``targets``, so each
+    alpha's cat basis is checked at the cutoff before any search, and takes
+    the guard radius ``r_max`` that bounds the displacement search.  The
+    specs are held grouped by alpha, each group where its alpha first
+    appears, the order they are searched and stacked in; ``order[j]`` is
+    the index of ``specs[j]`` in the list given."""
+
+    specs: tuple
+    detector: DetectorModel
+    dim: TruncationDim
+    order: tuple = field(init=False, repr=False, compare=False)
+    targets: tuple = field(init=False, repr=False, compare=False)
+    r_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        first: dict[float, int] = {}  # each alpha's group goes where the alpha first appears
+        order = tuple(sorted(range(len(self.specs)), key=lambda i: first.setdefault(self.specs[i].alpha, len(first))))
+        specs, dim = tuple(self.specs[i] for i in order), as_dim(self.dim)
+        derived = dict(specs=specs, dim=dim, order=order, targets=_targets(specs, dim))
+        derived["r_max"] = max_guarded_amplitude(dim)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def groups(self) -> list[list]:
+        """The specs, one list per alpha, in order."""
+        return [list(group) for _, group in itertools.groupby(self.specs, key=attrgetter("alpha"))]
+
+    def stacks(self, snap=None):
+        """Search every spec's displacement, one pass per alpha, ``snap``
+        each beta if given, then yield ``(rows, betas, D, targets, f)`` per
+        stack of up to ``_STACK`` specs: the slice of ``specs``, the guarded
+        D at ``_shift(beta, detector)`` and each row's f_dp (``_click_score``)."""
+        betas = [beta for group in self.groups() for beta in _search_displacements(group, self.detector, self.dim)]
+        if snap is not None:
+            betas = [snap(beta) for beta in betas]
+        t0, t1 = self.targets
+        for start in range(0, len(betas), _STACK):
+            rows = slice(start, start + _STACK)
+            D = _guarded_displacements([_shift(beta, self.detector) for beta in betas[rows]], self.dim)
+            targets = t0[rows], t1[rows]
+            yield rows, betas[rows], D, targets, _click_score(targets, D, self.detector)
+
+
+def optimized_reports(plan: SearchPlan) -> list[FidelityReport]:
+    """The reports of all three strategies at every spec of a plan, in the
+    order given: ``plan.stacks`` with the homodyne search, one E per stack
+    for f_hd, and ``_check_report`` on the D that scored f_dp.  The first
+    failure raises."""
+    homodynes = [optimum for group in plan.groups() for optimum in _search_homodynes(group)]
+    reports = []
+    for rows, betas, D, targets, f_dp in plan.stacks():
         x_th, lo_phase = np.array(homodynes[rows]).T
-        f_dp = _click_score(stack, D, detector)
-        f_hd = _homodyne_score(stack, quadrature_interval_operator(x_th, np.inf, dim), lo_phase)
+        f_hd = _homodyne_score(targets, quadrature_interval_operator(x_th, np.inf, plan.dim), lo_phase)
         scored = [
-            FidelityReport(float(dp), float(hd), pnrd_fidelity(spec), beta, x, phase, spec, detector)
-            for spec, beta, (x, phase), dp, hd in zip(ordered[rows], betas[rows], homodynes[rows], f_dp, f_hd)
+            FidelityReport(float(dp), float(hd), pnrd_fidelity(spec), beta, x, phase, spec, plan.detector)
+            for spec, beta, (x, phase), dp, hd in zip(plan.specs[rows], betas, homodynes[rows], f_dp, f_hd)
         ]
-        _check_report(scored, D, stack, dim)
-        reports.update(zip(order[rows], scored))
-    return [reports[i] for i in range(len(specs))]
+        _check_report(scored, D, targets, plan.dim)
+        reports += scored
+    return [report for _, report in sorted(zip(plan.order, reports), key=_value)]
 
 
 def optimize(spec: ScsMeasurementSpec, detector: DetectorModel, dim) -> FidelityReport:
-    """The optimized report of one spec: ``_optimized_reports`` on a list
-    of one, so it is the report a sweep gives that point.  Both searches
-    (``_search_displacements``, ``_search_homodynes``) run on the closed
-    forms, the Fock model scores their points, and the report passes the
-    ``verify`` check, or the first failure raises."""
-    (report,) = _optimized_reports([spec], detector, dim)
+    """The optimized report of one spec: ``optimized_reports`` on a plan of
+    one, so it is the report a sweep gives that point, or its failure."""
+    (report,) = optimized_reports(SearchPlan((spec,), detector, dim))
     return report
 
 
 def sweep(grid: SweepGrid, detector: DetectorModel = IDEAL_DETECTOR, dim=20) -> list[FidelityReport]:
     """One optimized FidelityReport per grid point, in grid order, from
-    ``_optimized_reports`` on every point at once.  The first point that
+    ``optimized_reports`` on a plan of every point.  The first point that
     fails raises its own exception, and the sweep returns nothing: a
     landscape with holes in it is not a result.
     """
-    specs = [ScsMeasurementSpec.from_c0sq(math.sqrt(a2), c0sq, phi) for c0sq, a2, phi in grid.points()]
-    return _optimized_reports(specs, detector, dim)
+    return optimized_reports(SearchPlan(grid.specs(), detector, dim))
 
 
 __all__ = [
@@ -713,10 +729,12 @@ __all__ = [
     "THRESHOLD_RANGE",
     "THRESHOLD_STEP",
     "FidelityReport",
+    "SearchPlan",
     "SweepGrid",
     "displaced_povm",
     "fidelity",
     "optimize",
+    "optimized_reports",
     "pnrd_fidelity",
     "sweep",
 ]

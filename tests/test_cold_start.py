@@ -7,7 +7,8 @@ case runs commands through ``cli.main`` in a fresh interpreter and lists the
 scipy modules loaded after the import and after the commands.  The import
 also builds none of the cached displacement tables.  A static scan checks
 that every scipy import in the package is a ``scipy.special`` import made
-inside a function body.
+inside a function body; others pin the one caller of each shared kernel and
+the private names that cross module boundaries.
 """
 
 import ast
@@ -208,3 +209,69 @@ def test_one_function_runs_each_reconstruction_solver():
     assert _package_callers("solve_phi") == {("tomography.py", "_series_fits")}
     assert _package_callers("_linear_inversion") == {("tomography.py", "_mle_stack")}
     assert _package_callers("_barrier_newton") == {("tomography.py", "_mle_stack")}
+
+
+def _private_imports(tree: ast.Module) -> set:
+    """(module, name) of each private name (one leading underscore, not a
+    dunder) that a module imports from a module of the package, relative or
+    absolute, anywhere in its body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("catproj.")):
+            module = (node.module or "").removeprefix("catproj.")
+            found.update((module, a.name) for a in node.names if a.name.startswith("_") and not a.name.startswith("__"))
+    return found
+
+
+# every private name that crosses a module boundary in the package, by the
+# module that imports it
+CROSSINGS = {
+    "cli.py": {
+        ("fidelity", "_click_form"),
+        ("fidelity", "_contrast"),
+        ("tomography", "_check_error_bar_width"),
+        ("tomography", "_match_probe_rows"),
+    },
+    "experiment.py": {
+        ("fidelity", "_search_displacements"),
+        ("fock", "_coherent_magnitudes"),
+        ("fock", "_logfact"),
+        ("povm", "_counting_povm"),
+        ("povm", "_outcome_weights"),
+        ("povm", "_partition"),
+        ("tomography", "_reconstruct"),
+    },
+    "fidelity.py": {
+        ("fock", "_guarded_displacements"),
+        ("povm", "_counting_elements"),
+        ("povm", "_displaced_overlaps"),
+        ("povm", "_failures"),
+        ("povm", "_outcome_weights"),
+    },
+    "povm.py": {("fock", "_logfact")},
+}
+
+
+def test_private_names_cross_module_boundaries_only_where_listed():
+    # a new private import fails here; a change that removes one updates the list
+    sample = "from .fock import _a, b, __version__\nfrom . import povm\ndef f():\n    from catproj.povm import _c\n"
+    assert _private_imports(ast.parse(sample)) == {("fock", "_a"), ("povm", "_c")}
+    found = {}
+    for path in sorted(Path(catproj.__file__).resolve().parent.glob("*.py")):
+        names = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = names
+    assert found == CROSSINGS
+
+
+def test_one_function_scores_displaced_counting():
+    # both sweeps take their f_dp (the tomography sweep's f_ideal) and the D
+    # it is scored on from the search plan's stacks, the one search-and-score
+    # route; besides it, only a report's own check and the public
+    # single-matrix builder build a guarded D
+    assert _package_callers("_click_score") == {("fidelity.py", "stacks")}
+    assert _package_callers("_guarded_displacements") == {
+        ("fidelity.py", "stacks"),
+        ("fidelity.py", "verify"),
+        ("fock.py", "displacement_operator"),
+    }

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from catproj import experiment, fock, tomography
+from catproj import fidelity as fidelity_module
 from catproj.experiment import (
     RATE_TOL,
     Campaign,
@@ -415,7 +416,7 @@ def sweep_against_the_oracle(plan: ReconstructionPlan) -> dict:
         for name, log in calls.items():
             _spy(mp, name, lambda *args, log=log: log.append(args), module=tomography)
         points = reconstruction_sweep(plan)
-    for point, spec, table in zip(points, plan.specs, tables, strict=True):
+    for point, spec, table in zip(points, plan.search.specs, tables, strict=True):
         for probes, got in ((plan.campaign.probes, point.f_raw), (plan.compensated, point.f_compensated)):
             assert got == measurement_fidelity(oracles.pipeline(table, probes).povm, spec)
     return {name: len(log) for name, log in calls.items()}
@@ -459,7 +460,7 @@ def test_a_plan_checks_the_cutoff_of_every_probe_before_the_search(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a search ran with a probe beyond the cutoff")
 
-    monkeypatch.setattr(experiment, "_search_displacements", never)
+    monkeypatch.setattr(fidelity_module, "_search_displacements", never)
     camp = Campaign(probes=ProbeSet(ALPHA, (0.2, 5.0)), detector=LAB_DETECTOR)
     with pytest.raises(CutoffTooSmallError, match="5j.*n_max=24"):
         ReconstructionPlan(camp, [0.5], [0.0], DIM)
@@ -468,12 +469,12 @@ def test_a_plan_checks_the_cutoff_of_every_probe_before_the_search(monkeypatch):
 @pytest.mark.parametrize("stack", [None, 4])
 def test_a_sweep_searches_once_and_builds_d_in_stacks(monkeypatch, stack):
     # every row shares alpha: one search pass over the whole grid, and one D
-    # build per stack of at most _STACK rows
+    # build per stack of at most _STACK rows, both in the search plan's stacks
     searches, stacks = [], []
-    _spy(monkeypatch, "_search_displacements", lambda specs, detector, dim: searches.append(len(specs)))
-    _spy(monkeypatch, "_guarded_displacements", lambda betas, dim: stacks.append(len(betas)))
+    _spy(monkeypatch, "_search_displacements", lambda specs, *_: searches.append(len(specs)), module=fidelity_module)
+    _spy(monkeypatch, "_guarded_displacements", lambda betas, dim: stacks.append(len(betas)), module=fidelity_module)
     if stack is not None:
-        monkeypatch.setattr(experiment, "_STACK", stack)
+        monkeypatch.setattr(fidelity_module, "_STACK", stack)
     camp = Campaign(probes=PROBES, detector=LAB_DETECTOR, rng_seed=5)
     points = reconstruction_sweep(ReconstructionPlan(camp, [0.55, 0.7, 0.9], [0.0, 1.2], DIM))
     assert len(points) == 6 and searches == [6]
@@ -503,7 +504,7 @@ def test_reconstruction_sweep_rejects_a_bad_menu_before_the_search(monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("a search ran with a bad menu")
 
-    monkeypatch.setattr(experiment, "_search_displacements", never)
+    monkeypatch.setattr(fidelity_module, "_search_displacements", never)
     with pytest.raises(error, match=fragment):
         ReconstructionPlan(Campaign(probes=PROBES, detector=LAB_DETECTOR), [0.5, 0.7], [0.0], DIM, menu)
 
