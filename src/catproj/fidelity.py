@@ -17,9 +17,11 @@ D(beta)^dag |a> = e^{i Im(beta* a)} |a - beta>, so every fidelity the
 optimizers search has a closed form in coherent-state overlaps, which
 needs no N x N matrix: the grids score whole arrays at once, and an
 in-repo two-variable Nelder-Mead refines the grid's best point on the same
-closed form in ``math``/``cmath`` scalar arithmetic.  The truncated Fock
-model scores the point each search returns, so every reported number is
-the Fock model's.
+closed form in ``math``/``cmath`` scalar arithmetic.  For an ideal counter
+that scalar form ends its photon-number sum early, once a bound on the
+remaining terms shows each of them is negative and would add nothing.  The
+truncated Fock model scores the point each search returns, so every
+reported number is the Fock model's.
 
 Only a 2 x 2 contrast depends on the superposition weight and phase; the
 rest of each closed form depends on alpha alone, so the specs that share
@@ -235,7 +237,9 @@ def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     closed form: <a_k|P0|a_l> / (1 - nu) =
     conj(f_k) f_l exp((1 - eta) conj(gamma_k) gamma_l), with b scaled by
     the visibility.  The products and exponentials depend on alpha and b
-    only; just d_n (ideal) or the no-click sum (click) is per spec.
+    only; just d_n (ideal) or the no-click sum (click) is per spec.  The
+    scalar ideal form stops summing once a closed-form bound shows every
+    remaining d_n is negative, so its values stay those of the full sum.
     """
     s00, s11, s01 = contrast
     scalar = not isinstance(s00, np.ndarray)
@@ -263,10 +267,34 @@ def _ideal_point(alpha: float, contrast, n_max: int):
     function of one Python complex b.  The running products c = conj(f_0) f_1
     (conj(gamma_0) gamma_1)^n / n! and its ratio r are carried as real pairs
     through exactly the operations Python's complex arithmetic performs on
-    them, so every value is, bit for bit, the one complex arithmetic gives."""
+    them.
+
+    The sum over n stops once every remaining d_n is provably negative.  Let
+    l be the target with the larger q (q_l > q_s) and rho_n = p_s,n / p_l,n =
+    e^{q_l - q_s} (q_s / q_l)^n, which never increases.  Since |c| =
+    sqrt(p_0 p_1), d_n <= p_l,n (S_ll + S_ss+ rho_n + |2 S_01| sqrt(rho_n))
+    with S_ss+ = max(S_ss, 0).  So when S_ll < 0 and rho_n < t*^2, where t* is
+    the positive root of S_ss+ t^2 + |2 S_01| t = -S_ll (1 - 1e-9), d_n and
+    every later term are negative, and the 1e-9 margin dwarfs the rounding
+    of the running products.  t* is found once per contrast for each choice
+    of l; per b the rule costs rho_0 and q_s / q_l, then one multiply and one
+    compare per n.  Where it cannot apply (S_ll >= 0, q_0 = q_1, or rho
+    not finite) the sum runs to n_max.  Every value is therefore, bit for
+    bit, the full sum in complex arithmetic."""
     s00, s11, s01 = contrast
     wr, wi = s01.real, s01.imag
     divisors = [float(n) for n in range(1, n_max + 1)]  # the same quotients as int n, faster
+
+    def cut(s_ll: float, s_ss: float) -> float:
+        # t*^2, with t* = 2k / (a + sqrt(a^2 + 4sk)) the positive root without
+        # cancellation, or inf if a = s = 0; 0.0 (never stop) unless S_ll < 0
+        if not s_ll < 0.0:
+            return 0.0
+        k, a, s = -s_ll * (1.0 - 1e-9), abs(s01), max(s_ss, 0.0)
+        root = a + math.sqrt(a * a + 4.0 * s * k)
+        return (2.0 * k / root) ** 2 if root else math.inf
+
+    cut0, cut1 = cut(s00, s11), cut(s11, s00)
 
     def ideal(b):
         g0, g1 = alpha - b, -alpha - b
@@ -279,7 +307,18 @@ def _ideal_point(alpha: float, contrast, n_max: int):
         cr, ci = c.real, c.imag
         d = s00 * p0 + s11 * p1 + (wr * cr - wi * ci)
         total = d if d > 0.0 else 0.0
+        # rho_n = p_s,n / p_l,n never increases; once rho_n < t*^2, every later d_n < 0
+        if q0 > q1:
+            ql, qs, stop = q0, q1, cut0
+        elif q1 > q0:
+            ql, qs, stop = q1, q0, cut1
+        else:
+            ql, qs, stop = 1.0, 1.0, 0.0
+        rho, ratio = (math.exp(ql - qs) if ql - qs < 709.0 else math.inf), qs / ql
         for n in divisors:
+            rho *= ratio
+            if rho < stop:
+                break
             p0, p1 = p0 * q0 / n, p1 * q1 / n
             cr, ci = (cr * rr - ci * ri) / n, (cr * ri + ci * rr) / n
             d = s00 * p0 + s11 * p1 + (wr * cr - wi * ci)
@@ -298,7 +337,16 @@ def _ideal_grid(alpha: float, contrast, n_max: int):
     grid-sized buffers, updated in place in real arithmetic.  Each spec's
     d_n is one product of its row W = (S_00, S_11, Re 2S_01, -Im 2S_01) with
     those four buffers, so a spec's grid is the same to the last bit however
-    many specs share the stack, and no (n_max + 1) x grid array is built."""
+    many specs share the stack, and no (n_max + 1) x grid array is built.
+
+    ``_ideal_point``'s stop rule is left out on purpose.  It never ends a
+    whole grid: every polar grid holds b = 0, where q_0 = q_1, so some point
+    needs every n up to n_max.  Dropping only the points it has certified
+    would move the others' bits, since ``np.dot`` may round an element
+    differently when the array is shorter.  And one ``np.matmul`` of W with
+    the buffers, in place of a ``np.dot`` per row, makes a spec's bits
+    depend on how many specs share its stack, which
+    ``test_closed_forms_score_whole_grids`` forbids."""
     s00, s11, s01 = (np.ravel(term) for term in contrast)
     W = np.stack([s00, s11, s01.real, -s01.imag], axis=1)
 

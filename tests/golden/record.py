@@ -6,14 +6,16 @@ names, so that the paths printed on stdout and hashed into the artifacts
 are the same on every machine.  A case's golden directory holds its
 ``stdout``, ``stderr`` and ``exit_code`` plus every file the run left in the
 working directory, under ``files/``.  ``environment.json`` records the numpy
-version and platform the files were recorded on: numpy's SIMD ``exp``,
-``sin`` and ``log`` may round differently on another CPU.
+and scipy versions, the BLAS and the platform the files were recorded on:
+numpy's SIMD ``exp``, ``sin`` and ``log`` may round differently on another
+CPU, scipy's ``erfc`` on another release, and ``np.dot`` with another BLAS
+kernel.
 
 Rewrite every golden file (from the repository root)::
 
     PYTHONPATH=src python tests/golden/record.py
 
-or only the named cases, on the numpy and platform of ``environment.json``::
+or only the named cases, on the environment of ``environment.json``::
 
     PYTHONPATH=src python tests/golden/record.py tomography-fig5
 
@@ -86,7 +88,16 @@ CONFIG_NAME = "config.json"
 
 
 def environment() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+        "system": platform.system(),
+    }
 
 
 def run_case(case: str, work: Path) -> dict[str, bytes]:

@@ -1,6 +1,9 @@
 import cmath
+import collections
 import itertools
+import linecache
 import math
+import sys
 import warnings
 from functools import partial
 
@@ -12,7 +15,7 @@ from scipy.optimize import minimize
 
 from catproj import fidelity as fidelity_module
 from catproj import fock
-from catproj.cli import PRESETS
+from catproj.cli import NMAX_CEILING, PRESETS, main
 from catproj.fidelity import (
     AMPLITUDE_CEILING,
     AMPLITUDE_STEP,
@@ -259,18 +262,55 @@ def complex_ideal_form(alpha, contrast, n_max):
     return ideal
 
 
-@pytest.mark.parametrize("n_max", [20, 24])
+@pytest.mark.parametrize("n_max", [1, 2, 20, 24, 40, NMAX_CEILING])
 def test_ideal_point_form_is_bitwise_the_complex_form(n_max):
     # the refinement's scalar form carries the complex running product as a
-    # real pair; every value is the complex-arithmetic one to the last bit
+    # real pair and stops once its bound shows every later d_n is negative;
+    # every value is the complex-arithmetic full sum's to the last bit.  b = +-alpha
+    # makes one q zero, b on the imaginary axis makes q_0 = q_1, and c0^2 in {0, 1}
+    # and phi in {0, pi/2, pi} put the contrast on the edges of its range
     rng = np.random.default_rng(n_max)
     for _ in range(2000):
-        alpha = math.sqrt(rng.uniform(0.05, 2.5))
-        phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(0.0, 2.0 * math.pi)]))
-        spec = spec_of(rng.uniform(), alpha, phi)
-        b = complex(*rng.uniform(-2.5, 2.5, 2))
+        alpha = math.sqrt(rng.uniform(0.05, 6.25))
+        phi = float(rng.choice([0.0, math.pi / 2, math.pi, rng.uniform(0.0, 2.0 * math.pi)]))
+        spec = spec_of(float(rng.choice([0.0, 1.0, rng.uniform()])), alpha, phi)
+        x, y = rng.uniform(-3.5, 3.5, 2)
+        b = complex(*[(float(rng.choice([alpha, -alpha])), 0.0), (x, 0.0), (0.0, y), (x, y)][rng.integers(4)])
         oracle = complex_ideal_form(alpha, _contrast(spec), n_max)
         assert click_score(spec, IDEAL_DETECTOR, n_max)(b) == oracle(b)
+
+
+def test_the_fig5_refinements_sum_a_pinned_number_of_photon_number_terms(tmp_path):
+    # the scalar form's stop rule pinned as work, not time: the d_n lines it
+    # runs, counted from line events, over every evaluation in a `tomography
+    # --preset fig5` run.  Summing every term to n_max = 24 runs 25 per evaluation
+    code = _click_form(0.5, (0.0, 0.0, 0j), IDEAL_DETECTOR, 1).__code__
+    term_lines = {
+        line
+        for *_, line in code.co_lines()
+        if line and linecache.getline(code.co_filename, line).lstrip().startswith("d = ")
+    }
+    counts = collections.Counter()
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in term_lines:
+            counts["terms"] += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        if frame.f_code is code:
+            counts["evaluations"] += 1
+            return on_line
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        assert main(["tomography", "--preset", "fig5", "--out", str(tmp_path / "fig5.csv")]) == 0
+    finally:
+        sys.settrace(previous)
+    assert len(term_lines) == 2  # the n = 0 term and the loop's
+    assert counts == {"evaluations": 2499, "terms": 19162}
 
 
 @pytest.mark.parametrize("stack", [fidelity_module._STACK, 2])

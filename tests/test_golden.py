@@ -24,7 +24,7 @@ def test_preset_run_matches_its_golden_files(case, tmp_path):
     if problems:
         then = json.loads((GOLDEN / "environment.json").read_text())
         now = environment()
-        where = "the same numpy and platform" if then == now else f"recorded on {then}, running on {now}"
+        where = "the recorded environment" if then == now else f"recorded on {then}, running on {now}"
         pytest.fail(f"{case} moved ({where}):\n" + "\n".join(problems), pytrace=False)
 
 
