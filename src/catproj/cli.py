@@ -9,7 +9,11 @@ is rejected, while preset keys and flags are not checked.  Each command
 builds every object it uses at stage ``config``, so a bad value, whatever
 its key and whatever the command, fails there; a search plan checks every
 alpha against the cutoff.  Every failure is reported as a one-line JSON
-record on stderr with a nonzero exit status.
+record on stderr with exit status 1, a bad command line (an unknown command
+or flag, a flag value of the wrong type) too, at stage ``config``; only
+``--help`` and ``--version`` exit without a run, with status 0.  ``PARSER``
+is built once, at import, so ``main(argv)`` may be called repeatedly in one
+process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -497,27 +501,33 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="catproj",
-        description="Cat-state projection measurements: sweeps, simulated campaigns, tomography.",
-        epilog="commands:\n"
-        + "\n".join(f"  {name:<16}{cmd.__doc__}" for name, cmd in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"catproj {__version__}")
-    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
-    parser.add_argument("--preset", help=f"named defaults: {', '.join(sorted(PRESETS))}")
-    parser.add_argument("--config", help="flat JSON config file (overrides preset)")
-    parser.add_argument("--out", help="output path (overrides config)")
-    parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    parser.add_argument("--nmax", type=int, help="Fock-space cutoff (overrides config)")
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """Raises a ``ConfigError`` for a bad command line, which ``main`` reports
+    as a ``config`` record, where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# built once, at import; every main(argv) call parses with it
+PARSER = _Parser(
+    prog="catproj",
+    description="Cat-state projection measurements: sweeps, simulated campaigns, tomography.",
+    epilog="commands:\n" + "\n".join(f"  {name:<16}{cmd.__doc__}" for name, cmd in COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+PARSER.add_argument("--version", action="version", version=f"catproj {__version__}")
+PARSER.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+PARSER.add_argument("--preset", help=f"named defaults: {', '.join(sorted(PRESETS))}")
+PARSER.add_argument("--config", help="flat JSON config file (overrides preset)")
+PARSER.add_argument("--out", help="output path (overrides config)")
+PARSER.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+PARSER.add_argument("--nmax", type=int, help="Fock-space cutoff (overrides config)")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
     except StageError as err:

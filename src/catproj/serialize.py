@@ -277,8 +277,9 @@ def write_tomography_json(
 def read_tomography_json(path) -> dict:
     """Load a file that ``write_tomography_json`` wrote.  A file that is not
     a JSON object, has any other schema name or major version, or lacks the
-    two 2 x 2 POVM elements as ``{"re": ..., "im": ...}`` nested lists is
-    rejected with a ``ValueError`` before the payload is used."""
+    two 2 x 2 POVM elements as ``{"re": ..., "im": ...}`` nested lists of
+    finite numbers is rejected with a ``ValueError`` before the payload is
+    used."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, found {type(payload).__name__}")
@@ -290,14 +291,15 @@ def read_tomography_json(path) -> dict:
     for name in ("pi0", "pi1"):
         element = povm.get(name) if isinstance(povm, dict) else None
         if not (isinstance(element, dict) and _is_2x2(element.get("re")) and _is_2x2(element.get("im"))):
-            raise ValueError(f'povm.{name} must hold "re" and "im" as 2 x 2 lists of numbers')
+            raise ValueError(f'povm.{name} must hold "re" and "im" as 2 x 2 lists of finite numbers')
     return payload
 
 
 def _is_2x2(value) -> bool:
-    """True for a 2 x 2 nested list of JSON numbers."""
+    """True for a 2 x 2 nested list of finite JSON numbers (``json.loads``
+    reads NaN and Infinity as floats)."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         return False
-    return array.shape == (2, 2) and array.dtype.kind in "iuf"
+    return array.shape == (2, 2) and array.dtype.kind in "iuf" and bool(np.isfinite(array).all())

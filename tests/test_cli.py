@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -870,7 +871,7 @@ def test_every_command_rejects_each_key_it_never_reads():
     assert cfg["gammas"] == [0.2, 0.3] and cfg["seed"] == 5
 
 
-def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys):
+def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
     assert stop.value.code == 0
@@ -880,6 +881,56 @@ def test_one_parser_lists_the_commands_and_takes_flags_anywhere(tmp_path, capsys
     out = tmp_path / "report.json"
     assert main(["--nmax", "14", "--out", str(out), "optimize"]) == 0
     assert json.loads(out.read_text())["schema"] == "catproj/optimize 1.0"
+
+    # the parser is built at import: no main call constructs one, and a flag
+    # one call passes is not seen by the next call, which omits it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    seen = []
+    monkeypatch.setitem(COMMANDS, "optimize", lambda cfg: seen.append(dict(cfg)) or 0)
+    assert main(["--seed", "5", "--nmax", "14", "optimize"]) == 0
+    assert main(["optimize", "--out", "report.json"]) == 0
+    assert main(["optimize"]) == 0
+    assert seen == [{"seed": 5, "nmax": 14}, {"out": "report.json"}, {}]
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (["optimize", "--seed", "abc"], 1, "argument --seed: invalid int value: 'abc'"),
+        (["optimize", "--nmax", "1e3"], 1, "argument --nmax: invalid int value: '1e3'"),
+        (["nosuch"], 1, "argument command: invalid choice: 'nosuch'"),
+        ([], 1, "the following arguments are required: command"),
+        (["optimize", "--bogus", "1"], 1, "unrecognized arguments: --bogus 1"),
+        (["--help"], 0, "usage: catproj"),
+        (["optimize", "--version"], 0, "catproj 0.1.0\n"),
+    ],
+    ids=["seed-not-int", "nmax-not-int", "unknown-command", "no-command", "unknown-flag", "help", "version"],
+)
+def test_a_bad_command_line_is_one_config_record(capsys, argv, code, fragment):
+    # a bad flag, value or command is the one-line record of any other
+    # config failure; --help and --version print to stdout and exit 0
+    try:
+        rc = main(argv)
+    except SystemExit as stop:
+        rc = stop.code
+    captured = capsys.readouterr()
+    assert rc == code
+    if code == 0:
+        assert captured.err == "" and captured.out.startswith(fragment)
+        return
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(fragment)
 
 
 _NUMBER_KEYS = sorted(k for k, (want, *_) in _SCHEMA.items() if want == (int, float))

@@ -1,14 +1,17 @@
 """The import path stays free of scipy and of work done on first use.
 
-Every CLI call is a fresh process, so the modules that ``import catproj.cli``
-loads are paid on every call.  scipy is imported only where it is used: the
-homodyne code (``scipy.special.erfc``); everything else runs on numpy.  Each
-case runs commands through ``cli.main`` in a fresh interpreter and lists the
-scipy modules loaded after the import and after the commands.  The import
-also builds none of the cached displacement tables.  A static scan checks
-that every scipy import in the package is a ``scipy.special`` import made
-inside a function body; others pin the one caller of each shared kernel and
-the private names that cross module boundaries.
+A ``catproj`` command is a fresh process, so the modules that ``import
+catproj.cli`` loads, and the one argument parser it builds, are paid on every
+command; ``main(argv)`` may also be called repeatedly in one process, with
+that one parser, and a bad flag is a JSON record there too.  scipy is
+imported only where it is used: the homodyne code (``scipy.special.erfc``);
+everything else runs on numpy.  Each case runs commands through ``cli.main``
+in a fresh interpreter and lists the scipy modules loaded after the import
+and after the commands.  The import also builds none of the cached
+displacement tables.  A static scan checks that every scipy import in the
+package is a ``scipy.special`` import made inside a function body; others
+pin the one caller of each shared kernel and the private names that cross
+module boundaries.
 """
 
 import ast

@@ -200,8 +200,14 @@ def test_tomography_json_roundtrip(tmp_path):
         ("[1, 2]", "JSON object, found list"),
         ('{"schema": 1}', "schema must be a string, found 1"),
         ('{"schema": "catproj/tomography 1.0"}', "povm.pi0 must hold"),
+        (
+            '{"schema": "catproj/tomography 1.0", "povm": {'
+            '"pi0": {"re": [[NaN, 0], [0, Infinity]], "im": [[0, 0], [0, 0]]}, '
+            '"pi1": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}}',
+            "povm.pi0 must hold .* finite numbers",
+        ),
     ],
-    ids=["not-an-object", "schema-not-a-string", "no-povm"],
+    ids=["not-an-object", "schema-not-a-string", "no-povm", "not-finite"],
 )
 def test_tomography_reader_rejects_malformed_payloads(tmp_path, text, problem):
     # a file that parses as JSON but is not a tomography payload fails at the
