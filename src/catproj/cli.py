@@ -3,17 +3,17 @@
 Configuration is a flat JSON object; figure presets supply the published
 operating points as named defaults, a ``--config`` file overrides the
 preset, and command-line flags override both.  ``_SCHEMA`` is the one table
-of every key's accepted type, its default and the commands that read it; a
-``--config`` key that the command (or kind of tomography run) never reads
-is rejected, while preset keys and flags are not checked.  Each command
-builds every object it uses at stage ``config``, so a bad value, whatever
-its key and whatever the command, fails there; a search plan checks every
-alpha against the cutoff.  Every failure is reported as a one-line JSON
-record on stderr with exit status 1, a bad command line (an unknown command
-or flag, a flag value of the wrong type) too, at stage ``config``; only
-``--help`` and ``--version`` exit without a run, with status 0.  ``PARSER``
-is built once, at import, so ``main(argv)`` may be called repeatedly in one
-process; each call parses into a fresh namespace.
+of every key's accepted type, its default and the runs that read it (each
+command, tomography as its three kinds of run); a ``--config`` key that the
+run never reads is rejected, while preset keys and flags are not checked.
+Each command builds every object it uses at stage ``config``, so a bad
+value, whatever its key and whatever the command, fails there; a search plan
+checks every alpha against the cutoff.  Every failure is reported as a
+one-line JSON record on stderr with exit status 1, a bad command line (an
+unknown command or flag, a flag value of the wrong type) too, at stage
+``config``; only ``--help`` and ``--version`` exit without a run, with
+status 0.  ``PARSER`` is built once, at import, so ``main(argv)`` may be
+called repeatedly in one process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -76,18 +76,21 @@ from .tomography import (
     tomography_pipeline,
 )
 
-# the commands that read a key; tomography's runs count as one command, which
-# reads every key but alpha_sq_values (each kind of run: _check_run_kind)
-_EVERY = frozenset({"fidelity-sweep", "optimize", "simulate", "tomography", "selftest"})
-_POINT = frozenset({"optimize", "simulate", "tomography"})
-_GRID = frozenset({"fidelity-sweep", "tomography"})
-_CLICKS = frozenset({"simulate", "tomography"})
+# the runs that read a key: each command, with tomography's three kinds of
+# run in its place (``_run`` picks one from mode and quantize); selftest
+# reads nmax alone
+_ONE, _SWEEP, _MENU = "a tomography single run", "a tomography sweep", "a tomography quantized sweep"
+_TOMOGRAPHY = frozenset({_ONE, _SWEEP, _MENU})
+_EVERY = frozenset({"fidelity-sweep", "optimize", "simulate"}) | _TOMOGRAPHY
+_POINT = frozenset({"optimize", "simulate", _ONE})
+_GRID = frozenset({"fidelity-sweep", _SWEEP, _MENU})
+_CLICKS = frozenset({"simulate"}) | _TOMOGRAPHY
 
 # every key a config file may contain: (accepted value shape, default, the
-# commands that read it), where a default of None means the key has none
+# runs that read it), where a default of None means the key has none
 _SCHEMA: dict[str, tuple] = {
-    "mode": (str, "single", {"tomography"}),  # "single" or "sweep"
-    "alpha": ((int, float), 0.499, _POINT),
+    "mode": (str, "single", _TOMOGRAPHY),  # "single" or "sweep"
+    "alpha": ((int, float), 0.499, _POINT | _TOMOGRAPHY),
     "c0sq": ((int, float), 0.5, _POINT),
     "phi": ((int, float), 0.0, _POINT),
     "c0sq_values": (list, (), _GRID),
@@ -96,17 +99,17 @@ _SCHEMA: dict[str, tuple] = {
     "eta": ((int, float), 1.0, _EVERY),
     "nu": ((int, float), 0.0, _EVERY),
     "visibility": ((int, float), 1.0, _EVERY),
-    "drive_amplitude": ((int, float), 0.0, _CLICKS),
-    "drive_phase": ((int, float), 0.0, _CLICKS),
+    "drive_amplitude": ((int, float), 0.0, {"simulate", _ONE}),
+    "drive_phase": ((int, float), 0.0, {"simulate", _ONE}),
     "gammas": (list, (0.2, 0.3), _CLICKS),
     "shots": (int, 200_000, _CLICKS),
     "seed": (int, 0, _GRID | _CLICKS),
-    "nmax": (int, 20, _EVERY),
-    "schedule": (list, None, {"tomography"}),  # a quantized sweep's only; its default is computed
-    "quantize": (bool, True, {"tomography"}),
-    "clicks": (str, None, {"tomography", "selftest"}),
-    "error_bars_sigma": ((int, float), 0.0, {"tomography"}),
-    "out": (str, None, _EVERY - {"selftest"}),
+    "nmax": (int, 20, _EVERY | {"selftest"}),
+    "schedule": (list, None, {_MENU}),  # its default is computed
+    "quantize": (bool, True, {_SWEEP, _MENU}),
+    "clicks": (str, None, {_ONE}),
+    "error_bars_sigma": ((int, float), 0.0, {_ONE}),
+    "out": (str, None, _EVERY),
 }
 
 
@@ -213,17 +216,14 @@ def _finite_number(value) -> bool:
     return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
-def validate_config(cfg: dict, command: str | None = None) -> dict:
-    """``cfg`` itself, once every key is known and holds a value of its
-    type; with a ``command``, every key must also be one that it reads."""
+def validate_config(cfg: dict) -> dict:
+    """``cfg`` itself, once every key is known and holds a value of its type."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for key, value in cfg.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        want, _, readers = _SCHEMA[key]
-        if command is not None and command not in readers:
-            raise ConfigError(f"config key {key!r} is not read by {command}")
+        want = _SCHEMA[key][0]
         if isinstance(value, bool) and want is not bool or not isinstance(value, want):
             raise ConfigError(f"config key {key!r} has the wrong type")
         if want in (str, bool):
@@ -235,17 +235,14 @@ def validate_config(cfg: dict, command: str | None = None) -> dict:
     return cfg
 
 
-def _check_run_kind(keys, cfg: Config) -> None:
-    """Reject a config key that only the other kind of tomography run reads
-    (``schedule``: only a quantized sweep reads it)."""
+def _run(command: str, cfg: Config) -> str:
+    """The run a command's config selects: the command itself, or one of
+    tomography's three kinds of run."""
+    if command != "tomography":
+        return command
     if cfg["mode"] not in ("single", "sweep"):
         raise ConfigError(f"mode must be 'single' or 'sweep', got {cfg['mode']!r}")
-    kind = "single run" if cfg["mode"] == "single" else "quantized sweep" if cfg["quantize"] else "sweep"
-    single = ("c0sq", "phi", "drive_amplitude", "drive_phase", "clicks", "error_bars_sigma")
-    unread = {"single run": ("c0sq_values", "phi_values", "quantize", "schedule"), "sweep": (*single, "schedule")}
-    for key in keys:
-        if key in unread.get(kind, single):  # a quantized sweep reads every sweep key
-            raise ConfigError(f"config key {key!r} is not read by a tomography {kind}")
+    return _ONE if cfg["mode"] == "single" else _MENU if cfg["quantize"] else _SWEEP
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
@@ -259,10 +256,12 @@ def resolve_config(args: argparse.Namespace) -> Config:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
+        cfg.update(validate_config(loaded))
+        run = _run(args.command, Config(cfg))
         # preset keys are exempt: simulate and tomography share presets
-        cfg.update(validate_config(loaded, args.command))
-        if args.command == "tomography":
-            _check_run_kind(loaded, Config(cfg))
+        for key in loaded:
+            if run not in _SCHEMA[key][2]:
+                raise ConfigError(f"config key {key!r} is not read by {run}")
     for key in ("seed", "nmax", "out"):
         value = getattr(args, key, None)
         if value is not None:
@@ -472,13 +471,8 @@ def _selftest_checks(dim: TruncationDim):
 
 def cmd_selftest(cfg: Config) -> int:
     """Run the invariant battery and report residuals."""
-    # config-provided resources are validated first, so a bad detector or a
-    # corrupted click file fails loudly here rather than inside a later run
     with _stage("config"):
-        _detector(cfg)
         dim = TruncationDim(cfg["nmax"])
-        if cfg["clicks"] is not None:
-            read_click_table(cfg["clicks"])
     with _stage("selftest"):
         checks = _selftest_checks(dim)
     failures = 0

@@ -208,13 +208,6 @@ def _swapped(contrast):
     return s11, s00, s01
 
 
-def _shared_alpha(specs) -> float:
-    alpha = specs[0].alpha
-    if any(spec.alpha != alpha for spec in specs):
-        raise ValueError("specs optimized in one pass must share one alpha")
-    return alpha
-
-
 def _click_form(alpha: float, contrast, detector: DetectorModel, n_max: int):
     """The closed form of the displaced-counting fidelity (``_click_score``)
     as a function of the displacement b.  With the contrast of one spec
@@ -512,18 +505,16 @@ def _click_score(targets, D: np.ndarray, detector: DetectorModel) -> np.ndarray:
     return 0.5 * (1.0 + (1.0 - detector.nu) * ((r0 - r1)[..., None, :] @ weights)[..., 0])
 
 
-def _search_displacements(specs, detector: DetectorModel, dim) -> list[complex]:
-    """The optimal ``beta`` of every spec of a list that shares one alpha,
-    from the coherent-state closed form alone: one grid call scores the
-    polar grid for all of them, then each runs its own refinement.  No Fock
-    model is built.  The grid is scored on its 61 phases in [0, pi], for
-    each spec and its ``_conjugated`` partner (``_mirrored_grids``); the
-    first maximum and the refinement's start come from the whole 120-phase
-    grid, so a tie between b and conj(b) still goes to the upper half plane."""
-    if not specs:
-        return []
-    alpha = _shared_alpha(specs)
-    dim = as_dim(dim)
+def _search_displacements(specs, detector: DetectorModel, dim: TruncationDim) -> list[complex]:
+    """The optimal ``beta`` of every spec of a list that shares one alpha
+    (one of ``SearchPlan.groups``, or one spec), from the coherent-state
+    closed form alone: one grid call scores the polar grid for all of them,
+    then each runs its own refinement.  No Fock model is built.  The grid is
+    scored on its 61 phases in [0, pi], for each spec and its
+    ``_conjugated`` partner (``_mirrored_grids``); the first maximum and the
+    refinement's start come from the whole 120-phase grid, so a tie between
+    b and conj(b) still goes to the upper half plane."""
+    alpha = specs[0].alpha
     r_max = max_guarded_amplitude(dim)
     radii = np.arange(0.0, r_max + 1e-12, AMPLITUDE_STEP)
     n_phases = int(round(2.0 * math.pi / PHASE_STEP))
@@ -570,16 +561,14 @@ def _homodyne_score(targets, E: np.ndarray, lo_phase: np.ndarray) -> np.ndarray:
 
 def _search_homodynes(specs) -> list[tuple[float, float]]:
     """The optimal ``(x_th, lo_phase)`` of every spec of a list that shares
-    one alpha, from the coherent-state closed form alone: one grid call
-    scores the threshold/phase grid for all of them, then each runs its own
-    refinement.  No Fock model is built.  The grid is scored on its 31
-    phases in [0, pi/2], for each spec and its ``_swapped`` partner
-    (``_mirrored_grids``), so the complex ``erfc``, most of its cost, runs
-    on half the points; the first maximum and the refinement's start come
-    from the whole 60-phase grid."""
-    if not specs:
-        return []
-    alpha = _shared_alpha(specs)
+    one alpha (one of ``SearchPlan.groups``), from the coherent-state closed
+    form alone: one grid call scores the threshold/phase grid for all of
+    them, then each runs its own refinement.  No Fock model is built.  The
+    grid is scored on its 31 phases in [0, pi/2], for each spec and its
+    ``_swapped`` partner (``_mirrored_grids``), so the complex ``erfc``,
+    most of its cost, runs on half the points; the first maximum and the
+    refinement's start come from the whole 60-phase grid."""
+    alpha = specs[0].alpha
     lo, hi = THRESHOLD_RANGE
     xs = np.arange(lo, hi + 1e-9, THRESHOLD_STEP)
     n_thetas = 60
@@ -743,7 +732,7 @@ def optimized_reports(plan: SearchPlan) -> list[FidelityReport]:
     reports = []
     for rows, betas, D, targets, f_dp in plan.stacks():
         x_th, lo_phase = np.array(homodynes[rows]).T
-        f_hd = _homodyne_score(targets, quadrature_interval_operator(x_th, np.inf, plan.dim), lo_phase)
+        f_hd = _homodyne_score(targets, quadrature_interval_operator(x_th, plan.dim), lo_phase)
         scored = [
             FidelityReport(float(dp), float(hd), pnrd_fidelity(spec), beta, x, phase, spec, plan.detector)
             for spec, beta, (x, phase), dp, hd in zip(plan.specs[rows], betas, homodynes[rows], f_dp, f_hd)

@@ -248,34 +248,32 @@ def hermite_functions(x, n_max: int) -> np.ndarray:
     return out
 
 
-def quadrature_interval_operator(x_lo, x_hi, dim) -> np.ndarray:
-    """Matrix of integrals E_mn = int_{x_lo}^{x_hi} psi_m psi_n dx in the
-    unrotated quadrature basis, in closed form for every window at once.
+def quadrature_interval_operator(x_th, dim) -> np.ndarray:
+    """Matrix of integrals E_mn = int_{x_th}^inf psi_m psi_n dx in the
+    unrotated quadrature basis, in closed form for every threshold at once.
 
-    Each end contributes int_x^inf psi_m psi_n.  With q_n = sqrt(2n)
-    psi_{n-1} = psi_n' + x psi_n, the Wronskian psi_m q_n - psi_n q_m has
-    derivative 2(m - n) psi_m psi_n, which gives every entry off the
-    diagonal; on it, int_x^inf psi_0^2 = erfc(x)/2 and each step in n adds
-    psi_n q_n / (2n).  The ends are clipped to [-W, W], beyond which every
-    psi_m psi_n is below 1e-14.  ``x_lo`` and ``x_hi`` may be arrays; the
-    result has shape ``np.broadcast(x_lo, x_hi).shape + (N, N)``.
+    With q_n = sqrt(2n) psi_{n-1} = psi_n' + x psi_n, the Wronskian
+    psi_m q_n - psi_n q_m has derivative 2(m - n) psi_m psi_n, which gives
+    every entry off the diagonal; on it, int_x^inf psi_0^2 = erfc(x)/2 and
+    each step in n adds psi_n q_n / (2n).  The threshold is clipped to
+    [-W, W], beyond which every psi_m psi_n is below 1e-14, and E is exactly
+    0 from W on.  ``x_th`` may be an array; the result has shape
+    ``np.shape(x_th) + (N, N)``.
     """
     from scipy.special import erfc
 
     dim = as_dim(dim)
     W = math.sqrt(2.0 * dim.n_max + 1.0) + 8.0
-    lo, hi = np.broadcast_arrays(np.clip(x_lo, -W, W), np.clip(x_hi, -W, W))
-    x = np.stack([lo, hi]).astype(float).ravel()
+    x = np.clip(np.ravel(x_th).astype(float), -W, W)
     psi = hermite_functions(x, dim.n_max).T
     n = np.arange(dim.size)
     q = np.zeros_like(psi)
     q[:, 1:] = np.sqrt(2.0 * n[1:]) * psi[:, :-1]
     gap = 2.0 * (n[:, None] - n[None, :])
     np.fill_diagonal(gap, 1.0)
-    tails = (psi[:, None, :] * q[:, :, None] - psi[:, :, None] * q[:, None, :]) / gap
-    tails[:, n, n] = 0.5 * erfc(x)[:, None] + np.cumsum(psi * q / np.maximum(2 * n, 1), axis=1)
-    tails = tails.reshape((2,) + lo.shape + (dim.size, dim.size))
-    return np.where((lo < hi)[..., None, None], tails[0] - tails[1], 0.0)
+    E = (psi[:, None, :] * q[:, :, None] - psi[:, :, None] * q[:, None, :]) / gap
+    E[:, n, n] = 0.5 * erfc(x)[:, None] + np.cumsum(psi * q / np.maximum(2 * n, 1), axis=1)
+    return np.where((x < W)[:, None, None], E, 0.0).reshape(np.shape(x_th) + (dim.size, dim.size))
 
 
 def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:
@@ -283,7 +281,7 @@ def homodyne_povm(spec: HomodyneSpec, dim) -> PovmPair:
     projectors over [x_th, infinity).  Public as the assembled reference
     that the optimizer's closed-form homodyne score is checked against."""
     dim = as_dim(dim)
-    E = quadrature_interval_operator(spec.x_th, np.inf, dim).astype(complex)
+    E = quadrature_interval_operator(spec.x_th, dim).astype(complex)
     if spec.lo_phase != 0.0:
         ph = np.exp(1j * np.arange(dim.size) * spec.lo_phase)
         E = E * np.outer(ph, ph.conj())

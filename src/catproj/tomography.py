@@ -77,8 +77,10 @@ class ProbeSet:
             raise ValueError(f"expected 1 to {MAX_GAMMAS} gamma probe amplitudes, got {len(self.gammas)}")
         if any(not 0 < g <= MAX_GAMMA for g in self.gammas):
             raise ValueError(f"gamma amplitudes must lie in (0, MAX_GAMMA = {MAX_GAMMA:g}]")
-        if len(set(self.gammas)) != len(self.gammas):
-            raise ValueError("gamma amplitudes must be distinct")
+        # a click row is matched to the amplitude within tol of it: no two may share a row
+        rows, tol = np.array(self.amplitudes()), _AMPLITUDE_MATCH_TOL
+        if np.count_nonzero(abs(rows[:, None] - rows) <= tol) > rows.size:
+            raise ValueError(f"gamma amplitudes must be distinct: each +-i*gamma more than {tol:g} from the rest")
 
     @property
     def k(self) -> int:
@@ -726,6 +728,8 @@ def _match_probe_rows(clicks: ClickTable, probes: ProbeSet) -> ClickTable:
             rows.append(clicks.row_index(amp))
         except KeyError:
             raise ValueError(f"click table has no row at probe amplitude {amp!r}") from None
+    if len(set(rows)) < len(rows):  # probes 1e-9 to 2e-9 apart can share a row between them
+        raise ValueError("click table has a row that matches two probe amplitudes")
     if rows == list(range(len(rows))):
         return clicks
     amps = tuple(clicks.probe_amplitudes[i] for i in rows)

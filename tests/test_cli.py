@@ -62,7 +62,7 @@ class FakeArgs:
 
 def test_config_precedence(tmp_path):
     path = write_config(tmp_path, {"shots": 50, "nmax": 12})
-    cfg = resolve_config(FakeArgs(preset="fig3", config=path, seed=99))
+    cfg = resolve_config(FakeArgs(command="simulate", preset="fig3", config=path, seed=99))
     assert cfg["shots"] == 50  # file beats preset
     assert cfg["nmax"] == 12
     assert cfg["seed"] == 99  # flag beats file and preset
@@ -681,11 +681,13 @@ def test_selftest_guards_small_truncation(capsys):
 
 
 def test_selftest_rejects_invalid_detector(tmp_path, capsys):
+    # the battery runs on its own detectors, so it reads no detector key: it
+    # used to check this one and then print five PASS lines without it
     path = write_config(tmp_path, {"eta": 1.3})
     assert main(["selftest", "--config", path]) == 1
     record = last_error(capsys)
     assert record["stage"] == "config"
-    assert "eta" in record["message"]
+    assert record["message"] == "config key 'eta' is not read by selftest"
 
 
 def test_unknown_preset_and_key(tmp_path, capsys):
@@ -745,7 +747,12 @@ _OUT_OF_RANGE = [
     # a menu level beyond the guard; at n_max 12 the default menu's top level 0.771
     *((_SWEEP, entry, "unitarity defect") for entry in ({"schedule": [1e300]}, {"schedule": [3.0]}, {"nmax": 12})),
     *((argv, {"gammas": [0.2, v]}, "MAX_GAMMA") for argv in (_SIMULATE, _SINGLE, _SWEEP) for v in (6.0, 1e200)),
-    *((argv, {"gammas": [0.2, 0.2]}, "distinct") for argv in (_SIMULATE, _SINGLE, _SWEEP)),
+    # two probe amplitudes within the 1e-9 that matches a click row share one row
+    *(
+        (argv, {"gammas": gammas}, "distinct")
+        for argv in (_SIMULATE, _SINGLE, _SWEEP)
+        for gammas in ([0.2, 0.2], [0.2, 0.2000000000001], [1e-12])
+    ),
     *(
         (argv, {"gammas": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}, "1 to 6 gamma")
         for argv in (_SIMULATE, _SINGLE, _SWEEP)
@@ -855,18 +862,45 @@ def test_a_key_only_the_other_tomography_run_reads_is_one_config_record(tmp_path
     assert list(tmp_path.iterdir()) == [Path(path)]
 
 
-def test_every_command_rejects_each_key_it_never_reads():
-    # a key of the right type is still refused by a command that would
-    # ignore it; preset keys and flags are not checked
-    assert all(readers <= set(COMMANDS) for _, _, readers in _SCHEMA.values())
+# the keys each run reads: every command, tomography as its three kinds of run
+_READS = {
+    "fidelity-sweep": "c0sq_values alpha_sq_values phi_values eta nu visibility seed nmax out",
+    "optimize": "alpha c0sq phi eta nu visibility nmax out",
+    "simulate": "alpha c0sq phi eta nu visibility drive_amplitude drive_phase gammas shots seed nmax out",
+    "a tomography single run": (
+        "mode alpha c0sq phi eta nu visibility drive_amplitude drive_phase gammas shots seed nmax"
+        " clicks error_bars_sigma out"
+    ),
+    "a tomography sweep": "mode alpha c0sq_values phi_values eta nu visibility gammas shots seed nmax quantize out",
+    "a tomography quantized sweep": (
+        "mode alpha c0sq_values phi_values eta nu visibility gammas shots seed nmax quantize schedule out"
+    ),
+    "selftest": "nmax",
+}
+_READS = {run: set(keys.split()) for run, keys in _READS.items()}
+# each run's command, preset and its own mode and quantize
+_SELECTS = {
+    "a tomography single run": ("tomography", "fig3", {"mode": "single", "quantize": True}),
+    "a tomography sweep": ("tomography", "fig5", {"mode": "sweep", "quantize": False}),
+    "a tomography quantized sweep": ("tomography", "fig4", {"mode": "sweep", "quantize": True}),
+}
+
+
+def test_every_command_rejects_each_key_it_never_reads(tmp_path):
+    # a key of the right type is still refused by a run that would ignore
+    # it; preset keys and flags are not checked
+    assert set(_SCHEMA) == set().union(*_READS.values())
     typed = {str: "x", bool: True, int: 1, list: [0.5], (int, float): 0.5}
-    for command in COMMANDS:
-        for key, (want, _, readers) in _SCHEMA.items():
-            if command not in readers:
-                with pytest.raises(ValueError, match=f"not read by {command}"):
-                    validate_config({key: typed[want]}, command)
+    for run, reads in _READS.items():
+        command, preset, own = _SELECTS.get(run, (run, None, {}))
+        for key, (want, *_) in _SCHEMA.items():
+            entry = {key: own.get(key, typed[want])}
+            args = FakeArgs(command=command, preset=preset, config=write_config(tmp_path, entry))
+            if key in reads:
+                assert resolve_config(args)[key] == entry[key], (run, key)
             else:
-                assert validate_config({key: typed[want]}, command) == {key: typed[want]}
+                with pytest.raises(ValueError, match=f"^config key {key!r} is not read by {run}$"):
+                    resolve_config(args)
     cfg = resolve_config(FakeArgs(command="optimize", preset="fig3", seed=5, nmax=14))
     assert cfg["gammas"] == [0.2, 0.3] and cfg["seed"] == 5
 
@@ -974,7 +1008,8 @@ _BAD_ENTRIES = st.one_of(
 def test_every_bad_config_is_one_config_record(command, entry, base):
     key, value = entry
     # only keys the command reads, so an unread-key record does not mask the drawn entry
-    cfg = {k: v for k, v in {"alpha": 0.5, "c0sq": 0.75}.items() if base and command in _SCHEMA[k][2]}
+    run = "a tomography single run" if command == "tomography" else command
+    cfg = {k: v for k, v in {"alpha": 0.5, "c0sq": 0.75}.items() if base and k in _READS[run]}
     cfg[key] = value
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -993,25 +1028,21 @@ _EXTREME_INTS = [-1, 0, 1, 2**63, 2**64]
 # each command line with a one-point grid, which a drawn entry may replace,
 # so that a run the entry does not stop stays cheap
 _RUNS = [
-    (_FIG1B, {"c0sq_values": [0.5]}),
-    (["optimize"], {}),
-    (_SIMULATE, {}),
-    (_SINGLE, {}),
-    (_SWEEP, {"c0sq_values": [0.5]}),
-    (["selftest"], {}),
+    (_FIG1B, {"c0sq_values": [0.5]}, "fidelity-sweep"),
+    (["optimize"], {}, "optimize"),
+    (_SIMULATE, {}, "simulate"),
+    (_SINGLE, {}, "a tomography single run"),
+    (_SWEEP, {"c0sq_values": [0.5]}, "a tomography quantized sweep"),
+    (["selftest"], {}, "selftest"),
 ]
 
 
 @st.composite
 def _extreme_runs(draw):
-    """A command line and its config, with one key the command reads set to
-    a well-typed extreme value."""
-    argv, base = draw(st.sampled_from(_RUNS))
-    key = draw(
-        st.sampled_from(
-            sorted(k for k, (want, _, readers) in _SCHEMA.items() if argv[0] in readers and want is not str)
-        )
-    )
+    """A command line and its config, with one key the run reads set to a
+    well-typed extreme value."""
+    argv, base, run = draw(st.sampled_from(_RUNS))
+    key = draw(st.sampled_from(sorted(k for k in _READS[run] if _SCHEMA[k][0] is not str)))
     want = _SCHEMA[key][0]
     if want is list:
         # sorted, as every grid axis must be

@@ -239,7 +239,9 @@ def _apparatus_cases(draw, smallest_n_max=20, top=0.8):
     spec = ScsMeasurementSpec.from_c0sq(alpha, draw(_UNIT), draw(st.floats(0.0, 2 * math.pi)))
     radius = draw(st.floats(0.0, max_guarded_amplitude(dim)))
     shift = cmath.rect(radius, draw(st.floats(0.0, 2 * math.pi)))
-    gammas = draw(st.lists(st.floats(0.01, top), min_size=1, max_size=6, unique=True))
+    # a probe set refuses two gammas within 1e-9, which would share a click row
+    apart = lambda gs: min(np.diff(sorted(gs)), default=1.0) > 1e-9
+    gammas = draw(st.lists(st.floats(0.01, top), min_size=1, max_size=6, unique=True).filter(apart))
     return dim, spec, draw(_DETECTORS), shift, ProbeSet(alpha, gammas)
 
 

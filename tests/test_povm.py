@@ -147,7 +147,7 @@ def test_homodyne_against_adaptive_quadrature():
     rng = np.random.default_rng(7)
     for n_max in (12, 24):
         for x_th in (-3.0, 0.45, 4.0):
-            E = quadrature_interval_operator(x_th, np.inf, TruncationDim(n_max))
+            E = quadrature_interval_operator(x_th, TruncationDim(n_max))
             for _ in range(6):
                 m, n = rng.integers(0, n_max + 1, size=2)
                 ref, err = quad(
@@ -161,14 +161,17 @@ def test_homodyne_against_adaptive_quadrature():
 
 def test_stacked_interval_operator_is_each_threshold_alone():
     # a sweep scores every homodyne point of an alpha group from one stack:
-    # each slice must be, bit for bit, the operator built for its threshold alone
-    xs = np.array([-20.0, -3.1, -0.2, 0.0, 0.45, 2.7, 30.0])
+    # each slice must be, bit for bit, the operator built for its threshold alone;
+    # from the clip W = sqrt(2 n_max + 1) + 8 on, the operator is exactly 0
     for n_max in (20, 24):
         dim = TruncationDim(n_max)
-        stack = quadrature_interval_operator(xs, np.inf, dim)
+        W = math.sqrt(2.0 * n_max + 1.0) + 8.0
+        xs = np.array([-20.0, -3.1, -0.2, 0.0, 0.45, 2.7, np.nextafter(W, 0.0), W, W + 1e-9, 30.0, np.inf])
+        stack = quadrature_interval_operator(xs, dim)
         assert stack.shape == (xs.size, dim.size, dim.size)
         for x_th, E in zip(xs, stack):
-            assert np.array_equal(E, quadrature_interval_operator(float(x_th), np.inf, dim))
+            assert np.array_equal(E, quadrature_interval_operator(float(x_th), dim))
+            assert (x_th < W) == E.any(), x_th
 
 
 def test_homodyne_reflection_identity():

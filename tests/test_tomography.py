@@ -132,8 +132,10 @@ def test_probe_set_validation():
         ProbeSet(0.5, tuple(0.1 * (i + 1) for i in range(7)))
     with pytest.raises(ValueError):
         ProbeSet(0.5, (0.2, -0.3))
-    with pytest.raises(ValueError):
-        ProbeSet(0.5, (0.2, 0.2))
+    # amplitudes within the 1e-9 that matches a click row to its probe share one row
+    for gammas in ((0.2, 0.2), (0.2, 0.2000000000001), (1e-12,)):
+        with pytest.raises(ValueError, match="distinct"):
+            ProbeSet(0.5, gammas)
     ProbeSet(MIN_ALPHA, (0.2, MAX_GAMMA))
     for alpha, gammas in ((1e-300, (0.2,)), (0.5 * MIN_ALPHA, (0.2,))):
         with pytest.raises(ValueError, match="MIN_ALPHA"):
@@ -193,6 +195,13 @@ def test_match_probe_rows_reorders_by_amplitude_once():
         tomography._match_probe_rows(ClickTable.from_rates((0.5, -0.5, 0.3j, 0.4j), [0.5] * 4, 10), probes)
     with pytest.raises(ValueError, match="has 2 rows, probe set requires 4"):
         tomography._match_probe_rows(ClickTable.from_rates((0.5, -0.5), [0.5] * 2, 10), probes)
+    # a row between two accepted probes 1.5e-9 apart lies within 1e-9 of both;
+    # it used to stand in for both, and the second probe's own row went unread
+    close = ProbeSet(0.5, (0.3, 0.3 + 1.5e-9))
+    amplitudes = list(close.amplitudes())
+    amplitudes[2] = 1j * (0.3 + 0.75e-9)
+    with pytest.raises(ValueError, match="matches two probe amplitudes"):
+        tomography._match_probe_rows(ClickTable.from_rates(amplitudes, [0.5] * 6, 10), close)
 
 
 def test_gamma_matrix_examples():
